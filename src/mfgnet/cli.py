@@ -31,14 +31,14 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .grid import TabulatedDensity, build_grid, build_time_grid, field_to_csv
+from .grid import TabulatedDensity, field_to_csv
 from .mfg import (
     CostSpec,
+    DiscreteProblem,
     ProblemSpec,
     density_drift,
     discretize,
     fixed_point,
-    psi_map,
     refine_spec,
 )
 from .montecarlo import SimConfig, estimate_arrival_cdf
@@ -201,6 +201,8 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= seed < 2**64:
         raise ValidationError("run.seed", "must fit in an unsigned 64-bit integer")
     snapshots = int(rn.get("snapshots", 0))
+    if snapshots < 0:
+        raise ValidationError("run.snapshots", "must be nonnegative")
     agents = int(rn.get("agents", 100_000))
     if agents < 1:
         raise ValidationError("run.agents", "must be at least 1")
@@ -273,20 +275,20 @@ def _write_summary(out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_artifacts(config: RunConfig, out: Path, quiet: bool):
+def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem,
+                     record_full: bool = False):
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
-        grid = build_grid(spec.topology, spec.h_target)
-        tg = build_time_grid(spec.cost.t_max, grid.min_h, spec.cfl_factor)
-        snapshot_levels = set(range(0, tg.n_steps + 1, config.snapshots))
+        snapshot_levels = set(range(0, problem.time_grid.n_steps + 1, config.snapshots))
 
     progress = None if quiet else (
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
-    result = fixed_point(spec, snapshot_levels=snapshot_levels, progress=progress)
+    result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress,
+                         record_full=record_full)
 
     _write_csv(out / "f_series.csv", "t,F",
-               zip(result.times.tolist(), result.f_series.tolist()))
+               zip(result.times, result.f_series))
     _write_csv(out / "iterates.csv", "iteration,T",
                [(0, result.t_init)] + list(enumerate(result.iterates, start=1)))
     lvl = result.equilibrium_level
@@ -317,7 +319,6 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool):
         "residual_mass_error": result.residual_mass,
         "tolerance": spec.tol,
         "seed": config.seed,
-        "threads": _thread_cap(),
         "notes": result.notes,
     }
     if config.geometry_label is not None:
@@ -326,7 +327,6 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool):
 
 
 def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
-    result, summary = _solve_artifacts(config, out, quiet)
     spec = config.spec
     problem = discretize(spec)
     grid, tg = problem.grid, problem.time_grid
@@ -337,8 +337,10 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
             "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB of "
             "solution history; coarsen h or use solve mode")
 
-    cap = psi_map(result.t_star, problem, record_full=True)
-    drift = density_drift(grid, cap.phi.full, tg.dt)
+    # the particles follow the drift of the capture solve, whose F is the one
+    # written to f_series.csv
+    result, summary = _solve_artifacts(config, out, quiet, problem, record_full=True)
+    drift = density_drift(grid, result.phi_full, tg.dt)
     dt_mc = config.dt_mc if config.dt_mc is not None else tg.dt / 10.0
     if not quiet:
         print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}", flush=True)
@@ -348,11 +350,10 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
                   seed=config.seed, drift=drift),
         grid, problem.m0, tg.times)
 
-    f_pde = cap.f_series
+    f_pde = result.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-               zip(tg.times.tolist(), f_pde.tolist(), mc.fraction.tolist(),
-                   mc.band_lo.tolist(), mc.band_hi.tolist()))
+               zip(tg.times, f_pde, mc.fraction, mc.band_lo, mc.band_hi))
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,
@@ -386,7 +387,6 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
         "theta": config.spec.theta,
         "tolerance": config.spec.tol,
         "seed": config.seed,
-        "threads": _thread_cap(),
         "refine_study": rows,
     }
     if config.geometry_label is not None:
@@ -402,8 +402,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        threads = _thread_cap()
         if config.mode == "solve":
-            result, summary = _solve_artifacts(config, out, quiet)
+            result, summary = _solve_artifacts(config, out, quiet, discretize(config.spec))
         elif config.mode == "oracle":
             result, summary = _oracle_artifacts(config, out, quiet)
         elif config.mode == "refine-study":
@@ -424,6 +425,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
         return 2
+    summary["threads"] = threads
     _write_summary(out, summary)
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)
@@ -435,7 +437,10 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.h is not None:
         spec = replace(spec, h_target=args.h)
     if args.tol is not None:
-        spec = replace(spec, tol=args.tol)
+        try:
+            spec = replace(spec, tol=args.tol)
+        except ValueError as err:
+            raise ValidationError("tol", str(err)) from err
     updates = {"spec": spec}
     if args.mode is not None:
         updates["mode"] = args.mode
@@ -446,6 +451,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             raise ValidationError("seed", "must fit in an unsigned 64-bit integer")
         updates["seed"] = args.seed
     if args.snapshots is not None:
+        if args.snapshots < 0:
+            raise ValidationError("snapshots", "must be nonnegative")
         updates["snapshots"] = args.snapshots
     return replace(config, **updates)
 

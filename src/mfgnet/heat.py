@@ -7,10 +7,14 @@ solution of the discrete flux-balance condition once continuity across the
 vertex is imposed. The exit vertex is pinned in both sweeps; any other
 vertex can be pinned explicitly (handy for analytic regression tests), and
 a degree-1 unpinned vertex degenerates to a reflecting end.
+
+``ModalStep`` evaluates many steps at once from the eigenbasis of the same
+step (exit pinned, every other vertex free); the sweeps stay the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +32,22 @@ __all__ = [
     "step_backward",
     "solve_backward_phi",
     "solve_forward_psi",
+    "psi_initial",
     "HeatSweep",
+    "ModalStep",
+    "modal_pays",
 ]
 
 CFL_LIMIT = 0.5
+
+# A ModalStep costs one dense eigh, about 0.18 ns * n_int^3 (0.17 s at
+# n_int = 1000, 1.3 s at 2000; single-threaded OpenBLAS on a 2-CPU Xeon VM),
+# and then O(n_steps * n_int) per map; one sweep pair costs about 2 * 9 ns
+# per node-step plus 2 * 17 us per step. Leaving out the per-step part, it
+# pays once n_int^3 <= R * n_steps * n_flat with R = 2 * 9 / 0.18 = 100,
+# even for a single map evaluation.
+MODAL_COST_RATIO = 100.0
+_FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 
 
 @dataclass(frozen=True)
@@ -149,11 +165,15 @@ class StencilWorkspace:
         np.multiply(old, -2.0, out=buf_r)
         np.add(buf_l, buf_r, out=buf_l)
         np.multiply(buf_l, lam, out=buf_l)
-        new_int = out[nv:]
-        np.add(old, buf_l, out=new_int)
+        np.add(old, buf_l, out=out[nv:])
         out[self.pinned] = pinned_values
+        self.balance_vertices(out, contrib)
+
+    def balance_vertices(self, out: np.ndarray, contrib: np.ndarray) -> None:
+        """Set every free vertex of ``out`` to the 1/h-weighted mean of its
+        adjacent interior values (the discrete flux balance)."""
         if len(self.free_vertices):
-            np.take(new_int, self.adj_interior, out=contrib)
+            np.take(out[self.grid.n_vertices:], self.adj_interior, out=contrib)
             np.multiply(contrib, self.adj_weights, out=contrib)
             sums = np.add.reduceat(contrib, self.seg_starts)
             out[self.free_vertices] = sums * self.inv_total_weight
@@ -161,6 +181,30 @@ class StencilWorkspace:
     def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.empty(self.n_interior), np.empty(self.n_interior),
                 np.empty(len(self.adj_interior)))
+
+    def interior_matrix(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (K, b) with ``step`` = K u + b * p on the interior block, for
+        a state whose free vertices are flux-balanced, u its interior values
+        and p its pinned values (this must pin exactly one vertex).
+
+        Column j of K is one ``step`` of the balanced unit state on interior
+        node j; b is one ``step`` of the state that is 1 at the pin only.
+        """
+        if len(self.pinned) != 1:
+            raise ValueError("the interior matrix is defined for one pinned vertex")
+        nv, n = self.grid.n_vertices, self.n_interior
+        src, out, scratch = np.zeros(self.grid.n_flat), np.empty(self.grid.n_flat), self.scratch()
+        no_pin = np.zeros(1)
+        K = np.empty((n, n))
+        for j in range(n):
+            src[nv + j] = 1.0
+            self.balance_vertices(src, scratch[2])
+            self.step(src, lam, no_pin, out, scratch)
+            K[:, j] = out[nv:]
+            src[:] = 0.0
+        src[self.pinned] = 1.0
+        self.step(src, lam, no_pin, out, scratch)
+        return K, out[nv:].copy()
 
 
 def _single_step(fld: GridField, grid: SpatialGrid, dt: float,
@@ -291,18 +335,108 @@ def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
                       init_level=time_grid.n_steps)
 
 
+def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
+    """Initial density potential m0 / phi0, zero at the exit. ``phi0`` must
+    be strictly positive."""
+    if float(phi0.data.min()) <= 0.0:
+        raise NonpositivePhi(
+            f"backward solution has min {phi0.data.min()}; cannot form the initial ratio")
+    init = m0.data / phi0.data
+    init[m0.grid.topology.exit_vertex] = 0.0
+    return init
+
+
 def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
                       phi0: GridField, extra_dirichlet=None, snapshot_levels=None,
                       record_full: bool = False, track_min: bool = False) -> HeatSweep:
     """Sweep the density potential forward from m0 / phi0 with the exit
     held at zero. ``phi0`` must be strictly positive."""
-    if float(phi0.data.min()) <= 0.0:
-        raise NonpositivePhi(
-            f"backward solution has min {phi0.data.min()}; cannot form the initial ratio")
-    init = m0.data / phi0.data
-    init[grid.topology.exit_vertex] = 0.0
+    init = psi_initial(m0, phi0)
     exit_series = np.zeros(time_grid.n_steps + 1)
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
                       range(1, time_grid.n_steps + 1),
                       snapshot_levels, record_full, track_min, init_level=0)
+
+
+def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
+    """Whether a ModalStep (one dense eigh) costs less than one sweep pair
+    on these grids: n_int^3 <= MODAL_COST_RATIO * n_steps * n_flat."""
+    n_int = grid.n_flat - grid.n_vertices
+    return n_int**3 <= MODAL_COST_RATIO * time_grid.n_steps * grid.n_flat
+
+
+def _powers(base: np.ndarray, exponent) -> np.ndarray:
+    out = np.power(base, exponent)
+    out[np.abs(out) < _FLUSH] = 0.0
+    return out
+
+
+class ModalStep:
+    """The two sweeps' exit-pinned step, applied many times from its
+    eigenbasis instead of level by level.
+
+    After a step every free vertex is the weighted mean of its adjacent
+    interior values, so the interior evolves on its own: u -> K u + b * p,
+    with p the exit value before the step (``StencilWorkspace.interior_matrix``).
+    With D = diag(sqrt(h)) per interior node, D K D^-1 is symmetric, so
+    K^n = D^-1 Q diag(lambda^n) Q^T D from one ``eigh``. A level n = a*B + j
+    is split into chunk a and offset j, with B = ceil(sqrt(n_steps)), so
+    lambda^n = lambda^(a*B) * lambda^j and each sum over levels is one
+    matrix product with the (B, n_int) table of lambda^j, weighted by the
+    (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
+    """
+
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
+        ws = StencilWorkspace(grid, (grid.topology.exit_vertex,))
+        self.workspace = ws
+        self.lam = ws.check_cfl(time_grid.dt)
+        self.n_steps = time_grid.n_steps
+        K, b = ws.interior_matrix(self.lam)
+        d = ws.inv_h2 ** -0.25  # sqrt(h)
+        K *= d[:, None]
+        K /= d
+        self.evals, self.basis = np.linalg.eigh(K)
+        self.d = d
+        self.b_modal = self.basis.T @ (d * b)
+        self.ones_modal = self.basis.T @ d
+        adj = grid.exit_adjacent_index - grid.n_vertices
+        self.adj_row = self.basis[adj] / d[adj]
+        rows = math.isqrt(self.n_steps - 1) + 1
+        chunks = -(-self.n_steps // rows)
+        self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
+        self.chunk_powers = _powers(self.evals, rows * np.arange(chunks)[:, None])
+
+    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
+        """Level 0 of the backward sweep from the constant state
+        exit_series[-1], with the exit pinned at exit_series[n] on level n:
+        u^0 = K^N u^N + sum_{n<N} g_{n+1} K^n b."""
+        chunks, rows = self.chunk_powers.shape[0], self.offset_powers.shape[0]
+        by_level = np.zeros(chunks * rows)  # by_level[a, j] = g_(a*B + j + 1)
+        by_level[: self.n_steps] = exit_series[1:]
+        by_level = by_level.reshape(chunks, rows)
+        sums = (self.chunk_powers * (by_level @ self.offset_powers)).sum(axis=0)
+        coef = (_powers(self.evals, self.n_steps) * self.ones_modal * exit_series[-1]
+                + self.b_modal * sums)
+        ws = self.workspace
+        out = np.empty(ws.grid.n_flat)
+        out[ws.grid.n_vertices:] = (self.basis @ coef) / self.d
+        out[ws.pinned] = exit_series[0]
+        ws.balance_vertices(out, ws.scratch()[2])
+        return out
+
+    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+        """Value next to the exit on every level of the forward sweep from
+        psi0 with the exit held at zero. psi0's vertices need not be
+        balanced: one ordinary step balances them, then
+        trace[n] = e_adj^T K^(n-1) u^1."""
+        ws = self.workspace
+        u1 = np.empty(ws.grid.n_flat)
+        ws.step(psi0, self.lam, np.zeros(1), u1, ws.scratch())
+        weights = self.adj_row * (self.basis.T @ (self.d * u1[ws.grid.n_vertices:]))
+        trace = np.empty(self.n_steps + 1)
+        trace[0] = psi0[ws.grid.exit_adjacent_index]
+        # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
+        by_level = (self.chunk_powers * weights) @ self.offset_powers.T
+        trace[1:] = by_level.ravel()[: self.n_steps]
+        return trace

@@ -28,7 +28,14 @@ from .grid import (
     normalize_mass,
     sample_density,
 )
-from .heat import HeatSweep, solve_backward_phi, solve_forward_psi
+from .heat import (
+    HeatSweep,
+    ModalStep,
+    modal_pays,
+    psi_initial,
+    solve_backward_phi,
+    solve_forward_psi,
+)
 from .network import NetworkTopology
 
 __all__ = [
@@ -123,6 +130,7 @@ class DiscreteProblem:
     grid: SpatialGrid
     time_grid: TimeGrid
     m0: GridField  # normalized
+    modal: ModalStep | None = field(default=None, repr=False)  # built by psi_map
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -167,32 +175,47 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 
 @dataclass
 class PsiMapResult:
-    """One evaluation of the candidate-time map, with the sweeps behind it."""
+    """One evaluation of the candidate-time map, with the sweeps behind it
+    (None when the map was evaluated from the modal step)."""
 
     t_input: float
     t_star: float
     f_series: np.ndarray
     crossing_level: int | None
-    phi: HeatSweep
-    psi: HeatSweep
+    phi: HeatSweep | None
+    psi: HeatSweep | None
 
 
 def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
             record_full: bool = False, track_min: bool = False) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
-    arrival distribution -> quorum time."""
+    arrival distribution -> quorum time.
+
+    ``record_full`` keeps every level of phi (the density drift needs it);
+    psi's levels are never kept whole. When no field is asked for and
+    ``modal_pays`` on the grids, both sweeps are replaced by the problem's
+    ModalStep (built on first use), which yields only the exit traces.
+    """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
         raise ValueError(f"candidate time {t_candidate} outside [{spec.cost.t0}, {spec.cost.t_max}]")
     grid, time_grid = problem.grid, problem.time_grid
     c_T = lambda s: cost(s, t_candidate, spec.cost)  # noqa: E731
 
-    phi = solve_backward_phi(grid, time_grid, c_T, snapshot_levels=snapshot_levels,
-                             record_full=record_full, track_min=track_min)
-    psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
-                            snapshot_levels=snapshot_levels,
-                            record_full=record_full, track_min=track_min)
-    f_series = cumulative_flow(psi, c_T, grid, time_grid)
+    if not (snapshot_levels or record_full or track_min) and modal_pays(grid, time_grid):
+        if problem.modal is None:
+            problem.modal = ModalStep(grid, time_grid)
+        exit_series = np.exp(np.asarray(c_T(time_grid.times), dtype=float))
+        phi0 = GridField(grid, problem.modal.phi_initial(exit_series))
+        trace = problem.modal.exit_adjacent_trace(psi_initial(problem.m0, phi0))
+        phi = psi = None
+    else:
+        phi = solve_backward_phi(grid, time_grid, c_T, snapshot_levels=snapshot_levels,
+                                 record_full=record_full, track_min=track_min)
+        psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
+                                snapshot_levels=snapshot_levels, track_min=track_min)
+        trace = psi.exit_adjacent
+    f_series = cumulative_flow(trace, c_T, grid, time_grid)
     if not np.isfinite(f_series[-1]):
         raise NumericalFailure("arrival distribution is not finite; the sweeps diverged")
     above = f_series > spec.theta
@@ -241,21 +264,26 @@ class EquilibriumResult:
     time_grid: TimeGrid
     cycle_detected: bool = False
     notes: list[str] = field(default_factory=list)
+    phi_full: np.ndarray | None = None  # every level of the capture's phi, if recorded
 
     @property
     def iterations(self) -> int:
         return len(self.iterates)
 
 
-def fixed_point(spec: ProblemSpec, snapshot_levels=(), progress=None) -> EquilibriumResult:
+def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progress=None,
+                record_full: bool = False) -> EquilibriumResult:
     """Iterate the candidate-time map from t_init until two successive
     values agree within ``spec.tol`` (or max_iters / a 2-cycle stops it).
 
-    Never raises on non-convergence: the best iterate is returned with
-    ``converged=False`` and a note. After the loop the last solve is
-    replayed once to capture fields at the equilibrium level.
+    ``spec`` may already be discretized. Never raises on non-convergence:
+    the best iterate is returned with ``converged=False`` and a note. After
+    the loop the last solve is replayed once by sweeping, to capture fields
+    at the equilibrium level, at ``snapshot_levels`` and, with
+    ``record_full``, phi at every level.
     """
-    problem = discretize(spec)
+    problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
+    spec = problem.spec
     t_cur = spec.t_init if spec.t_init is not None else spec.cost.t_max
     t_init = t_cur
     iterates: list[float] = []
@@ -289,7 +317,8 @@ def fixed_point(spec: ProblemSpec, snapshot_levels=(), progress=None) -> Equilib
 
     level = problem.time_grid.level_of(t_report)
     wanted = {0, level} | set(snapshot_levels)
-    cap = psi_map(capture_input, problem, snapshot_levels=wanted, track_min=True)
+    cap = psi_map(capture_input, problem, snapshot_levels=wanted, track_min=True,
+                  record_full=record_full)
 
     fields: dict[str, dict[int, GridField]] = {"phi": {}, "psi": {}, "u": {}, "m": {}}
     for n in sorted(wanted):
@@ -312,7 +341,7 @@ def fixed_point(spec: ProblemSpec, snapshot_levels=(), progress=None) -> Equilib
         phi_exit_adjacent=cap.phi.exit_adjacent,
         psi_exit_adjacent=cap.psi.exit_adjacent,
         grid=problem.grid, time_grid=problem.time_grid,
-        cycle_detected=cycle, notes=notes)
+        cycle_detected=cycle, notes=notes, phi_full=cap.phi.full)
 
 
 def refine_spec(spec: ProblemSpec, h_target: float) -> ProblemSpec:

@@ -238,6 +238,34 @@ class TestCliEntry:
         cfg = parse_config(json.dumps(fast_config(tmp_path)))
         assert run(cfg, quiet=True) == 2
 
+    def test_thread_cap_invalid_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MFGNET_THREADS", "abc")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fast_config(tmp_path)))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["field"] == "MFGNET_THREADS"
+        assert not (tmp_path / "out" / "f_series.csv").exists()
+
+    def test_negative_tol_flag_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fast_config(tmp_path)))
+        assert main(["--config", str(p), "--tol", "-1", "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["field"] == "tol"
+
+    def test_negative_snapshots_rejected(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fast_config(tmp_path)))
+        assert main(["--config", str(p), "--snapshots", "-3", "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["field"] == "snapshots"
+        p.write_text(json.dumps(fast_config(tmp_path, snapshots=-3)))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["field"] == "run.snapshots"
+
 
 class TestDeterminism:
     def test_oracle_summaries_byte_identical(self, tmp_path):
