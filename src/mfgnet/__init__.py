@@ -39,17 +39,7 @@ from .grid import (
     sample_density,
     sample_function,
 )
-from .heat import (
-    HeatSweep,
-    VertexStencil,
-    kirchhoff_residual,
-    make_vertex_stencils,
-    solve_backward_phi,
-    solve_forward_psi,
-    solve_vertex_values,
-    step_backward,
-    step_forward,
-)
+from .heat import HeatSweep, StepOperator, solve_backward_phi, solve_forward_psi, step
 from .mfg import (
     CostSpec,
     DiscreteProblem,
@@ -61,7 +51,6 @@ from .mfg import (
     cumulative_flow,
     density_drift,
     discretize,
-    drift_field,
     drift_from_matrix,
     fixed_point,
     psi_map,
@@ -75,7 +64,6 @@ from .montecarlo import (
     SimConfig,
     dkw_epsilon,
     estimate_arrival_cdf,
-    simulate_agent,
     simulate_agents,
 )
 from .cli import RunConfig, emit_config, parse_config, run

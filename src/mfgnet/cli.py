@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -122,10 +122,17 @@ def _build_density(m0: dict):
     raise ValidationError("problem.m0.kind", f"unknown density kind {kind!r}")
 
 
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {literal} is not allowed")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate one JSON run description."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
@@ -207,6 +214,8 @@ def parse_config(text: str) -> RunConfig:
     if agents < 1:
         raise ValidationError("run.agents", "must be at least 1")
     dt_mc = rn.get("dt_mc")
+    if dt_mc is not None and not float(dt_mc) > 0:
+        raise ValidationError("run.dt_mc", "must be positive")
 
     return RunConfig(
         spec=spec, mode=mode, out_dir=str(rn.get("out_dir", "out")), seed=seed,
@@ -248,19 +257,6 @@ def emit_config(config: RunConfig) -> dict:
     if config.h_ladder is not None:
         doc["numerics"]["h_ladder"] = list(config.h_ladder)
     return doc
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MFGNET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as err:
-        raise ValidationError("MFGNET_THREADS", f"not an integer: {raw!r}") from err
-    if n < 1:
-        raise ValidationError("MFGNET_THREADS", "must be at least 1")
-    return n
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -361,7 +357,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
         "sup_distance": sup_distance,
         "censored_fraction": float(np.mean(np.isnan(mc.arrival_times))),
     }
-    return result, summary
+    return summary
 
 
 def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
@@ -391,10 +387,7 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
     }
     if config.geometry_label is not None:
         summary["geometry"] = config.geometry_label
-
-    class _Shim:  # expose the aggregate convergence flag like a result
-        converged = all_converged
-    return _Shim(), summary
+    return summary
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
@@ -402,13 +395,12 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        threads = _thread_cap()
         if config.mode == "solve":
-            result, summary = _solve_artifacts(config, out, quiet, discretize(config.spec))
+            _, summary = _solve_artifacts(config, out, quiet, discretize(config.spec))
         elif config.mode == "oracle":
-            result, summary = _oracle_artifacts(config, out, quiet)
+            summary = _oracle_artifacts(config, out, quiet)
         elif config.mode == "refine-study":
-            result, summary = _refine_artifacts(config, out, quiet)
+            summary = _refine_artifacts(config, out, quiet)
         else:
             raise ValidationError("run.mode", f"unknown mode {config.mode!r}")
     except MFGNetError as err:
@@ -425,14 +417,17 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
         return 2
-    summary["threads"] = threads
     _write_summary(out, summary)
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)
-    return 0 if result.converged else 4
+    return 0 if summary["converged"] else 4
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
+    for name in ("h", "tol"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(name, f"must be finite, got {value}")
     spec = config.spec
     if args.h is not None:
         spec = replace(spec, h_target=args.h)

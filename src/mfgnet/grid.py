@@ -160,7 +160,7 @@ def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
 
     Raises StepTooCoarse when ``h_target`` exceeds the shortest edge.
     """
-    if h_target <= 0:
+    if not h_target > 0:
         raise StepTooCoarse(f"h_target must be positive, got {h_target}")
     min_len = min(e.length for e in topology.edges)
     if h_target > min_len:

@@ -6,7 +6,8 @@ Within a step: (1) interior three-point stencil on every edge, (2) pinned
 solution of the discrete flux-balance condition once continuity across the
 vertex is imposed. The exit vertex is pinned in both sweeps; any other
 vertex can be pinned explicitly (handy for analytic regression tests), and
-a degree-1 unpinned vertex degenerates to a reflecting end.
+a degree-1 unpinned vertex degenerates to a reflecting end. ``StepOperator``
+is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free); the sweeps stay the reference.
@@ -23,13 +24,8 @@ from .errors import CflViolation, NonpositivePhi
 from .grid import GridField, SpatialGrid, TimeGrid
 
 __all__ = [
-    "VertexStencil",
-    "StencilWorkspace",
-    "make_vertex_stencils",
-    "solve_vertex_values",
-    "kirchhoff_residual",
-    "step_forward",
-    "step_backward",
+    "StepOperator",
+    "step",
     "solve_backward_phi",
     "solve_forward_psi",
     "psi_initial",
@@ -50,65 +46,15 @@ MODAL_COST_RATIO = 100.0
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 
 
-@dataclass(frozen=True)
-class VertexStencil:
-    """Flux-balance data for one vertex: the adjacent interior node, the
-    step and the weight 1/h of every incident edge."""
+class StepOperator:
+    """The explicit step on one grid, with a fixed set of pinned vertices and
+    a fixed time step, as a precomputed flat index plan.
 
-    vertex: int
-    edges: tuple[int, ...]
-    signs: tuple[int, ...]
-    steps: tuple[float, ...]
-    adjacent: tuple[int, ...]  # flat node indices
-    weights: tuple[float, ...]  # 1/h per incident edge
-    total_weight: float
+    This is the only implementation of the step and of the vertex solve:
+    the sweeps, the single ``step`` and ``ModalStep`` all apply it.
+    """
 
-
-def make_vertex_stencils(grid: SpatialGrid, vertices=None) -> list[VertexStencil]:
-    """Stencils for the given vertex ids (default: every non-exit vertex)."""
-    topo = grid.topology
-    if vertices is None:
-        vertices = [v.id for v in topo.vertices if v.id != topo.exit_vertex]
-    out = []
-    for vid in vertices:
-        edges, signs, steps, adjacent, weights = [], [], [], [], []
-        for j in topo.incident[vid]:
-            e = topo.edges[j]
-            edges.append(j)
-            signs.append(1 if e.tail == vid else -1)
-            steps.append(float(grid.h[j]))
-            adjacent.append(grid.adjacent_interior_index(j, vid))
-            weights.append(1.0 / grid.h[j])
-        out.append(VertexStencil(
-            vertex=vid, edges=tuple(edges), signs=tuple(signs), steps=tuple(steps),
-            adjacent=tuple(adjacent), weights=tuple(weights),
-            total_weight=float(sum(weights))))
-    return out
-
-
-def solve_vertex_values(field: GridField, stencils) -> GridField:
-    """Replace each stencil vertex value with the weighted average of its
-    adjacent interior values (in place; the field is also returned)."""
-    for s in stencils:
-        acc = 0.0
-        for adj, w in zip(s.adjacent, s.weights):
-            acc += field.data[adj] * w
-        field.data[s.vertex] = acc / s.total_weight
-    return field
-
-
-def kirchhoff_residual(field: GridField, stencil: VertexStencil) -> float:
-    """Sum of one-sided outgoing difference quotients at the vertex; zero
-    when the vertex value solves the discrete flux balance."""
-    v = field.data[stencil.vertex]
-    return float(sum((field.data[adj] - v) * w
-                     for adj, w in zip(stencil.adjacent, stencil.weights)))
-
-
-class StencilWorkspace:
-    """Precomputed index plan for stepping one grid with a fixed pinned set."""
-
-    def __init__(self, grid: SpatialGrid, pinned: tuple[int, ...]):
+    def __init__(self, grid: SpatialGrid, pinned: tuple[int, ...], dt: float):
         self.grid = grid
         self.pinned = np.asarray(pinned, dtype=int)
         if len(set(pinned)) != len(pinned):
@@ -130,31 +76,35 @@ class StencilWorkspace:
         self.left = left
         self.right = right
         self.inv_h2 = inv_h2
-
-        free = [v.id for v in grid.topology.vertices if v.id not in set(pinned)]
-        self.stencils = make_vertex_stencils(grid, free)
-        self.free_vertices = np.array(free, dtype=int)
-        adj, w, starts = [], [], []
-        for s in self.stencils:
-            starts.append(len(adj))
-            adj.extend(i - nv for i in s.adjacent)  # indices into the interior block
-            w.extend(s.weights)
-        self.adj_interior = np.asarray(adj, dtype=int)
-        self.adj_weights = np.asarray(w)
-        self.seg_starts = np.asarray(starts, dtype=int)
-        self.inv_total_weight = np.array([1.0 / s.total_weight for s in self.stencils])
-        self.n_interior = n_int
-
-    def check_cfl(self, dt: float) -> np.ndarray:
-        lam = dt * self.inv_h2
-        worst = float(lam.max()) if lam.size else 0.0
+        self.lam = dt * inv_h2
+        worst = float(self.lam.max()) if n_int else 0.0
         if worst > CFL_LIMIT * (1 + 1e-12):
             raise CflViolation(
                 f"dt/h^2 = {worst:.6g} exceeds the stability bound {CFL_LIMIT}")
-        return lam
 
-    def step(self, src: np.ndarray, lam: np.ndarray, pinned_values: np.ndarray,
-             out: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        # flux-balance plan: per free vertex, the adjacent interior node
+        # (as an index into the interior block) and the weight 1/h of
+        # every incident edge
+        topo = grid.topology
+        pinned_set = set(pinned)
+        free = [v.id for v in topo.vertices if v.id not in pinned_set]
+        adj, w, starts, total = [], [], [], []
+        for vid in free:
+            starts.append(len(adj))
+            weights = [1.0 / grid.h[j] for j in topo.incident[vid]]
+            adj.extend(grid.adjacent_interior_index(j, vid) - nv for j in topo.incident[vid])
+            w.extend(weights)
+            total.append(float(sum(weights)))
+        self.free_vertices = np.array(free, dtype=int)
+        self.adj_interior = np.asarray(adj, dtype=int)
+        self.adj_weights = np.asarray(w)
+        self.seg_starts = np.asarray(starts, dtype=int)
+        self.total_weight = np.asarray(total)
+        self.inv_total_weight = 1.0 / self.total_weight
+        self.n_interior = n_int
+
+    def step(self, src: np.ndarray, pinned_values: np.ndarray, out: np.ndarray,
+             scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         """One explicit step src -> out (distinct buffers)."""
         nv = self.grid.n_vertices
         buf_l, buf_r, contrib = scratch
@@ -164,25 +114,36 @@ class StencilWorkspace:
         np.add(buf_l, buf_r, out=buf_l)
         np.multiply(old, -2.0, out=buf_r)
         np.add(buf_l, buf_r, out=buf_l)
-        np.multiply(buf_l, lam, out=buf_l)
+        np.multiply(buf_l, self.lam, out=buf_l)
         np.add(old, buf_l, out=out[nv:])
         out[self.pinned] = pinned_values
         self.balance_vertices(out, contrib)
 
     def balance_vertices(self, out: np.ndarray, contrib: np.ndarray) -> None:
         """Set every free vertex of ``out`` to the 1/h-weighted mean of its
-        adjacent interior values (the discrete flux balance)."""
+        adjacent interior values: the unique solution of the discrete flux
+        balance once continuity across the vertex is imposed."""
         if len(self.free_vertices):
             np.take(out[self.grid.n_vertices:], self.adj_interior, out=contrib)
             np.multiply(contrib, self.adj_weights, out=contrib)
             sums = np.add.reduceat(contrib, self.seg_starts)
             out[self.free_vertices] = sums * self.inv_total_weight
 
+    def kirchhoff_residual(self, data: np.ndarray) -> np.ndarray:
+        """Per free vertex, the sum of one-sided outgoing difference
+        quotients; zero where the vertex value solves the flux balance."""
+        if not len(self.free_vertices):
+            return np.zeros(0)
+        counts = np.diff(self.seg_starts, append=len(self.adj_interior))
+        centre = np.repeat(data[self.free_vertices], counts)
+        diffs = (data[self.grid.n_vertices:][self.adj_interior] - centre) * self.adj_weights
+        return np.add.reduceat(diffs, self.seg_starts)
+
     def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.empty(self.n_interior), np.empty(self.n_interior),
                 np.empty(len(self.adj_interior)))
 
-    def interior_matrix(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def interior_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (K, b) with ``step`` = K u + b * p on the interior block, for
         a state whose free vertices are flux-balanced, u its interior values
         and p its pinned values (this must pin exactly one vertex).
@@ -199,40 +160,28 @@ class StencilWorkspace:
         for j in range(n):
             src[nv + j] = 1.0
             self.balance_vertices(src, scratch[2])
-            self.step(src, lam, no_pin, out, scratch)
+            self.step(src, no_pin, out, scratch)
             K[:, j] = out[nv:]
             src[:] = 0.0
         src[self.pinned] = 1.0
-        self.step(src, lam, no_pin, out, scratch)
+        self.step(src, no_pin, out, scratch)
         return K, out[nv:].copy()
 
 
-def _single_step(fld: GridField, grid: SpatialGrid, dt: float,
-                 dirichlet: dict[int, float]) -> GridField:
-    ws = StencilWorkspace(grid, tuple(dirichlet))
-    lam = ws.check_cfl(dt)
-    out = np.empty(grid.n_flat)
-    ws.step(fld.data, lam, np.array(list(dirichlet.values()), dtype=float),
-            out, ws.scratch())
-    return GridField(grid, out)
-
-
-def step_forward(fld: GridField, grid: SpatialGrid, dt: float,
-                 dirichlet: dict[int, float] | None = None) -> GridField:
-    """Advance one level. ``dirichlet`` maps pinned vertex ids to the values
-    imposed at the *new* level; default pins the exit at zero (the absorbing
-    condition of the density sweep). Pass ``{}`` for a fully reflecting step.
+def step(fld: GridField, dt: float, dirichlet: dict[int, float] | None = None) -> GridField:
+    """Advance ``fld`` by one level. ``dirichlet`` maps pinned vertex ids to
+    the values imposed at the new level; the default pins the exit at zero
+    (the absorbing condition of the density sweep), and ``{}`` gives a fully
+    reflecting step. The backward sweep takes the same step with the time
+    index reversed, its exit datum being the value at the earlier level.
     """
+    grid = fld.grid
     if dirichlet is None:
         dirichlet = {grid.topology.exit_vertex: 0.0}
-    return _single_step(fld, grid, dt, dirichlet)
-
-
-def step_backward(fld: GridField, grid: SpatialGrid, dt: float,
-                  dirichlet: dict[int, float]) -> GridField:
-    """Recede one level (same symmetric stencil, time index reversed);
-    ``dirichlet`` carries the exit datum at the *earlier* level."""
-    return _single_step(fld, grid, dt, dirichlet)
+    op = StepOperator(grid, tuple(dirichlet), dt)
+    out = np.empty(grid.n_flat)
+    op.step(fld.data, np.array(list(dirichlet.values()), dtype=float), out, op.scratch())
+    return GridField(grid, out)
 
 
 @dataclass
@@ -258,17 +207,9 @@ class HeatSweep:
 
 
 def _normalize_pins(time_grid: TimeGrid, extra_dirichlet) -> list[tuple[int, np.ndarray]]:
-    pins = []
-    times = time_grid.times
-    for vid, val in (extra_dirichlet or []):
-        if callable(val):
-            arr = np.asarray(val(times), dtype=float)
-        else:
-            arr = np.broadcast_to(np.asarray(val, dtype=float), times.shape).copy()
-        if arr.shape != times.shape:
-            raise ValueError(f"dirichlet series for vertex {vid} has shape {arr.shape}")
-        pins.append((int(vid), arr))
-    return pins
+    shape = (time_grid.n_steps + 1,)
+    return [(int(vid), np.broadcast_to(np.asarray(val, dtype=float), shape).copy())
+            for vid, val in (extra_dirichlet or [])]
 
 
 def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
@@ -276,10 +217,7 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
                snapshot_levels, record_full, track_min, init_level) -> HeatSweep:
     exit_id = grid.topology.exit_vertex
     pins = [(exit_id, exit_series)] + list(extra_pins)
-    if len({v for v, _ in pins}) != len(pins):
-        raise ValueError("a vertex is pinned twice")
-    ws = StencilWorkspace(grid, tuple(v for v, _ in pins))
-    lam = ws.check_cfl(time_grid.dt)
+    op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
     pin_matrix = np.stack([series for _, series in pins], axis=1)  # (N+1, P)
 
     n_levels = time_grid.n_steps + 1
@@ -291,7 +229,7 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
 
     cur = init.copy()
     nxt = np.empty_like(cur)
-    scratch = ws.scratch()
+    scratch = op.scratch()
     vmin = np.inf
 
     def record(level: int, state: np.ndarray) -> None:
@@ -306,7 +244,7 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
 
     record(init_level, cur)
     for level in level_seq:
-        ws.step(cur, lam, pin_matrix[level], nxt, scratch)
+        op.step(cur, pin_matrix[level], nxt, scratch)
         cur, nxt = nxt, cur
         record(level, cur)
 
@@ -378,7 +316,7 @@ class ModalStep:
 
     After a step every free vertex is the weighted mean of its adjacent
     interior values, so the interior evolves on its own: u -> K u + b * p,
-    with p the exit value before the step (``StencilWorkspace.interior_matrix``).
+    with p the exit value before the step (``StepOperator.interior_matrix``).
     With D = diag(sqrt(h)) per interior node, D K D^-1 is symmetric, so
     K^n = D^-1 Q diag(lambda^n) Q^T D from one ``eigh``. A level n = a*B + j
     is split into chunk a and offset j, with B = ceil(sqrt(n_steps)), so
@@ -388,12 +326,11 @@ class ModalStep:
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
-        ws = StencilWorkspace(grid, (grid.topology.exit_vertex,))
-        self.workspace = ws
-        self.lam = ws.check_cfl(time_grid.dt)
+        op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
+        self.operator = op
         self.n_steps = time_grid.n_steps
-        K, b = ws.interior_matrix(self.lam)
-        d = ws.inv_h2 ** -0.25  # sqrt(h)
+        K, b = op.interior_matrix()
+        d = op.inv_h2 ** -0.25  # sqrt(h)
         K *= d[:, None]
         K /= d
         self.evals, self.basis = np.linalg.eigh(K)
@@ -418,11 +355,11 @@ class ModalStep:
         sums = (self.chunk_powers * (by_level @ self.offset_powers)).sum(axis=0)
         coef = (_powers(self.evals, self.n_steps) * self.ones_modal * exit_series[-1]
                 + self.b_modal * sums)
-        ws = self.workspace
-        out = np.empty(ws.grid.n_flat)
-        out[ws.grid.n_vertices:] = (self.basis @ coef) / self.d
-        out[ws.pinned] = exit_series[0]
-        ws.balance_vertices(out, ws.scratch()[2])
+        op = self.operator
+        out = np.empty(op.grid.n_flat)
+        out[op.grid.n_vertices:] = (self.basis @ coef) / self.d
+        out[op.pinned] = exit_series[0]
+        op.balance_vertices(out, op.scratch()[2])
         return out
 
     def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
@@ -430,12 +367,12 @@ class ModalStep:
         psi0 with the exit held at zero. psi0's vertices need not be
         balanced: one ordinary step balances them, then
         trace[n] = e_adj^T K^(n-1) u^1."""
-        ws = self.workspace
-        u1 = np.empty(ws.grid.n_flat)
-        ws.step(psi0, self.lam, np.zeros(1), u1, ws.scratch())
-        weights = self.adj_row * (self.basis.T @ (self.d * u1[ws.grid.n_vertices:]))
+        op = self.operator
+        u1 = np.empty(op.grid.n_flat)
+        op.step(psi0, np.zeros(1), u1, op.scratch())
+        weights = self.adj_row * (self.basis.T @ (self.d * u1[op.grid.n_vertices:]))
         trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[ws.grid.exit_adjacent_index]
+        trace[0] = psi0[op.grid.exit_adjacent_index]
         # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
         by_level = (self.chunk_powers * weights) @ self.offset_powers.T
         trace[1:] = by_level.ravel()[: self.n_steps]

@@ -12,7 +12,6 @@ candidates agree to tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,13 +52,10 @@ __all__ = [
     "recover_um",
     "residual_mass_error",
     "refine_spec",
-    "drift_field",
     "drift_from_matrix",
     "density_drift",
     "DriftSeries",
 ]
-
-SIGMA_UNIT_DIFFUSION = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class ProblemSpec:
     theta: float
     m0: object                      # callable of ambient positions, or TabulatedDensity
     h_target: float
-    sigma: float = SIGMA_UNIT_DIFFUSION
     cfl_factor: float = 0.25
     tol: float = 1e-4
     t_init: float | None = None     # default: t_max
@@ -108,14 +103,10 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0 < self.cfl_factor <= 0.5:
             raise ValueError(f"cfl_factor must lie in (0, 1/2], got {self.cfl_factor}")
-        if abs(self.sigma**2 / 2.0 - 1.0) > 1e-12:
-            raise ValueError(
-                f"sigma={self.sigma} implies diffusivity {self.sigma**2 / 2:.6g}; "
-                "the scheme is written for unit diffusivity (sigma = sqrt(2))")
         if self.t_init is not None and not self.cost.t0 <= self.t_init <= self.cost.t_max:
             raise ValueError(f"t_init={self.t_init} outside [{self.cost.t0}, {self.cost.t_max}]")
         if self.max_iters < 1:
@@ -144,13 +135,11 @@ def cumulative_flow(psi, c_T, grid: SpatialGrid, time_grid: TimeGrid) -> np.ndar
     """Discrete cumulative arrival distribution on the time grid.
 
     F(t_n) = (dt/h0) * sum_{k<=n} exp(c_T(t_k)) * psi_k(exit-adjacent node).
-    ``psi`` may be a HeatSweep, a per-level array of exit-adjacent values,
-    or a sequence of GridField levels; ``c_T`` a callable of time or a
-    per-level array of cost values.
+    ``psi`` may be a per-level array of exit-adjacent values or a sequence
+    of GridField levels; ``c_T`` a callable of time or a per-level array of
+    cost values.
     """
-    if isinstance(psi, HeatSweep):
-        trace = psi.exit_adjacent
-    elif isinstance(psi, np.ndarray):
+    if isinstance(psi, np.ndarray):
         trace = psi
     else:
         idx = grid.exit_adjacent_index
@@ -401,15 +390,9 @@ def _derivative_plan(grid: SpatialGrid):
     return np.asarray(left), np.asarray(right), np.asarray(inv_den)
 
 
-def drift_field(u_levels, dt: float | None = None) -> DriftSeries:
-    """Differentiate a sequence of value fields (GridField levels) into the
-    feedback drift. For bulk data use drift_from_matrix directly."""
-    grid = u_levels[0].grid
-    mat = np.stack([f.data for f in u_levels])
-    return drift_from_matrix(grid, mat, dt)
-
-
 def drift_from_matrix(grid: SpatialGrid, u_matrix: np.ndarray, dt: float | None = None) -> DriftSeries:
+    """Differentiate value fields, one level per row of ``u_matrix``, into
+    the feedback drift -du/dx."""
     left, right, inv_den = _derivative_plan(grid)
     values = -(u_matrix[:, right] - u_matrix[:, left]) * inv_den
     return DriftSeries(grid, values, dt)

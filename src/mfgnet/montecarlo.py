@@ -29,7 +29,6 @@ from .network import NetworkTopology
 __all__ = [
     "SimConfig",
     "ArrivalCdf",
-    "simulate_agent",
     "simulate_agents",
     "estimate_arrival_cdf",
     "dkw_epsilon",
@@ -163,13 +162,6 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
         ys[active] = y
         arrival[active[absorbed]] = min(t + config.dt, config.t_max)
     return arrival
-
-
-def simulate_agent(topology: NetworkTopology, config: SimConfig,
-                   start: tuple[int, float]) -> float:
-    """Single-agent convenience wrapper; NaN when censored."""
-    out = simulate_agents(topology, config, np.array([start[0]]), np.array([start[1]]))
-    return float(out[0])
 
 
 def dkw_epsilon(n: int, alpha: float = 0.05) -> float:

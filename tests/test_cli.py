@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,30 +223,37 @@ class TestCliEntry:
     def test_subprocess_entry_point(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(fast_config(tmp_path)))
+        # the child imports the same package this test imported
+        path = [str(Path(mn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "mfgnet", "--config", str(p), "--quiet"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFGNET_THREADS", "4")
-        cfg = parse_config(json.dumps(fast_config(tmp_path)))
-        assert run(cfg, quiet=True) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["threads"] == 4
-
-    def test_thread_cap_invalid(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MFGNET_THREADS", "many")
-        cfg = parse_config(json.dumps(fast_config(tmp_path)))
-        assert run(cfg, quiet=True) == 2
-
-    def test_thread_cap_invalid_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MFGNET_THREADS", "abc")
+    @pytest.mark.parametrize("field, value, flags", [
+        (None, None, ["--h", "nan"]),
+        (None, None, ["--tol", "nan"]),
+        ("problem.t_max", float("inf"), []),
+        ("numerics.h_ladder", [0.1, float("nan")], ["--mode", "refine-study"]),
+        ("run.dt_mc", -1, ["--mode", "oracle"]),
+        ("run.dt_mc", float("nan"), ["--mode", "oracle"]),
+        ("problem.cost.c1", float("nan"), []),
+    ], ids=["h_nan", "tol_nan", "t_max_inf", "h_ladder_nan", "dt_mc_negative",
+            "dt_mc_nan", "c1_nan"])
+    def test_nonfinite_and_out_of_range_rejected_before_solving(
+            self, tmp_path, capsys, field, value, flags):
+        doc = fast_config(tmp_path)
+        if field is not None:
+            *sections, key = field.split(".")
+            target = doc
+            for name in sections:
+                target = target[name]
+            target[key] = value  # json.dumps writes NaN and Infinity literals
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(fast_config(tmp_path)))
-        assert main(["--config", str(p), "--quiet"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["field"] == "MFGNET_THREADS"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--quiet", *flags]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
         assert not (tmp_path / "out" / "f_series.csv").exists()
 
     def test_negative_tol_flag_exit_code(self, tmp_path, capsys):

@@ -3,15 +3,7 @@ import pytest
 
 import mfgnet as mn
 from mfgnet.errors import CflViolation, NonpositivePhi
-from mfgnet.heat import (
-    kirchhoff_residual,
-    make_vertex_stencils,
-    solve_backward_phi,
-    solve_forward_psi,
-    solve_vertex_values,
-    step_backward,
-    step_forward,
-)
+from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi, step
 
 from conftest import random_tree_network
 
@@ -27,6 +19,14 @@ def star(step_lengths):
     return mn.build_network(vertices, edges, 0)
 
 
+def balance(f, pinned):
+    """Flux-balance every vertex of ``f`` outside ``pinned``, in place, and
+    return the operator that did it."""
+    op = StepOperator(f.grid, pinned, 0.25 * f.grid.min_h**2)
+    op.balance_vertices(f.data, op.scratch()[2])
+    return op
+
+
 class TestVertexSolve:
     def test_equal_steps_average(self):
         topo = star([0.2, 0.2, 0.2])
@@ -34,8 +34,7 @@ class TestVertexSolve:
         f = g.zeros()
         for j, v in enumerate((1.0, 2.0, 3.0)):
             f.interior(j)[0] = v
-        stencils = make_vertex_stencils(g, [1])
-        solve_vertex_values(f, stencils)
+        balance(f, (0, 2, 3))
         # sum over edges of (adjacent - center)/h = 0  =>  center = mean
         assert f.data[1] == pytest.approx(2.0)
 
@@ -45,8 +44,7 @@ class TestVertexSolve:
         f = g.zeros()
         f.interior(0)[0] = 1.0
         f.interior(1)[0] = 2.0
-        stencils = make_vertex_stencils(g, [1])
-        solve_vertex_values(f, stencils)
+        balance(f, (0, 2))
         # (1/0.1 + 2/0.2) / (1/0.1 + 1/0.2) = 20/15
         assert f.data[1] == pytest.approx(4.0 / 3.0)
 
@@ -54,8 +52,7 @@ class TestVertexSolve:
         g = mn.build_grid(single_edge, 0.25)
         f = g.zeros()
         f.interior(0)[-1] = 7.0
-        stencils = make_vertex_stencils(g, [1])
-        solve_vertex_values(f, stencils)
+        balance(f, (0,))
         assert f.data[1] == 7.0
 
     def test_residual_vanishes_after_solve(self):
@@ -64,11 +61,23 @@ class TestVertexSolve:
             topo = random_tree_network(rng, int(rng.integers(0, 3)))
             g = mn.build_grid(topo, 0.2)
             f = mn.GridField(g, rng.uniform(0, 5, g.n_flat))
-            stencils = make_vertex_stencils(g)
-            solve_vertex_values(f, stencils)
-            for s in stencils:
-                scale = s.total_weight * max(abs(f.data).max(), 1.0)
-                assert abs(kirchhoff_residual(f, s)) <= 1e-12 * scale
+            op = balance(f, (topo.exit_vertex,))
+            scale = op.total_weight * max(abs(f.data).max(), 1.0)
+            assert (np.abs(op.kirchhoff_residual(f.data)) <= 1e-12 * scale).all()
+
+    def test_every_step_of_a_sweep_is_balanced(self):
+        rng = np.random.default_rng(11)
+        for k in range(9):
+            topo = random_tree_network(rng, k % 3)
+            g = mn.build_grid(topo, 0.2)
+            tg = mn.build_time_grid(0.3, g.min_h, 0.25)
+            m0 = mn.GridField(g, rng.uniform(0, 5, g.n_flat))
+            phi0 = mn.GridField(g, rng.uniform(1, 2, g.n_flat))
+            sweep = solve_forward_psi(g, tg, m0, phi0, record_full=True)
+            op = StepOperator(g, (topo.exit_vertex,), tg.dt)
+            for state in sweep.full[1:]:
+                scale = op.total_weight * max(abs(state).max(), 1.0)
+                assert (np.abs(op.kirchhoff_residual(state)) <= 1e-12 * scale).all()
 
 
 class TestSingleStep:
@@ -77,7 +86,7 @@ class TestSingleStep:
         g = mn.build_grid(single_edge, 0.5)
         f = g.zeros()
         f.interior(0)[0] = 1.0
-        out = step_forward(f, g, dt=0.25 * 0.5**2, dirichlet={0: 0.0, 1: 0.0})
+        out = step(f, dt=0.25 * 0.5**2, dirichlet={0: 0.0, 1: 0.0})
         assert out.interior(0)[0] == pytest.approx(0.5)
 
     def test_backward_stencil_arithmetic(self, single_edge):
@@ -85,24 +94,24 @@ class TestSingleStep:
         f = g.zeros()
         f.data[0] = 2.0
         f.data[1] = 2.0
-        out = step_backward(f, g, dt=0.25 * 0.5**2, dirichlet={0: 2.0, 1: 2.0})
+        out = step(f, dt=0.25 * 0.5**2, dirichlet={0: 2.0, 1: 2.0})
         assert out.interior(0)[0] == pytest.approx(1.0)
 
     def test_constants_are_steady_under_pure_flux_balance(self, three_star):
         g = mn.build_grid(three_star, 0.25)
         f = mn.GridField(g, np.full(g.n_flat, 3.7))
-        out = step_forward(f, g, dt=0.25 * g.min_h**2, dirichlet={})
+        out = step(f, dt=0.25 * g.min_h**2, dirichlet={})
         np.testing.assert_allclose(out.data, 3.7, rtol=1e-15)
 
     def test_cfl_violation_raises(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         with pytest.raises(CflViolation):
-            step_forward(g.zeros(), g, dt=0.6 * g.min_h**2)
+            step(g.zeros(), dt=0.6 * g.min_h**2)
 
     def test_default_pins_exit_to_zero(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
         f = mn.GridField(g, np.ones(g.n_flat))
-        out = step_forward(f, g, dt=0.1 * g.min_h**2)
+        out = step(f, dt=0.1 * g.min_h**2)
         assert out.data[0] == 0.0
 
 
@@ -141,7 +150,7 @@ class TestAnalyticDecay:
         x = g.positions[:, 0]
         f = mn.GridField(g, np.sin(np.pi * x))
         for _ in range(tg.n_steps):
-            f = step_forward(f, g, tg.dt, dirichlet={0: 0.0, 1: 0.0})
+            f = step(f, tg.dt, dirichlet={0: 0.0, 1: 0.0})
         sweep = solve_forward_psi(
             g, tg, mn.GridField(g, np.sin(np.pi * x)),
             mn.GridField(g, np.ones(g.n_flat)), extra_dirichlet=[(1, 0.0)])
@@ -228,11 +237,11 @@ class TestConservation:
         def interior_mass(fld):
             return sum(g.h[j] * fld.interior(j).sum() for j in range(3))
 
-        f = step_forward(f, g, dt, dirichlet={})
+        f = step(f, dt, dirichlet={})
         ref = interior_mass(f)
         worst_total = 0.0
         for _ in range(400):
-            f = step_forward(f, g, dt, dirichlet={})
+            f = step(f, dt, dirichlet={})
             worst_total = max(worst_total, abs(mn.integrate(g, f) - start))
         assert interior_mass(f) == pytest.approx(ref, abs=1e-12)
         # vertex slots carry weight O(h), so the total drifts by O(h)

@@ -10,7 +10,7 @@ from mfgnet.mfg import (
     cost,
     cumulative_flow,
     discretize,
-    drift_field,
+    drift_from_matrix,
     fixed_point,
     psi_map,
     quorum_time,
@@ -157,19 +157,19 @@ class TestResidualMass:
 class TestDrift:
     def test_constant_field_no_drift(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
-        d = drift_field([mn.GridField(g, np.full(g.n_flat, 2.0))])
+        d = drift_from_matrix(g, np.full((1, g.n_flat), 2.0))
         assert (d.values == 0).all()
 
     def test_linear_field_unit_drift(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
         u = mn.sample_function(g, lambda p: p[:, 0])
-        d = drift_field([u])
+        d = drift_from_matrix(g, np.stack([u.data]))
         np.testing.assert_allclose(d.edge_nodes(0, 0), -1.0)
 
     def test_centered_difference_exact_for_quadratic(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         u = mn.sample_function(g, lambda p: p[:, 0] ** 2)
-        d = drift_field([u])
+        d = drift_from_matrix(g, np.stack([u.data]))
         nodes = d.edge_nodes(0, 0)
         # interior node at x=0.5 is slot k=5; derivative of x^2 there is 1
         assert nodes[5] == pytest.approx(-1.0)
@@ -177,7 +177,7 @@ class TestDrift:
     def test_interpolation_between_nodes(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
         u = mn.sample_function(g, lambda p: p[:, 0])
-        d = drift_field([u, u, u, u], dt=0.1)
+        d = drift_from_matrix(g, np.stack([u.data] * 4), dt=0.1)
         vals = d.eval(np.array([0, 0]), np.array([0.1, 0.6]), 0)
         np.testing.assert_allclose(vals, -1.0)
         assert d.level_at(0.25) == 2
@@ -326,13 +326,6 @@ def test_example2_reaches_marginal_quorum(example2_config):
     assert 0.66 <= res.f_series[-1] <= 0.70
     assert res.residual_mass <= 2e-2
     assert (np.diff(res.f_series) >= -1e-12).all()
-
-
-def test_sigma_must_give_unit_diffusivity():
-    topo = mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 0, 1, 1.0)], 0)
-    with pytest.raises(ValueError):
-        mn.ProblemSpec(topology=topo, cost=EX1_COST, theta=0.5,
-                       m0=lambda p: np.ones(len(p)), h_target=0.1, sigma=1.0)
 
 
 def test_theta_bounds_enforced():

@@ -8,7 +8,7 @@ import pytest
 
 import mfgnet as mn
 from mfgnet import heat
-from mfgnet.heat import StencilWorkspace, modal_pays
+from mfgnet.heat import StepOperator, modal_pays
 from mfgnet.mfg import cost, discretize, fixed_point, psi_map
 
 from conftest import bundled_text, random_tree_network
@@ -70,9 +70,9 @@ def test_modal_map_matches_sweep(problem):
 
 def test_symmetrized_step_is_symmetric(problem):
     grid = problem.grid
-    ws = StencilWorkspace(grid, (grid.topology.exit_vertex,))
-    K, _ = ws.interior_matrix(ws.check_cfl(problem.time_grid.dt))
-    d = ws.inv_h2 ** -0.25
+    op = StepOperator(grid, (grid.topology.exit_vertex,), problem.time_grid.dt)
+    K, _ = op.interior_matrix()
+    d = op.inv_h2 ** -0.25
     S = K * d[:, None] / d[None, :]
     assert np.abs(S - S.T).max() <= 1e-14
 

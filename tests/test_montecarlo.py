@@ -10,7 +10,6 @@ from mfgnet.montecarlo import (
     dkw_epsilon,
     estimate_arrival_cdf,
     sample_initial_positions,
-    simulate_agent,
     simulate_agents,
 )
 
@@ -28,7 +27,7 @@ def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
 class TestSingleAgent:
     def test_start_at_exit_arrives_immediately(self, single_edge):
         cfg = SimConfig(n_agents=1, dt=1e-3, t_max=1.0, seed=0)
-        assert simulate_agent(single_edge, cfg, (0, 0.0)) == 0.0
+        assert simulate_agents(single_edge, cfg, np.array([0]), np.array([0.0]))[0] == 0.0
 
     def test_censoring_far_mass_tiny_horizon(self, single_edge):
         cfg = SimConfig(n_agents=1, dt=1e-4, t_max=2e-3, seed=1)
