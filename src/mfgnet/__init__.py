@@ -10,22 +10,8 @@ linear) with flux-balance conditions at the vertices, and a particle
 simulator provides an independent cross-check.
 """
 
-from .errors import (
-    CflViolation,
-    DanglingEdgeEndpoint,
-    DisconnectedGraph,
-    ExitNotDegreeOne,
-    MFGNetError,
-    NonpositiveLength,
-    NonpositivePhi,
-    NumericalFailure,
-    ParseError,
-    SelfLoop,
-    StepTooCoarse,
-    ValidationError,
-    ZeroMass,
-)
-from .network import Edge, NetworkTopology, Vertex, build_network, classify_vertices, incidence_sign
+from .errors import MFGNetError
+from .network import build_network, classify_vertices, incidence_sign
 from .grid import (
     GridField,
     SpatialGrid,
@@ -33,39 +19,37 @@ from .grid import (
     TimeGrid,
     build_grid,
     build_time_grid,
-    field_to_csv,
     integrate,
     normalize_mass,
     sample_density,
     sample_function,
 )
-from .heat import HeatSweep, StepOperator, solve_backward_phi, solve_forward_psi, step
+from .heat import StepOperator, solve_backward_phi, solve_forward_psi, step
 from .mfg import (
     CostSpec,
     DiscreteProblem,
-    DriftSeries,
-    EquilibriumResult,
     ProblemSpec,
-    PsiMapResult,
-    cost,
     cumulative_flow,
     density_drift,
     discretize,
-    drift_from_matrix,
     fixed_point,
     psi_map,
     quorum_time,
     recover_um,
-    refine_spec,
-    residual_mass_error,
 )
-from .montecarlo import (
-    ArrivalCdf,
-    SimConfig,
-    dkw_epsilon,
-    estimate_arrival_cdf,
-    simulate_agents,
-)
-from .cli import RunConfig, emit_config, parse_config, run
+from .montecarlo import SimConfig, estimate_arrival_cdf, simulate_agents
+from .cli import parse_config, run
+
+__all__ = [
+    "MFGNetError",
+    "build_network", "classify_vertices", "incidence_sign",
+    "GridField", "SpatialGrid", "TabulatedDensity", "TimeGrid", "build_grid",
+    "build_time_grid", "integrate", "normalize_mass", "sample_density", "sample_function",
+    "StepOperator", "solve_backward_phi", "solve_forward_psi", "step",
+    "CostSpec", "DiscreteProblem", "ProblemSpec", "cumulative_flow", "density_drift",
+    "discretize", "fixed_point", "psi_map", "quorum_time", "recover_um",
+    "SimConfig", "estimate_arrival_cdf", "simulate_agents",
+    "parse_config", "run",
+]
 
 __version__ = "0.1.0"

@@ -122,6 +122,14 @@ def _build_density(m0: dict):
     raise ValidationError("problem.m0.kind", f"unknown density kind {kind!r}")
 
 
+def _number(value, kind, path: str):
+    """``kind(value)``, or a ValidationError naming ``path``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(path, f"expected a number, got {value!r}") from err
+
+
 def _finite(literal: str) -> float:
     value = float(literal)
     if not math.isfinite(value):
@@ -193,9 +201,9 @@ def parse_config(text: str) -> RunConfig:
             max_iters=int(num.get("max_iters", 50)))
     except ValueError as err:
         raise ValidationError("numerics", str(err)) from err
-    ladder = num.get("h_ladder")
+    ladder = _get(num, "h_ladder", "numerics", list, default=None)
     if ladder is not None:
-        ladder = tuple(float(h) for h in ladder)
+        ladder = tuple(_number(h, float, "numerics.h_ladder") for h in ladder)
         if not ladder or min(ladder) <= 0:
             raise ValidationError("numerics.h_ladder", "must be a nonempty list of positive steps")
 
@@ -204,23 +212,25 @@ def parse_config(text: str) -> RunConfig:
     mode = rn.get("mode", "solve")
     if mode not in MODES:
         raise ValidationError("run.mode", f"expected one of {MODES}, got {mode!r}")
-    seed = int(rn.get("seed", 0))
+    seed = _number(rn.get("seed", 0), int, "run.seed")
     if not 0 <= seed < 2**64:
         raise ValidationError("run.seed", "must fit in an unsigned 64-bit integer")
-    snapshots = int(rn.get("snapshots", 0))
+    snapshots = _number(rn.get("snapshots", 0), int, "run.snapshots")
     if snapshots < 0:
         raise ValidationError("run.snapshots", "must be nonnegative")
-    agents = int(rn.get("agents", 100_000))
+    agents = _number(rn.get("agents", 100_000), int, "run.agents")
     if agents < 1:
         raise ValidationError("run.agents", "must be at least 1")
     dt_mc = rn.get("dt_mc")
-    if dt_mc is not None and not float(dt_mc) > 0:
-        raise ValidationError("run.dt_mc", "must be positive")
+    if dt_mc is not None:
+        dt_mc = _number(dt_mc, float, "run.dt_mc")
+        if not dt_mc > 0:
+            raise ValidationError("run.dt_mc", "must be positive")
 
     return RunConfig(
         spec=spec, mode=mode, out_dir=str(rn.get("out_dir", "out")), seed=seed,
         snapshots=snapshots, agents=agents,
-        dt_mc=float(dt_mc) if dt_mc is not None else None,
+        dt_mc=dt_mc,
         h_ladder=ladder, geometry_label=net.get("geometry"), m0_config=m0_doc)
 
 

@@ -10,7 +10,9 @@ a degree-1 unpinned vertex degenerates to a reflecting end. ``StepOperator``
 is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
-step (exit pinned, every other vertex free); the sweeps stay the reference.
+step (exit pinned, every other vertex free): the exit traces of a candidate
+map, or every level of both sweeps. The sweeps stay the reference, and the
+only path on grids where the eigenbasis does not pay.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "HeatSweep",
     "ModalStep",
     "modal_pays",
+    "modal_capture_pays",
 ]
 
 CFL_LIMIT = 0.5
@@ -43,7 +46,20 @@ CFL_LIMIT = 0.5
 # pays once n_int^3 <= R * n_steps * n_flat with R = 2 * 9 / 0.18 = 100,
 # even for a single map evaluation.
 MODAL_COST_RATIO = 100.0
+# ModalStep.sweeps rebuilds each level of both sweeps with about 4 * n_int^2
+# flops in blocked matrix products: about 0.125 ns * n_int^2 per level once
+# n_int >= 400 (3.2 us at n_int = 100, 23 us at 400, 42 us at 600, 70 us at
+# 800; same VM and BLAS). A sweep pair that tracks the minimum costs about
+# 40 us per level plus 2 * 5 ns per node, so the rebuild pays once
+# n_int^2 <= R * (n_flat + 4000), with R = 10 / 0.125 = 80 and 4000 =
+# 40 us / 10 ns the per-level overhead counted in nodes: up to n_int = 600
+# on a path graph. The eigh is already paid for by the map.
+MODAL_CAPTURE_COST_RATIO = 80.0
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
+# levels ModalStep.sweeps rebuilds per matrix product: the phi window costs
+# 2 * W * n_int flops per level and each block a fixed Python overhead; 32
+# and 256 were slower than 64 on desk and example1, 64-128 about equal
+_BLOCK_LEVELS = 64
 
 
 class StepOperator:
@@ -122,12 +138,14 @@ class StepOperator:
     def balance_vertices(self, out: np.ndarray, contrib: np.ndarray) -> None:
         """Set every free vertex of ``out`` to the 1/h-weighted mean of its
         adjacent interior values: the unique solution of the discrete flux
-        balance once continuity across the vertex is imposed."""
+        balance once continuity across the vertex is imposed. ``out`` may
+        hold one state per row, with ``contrib`` one row per state."""
         if len(self.free_vertices):
-            np.take(out[self.grid.n_vertices:], self.adj_interior, out=contrib)
+            np.take(out[..., self.grid.n_vertices:], self.adj_interior, axis=-1, out=contrib)
             np.multiply(contrib, self.adj_weights, out=contrib)
-            sums = np.add.reduceat(contrib, self.seg_starts)
-            out[self.free_vertices] = sums * self.inv_total_weight
+            sums = np.add.reduceat(contrib, self.seg_starts, axis=-1)
+            # a fancy index on the first axis keeps the one-state step fast
+            out.T[self.free_vertices] = (sums * self.inv_total_weight).T
 
     def kirchhoff_residual(self, data: np.ndarray) -> np.ndarray:
         """Per free vertex, the sum of one-sided outgoing difference
@@ -304,6 +322,14 @@ def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
     return n_int**3 <= MODAL_COST_RATIO * time_grid.n_steps * grid.n_flat
 
 
+def modal_capture_pays(grid: SpatialGrid) -> bool:
+    """Whether rebuilding every level from a ModalStep (``ModalStep.sweeps``)
+    costs less than one sweep pair per level:
+    n_int^2 <= MODAL_CAPTURE_COST_RATIO * (n_flat + 4000)."""
+    n_int = grid.n_flat - grid.n_vertices
+    return n_int**2 <= MODAL_CAPTURE_COST_RATIO * (grid.n_flat + 4000)
+
+
 def _powers(base: np.ndarray, exponent) -> np.ndarray:
     out = np.power(base, exponent)
     out[np.abs(out) < _FLUSH] = 0.0
@@ -323,11 +349,14 @@ class ModalStep:
     lambda^n = lambda^(a*B) * lambda^j and each sum over levels is one
     matrix product with the (B, n_int) table of lambda^j, weighted by the
     (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
+    ``sweeps`` rebuilds every level of both sweeps from the same tables, a
+    block of levels per matrix product, at O(n_steps * n_int^2).
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
         op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
         self.operator = op
+        self.time_grid = time_grid
         self.n_steps = time_grid.n_steps
         K, b = op.interior_matrix()
         d = op.inv_h2 ** -0.25  # sqrt(h)
@@ -343,6 +372,7 @@ class ModalStep:
         chunks = -(-self.n_steps // rows)
         self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
         self.chunk_powers = _powers(self.evals, rows * np.arange(chunks)[:, None])
+        self.block_levels = min(rows, _BLOCK_LEVELS)
 
     def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
         """Level 0 of the backward sweep from the constant state
@@ -362,18 +392,120 @@ class ModalStep:
         op.balance_vertices(out, op.scratch()[2])
         return out
 
-    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
-        """Value next to the exit on every level of the forward sweep from
-        psi0 with the exit held at zero. psi0's vertices need not be
-        balanced: one ordinary step balances them, then
-        trace[n] = e_adj^T K^(n-1) u^1."""
+    def _level_one(self, psi0: np.ndarray) -> np.ndarray:
+        """Modal coordinates Q^T D u^1 of the forward sweep's level 1. psi0's
+        vertices need not be balanced: one ordinary step balances them."""
         op = self.operator
         u1 = np.empty(op.grid.n_flat)
         op.step(psi0, np.zeros(1), u1, op.scratch())
-        weights = self.adj_row * (self.basis.T @ (self.d * u1[op.grid.n_vertices:]))
+        return self.basis.T @ (self.d * u1[op.grid.n_vertices:])
+
+    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+        """Value next to the exit on every level of the forward sweep from
+        psi0 with the exit held at zero: trace[n] = e_adj^T K^(n-1) u^1."""
+        weights = self.adj_row * self._level_one(psi0)
         trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[op.grid.exit_adjacent_index]
+        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
         # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
         by_level = (self.chunk_powers * weights) @ self.offset_powers.T
         trace[1:] = by_level.ravel()[: self.n_steps]
         return trace
+
+    def sweeps(self, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
+               record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
+        """Both sweeps of one candidate map, every ``HeatSweep`` field as the
+        time-stepping sweeps give it (``min_value`` over every level and
+        node; ``full`` for phi only, with ``record_full``).
+
+        In modal coordinates c_n = Q^T D u^n, the forward sweep is
+        c_n = lambda^(n-1) c_1 and the backward one
+        c_n = lambda^(N-n) c_N + b_modal * S_n, with
+        S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
+        levels, a sliding window of g times the lambda^j table plus a carry
+        from the block above. Each block is rebuilt by one
+        (W, n_int) x (n_int, n_int) product, and only one block is held at a
+        time. Level 0 of phi is ``phi_initial``'s output and psi's exit trace
+        is ``exit_adjacent_trace``'s, so F is the map's F to the last bit.
+        """
+        n_steps, rows, width = self.n_steps, self.offset_powers.shape[0], self.block_levels
+        phi0 = self.phi_initial(exit_series)
+        psi0 = psi_initial(m0, GridField(self.operator.grid, phi0))
+        level_one = self._level_one(psi0)
+        top = self.ones_modal * exit_series[-1]
+
+        def blocks():  # m = 0, 1, ..., N-1 in blocks of W, with lambda^m
+            for start in range(0, n_steps, width):
+                m = np.arange(start, min(start + width, n_steps))
+                yield m, self.chunk_powers[m // rows] * self.offset_powers[m % rows]
+
+        def backward():  # level N - m
+            # row j of padded[m + window] is (g_(N-m-j+2-W), ..., g_(N-m-j+1)),
+            # zero past level N
+            padded = np.zeros(n_steps + 2 * width)
+            padded[width: width + n_steps] = exit_series[:0:-1]
+            window = np.arange(width)[:, None] + np.arange(width)
+            reversed_powers = self.offset_powers[:width][::-1]
+            carry = _powers(self.evals, width)
+            sums = np.zeros((width, len(self.evals)))
+            for m, powers in blocks():
+                sums *= carry
+                sums += padded[m[0] + window] @ reversed_powers
+                powers *= top
+                powers += self.b_modal * sums[: len(m)]
+                yield n_steps - m, powers
+
+        def forward():  # level m + 1
+            for m, powers in blocks():
+                powers *= level_one
+                yield m + 1, powers
+
+        phi = self._rebuild(phi0, exit_series, backward(), snapshot_levels, record_full)
+        psi = self._rebuild(psi0, np.zeros(n_steps + 1), forward(), snapshot_levels, False,
+                            exit_adjacent=self.exit_adjacent_trace(psi0))
+        return phi, psi
+
+    def _rebuild(self, level_zero: np.ndarray, exit_series: np.ndarray, blocks,
+                 snapshot_levels, record_full: bool,
+                 exit_adjacent: np.ndarray | None = None) -> HeatSweep:
+        """One sweep's HeatSweep from its state at level 0 and blocks of
+        (levels, modal coordinates) for every later level."""
+        op, tg = self.operator, self.time_grid
+        grid, nv, n_levels = op.grid, op.grid.n_vertices, tg.n_steps + 1
+        adj = grid.exit_adjacent_index
+        wanted = np.zeros(n_levels, dtype=bool)
+        wanted[list(snapshot_levels)] = True
+        wanted[tg.n_steps] = True  # the terminal state
+        kept = {0: level_zero}
+        own_trace = exit_adjacent is None
+        if own_trace:
+            exit_adjacent = np.empty(n_levels)
+            exit_adjacent[0] = level_zero[adj]
+        full = np.empty((n_levels, grid.n_flat)) if record_full else None
+        if full is not None:
+            full[0] = level_zero
+        vmin = float(level_zero.min())
+
+        buffer = np.empty((self.block_levels, grid.n_flat))
+        contrib = np.empty((self.block_levels, len(op.adj_interior)))
+        for levels, coef in blocks:
+            block = buffer[: len(levels)]
+            np.matmul(coef, self.basis.T, out=block[:, nv:])
+            block[:, nv:] /= self.d
+            block[:, op.pinned[0]] = exit_series[levels]
+            op.balance_vertices(block, contrib[: len(levels)])
+            vmin = min(vmin, float(block.min()))
+            if own_trace:
+                exit_adjacent[levels] = block[:, adj]
+            if full is not None:
+                full[levels] = block
+            for i in np.flatnonzero(wanted[levels]):
+                kept[int(levels[i])] = block[i].copy()
+
+        def field_at(n: int, t: float) -> GridField:
+            return GridField(grid, kept[n].copy(), t)
+
+        return HeatSweep(
+            grid=grid, time_grid=tg, initial=field_at(0, 0.0),
+            terminal=field_at(tg.n_steps, tg.t_max), exit_adjacent=exit_adjacent,
+            exit_values=exit_series, min_value=vmin, full=full,
+            snapshots={n: field_at(n, n * tg.dt) for n in snapshot_levels})

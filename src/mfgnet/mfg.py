@@ -12,6 +12,7 @@ candidates agree to tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from .grid import (
 from .heat import (
     HeatSweep,
     ModalStep,
+    modal_capture_pays,
     modal_pays,
     psi_initial,
     solve_backward_phi,
@@ -71,9 +73,10 @@ class CostSpec:
     c3: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.t0 < self.t_max:
-            raise ValueError(f"need 0 <= t0 < t_max, got t0={self.t0}, t_max={self.t_max}")
-        if min(self.c1, self.c2, self.c3) < 0:
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_max)
+                and 0 <= self.t0 < self.t_max):
+            raise ValueError(f"need finite 0 <= t0 < t_max, got t0={self.t0}, t_max={self.t_max}")
+        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
             raise ValueError("cost coefficients must be nonnegative")
 
 
@@ -165,7 +168,7 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 @dataclass
 class PsiMapResult:
     """One evaluation of the candidate-time map, with the sweeps behind it
-    (None when the map was evaluated from the modal step)."""
+    when fields were asked for (None otherwise on the modal path)."""
 
     t_input: float
     t_star: float
@@ -176,33 +179,41 @@ class PsiMapResult:
 
 
 def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
-            record_full: bool = False, track_min: bool = False) -> PsiMapResult:
+            record_full: bool = False) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    ``record_full`` keeps every level of phi (the density drift needs it);
-    psi's levels are never kept whole. When no field is asked for and
-    ``modal_pays`` on the grids, both sweeps are replaced by the problem's
-    ModalStep (built on first use), which yields only the exit traces.
+    Asking for fields (``snapshot_levels``, or ``record_full`` for every
+    level of phi; psi's levels are never kept whole) returns both sweeps
+    with their minimum over every level and node. When ``modal_pays`` on the
+    grids, the problem's ModalStep (built on first use) replaces the sweeps:
+    it yields only the exit traces when no field is asked for, and rebuilds
+    the fields when ``modal_capture_pays`` too; otherwise the grids are swept.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
         raise ValueError(f"candidate time {t_candidate} outside [{spec.cost.t0}, {spec.cost.t_max}]")
     grid, time_grid = problem.grid, problem.time_grid
     c_T = lambda s: cost(s, t_candidate, spec.cost)  # noqa: E731
+    fields = bool(snapshot_levels or record_full)
 
-    if not (snapshot_levels or record_full or track_min) and modal_pays(grid, time_grid):
+    if modal_pays(grid, time_grid) and (not fields or modal_capture_pays(grid)):
         if problem.modal is None:
             problem.modal = ModalStep(grid, time_grid)
         exit_series = np.exp(np.asarray(c_T(time_grid.times), dtype=float))
-        phi0 = GridField(grid, problem.modal.phi_initial(exit_series))
-        trace = problem.modal.exit_adjacent_trace(psi_initial(problem.m0, phi0))
-        phi = psi = None
+        if fields:
+            phi, psi = problem.modal.sweeps(exit_series, problem.m0, snapshot_levels,
+                                            record_full)
+            trace = psi.exit_adjacent
+        else:
+            phi0 = GridField(grid, problem.modal.phi_initial(exit_series))
+            trace = problem.modal.exit_adjacent_trace(psi_initial(problem.m0, phi0))
+            phi = psi = None
     else:
         phi = solve_backward_phi(grid, time_grid, c_T, snapshot_levels=snapshot_levels,
-                                 record_full=record_full, track_min=track_min)
+                                 record_full=record_full, track_min=fields)
         psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
-                                snapshot_levels=snapshot_levels, track_min=track_min)
+                                snapshot_levels=snapshot_levels, track_min=fields)
         trace = psi.exit_adjacent
     f_series = cumulative_flow(trace, c_T, grid, time_grid)
     if not np.isfinite(f_series[-1]):
@@ -267,9 +278,11 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
 
     ``spec`` may already be discretized. Never raises on non-convergence:
     the best iterate is returned with ``converged=False`` and a note. After
-    the loop the last solve is replayed once by sweeping, to capture fields
-    at the equilibrium level, at ``snapshot_levels`` and, with
-    ``record_full``, phi at every level.
+    the loop the last candidate is evaluated once more with fields, to
+    capture them at the equilibrium level, at ``snapshot_levels`` and, with
+    ``record_full``, phi at every level. On grids where ``psi_map`` takes
+    the modal path for fields this rebuilds them from the cached eigenbasis
+    without sweeping, and a converged capture's F is the last iteration's.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -306,8 +319,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
 
     level = problem.time_grid.level_of(t_report)
     wanted = {0, level} | set(snapshot_levels)
-    cap = psi_map(capture_input, problem, snapshot_levels=wanted, track_min=True,
-                  record_full=record_full)
+    cap = psi_map(capture_input, problem, snapshot_levels=wanted, record_full=record_full)
 
     fields: dict[str, dict[int, GridField]] = {"phi": {}, "psi": {}, "u": {}, "m": {}}
     for n in sorted(wanted):

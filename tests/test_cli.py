@@ -239,8 +239,14 @@ class TestCliEntry:
         ("run.dt_mc", -1, ["--mode", "oracle"]),
         ("run.dt_mc", float("nan"), ["--mode", "oracle"]),
         ("problem.cost.c1", float("nan"), []),
+        ("run.dt_mc", "abc", ["--mode", "oracle"]),
+        ("run.seed", "x", []),
+        ("run.agents", "x", ["--mode", "oracle"]),
+        ("run.snapshots", "x", []),
+        ("numerics.h_ladder", ["a"], ["--mode", "refine-study"]),
     ], ids=["h_nan", "tol_nan", "t_max_inf", "h_ladder_nan", "dt_mc_negative",
-            "dt_mc_nan", "c1_nan"])
+            "dt_mc_nan", "c1_nan", "dt_mc_string", "seed_string", "agents_string",
+            "snapshots_string", "h_ladder_string"])
     def test_nonfinite_and_out_of_range_rejected_before_solving(
             self, tmp_path, capsys, field, value, flags):
         doc = fast_config(tmp_path)

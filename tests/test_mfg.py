@@ -50,6 +50,18 @@ class TestCost:
         with pytest.raises(ValueError):
             CostSpec(t0=0.0, t_max=1.0, c1=-0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"t0": 0.5, "t_max": 10.0, "c1": float("nan")},
+        {"t0": 0.5, "t_max": 10.0, "c1": 0.1, "c2": float("nan")},
+        {"t0": 0.5, "t_max": 10.0, "c1": 0.1, "c3": float("nan")},
+        {"t0": 0.5, "t_max": float("inf"), "c1": 1.0},
+        {"t0": float("nan"), "t_max": 10.0, "c1": 1.0},
+        {"t0": 0.5, "t_max": float("nan"), "c1": 1.0},
+    ], ids=["c1_nan", "c2_nan", "c3_nan", "t_max_inf", "t0_nan", "t_max_nan"])
+    def test_nonfinite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CostSpec(**kwargs)
+
 
 class TestCumulativeFlow:
     def test_zero_density_zero_flow(self, single_edge):

@@ -50,13 +50,24 @@ def problem(request):
         return discretize(INSTANCES[request.param]())
 
 
-def test_modal_map_matches_sweep(problem):
+def _force_sweeps(mp):
+    mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
+    mp.setattr(heat, "MODAL_CAPTURE_COST_RATIO", 0.0)
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_modal_map_matches_sweep(problem, monkeypatch):
     spec = problem.spec
     assert modal_pays(problem.grid, problem.time_grid)
     t0, t_max = spec.cost.t0, spec.cost.t_max
     for t in (t0, 0.5 * (t0 + t_max), t_max):
         modal = psi_map(t, problem)
-        sweep = psi_map(t, problem, track_min=True)
+        with monkeypatch.context() as mp:
+            _force_sweeps(mp)
+            sweep = psi_map(t, problem, snapshot_levels={0})
         assert modal.phi is None and sweep.phi is not None
         assert modal.t_star == sweep.t_star
         assert modal.crossing_level == sweep.crossing_level
@@ -66,6 +77,37 @@ def test_modal_map_matches_sweep(problem):
         phi0 = problem.modal.phi_initial(exit_series)
         ref = sweep.phi.initial.data
         assert np.abs(phi0 - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_modal_capture_matches_sweep(problem, monkeypatch):
+    """Every field of both sweeps rebuilt from the eigenbasis, against the
+    time-stepping sweeps: phi at every level, psi at several, both exit
+    traces and the minima."""
+    assert heat.modal_capture_pays(problem.grid)
+    spec, n_steps = problem.spec, problem.time_grid.n_steps
+    levels = {0, 1, 7, n_steps // 2, n_steps}
+    t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
+    modal = psi_map(t, problem, snapshot_levels=levels, record_full=True)
+    with monkeypatch.context() as mp:
+        _force_sweeps(mp)
+        sweep = psi_map(t, problem, snapshot_levels=levels, record_full=True)
+    assert problem.modal is not None
+
+    assert modal.t_star == sweep.t_star
+    assert _rel(modal.f_series, sweep.f_series) <= 1e-10
+    assert _rel(modal.phi.full, sweep.phi.full) <= 1e-10
+    for name in ("phi", "psi"):
+        m, s = getattr(modal, name), getattr(sweep, name)
+        assert m.snapshots.keys() == s.snapshots.keys() == levels
+        for n in levels:
+            assert _rel(m.level(n).data, s.level(n).data) <= 1e-10
+            assert m.level(n).time_label == s.level(n).time_label
+        assert _rel(m.initial.data, s.initial.data) <= 1e-10
+        assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
+        assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
+        np.testing.assert_array_equal(m.exit_values, s.exit_values)
+        assert abs(m.min_value - s.min_value) <= 1e-10 * max(abs(s.min_value), 1.0)
+    assert modal.psi.full is None and sweep.psi.full is None
 
 
 def test_symmetrized_step_is_symmetric(problem):
@@ -83,19 +125,35 @@ def test_fixed_point_same_with_sweep_forced(example1_config, monkeypatch):
     modal = fixed_point(modal_problem)
     assert modal_problem.modal is not None
 
-    monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
-    sweep_problem = discretize(spec)
-    sweep = fixed_point(sweep_problem)
+    with monkeypatch.context() as mp:
+        _force_sweeps(mp)
+        sweep_problem = discretize(spec)
+        sweep = fixed_point(sweep_problem)
     assert sweep_problem.modal is None
 
     assert modal.iterates == sweep.iterates
     assert modal.t_star == sweep.t_star
-    np.testing.assert_array_equal(modal.f_series, sweep.f_series)
+    assert modal.equilibrium_level == sweep.equilibrium_level
+    assert _rel(modal.f_series, sweep.f_series) <= 1e-10
     for name in ("phi", "psi", "u", "m"):
         assert modal.fields[name].keys() == sweep.fields[name].keys()
         for n in modal.fields[name]:
-            np.testing.assert_array_equal(modal.fields[name][n].data,
-                                          sweep.fields[name][n].data)
+            assert _rel(modal.fields[name][n].data, sweep.fields[name][n].data) <= 1e-10
+
+
+def test_fixed_point_makes_no_sweep(example1_config, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept on a grid under both cost rules")
+
+    monkeypatch.setattr(heat, "_run_sweep", no_sweep)
+    problem = discretize(replace(example1_config.spec, h_target=0.05))
+    res = fixed_point(problem, snapshot_levels={5})
+    assert res.converged and 5 in res.fields["m"]
+    # the converged capture evaluated the last iteration's candidate
+    last = psi_map(res.capture_t_input, problem)
+    np.testing.assert_array_equal(res.f_series, last.f_series)
+    np.testing.assert_array_equal(res.psi_exit_adjacent,
+                                  problem.modal.exit_adjacent_trace(res.fields["psi"][0].data))
 
 
 def test_operator_built_once_on_first_modal_map(monkeypatch):
@@ -105,10 +163,31 @@ def test_operator_built_once_on_first_modal_map(monkeypatch):
     problem = discretize(desk_problem())
     assert problem.modal is None
     psi_map(0.5, problem, snapshot_levels={3})
-    assert problem.modal is None and not calls
+    assert problem.modal is not None and len(calls) == 1
     for t in (0.5, 3.0, 10.0):
         psi_map(t, problem)
     assert len(calls) == 1
+
+
+def test_grid_over_capture_rule_sweeps_its_capture(monkeypatch):
+    """One long edge with n_int = 700: the eigenbasis pays for the maps
+    (many steps), but rebuilding every level costs more than sweeping."""
+    topo = mn.build_network([(0, (0.0, 0.0)), (1, (7.01, 0.0))], [(0, 0, 1, 7.01)], 0)
+    spec = mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.02, 0.15, 0.1, 0.0, 0.1),
+                          theta=0.01, m0=lambda p: np.maximum(1 - np.abs(p[:, 0] - 3.5), 0.0),
+                          h_target=0.01, max_iters=3)
+    problem = discretize(spec)
+    assert modal_pays(problem.grid, problem.time_grid)
+    assert not heat.modal_capture_pays(problem.grid)
+
+    sweeps = []
+    run_sweep = heat._run_sweep
+    monkeypatch.setattr(heat, "_run_sweep",
+                        lambda *a, **kw: sweeps.append(a) or run_sweep(*a, **kw))
+    res = fixed_point(problem)
+    assert problem.modal is not None
+    assert len(sweeps) == 2  # the capture only; every map was modal
+    assert np.isfinite(res.min_phi) and np.isfinite(res.min_psi)
 
 
 def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
