@@ -49,6 +49,7 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run", "main"]
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
 _ORACLE_MEMORY_LIMIT = 2 * 1024**3  # bytes of full-history storage
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class RunConfig:
 
 
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(section, dict):
+        raise ValidationError(path, f"expected an object, got {type(section).__name__}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValidationError(path, f"unknown key(s): {', '.join(unknown)}")
@@ -130,6 +133,14 @@ def _number(value, kind, path: str):
         raise ValidationError(path, f"expected a number, got {value!r}") from err
 
 
+def _integer(value, path: str) -> int:
+    """``int(value)``, or a ValidationError naming ``path``; a float must be
+    whole, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(path, f"expected an integer, got {value!r}")
+    return _number(value, int, path)
+
+
 def _finite(literal: str) -> float:
     value = float(literal)
     if not math.isfinite(value):
@@ -153,16 +164,21 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(net, {"vertices", "edges", "exit_vertex", "geometry"}, "network")
     vertices = []
     for v in _get(net, "vertices", "network", list):
-        _check_keys(v, {"id", "position"}, "network.vertices[]")
-        pos = v.get("position")
-        if not (isinstance(pos, list) and len(pos) == 2):
-            raise ValidationError("network.vertices[].position", "expected [x, y]")
-        vertices.append((int(v["id"]), (float(pos[0]), float(pos[1]))))
+        path = "network.vertices[]"
+        _check_keys(v, {"id", "position"}, path)
+        pos = _get(v, "position", path, list)
+        if len(pos) != 2:
+            raise ValidationError(f"{path}.position", "expected [x, y]")
+        vertices.append((_integer(_get(v, "id", path), f"{path}.id"),
+                         tuple(_number(x, float, f"{path}.position") for x in pos)))
     edges = []
     for e in _get(net, "edges", "network", list):
-        _check_keys(e, {"id", "tail", "head", "length"}, "network.edges[]")
-        edges.append((int(e["id"]), int(e["tail"]), int(e["head"]),
-                      float(e["length"]) if e.get("length") is not None else None))
+        path = "network.edges[]"
+        _check_keys(e, {"id", "tail", "head", "length"}, path)
+        length = _get(e, "length", path, default=None)
+        edges.append((*(_integer(_get(e, key, path), f"{path}.{key}")
+                        for key in ("id", "tail", "head")),
+                      None if length is None else _number(length, float, f"{path}.length")))
     try:
         topology = build_network(vertices, edges, int(_get(net, "exit_vertex", "network", int)))
     except MFGNetError as err:
@@ -195,10 +211,10 @@ def parse_config(text: str) -> RunConfig:
         spec = ProblemSpec(
             topology=topology, cost=cost_spec, theta=theta, m0=density,
             h_target=float(_get(num, "h_target", "numerics", (int, float))),
-            cfl_factor=float(num.get("cfl_factor", 0.25)),
-            tol=float(num.get("tol", 1e-4)),
-            t_init=float(t_init) if t_init is not None else None,
-            max_iters=int(num.get("max_iters", 50)))
+            cfl_factor=_number(num.get("cfl_factor", 0.25), float, "numerics.cfl_factor"),
+            tol=_number(num.get("tol", 1e-4), float, "numerics.tol"),
+            t_init=_number(t_init, float, "numerics.t_init") if t_init is not None else None,
+            max_iters=_integer(num.get("max_iters", 50), "numerics.max_iters"))
     except ValueError as err:
         raise ValidationError("numerics", str(err)) from err
     ladder = _get(num, "h_ladder", "numerics", list, default=None)
@@ -212,13 +228,13 @@ def parse_config(text: str) -> RunConfig:
     mode = rn.get("mode", "solve")
     if mode not in MODES:
         raise ValidationError("run.mode", f"expected one of {MODES}, got {mode!r}")
-    seed = _number(rn.get("seed", 0), int, "run.seed")
+    seed = _integer(rn.get("seed", 0), "run.seed")
     if not 0 <= seed < 2**64:
         raise ValidationError("run.seed", "must fit in an unsigned 64-bit integer")
-    snapshots = _number(rn.get("snapshots", 0), int, "run.snapshots")
+    snapshots = _integer(rn.get("snapshots", 0), "run.snapshots")
     if snapshots < 0:
         raise ValidationError("run.snapshots", "must be nonnegative")
-    agents = _number(rn.get("agents", 100_000), int, "run.agents")
+    agents = _integer(rn.get("agents", 100_000), "run.agents")
     if agents < 1:
         raise ValidationError("run.agents", "must be at least 1")
     dt_mc = rn.get("dt_mc")
@@ -269,12 +285,16 @@ def emit_config(config: RunConfig) -> dict:
     return doc
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per index of the equal-length ``columns`` (ints or floats);
+    repr of a Python int or float is its exact shortest form. Converted a
+    block of rows at a time, so no column is held as Python numbers."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = (c[start: start + _CSV_BLOCK_ROWS].tolist() for c in columns)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
 def _write_summary(out: Path, summary: dict) -> None:
@@ -293,10 +313,9 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
     result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress,
                          record_full=record_full)
 
-    _write_csv(out / "f_series.csv", "t,F",
-               zip(result.times, result.f_series))
+    _write_csv(out / "f_series.csv", "t,F", result.times, result.f_series)
     _write_csv(out / "iterates.csv", "iteration,T",
-               [(0, result.t_init)] + list(enumerate(result.iterates, start=1)))
+               range(len(result.iterates) + 1), [result.t_init, *result.iterates])
     lvl = result.equilibrium_level
     field_to_csv(result.fields["m"][0], out / "m0.csv")
     field_to_csv(result.fields["m"][lvl], out / "m_final.csv")
@@ -359,7 +378,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     f_pde = result.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-               zip(tg.times, f_pde, mc.fraction, mc.band_lo, mc.band_hi))
+               tg.times, f_pde, mc.fraction, mc.band_lo, mc.band_hi)
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,
@@ -384,8 +403,8 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
                      "t_star": res.t_star, "iterations": res.iterations,
                      "converged": res.converged})
     _write_csv(out / "refine_study.csv", "h,E_h,T,iterations",
-               [(r["h"], r["residual_mass_error"], r["t_star"], r["iterations"])
-                for r in rows])
+               *([r[key] for r in rows]
+                 for key in ("h", "residual_mass_error", "t_star", "iterations")))
     summary = {
         "mode": config.mode,
         "schema_version": 1,

@@ -72,6 +72,7 @@ class SpatialGrid:
             w[e.tail] += self.h[e.id]
             w[self.islice(e.id)] = self.h[e.id]
         self.quad_weights = w
+        self._csv_rows = None  # field_to_csv's layout, built on first use
 
     def islice(self, edge_id: int) -> slice:
         """Flat slice holding the interior nodes of one edge."""
@@ -252,17 +253,32 @@ def normalize_mass(grid: SpatialGrid, g: GridField) -> GridField:
     return GridField(grid, out)
 
 
+def _csv_rows(grid: SpatialGrid) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
+    """field_to_csv's layout, built once per grid: the flat index of every
+    row, edge by edge from tail to head, and per edge its first row, its
+    row count and a format string of its rows with the
+    "edge_id,k,x_coord_1,x_coord_2," prefixes filled in."""
+    if grid._csv_rows is None:
+        order, edges, first = [], [], 0
+        for e in grid.topology.edges:
+            sl = grid.islice(e.id)
+            a = np.asarray(grid.topology.vertices[e.tail].position)
+            b = np.asarray(grid.topology.vertices[e.head].position)
+            k = np.arange(grid.n_cells[e.id] + 1)
+            coords = (a + (k / grid.n_cells[e.id])[:, None] * (b - a)).tolist()
+            edges.append((first, len(coords), "".join(
+                f"{e.id},{j},{x!r},{y!r},{{}}\n" for j, (x, y) in enumerate(coords))))
+            order.append(np.r_[e.tail, sl.start:sl.stop, e.head])
+            first += len(coords)
+        grid._csv_rows = (np.concatenate(order), edges)
+    return grid._csv_rows
+
+
 def field_to_csv(field: GridField, path) -> None:
     """Write a field as rows (edge_id, k, x_coord_1, x_coord_2, value),
     k running 0..n_cells along each edge (vertex slots included)."""
-    grid = field.grid
+    order, edges = _csv_rows(field.grid)
     with open(path, "w") as fh:
         fh.write("edge_id,k,x_coord_1,x_coord_2,value\n")
-        for e in grid.topology.edges:
-            vals = field.edge_values(e.id)
-            a = np.asarray(grid.topology.vertices[e.tail].position)
-            b = np.asarray(grid.topology.vertices[e.head].position)
-            for k, v in enumerate(vals):
-                frac = k / grid.n_cells[e.id]
-                x = a + frac * (b - a)
-                fh.write(f"{e.id},{k},{float(x[0])!r},{float(x[1])!r},{float(v)!r}\n")
+        for first, count, rows in edges:
+            fh.write(rows.format(*map(repr, field.data[order[first: first + count]].tolist())))

@@ -11,8 +11,10 @@ is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): the exit traces of a candidate
-map, or every level of both sweeps. The sweeps stay the reference, and the
-only path on grids where the eigenbasis does not pay.
+map, or every level of both sweeps. ``lanczos.LanczosStep`` does the same
+from Lanczos bases on grids too large for the eigenbasis, at the levels
+that are asked for. The sweeps stay the reference, and the only path where
+neither pays.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "ModalStep",
     "modal_pays",
     "modal_capture_pays",
+    "krylov_pays",
 ]
 
 CFL_LIMIT = 0.5
@@ -55,6 +58,19 @@ MODAL_COST_RATIO = 100.0
 # 40 us / 10 ns the per-level overhead counted in nodes: up to n_int = 600
 # on a path graph. The eigh is already paid for by the map.
 MODAL_CAPTURE_COST_RATIO = 80.0
+# Accuracy target of a LanczosStep basis: its a-posteriori bound on the error
+# of K^k x, relative to x in the h-weighted norm, for every k < n_steps.
+KRYLOV_TOL = 1e-13
+# A LanczosStep basis needs about m = sqrt(n_steps * ln(1 / KRYLOV_TOL))
+# recurrence steps (x^N has a polynomial approximation of that degree on
+# [-1, 1]: Sachdeva & Vishnoi 2014): 371 on the 24 x 24 street lattice at
+# n_steps = 4481, against the estimate's 366. There a recurrence step costs
+# 158 us to build a basis (its error checks included) and 80 us to replay
+# one, against 50 us per sweep step (single-threaded, 2-CPU Xeon VM). A
+# fixed point of M maps builds two bases and replays 2M + 3 times, about
+# (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
+# M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
+KRYLOV_COST_RATIO = 0.2
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels ModalStep.sweeps rebuilds per matrix product: the phi window costs
 # 2 * W * n_int flops per level and each block a fixed Python overhead; 32
@@ -78,19 +94,21 @@ class StepOperator:
 
         nv = grid.n_vertices
         n_int = grid.n_flat - nv
-        left = np.empty(n_int, dtype=int)
-        right = np.empty(n_int, dtype=int)
+        # interior index of each edge's first and last node, and the vertex
+        # beyond it; inside an edge the neighbours are the adjacent slots
+        first, last, tails, heads = [], [], [], []
         inv_h2 = np.empty(n_int)
         for e in grid.topology.edges:
             sl = grid.islice(e.id)
-            idx = np.arange(sl.start, sl.stop)
-            left[idx - nv] = idx - 1
-            right[idx - nv] = idx + 1
-            left[sl.start - nv] = e.tail
-            right[sl.stop - 1 - nv] = e.head
-            inv_h2[idx - nv] = 1.0 / grid.h[e.id] ** 2
-        self.left = left
-        self.right = right
+            first.append(sl.start - nv)
+            last.append(sl.stop - 1 - nv)
+            tails.append(e.tail)
+            heads.append(e.head)
+            inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
+        self.edge_first = np.asarray(first, dtype=int)
+        self.edge_last = np.asarray(last, dtype=int)
+        self.edge_tails = np.asarray(tails, dtype=int)
+        self.edge_heads = np.asarray(heads, dtype=int)
         self.inv_h2 = inv_h2
         self.lam = dt * inv_h2
         worst = float(self.lam.max()) if n_int else 0.0
@@ -122,18 +140,26 @@ class StepOperator:
     def step(self, src: np.ndarray, pinned_values: np.ndarray, out: np.ndarray,
              scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         """One explicit step src -> out (distinct buffers)."""
+        self.interior_step(src, out, scratch)
+        out[self.pinned] = pinned_values
+        self.balance_vertices(out, scratch[2])
+
+    def interior_step(self, src: np.ndarray, out: np.ndarray,
+                      scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """The stencil part of ``step``: out's interior nodes from src, out's
+        vertex slots left as they are."""
         nv = self.grid.n_vertices
-        buf_l, buf_r, contrib = scratch
+        buf_l, buf_r, _ = scratch
         old = src[nv:]
-        np.take(src, self.left, out=buf_l)
-        np.take(src, self.right, out=buf_r)
+        buf_l[1:] = src[nv:-1]
+        buf_l[self.edge_first] = src[self.edge_tails]
+        buf_r[:-1] = src[nv + 1:]
+        buf_r[self.edge_last] = src[self.edge_heads]
         np.add(buf_l, buf_r, out=buf_l)
         np.multiply(old, -2.0, out=buf_r)
         np.add(buf_l, buf_r, out=buf_l)
         np.multiply(buf_l, self.lam, out=buf_l)
         np.add(old, buf_l, out=out[nv:])
-        out[self.pinned] = pinned_values
-        self.balance_vertices(out, contrib)
 
     def balance_vertices(self, out: np.ndarray, contrib: np.ndarray) -> None:
         """Set every free vertex of ``out`` to the 1/h-weighted mean of its
@@ -280,9 +306,11 @@ def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
     """Sweep the value-potential equation from its constant terminal state
     down to level 0, pinning the exit at exp(c_T(t_n)).
 
-    ``c_T`` maps an array of times to cost values.
+    ``c_T`` maps an array of times to cost values, or is already the exit
+    series exp(c_T(t_n)), one value per level.
     """
-    exit_series = np.exp(np.asarray(c_T(time_grid.times), dtype=float))
+    exit_series = (np.exp(np.asarray(c_T(time_grid.times), dtype=float)) if callable(c_T)
+                   else np.asarray(c_T, dtype=float))
     init = np.full(grid.n_flat, exit_series[-1])
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
@@ -330,10 +358,33 @@ def modal_capture_pays(grid: SpatialGrid) -> bool:
     return n_int**2 <= MODAL_CAPTURE_COST_RATIO * (grid.n_flat + 4000)
 
 
+def krylov_pays(time_grid: TimeGrid) -> bool:
+    """Whether a LanczosStep costs less than sweeping:
+    sqrt(n_steps * ln(1 / KRYLOV_TOL)) <= KRYLOV_COST_RATIO * n_steps."""
+    n = time_grid.n_steps
+    return math.sqrt(n * math.log(1 / KRYLOV_TOL)) <= KRYLOV_COST_RATIO * n
+
+
 def _powers(base: np.ndarray, exponent) -> np.ndarray:
     out = np.power(base, exponent)
     out[np.abs(out) < _FLUSH] = 0.0
     return out
+
+
+def _captured(grid: SpatialGrid, time_grid: TimeGrid, kept: dict[int, np.ndarray],
+              snapshot_levels, exit_adjacent: np.ndarray, exit_values: np.ndarray,
+              full: np.ndarray | None = None) -> HeatSweep:
+    """A HeatSweep from the states kept at level 0, level n_steps and every
+    snapshot level, which become its fields without a copy."""
+
+    def field_at(n: int, t: float) -> GridField:
+        return GridField(grid, kept[n], t)
+
+    return HeatSweep(
+        grid=grid, time_grid=time_grid, initial=field_at(0, 0.0),
+        terminal=field_at(time_grid.n_steps, time_grid.t_max), exit_adjacent=exit_adjacent,
+        exit_values=exit_values, full=full,
+        snapshots={n: field_at(n, n * time_grid.dt) for n in snapshot_levels})
 
 
 class ModalStep:
@@ -414,8 +465,8 @@ class ModalStep:
     def sweeps(self, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
                record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
         """Both sweeps of one candidate map, every ``HeatSweep`` field as the
-        time-stepping sweeps give it (``min_value`` over every level and
-        node; ``full`` for phi only, with ``record_full``).
+        time-stepping sweeps give it (``full`` for phi only, with
+        ``record_full``).
 
         In modal coordinates c_n = Q^T D u^n, the forward sweep is
         c_n = lambda^(n-1) c_1 and the backward one
@@ -483,7 +534,6 @@ class ModalStep:
         full = np.empty((n_levels, grid.n_flat)) if record_full else None
         if full is not None:
             full[0] = level_zero
-        vmin = float(level_zero.min())
 
         buffer = np.empty((self.block_levels, grid.n_flat))
         contrib = np.empty((self.block_levels, len(op.adj_interior)))
@@ -493,19 +543,10 @@ class ModalStep:
             block[:, nv:] /= self.d
             block[:, op.pinned[0]] = exit_series[levels]
             op.balance_vertices(block, contrib[: len(levels)])
-            vmin = min(vmin, float(block.min()))
             if own_trace:
                 exit_adjacent[levels] = block[:, adj]
             if full is not None:
                 full[levels] = block
             for i in np.flatnonzero(wanted[levels]):
                 kept[int(levels[i])] = block[i].copy()
-
-        def field_at(n: int, t: float) -> GridField:
-            return GridField(grid, kept[n].copy(), t)
-
-        return HeatSweep(
-            grid=grid, time_grid=tg, initial=field_at(0, 0.0),
-            terminal=field_at(tg.n_steps, tg.t_max), exit_adjacent=exit_adjacent,
-            exit_values=exit_series, min_value=vmin, full=full,
-            snapshots={n: field_at(n, n * tg.dt) for n in snapshot_levels})
+        return _captured(grid, tg, kept, snapshot_levels, exit_adjacent, exit_series, full)

@@ -1,0 +1,283 @@
+"""Lanczos evaluation of the two sweeps' exit-pinned step, for grids too
+large for ``heat.ModalStep``'s eigenbasis: ``LanczosStep``.
+
+A separate module so that only runs that take this path load it; its rule,
+``heat.krylov_pays``, and its accuracy target, ``heat.KRYLOV_TOL``, stay
+next to the modal path's.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .errors import NumericalFailure
+from .grid import GridField, SpatialGrid, TimeGrid
+from .heat import KRYLOV_TOL, HeatSweep, StepOperator, _captured, psi_initial
+
+__all__ = ["LanczosStep"]
+
+
+class _LanczosBasis:
+    """The three-term Lanczos recurrence of the exit-pinned step K from one
+    flux-balanced flat state x with the exit at 0, in the inner product
+    <a, b>_H = sum_i h_i a_i b_i over interior nodes, in which K is
+    self-adjoint: K W = W T + beta_m w_m e_m^T, with T tridiagonal (m x m)
+    and W the first m vectors.
+
+    K^k x ~ |x|_H W T^k e_1. Whatever the loss of orthogonality in W, that
+    relation alone bounds the error for every k <= n_steps by
+    |x|_H beta_m sum_(j<n_steps) |e_m^T T^j e_1|, since |K|_H <= 1 under the
+    CFL bound; m grows until the bound is below KRYLOV_TOL.
+
+    Powers of T are applied as in ModalStep, with k = a*B + j and
+    B about sqrt(n_steps) / 2: a (B, m) table of T^j e_1 and the band of T^B
+    (bandwidth B), applied once per chunk. Nothing is m x m: a dense eigh of
+    T at m = 370 raised the street lattice's peak RSS by 6 MB. Only alpha
+    and beta are kept: ``combine`` and ``project`` replay the recurrence, so
+    no m x n_flat basis is held either.
+    """
+
+    def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int):
+        self.op, self.n_steps, self.start = op, n_steps, start
+        self.h = 1.0 / np.sqrt(op.inv_h2)
+        self.norm = math.sqrt(self._dot(start, start))
+        # building the band costs m * B^2, applying it n_steps * m per pass
+        # in n_steps / B numpy calls: B = sqrt(n_steps) / 2 balances the two
+        self.rows = math.isqrt((n_steps - 1) // 4) + 1
+        self.chunks = -(-n_steps // self.rows)
+        self.alpha: list[float] = []
+        self.beta: list[float] = []
+        target, last = 16, None
+        for _ in self._recurrence():
+            m = len(self.alpha)
+            if m < target:
+                continue
+            self._tables(m)
+            bound = self.beta[m - 1] * float(np.abs(self.series(np.eye(1, m, m - 1)[0])).sum())
+            if not math.isfinite(bound):
+                raise NumericalFailure(f"Lanczos error bound is {bound} at m = {m}")
+            if bound <= KRYLOV_TOL:
+                break
+            # the bound falls ever faster, so extrapolating its last rate
+            # overshoots the m it needs by a little
+            grow = m
+            if last is not None and bound < last[1]:
+                rate = math.log(last[1] / bound) / (m - last[0])
+                grow = math.ceil(math.log(bound / KRYLOV_TOL) / rate)
+            last = (m, bound)
+            target = m + min(max(grow, 8), m)
+        else:  # beta hit 0: the Krylov space is invariant and T exact
+            self._tables(len(self.alpha))
+
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        nv = self.op.grid.n_vertices
+        return float(np.dot(a[nv:] * self.h, b[nv:]))
+
+    def _tables(self, m: int) -> None:
+        """T_m's table of T^j e_1 (j < B) and the band of T^B, with
+        band[i, B + d] = (T^B)[i, i + d]."""
+        self.m = m
+        self.diag = np.asarray(self.alpha[:m])
+        self.off = np.asarray(self.beta[: m - 1])
+        offsets = np.zeros((self.rows, m))
+        offsets[0, 0] = 1.0
+        for j in range(1, self.rows):
+            offsets[j] = self._tri(offsets[j - 1])
+        self.offsets = offsets
+        band = np.zeros((m, 2 * self.rows + 1))
+        band[:, self.rows] = 1.0
+        off = self.off[:, None]
+        for _ in range(self.rows):  # band <- T band
+            new = self.diag[:, None] * band
+            new[1:, :-1] += off * band[:-1, 1:]
+            new[:-1, 1:] += off * band[1:, :-1]
+            band = new
+        self.band = band
+
+    def _tri(self, x: np.ndarray) -> np.ndarray:
+        """T x."""
+        out = self.diag * x
+        out[:-1] += self.off * x[1:]
+        out[1:] += self.off * x[:-1]
+        return out
+
+    def _band_step(self):
+        """A function x -> T^B x, over one reused padded buffer."""
+        width = self.rows
+        padded = np.zeros(self.m + 2 * width)
+        window = np.lib.stride_tricks.sliding_window_view(padded, 2 * width + 1)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            padded[width: width + self.m] = x
+            return np.einsum("ij,ij->i", self.band, window)
+        return apply
+
+    def _chunk_powers(self, x: np.ndarray) -> np.ndarray:
+        """T^(a*B) x for every chunk a, one row each."""
+        apply = self._band_step()
+        out = np.empty((self.chunks, self.m))
+        out[0] = x
+        for a in range(1, self.chunks):
+            out[a] = apply(out[a - 1])
+        return out
+
+    def series(self, y: np.ndarray) -> np.ndarray:
+        """e_1^T T^k y for every k < n_steps."""
+        # e_1^T T^(a*B + j) y = (T^j e_1) . (T^(a*B) y), T being symmetric
+        return (self._chunk_powers(y) @ self.offsets.T).ravel()[: self.n_steps]
+
+    def power_sums(self, series: np.ndarray) -> np.ndarray:
+        """Coefficients c with W c ~ sum_k series[k] K^k x, for
+        len(series) <= n_steps: sum over chunks a of T^(a*B) z_a, with
+        z_a = sum_j series[a*B + j] T^j e_1, by Horner's rule over a."""
+        by_level = np.zeros(self.chunks * self.rows)
+        by_level[: len(series)] = series
+        z = by_level.reshape(self.chunks, self.rows) @ self.offsets
+        apply = self._band_step()
+        acc = z[-1]
+        for a in range(self.chunks - 2, -1, -1):
+            acc = z[a] + apply(acc)
+        return self.norm * acc
+
+    def powers(self, ks) -> np.ndarray:
+        """Coefficients with W c ~ K^k x, one column per exponent in ``ks``
+        (each < n_steps)."""
+        chunk = self._chunk_powers(np.eye(1, self.m)[0])
+        out = np.empty((self.m, len(ks)))
+        for i, k in enumerate(ks):
+            a, j = divmod(k, self.rows)
+            v = chunk[a]
+            for _ in range(j):
+                v = self._tri(v)
+            out[:, i] = v
+        return self.norm * out
+
+    def _recurrence(self):
+        """w_0, w_1, ...: flat, flux-balanced, H-normalized. alpha and beta
+        are extended past the stored ones; replays repeat the same
+        arithmetic, so they give the same vectors to the last bit."""
+        op = self.op
+        scratch = op.scratch()
+        # every buffer holds 0 at the exit, and combinations keep it there
+        prev = np.zeros(op.grid.n_flat)
+        cur = self.start / self.norm
+        nxt = np.zeros_like(cur)
+        for j in itertools.count():
+            yield cur
+            op.interior_step(cur, nxt, scratch)
+            if j == len(self.alpha):
+                self.alpha.append(self._dot(cur, nxt))
+            nxt -= self.alpha[j] * cur
+            if j:
+                nxt -= self.beta[j - 1] * prev
+            # the vertices are solved for only now: carried through the
+            # recurrence, their rounding errors would grow from step to step
+            op.balance_vertices(nxt, scratch[2])
+            if j == len(self.beta):
+                self.beta.append(math.sqrt(self._dot(nxt, nxt)))
+            if self.beta[j] == 0.0:
+                return
+            nxt /= self.beta[j]
+            prev, cur, nxt = cur, nxt, prev
+
+    def combine(self, coefs: np.ndarray) -> np.ndarray:
+        """W @ coefs for an (m, L) coefficient array: L flat states."""
+        out = np.zeros((coefs.shape[1], self.op.grid.n_flat))
+        for j, w in enumerate(itertools.islice(self._recurrence(), self.m)):
+            for row, c in zip(out, coefs[j]):
+                row += c * w
+        return out
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """W^T H y."""
+        return np.array([self._dot(w, y) for w in itertools.islice(self._recurrence(), self.m)])
+
+
+class LanczosStep:
+    """The two sweeps' exit-pinned step, applied many times from Lanczos
+    bases: the counterpart of ModalStep for grids too large for its eigh,
+    at O(m * n_flat) per map with m about sqrt(n_steps).
+
+    One basis, started at the exit-adjacent node e_adj and built once per
+    grid, serves every map. The sweep from a constant state with a constant
+    exit value stays constant, so phi at level n is
+    g_N + b_adj sum_(j < N-n) (g_(n+1+j) - g_N) K^j e_adj, and the exit
+    trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj. A map
+    replays the basis twice. ``sweeps`` evaluates fields only at level 0,
+    the last level and the snapshot levels: phi's from the same basis, psi's
+    from a basis started at u^1, and both exit traces on every level.
+    """
+
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
+        op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
+        self.operator = op
+        self.time_grid = time_grid
+        self.n_steps = time_grid.n_steps
+        adj = grid.exit_adjacent_index
+        start = np.zeros(grid.n_flat)
+        start[adj] = 1.0
+        op.balance_vertices(start, op.scratch()[2])
+        self.pins = _LanczosBasis(op, start, self.n_steps)
+        # a pinned value p adds lambda * p next to the exit, and nowhere else
+        self.b_adj = op.lam[adj - grid.n_vertices]
+
+    def _phi_levels(self, exit_series: np.ndarray, levels: list[int]) -> np.ndarray:
+        """phi at each of ``levels``, one flat state per row."""
+        excess = exit_series[1:] - exit_series[-1]
+        coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
+        rows = self.pins.combine(coefs * self.b_adj)
+        rows += exit_series[-1]
+        rows[:, self.operator.pinned[0]] = exit_series[levels]
+        return rows
+
+    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
+        """Level 0 of the backward sweep, as ``ModalStep.phi_initial``."""
+        return self._phi_levels(exit_series, [0])[0]
+
+    def _level_one(self, psi0: np.ndarray) -> np.ndarray:
+        op = self.operator
+        u1 = np.empty(op.grid.n_flat)
+        op.step(psi0, np.zeros(1), u1, op.scratch())
+        return u1
+
+    def _trace(self, psi0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+        trace = np.empty(self.n_steps + 1)
+        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
+        # |e_adj|_H = sqrt(h_adj)
+        trace[1:] = self.pins.series(self.pins.project(u1)) / self.pins.norm
+        return trace
+
+    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+        """Value next to the exit on every level of the forward sweep from
+        psi0 with the exit held at zero, as ``ModalStep.exit_adjacent_trace``."""
+        return self._trace(psi0, self._level_one(psi0))
+
+    def sweeps(self, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
+               record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
+        """Both sweeps of one candidate map at level 0, the last level and
+        ``snapshot_levels``, with both exit traces on every level. Every
+        level (``record_full``) is left to the sweeps."""
+        if record_full:
+            raise ValueError("LanczosStep evaluates chosen levels; sweep to record every level")
+        op, tg, n_steps = self.operator, self.time_grid, self.n_steps
+        levels = sorted({0, n_steps} | set(snapshot_levels))
+        phi = dict(zip(levels, self._phi_levels(exit_series, levels)))
+        psi0 = psi_initial(m0, GridField(op.grid, phi[0]))
+        u1 = self._level_one(psi0)
+        density = _LanczosBasis(op, u1, n_steps)
+        later = density.combine(density.powers([n - 1 for n in levels[1:]]))
+        psi = {0: psi0, **dict(zip(levels[1:], later))}
+
+        # phi next to the exit: g_N + b_adj sum_j (g_(n+1+j) - g_N) kernel_j,
+        # kernel_j = e_adj^T K^j e_adj = e_1^T T^j e_1
+        kernel = self.pins.series(np.eye(1, self.pins.m)[0])
+        excess = exit_series[1:] - exit_series[-1]
+        phi_adjacent = np.full(n_steps + 1, exit_series[-1])
+        phi_adjacent[:-1] += self.b_adj * np.correlate(excess, kernel, "full")[n_steps - 1:]
+        grid = op.grid
+        return (_captured(grid, tg, phi, snapshot_levels, phi_adjacent, exit_series),
+                _captured(grid, tg, psi, snapshot_levels, self._trace(psi0, u1),
+                          np.zeros(n_steps + 1)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .grid import (
     sample_density,
 )
 from .heat import (
+    KRYLOV_TOL,
     HeatSweep,
     ModalStep,
+    krylov_pays,
     modal_capture_pays,
     modal_pays,
     psi_initial,
@@ -38,6 +41,9 @@ from .heat import (
     solve_forward_psi,
 )
 from .network import NetworkTopology
+
+if TYPE_CHECKING:
+    from .lanczos import LanczosStep
 
 __all__ = [
     "CostSpec",
@@ -125,6 +131,7 @@ class DiscreteProblem:
     time_grid: TimeGrid
     m0: GridField  # normalized
     modal: ModalStep | None = field(default=None, repr=False)  # built by psi_map
+    krylov: LanczosStep | None = field(default=None, repr=False)  # built by psi_map
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -139,17 +146,17 @@ def cumulative_flow(psi, c_T, grid: SpatialGrid, time_grid: TimeGrid) -> np.ndar
 
     F(t_n) = (dt/h0) * sum_{k<=n} exp(c_T(t_k)) * psi_k(exit-adjacent node).
     ``psi`` may be a per-level array of exit-adjacent values or a sequence
-    of GridField levels; ``c_T`` a callable of time or a per-level array of
-    cost values.
+    of GridField levels; ``c_T`` a callable of time giving cost values, or
+    the per-level weights exp(c_T(t_n)) themselves (phi's exit series).
     """
     if isinstance(psi, np.ndarray):
         trace = psi
     else:
         idx = grid.exit_adjacent_index
         trace = np.array([f.data[idx] for f in psi])
-    values = c_T(time_grid.times) if callable(c_T) else np.asarray(c_T, dtype=float)
-    weights = np.exp(values[: len(trace)])
-    return np.cumsum(weights * trace) * (time_grid.dt / grid.exit_h)
+    weights = (np.exp(c_T(time_grid.times)) if callable(c_T)
+               else np.asarray(c_T, dtype=float))
+    return np.cumsum(weights[: len(trace)] * trace) * (time_grid.dt / grid.exit_h)
 
 
 def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
@@ -168,7 +175,8 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 @dataclass
 class PsiMapResult:
     """One evaluation of the candidate-time map, with the sweeps behind it
-    when fields were asked for (None otherwise on the modal path)."""
+    when fields were asked for (None otherwise on the modal and Lanczos
+    paths)."""
 
     t_input: float
     t_star: float
@@ -178,44 +186,77 @@ class PsiMapResult:
     psi: HeatSweep | None
 
 
+def _fast_step(problem: DiscreteProblem, fields: bool,
+               record_full: bool) -> ModalStep | LanczosStep | None:
+    """The problem's ModalStep or LanczosStep (built on first use) when it
+    pays on the grids for this evaluation; None to sweep."""
+    grid, time_grid = problem.grid, problem.time_grid
+    if modal_pays(grid, time_grid):
+        if fields and not modal_capture_pays(grid):
+            return None
+        if problem.modal is None:
+            problem.modal = ModalStep(grid, time_grid)
+        return problem.modal
+    if record_full or not krylov_pays(time_grid):
+        return None
+    if problem.krylov is None:
+        # imported here: every process compiles what it imports when no
+        # bytecode is cached, and only these grids need this module
+        from .lanczos import LanczosStep
+
+        problem.krylov = LanczosStep(grid, time_grid)
+    return problem.krylov
+
+
+def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
+    """Zero, in place, the negatives of a fast path's exit trace that lie
+    within its accuracy target of 0, relative to max(psi0), which bounds
+    every level of the forward sweep. The swept trace is >= 0 by the minimum
+    principle, so a larger negative is a failure."""
+    floor = -KRYLOV_TOL * float(np.abs(psi0).max())
+    if trace.min() < floor:
+        raise NumericalFailure(f"exit trace reaches {trace.min():.3g}, below {floor:.3g}")
+    trace[trace < 0] = 0.0
+
+
 def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
             record_full: bool = False) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
     Asking for fields (``snapshot_levels``, or ``record_full`` for every
-    level of phi; psi's levels are never kept whole) returns both sweeps
-    with their minimum over every level and node. When ``modal_pays`` on the
-    grids, the problem's ModalStep (built on first use) replaces the sweeps:
-    it yields only the exit traces when no field is asked for, and rebuilds
-    the fields when ``modal_capture_pays`` too; otherwise the grids are swept.
+    level of phi; psi's levels are never kept whole) returns both sweeps.
+    When ``modal_pays`` on the grids, the problem's ModalStep replaces the
+    sweeps: it yields only the exit traces when no field is asked for, and
+    rebuilds every level when ``modal_capture_pays`` too; otherwise the
+    grids are swept. Where ``modal_pays`` fails and ``krylov_pays`` holds,
+    the problem's LanczosStep does the same, evaluating fields only at level
+    0, the last level and the snapshot levels; ``record_full`` sweeps.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
         raise ValueError(f"candidate time {t_candidate} outside [{spec.cost.t0}, {spec.cost.t_max}]")
     grid, time_grid = problem.grid, problem.time_grid
-    c_T = lambda s: cost(s, t_candidate, spec.cost)  # noqa: E731
+    exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
     fields = bool(snapshot_levels or record_full)
 
-    if modal_pays(grid, time_grid) and (not fields or modal_capture_pays(grid)):
-        if problem.modal is None:
-            problem.modal = ModalStep(grid, time_grid)
-        exit_series = np.exp(np.asarray(c_T(time_grid.times), dtype=float))
-        if fields:
-            phi, psi = problem.modal.sweeps(exit_series, problem.m0, snapshot_levels,
-                                            record_full)
-            trace = psi.exit_adjacent
-        else:
-            phi0 = GridField(grid, problem.modal.phi_initial(exit_series))
-            trace = problem.modal.exit_adjacent_trace(psi_initial(problem.m0, phi0))
-            phi = psi = None
-    else:
-        phi = solve_backward_phi(grid, time_grid, c_T, snapshot_levels=snapshot_levels,
-                                 record_full=record_full, track_min=fields)
+    fast = _fast_step(problem, fields, record_full)
+    if fast is None:
+        phi = solve_backward_phi(grid, time_grid, exit_series, snapshot_levels=snapshot_levels,
+                                 record_full=record_full)
         psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
-                                snapshot_levels=snapshot_levels, track_min=fields)
+                                snapshot_levels=snapshot_levels)
         trace = psi.exit_adjacent
-    f_series = cumulative_flow(trace, c_T, grid, time_grid)
+    else:
+        if fields:
+            phi, psi = fast.sweeps(exit_series, problem.m0, snapshot_levels, record_full)
+            psi0, trace = psi.initial.data, psi.exit_adjacent
+        else:
+            psi0 = psi_initial(problem.m0, GridField(grid, fast.phi_initial(exit_series)))
+            trace = fast.exit_adjacent_trace(psi0)
+            phi = psi = None
+        _clip_rounding(trace, psi0)
+    f_series = cumulative_flow(trace, exit_series, grid, time_grid)
     if not np.isfinite(f_series[-1]):
         raise NumericalFailure("arrival distribution is not finite; the sweeps diverged")
     above = f_series > spec.theta
@@ -255,8 +296,6 @@ class EquilibriumResult:
     equilibrium_level: int
     residual_mass: float
     fields: dict[str, dict[int, GridField]]
-    min_phi: float
-    min_psi: float
     phi_exit_values: np.ndarray
     phi_exit_adjacent: np.ndarray
     psi_exit_adjacent: np.ndarray
@@ -281,8 +320,9 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
     the loop the last candidate is evaluated once more with fields, to
     capture them at the equilibrium level, at ``snapshot_levels`` and, with
     ``record_full``, phi at every level. On grids where ``psi_map`` takes
-    the modal path for fields this rebuilds them from the cached eigenbasis
-    without sweeping, and a converged capture's F is the last iteration's.
+    the modal or the Lanczos path for fields this evaluates them from the
+    cached eigenbasis or Lanczos basis without sweeping; on the modal path a
+    converged capture's F is the last iteration's to the last bit.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -337,7 +377,6 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
         capture_t_input=capture_input,
         f_series=cap.f_series, times=problem.time_grid.times,
         equilibrium_level=level, residual_mass=e_h, fields=fields,
-        min_phi=cap.phi.min_value, min_psi=cap.psi.min_value,
         phi_exit_values=cap.phi.exit_values,
         phi_exit_adjacent=cap.phi.exit_adjacent,
         psi_exit_adjacent=cap.psi.exit_adjacent,

@@ -30,6 +30,9 @@ DESK_FAST = {
 }
 
 
+DELETE = object()  # a parametrized value that removes the key
+
+
 def fast_config(tmp_path, **run_overrides):
     doc = json.loads(json.dumps(DESK_FAST))
     doc["run"]["out_dir"] = str(tmp_path / "out")
@@ -244,9 +247,23 @@ class TestCliEntry:
         ("run.agents", "x", ["--mode", "oracle"]),
         ("run.snapshots", "x", []),
         ("numerics.h_ladder", ["a"], ["--mode", "refine-study"]),
+        ("network.vertices.1.id", "x", []),
+        ("network.vertices.1.position", ["a", 0.0], []),
+        ("network.vertices.1.position", 3.0, []),
+        ("network.vertices.1", 5, []),
+        ("network.edges.0.tail", DELETE, []),
+        ("network.edges.0.head", "x", []),
+        ("network.edges.0.length", "long", []),
+        ("run.seed", 2.7, []),
+        ("run.snapshots", 1.5, []),
+        ("run.agents", 100.5, ["--mode", "oracle"]),
+        ("numerics.max_iters", 2.5, []),
     ], ids=["h_nan", "tol_nan", "t_max_inf", "h_ladder_nan", "dt_mc_negative",
             "dt_mc_nan", "c1_nan", "dt_mc_string", "seed_string", "agents_string",
-            "snapshots_string", "h_ladder_string"])
+            "snapshots_string", "h_ladder_string", "vertex_id_string",
+            "position_string", "position_scalar", "vertex_not_object", "edge_tail_missing", "edge_head_string",
+            "edge_length_string", "seed_fractional", "snapshots_fractional",
+            "agents_fractional", "max_iters_fractional"])
     def test_nonfinite_and_out_of_range_rejected_before_solving(
             self, tmp_path, capsys, field, value, flags):
         doc = fast_config(tmp_path)
@@ -254,12 +271,22 @@ class TestCliEntry:
             *sections, key = field.split(".")
             target = doc
             for name in sections:
-                target = target[name]
-            target[key] = value  # json.dumps writes NaN and Infinity literals
+                target = target[int(name)] if isinstance(target, list) else target[name]
+            if isinstance(target, list):
+                key = int(key)
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value  # json.dumps writes NaN and Infinity literals
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p), "--quiet", *flags]) == 2
-        assert "error" in json.loads(capsys.readouterr().err)
+        err = json.loads(capsys.readouterr().err)["error"]
+        if field and err["type"] == "ValidationError" and field.startswith(
+                ("network.", "run.", "numerics.max")):
+            # the error names the offending field, e.g. network.edges[].tail
+            parts = [name for name in field.split(".") if not name.isdigit()]
+            assert err["field"].replace("[]", "").split(".") == parts
         assert not (tmp_path / "out" / "f_series.csv").exists()
 
     def test_negative_tol_flag_exit_code(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import mfgnet as mn
 from mfgnet.errors import NonpositivePhi
+from mfgnet.heat import solve_backward_phi, solve_forward_psi
 from mfgnet.mfg import (
     CostSpec,
     cost,
@@ -281,9 +282,15 @@ class TestFixedPoint:
         assert abs(u0.data[0] - expected) <= 1e-14
 
     def test_minimum_principles_hold(self):
-        res = fixed_point(desk_problem())
-        assert res.min_phi >= 1.0 - 1e-12
-        assert res.min_psi >= -1e-14
+        """On the reference sweeps of the equilibrium's captured candidate."""
+        problem = discretize(desk_problem())
+        res = fixed_point(problem)
+        grid, tg = problem.grid, problem.time_grid
+        c_T = lambda s: cost(s, res.capture_t_input, problem.spec.cost)  # noqa: E731
+        phi = solve_backward_phi(grid, tg, c_T, track_min=True)
+        psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, track_min=True)
+        assert phi.min_value >= 1.0 - 1e-12
+        assert psi.min_value >= -1e-14
 
     def test_equilibrium_level_matches_t_star(self):
         res = fixed_point(desk_problem())

@@ -1,5 +1,7 @@
-"""The modal candidate map against the time-stepping sweeps it replaces."""
+"""The modal and Lanczos candidate maps against the time-stepping sweeps
+they replace."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,8 +10,9 @@ import pytest
 
 import mfgnet as mn
 from mfgnet import heat
+from mfgnet.errors import NumericalFailure
 from mfgnet.heat import StepOperator, modal_pays
-from mfgnet.mfg import cost, discretize, fixed_point, psi_map
+from mfgnet.mfg import _clip_rounding, cost, discretize, fixed_point, psi_map
 
 from conftest import bundled_text, random_tree_network
 from test_mfg import desk_problem
@@ -53,6 +56,12 @@ def problem(request):
 def _force_sweeps(mp):
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
     mp.setattr(heat, "MODAL_CAPTURE_COST_RATIO", 0.0)
+    mp.setattr(heat, "KRYLOV_COST_RATIO", 0.0)
+
+
+def _force_krylov(mp):
+    mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
+    mp.setattr(heat, "KRYLOV_COST_RATIO", np.inf)
 
 
 def _rel(a, b):
@@ -106,7 +115,6 @@ def test_modal_capture_matches_sweep(problem, monkeypatch):
         assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
         assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
         np.testing.assert_array_equal(m.exit_values, s.exit_values)
-        assert abs(m.min_value - s.min_value) <= 1e-10 * max(abs(s.min_value), 1.0)
     assert modal.psi.full is None and sweep.psi.full is None
 
 
@@ -187,11 +195,13 @@ def test_grid_over_capture_rule_sweeps_its_capture(monkeypatch):
     res = fixed_point(problem)
     assert problem.modal is not None
     assert len(sweeps) == 2  # the capture only; every map was modal
-    assert np.isfinite(res.min_phi) and np.isfinite(res.min_psi)
+    assert all(np.isfinite(f.data).all() for by_level in res.fields.values()
+               for f in by_level.values())
 
 
-def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
-    side = 6
+def _lattice(side, h, t_max, chords=()):
+    """A side x side street lattice of unit edges plus ``chords``, with a
+    leaf of length 0.5 to the exit."""
     vertices = [(i * side + j, (float(j), float(i))) for i in range(side) for j in range(side)]
     edges = []
     for i in range(side):
@@ -200,15 +210,141 @@ def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
                 edges.append((len(edges), i * side + j, i * side + j + 1, 1.0))
             if i + 1 < side:
                 edges.append((len(edges), i * side + j, (i + 1) * side + j, 1.0))
+    for a, b in chords:
+        edges.append((len(edges), a, b, float(np.hypot(*np.subtract(vertices[a][1], vertices[b][1])))))
     vertices.append((side * side, (0.5, 0.5)))
     edges.append((len(edges), side * side, 0, 0.5))
     topo = mn.build_network(vertices, edges, side * side)
-    spec = mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.02, 0.1, 0.1, 0.0, 0.1),
+    return mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.02, t_max, 0.1, 0.0, 0.1),
                           theta=0.01, m0=lambda p: np.exp(-(p**2).sum(axis=1)),
-                          h_target=0.05)
+                          h_target=h)
+
+
+KRYLOV_INSTANCES = {
+    "lattice6": lambda: _lattice(6, 0.05, 0.1),
+    "lattice4_chords": lambda: _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]),
+    **{f"tree{k}": (lambda k=k: _random_tree(k)) for k in range(4)},
+}
+
+
+@pytest.fixture(params=list(KRYLOV_INSTANCES), scope="module")
+def krylov_problem(request):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        problem = discretize(spec)
+        return discretize(KRYLOV_INSTANCES[request.param]())
+
+
+def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
+    problem, spec = krylov_problem, krylov_problem.spec
+    t0, t_max = spec.cost.t0, spec.cost.t_max
+    for t in (t0, 0.5 * (t0 + t_max), t_max):
+        with monkeypatch.context() as mp:
+            _force_krylov(mp)
+            krylov = psi_map(t, problem)
+        with monkeypatch.context() as mp:
+            _force_sweeps(mp)
+            sweep = psi_map(t, problem, snapshot_levels={0})
+        assert krylov.phi is None and problem.krylov is not None
+        assert krylov.t_star == sweep.t_star
+        assert krylov.crossing_level == sweep.crossing_level
+        assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
+        assert (np.diff(krylov.f_series) >= 0).all()
+
+        exit_series = np.exp(cost(problem.time_grid.times, t, spec.cost))
+        assert _rel(problem.krylov.phi_initial(exit_series), sweep.phi.initial.data) <= 1e-10
+
+
+def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
+    """Fields at the requested levels and both exit traces on every level,
+    evaluated from Lanczos bases, against the time-stepping sweeps."""
+    problem, spec = krylov_problem, krylov_problem.spec
+    n_steps = problem.time_grid.n_steps
+    levels = {0, 1, 7, n_steps // 2, n_steps}
+    t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
+    with monkeypatch.context() as mp:
+        _force_krylov(mp)
+        krylov = psi_map(t, problem, snapshot_levels=levels)
+    with monkeypatch.context() as mp:
+        _force_sweeps(mp)
+        sweep = psi_map(t, problem, snapshot_levels=levels)
+
+    assert krylov.t_star == sweep.t_star
+    assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
+    assert (np.diff(krylov.f_series) >= 0).all()
+    for name in ("phi", "psi"):
+        k, s = getattr(krylov, name), getattr(sweep, name)
+        assert k.snapshots.keys() == s.snapshots.keys() == levels
+        for n in levels:
+            assert _rel(k.level(n).data, s.level(n).data) <= 1e-9
+            assert k.level(n).time_label == s.level(n).time_label
+        assert _rel(k.initial.data, s.initial.data) <= 1e-9
+        assert _rel(k.terminal.data, s.terminal.data) <= 1e-9
+        assert _rel(k.exit_adjacent, s.exit_adjacent) <= 1e-9
+        np.testing.assert_array_equal(k.exit_values, s.exit_values)
+        assert k.full is None
+
+
+def test_fixed_point_krylov_same_as_sweep(monkeypatch):
+    spec = _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        krylov_problem, sweep_problem = discretize(spec), discretize(spec)
+    with monkeypatch.context() as mp:
+        _force_krylov(mp)
+        mp.setattr(heat, "_run_sweep", lambda *a, **kw: pytest.fail("swept on the Lanczos path"))
+        krylov = fixed_point(krylov_problem, snapshot_levels={5})
+    with monkeypatch.context() as mp:
+        _force_sweeps(mp)
+        sweep = fixed_point(sweep_problem, snapshot_levels={5})
+    assert krylov_problem.krylov is not None and krylov_problem.modal is None
+    assert sweep_problem.krylov is None and sweep_problem.modal is None
+
+    assert krylov.iterates == sweep.iterates
+    assert krylov.t_star == sweep.t_star
+    assert krylov.equilibrium_level == sweep.equilibrium_level
+    assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
+    assert _rel(krylov.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-9
+    assert _rel(krylov.phi_exit_adjacent, sweep.phi_exit_adjacent) <= 1e-9
+    for name in ("phi", "psi", "u", "m"):
+        assert krylov.fields[name].keys() == sweep.fields[name].keys()
+        for n in krylov.fields[name]:
+            assert _rel(krylov.fields[name][n].data, sweep.fields[name][n].data) <= 1e-9
+
+
+def test_krylov_holds_no_basis(monkeypatch):
+    """A Lanczos map, its basis build and a capture each stay far below the
+    memory of the m x n_int basis they use."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(6, 0.05, 0.5))
+    _force_krylov(monkeypatch)
+    tracemalloc.start()
+    try:
+        for levels in ((), (), {0, 100, 400}):
+            tracemalloc.reset_peak()
+            psi_map(0.3, problem, snapshot_levels=levels)
+            peak = tracemalloc.get_traced_memory()[1]
+            basis = problem.krylov.pins.m * problem.krylov.operator.n_interior * 8
+            assert peak < basis, (levels, peak, basis)
+    finally:
+        tracemalloc.stop()
+
+
+def test_negative_rounding_in_a_fast_trace():
+    psi0 = np.array([0.0, 3.0, -0.5])
+    trace = np.array([0.0, -1e-14, 2e-9, 1.0])
+    _clip_rounding(trace, psi0)
+    np.testing.assert_array_equal(trace, [0.0, 0.0, 2e-9, 1.0])
+    with pytest.raises(NumericalFailure):
+        _clip_rounding(np.array([0.0, -1e-9, 2.0]), psi0)
+
+
+def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
+    """Over the eigh cutoff neither the sweeps nor the Lanczos bases make
+    an eigh."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(6, 0.05, 0.1))
     assert not modal_pays(problem.grid, problem.time_grid)
 
     def no_eigh(a):
@@ -216,7 +352,10 @@ def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     res = psi_map(0.05, problem)
-    assert res.phi is not None and problem.modal is None
+    assert res.phi is not None and problem.modal is None  # too few steps to pay
+    monkeypatch.setattr(heat, "KRYLOV_COST_RATIO", np.inf)
+    res = psi_map(0.05, problem, snapshot_levels={3})
+    assert res.phi is not None and problem.krylov is not None and problem.modal is None
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
