@@ -7,7 +7,8 @@ problem parameters, the numeric parameters and run settings. Three modes:
 particle simulator; ``refine-study`` repeats the solve over a ladder of
 spatial steps and tabulates the diagnostics.
 
-Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 no convergence.
+Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
+large for the network), 3 numerical failure, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
     StepTooCoarse,
+    StepTooLarge,
     ValidationError,
     ZeroMass,
 )
@@ -96,8 +99,8 @@ def _build_density(m0: dict):
     if kind == "abs":
         return lambda pts: np.linalg.norm(pts, axis=1)
     if kind == "bumps":
-        centers = np.asarray(_get(m0, "centers", "problem.m0", list), dtype=float)
-        radii = np.asarray(_get(m0, "radii", "problem.m0", list), dtype=float)
+        centers = _floats(m0, "centers", "problem.m0")
+        radii = _floats(m0, "radii", "problem.m0")
         if centers.ndim != 2 or centers.shape[1] != 2 or len(radii) != len(centers):
             raise ValidationError("problem.m0", "need n centers of dim 2 and n radii")
 
@@ -106,21 +109,23 @@ def _build_density(m0: dict):
             return np.maximum(radii**2 - d2, 0.0).sum(axis=1)
         return bumps
     if kind == "hat":
-        center = np.asarray(_get(m0, "center", "problem.m0", list), dtype=float)
+        center = _floats(m0, "center", "problem.m0")
+        if center.shape != (2,):
+            raise ValidationError("problem.m0.center", "expected [x, y]")
         width = float(_get(m0, "width", "problem.m0", (int, float)))
         if width <= 0:
             raise ValidationError("problem.m0.width", "must be positive")
         return lambda pts: np.maximum(1.0 - np.linalg.norm(pts - center, axis=1) / width, 0.0)
     if kind == "tabulated":
         tables = {}
+        path = "problem.m0.edges[]"
         for row in _get(m0, "edges", "problem.m0", list):
-            _check_keys(row, {"edge", "arclength", "values"}, "problem.m0.edges[]")
-            xs = np.asarray(row["arclength"], dtype=float)
-            vs = np.asarray(row["values"], dtype=float)
-            if len(xs) != len(vs) or len(xs) < 2 or (np.diff(xs) <= 0).any():
-                raise ValidationError("problem.m0.edges[]",
-                                      "arclength must be increasing and match values")
-            tables[int(row["edge"])] = (xs, vs)
+            _check_keys(row, {"edge", "arclength", "values"}, path)
+            xs = _floats(row, "arclength", path)
+            vs = _floats(row, "values", path)
+            if xs.ndim != 1 or xs.shape != vs.shape or len(xs) < 2 or (np.diff(xs) <= 0).any():
+                raise ValidationError(path, "arclength must be increasing and match values")
+            tables[_integer(_get(row, "edge", path), f"{path}.edge")] = (xs, vs)
         return TabulatedDensity(tables)
     raise ValidationError("problem.m0.kind", f"unknown density kind {kind!r}")
 
@@ -131,6 +136,12 @@ def _number(value, kind, path: str):
         return kind(value)
     except (TypeError, ValueError) as err:
         raise ValidationError(path, f"expected a number, got {value!r}") from err
+
+
+def _floats(section: dict, key: str, path: str) -> np.ndarray:
+    """The list ``section[key]`` as a float array, or a ValidationError."""
+    return _number(_get(section, key, path, list), partial(np.asarray, dtype=float),
+                   f"{path}.{key}")
 
 
 def _integer(value, path: str) -> int:
@@ -441,7 +452,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
         except OSError:
             pass
-        if isinstance(err, (ParseError, ValidationError, StepTooCoarse)):
+        if isinstance(err, (ParseError, ValidationError, StepTooCoarse, StepTooLarge)):
             return 2
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3

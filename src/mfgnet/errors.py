@@ -52,6 +52,10 @@ class NumericalFailure(MFGNetError):
     """Non-finite values appeared in the solution."""
 
 
+class StepTooLarge(MFGNetError):
+    """A particle step crossed too many vertices: the time step dt is too large."""
+
+
 # --- configuration -----------------------------------------------------------
 
 class ParseError(MFGNetError):

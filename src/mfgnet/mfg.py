@@ -399,10 +399,7 @@ class DriftSeries:
         self.grid = grid
         self.values = values  # (n_levels, n_edge_nodes)
         self.dt = dt
-        counts = grid.n_cells + 1
-        self.node_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.edge_h = grid.h
-        self.edge_cells = grid.n_cells
+        self.node_offsets = np.concatenate([[0], np.cumsum(grid.n_cells + 1)])
 
     @property
     def n_levels(self) -> int:
@@ -417,14 +414,22 @@ class DriftSeries:
         sl = slice(self.node_offsets[edge_id], self.node_offsets[edge_id + 1])
         return self.values[level, sl]
 
-    def eval(self, edge_ids: np.ndarray, ys: np.ndarray, level: int) -> np.ndarray:
-        """Linear interpolation along each agent's edge at one time level."""
-        h = self.edge_h[edge_ids]
-        k = np.clip((ys / h).astype(int), 0, self.edge_cells[edge_ids] - 1)
-        frac = ys / h - k
-        base = self.node_offsets[edge_ids] + k
+    def edge_constants(self, edge_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-agent step, last cell index and first node offset of each
+        agent's edge, as ``eval`` takes them."""
+        return self.grid.h[edge_ids], self.grid.n_cells[edge_ids] - 1, self.node_offsets[edge_ids]
+
+    def eval(self, level: int, ys: np.ndarray, h: np.ndarray, last_cell: np.ndarray,
+             offset: np.ndarray) -> np.ndarray:
+        """Linear interpolation along each agent's edge at one time level;
+        ``ys`` are arclengths in [0, edge length], the other arrays come
+        from ``edge_constants``."""
+        frac = ys / h
+        k = np.minimum(frac.astype(int), last_cell)
+        frac -= k
+        base = offset + k
         row = self.values[level]
-        return (1.0 - frac) * row[base] + frac * row[base + 1]
+        return (1.0 - frac) * row.take(base) + frac * row[1:].take(base)
 
 
 def _derivative_plan(grid: SpatialGrid):

@@ -18,11 +18,11 @@ exp(-2*d0*d1 / (sigma^2 dt)), which removes the leading-order bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ZeroMass
+from .errors import StepTooLarge, ZeroMass
 from .grid import GridField, SpatialGrid
 from .network import NetworkTopology
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MAX_CROSSINGS_PER_STEP = 1000
+_BRIDGE_EXP_FLOOR = -40.0  # exp(-40) ~ 4.2e-18 < 2**-53
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,13 @@ class _TopologyTables:
         self.tail = np.array([e.tail for e in topology.edges])
         self.head = np.array([e.head for e in topology.edges])
         self.length = np.array([e.length for e in topology.edges])
-        self.degree = np.array([topology.degree(v.id) for v in topology.vertices])
         flat, off = [], [0]
         for v in topology.vertices:
             flat.extend(topology.incident[v.id])
             off.append(len(flat))
         self.inc_flat = np.asarray(flat, dtype=int)
         self.inc_off = np.asarray(off, dtype=int)
+        self.degree = np.diff(self.inc_off)
         self.exit_vertex = topology.exit_vertex
 
 
@@ -86,29 +87,43 @@ def _route_batch(tables: _TopologyTables, vertices: np.ndarray, overshoot: np.nd
     return new_edges, new_ys
 
 
-def _resolve_crossings(tables, edges, ys, rng):
+def _resolve_crossings(tables, edges, ys, lengths, rng):
     """Bounce agents through vertices until every coordinate is inside its
-    edge; returns a mask of agents absorbed at the exit."""
+    edge, updating ``edges``, ``ys`` and ``lengths`` in place. Returns the
+    exit-absorbed mask and the indices of agents routed onto another edge."""
     absorbed = np.zeros(len(edges), dtype=bool)
+    routed = [np.empty(0, dtype=int)]
+    moving = np.flatnonzero((ys < 0.0) | (ys > lengths))
     for _ in range(_MAX_CROSSINGS_PER_STEP):
-        below = ys < 0.0
-        above = ys > tables.length[edges]
-        moving = np.flatnonzero((below | above) & ~absorbed)
         if len(moving) == 0:
-            return absorbed
-        at_tail = below[moving]
-        verts = np.where(at_tail, tables.tail[edges[moving]], tables.head[edges[moving]])
-        over = np.where(at_tail, -ys[moving], ys[moving] - tables.length[edges[moving]])
+            return absorbed, np.concatenate(routed)
+        y, e = ys[moving], edges[moving]
+        at_tail = y < 0.0
+        verts = np.where(at_tail, tables.tail[e], tables.head[e])
+        over = np.where(at_tail, -y, y - lengths[moving])
         hit_exit = verts == tables.exit_vertex
         absorbed[moving[hit_exit]] = True
-        ys[moving[hit_exit]] = 0.0
         go = moving[~hit_exit]
-        if len(go):
-            new_e, new_y = _route_batch(tables, verts[~hit_exit], over[~hit_exit], rng)
-            edges[go] = new_e
-            ys[go] = new_y
-    raise RuntimeError("agent crossed vertices more than "
-                       f"{_MAX_CROSSINGS_PER_STEP} times in one step; dt is far too large")
+        new_e, new_y = _route_batch(tables, verts[~hit_exit], over[~hit_exit], rng)
+        edges[go], ys[go], lengths[go] = new_e, new_y, tables.length[new_e]
+        routed.append(go)
+        # only an agent routed in this round can still be outside its edge
+        moving = go[(new_y < 0.0) | (new_y > lengths[go])]
+    raise StepTooLarge(f"an agent crossed vertices more than {_MAX_CROSSINGS_PER_STEP} "
+                       "times in one step; the particle time step dt is far too large")
+
+
+def _bridge_hits(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u < exp(x)`` for uniform draws u, without exp's slow underflow path.
+
+    ``rng.random`` returns multiples of 2**-53 > exp(_BRIDGE_EXP_FLOOR), so
+    flooring x decides every draw u > 0 exactly; only u == 0 needs exp(x).
+    """
+    hit = u < np.exp(np.maximum(x, _BRIDGE_EXP_FLOOR))
+    if not u.all():
+        zero = u == 0.0
+        hit[zero] = np.exp(x[zero]) > 0.0
+    return hit
 
 
 def simulate_agents(topology: NetworkTopology, config: SimConfig,
@@ -116,51 +131,59 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     """Arrival time per agent; NaN where censored at the horizon.
 
     Starting exactly on the exit vertex counts as arrival at time zero.
+    Start coordinates must be nonnegative (an arclength along the edge).
     """
     tables = _TopologyTables(topology)
     rng = np.random.default_rng(config.seed)
-    edges = np.asarray(start_edges, dtype=int).copy()
-    ys = np.asarray(start_ys, dtype=float).copy()
-    n = len(edges)
-    arrival = np.full(n, np.nan)
+    edges = np.asarray(start_edges, dtype=int)
+    ys = np.asarray(start_ys, dtype=float)
+    if not (ys >= 0.0).all():
+        raise ValueError("start coordinates must be nonnegative arclengths")
+    arrival = np.full(len(edges), np.nan)
 
     exit_edge = topology.exit_edge
+    exit_from_tail = exit_edge.tail == topology.exit_vertex
     on_exit = (edges == exit_edge.id) & (
-        (ys <= 0.0) if exit_edge.tail == topology.exit_vertex else (ys >= exit_edge.length))
+        (ys <= 0.0) if exit_from_tail else (ys >= exit_edge.length))
     arrival[on_exit] = 0.0
 
     drift = config.drift
     noise_scale = config.sigma * math.sqrt(config.dt)
     n_steps = math.ceil(config.t_max / config.dt)
     bridge_scale = -2.0 / (config.sigma**2 * config.dt)
-    exit_from_tail = exit_edge.tail == topology.exit_vertex
 
+    # the active agents, compacted in their original order so every draw
+    # lands on the same agent: index, edge, coordinate, edge length and the
+    # drift's per-edge constants, refreshed only when an agent changes edge
+    idx = np.flatnonzero(~on_exit)
+    e, y = edges[idx], ys[idx]
+    state = [idx, e, y, tables.length[e], *(() if drift is None else drift.edge_constants(e))]
     for step in range(n_steps):
-        active = np.flatnonzero(np.isnan(arrival))
-        if len(active) == 0:
+        idx, e, y, lengths, *consts = state
+        if len(idx) == 0:
             break
         t = step * config.dt
-        e = edges[active]
-        y = ys[active]
-        on_exit_before = e == exit_edge.id
-        d_before = np.where(on_exit_before,
-                            y if exit_from_tail else exit_edge.length - y, np.inf)
+        on_exit_before = np.flatnonzero(e == exit_edge.id)
+        d_before = y[on_exit_before] if exit_from_tail else exit_edge.length - y[on_exit_before]
         if drift is not None:
-            a = drift.eval(e, y, drift.level_at(t))
-            y = y + a * config.dt
-        y = y + noise_scale * rng.standard_normal(len(active))
-        absorbed = _resolve_crossings(tables, e, y, rng)
+            y += drift.eval(drift.level_at(t), y, *consts) * config.dt
+        y += noise_scale * rng.standard_normal(len(idx))
+        absorbed, routed = _resolve_crossings(tables, e, y, lengths, rng)
+        if consts and len(routed):
+            for c, fresh in zip(consts, drift.edge_constants(e[routed])):
+                c[routed] = fresh
         # Brownian-bridge test: a path that stayed on the exit edge may have
         # touched the exit between the endpoints of the step
-        candidates = np.flatnonzero(on_exit_before & (e == exit_edge.id) & ~absorbed)
+        stayed = (e[on_exit_before] == exit_edge.id) & ~absorbed[on_exit_before]
+        candidates = on_exit_before[stayed]
         if len(candidates):
             d_after = y[candidates] if exit_from_tail else exit_edge.length - y[candidates]
-            p_cross = np.exp(bridge_scale * d_before[candidates] * d_after)
-            hit = rng.random(len(candidates)) < p_cross
-            absorbed[candidates[hit]] = True
-        edges[active] = e
-        ys[active] = y
-        arrival[active[absorbed]] = min(t + config.dt, config.t_max)
+            x = bridge_scale * d_before[stayed] * d_after
+            absorbed[candidates[_bridge_hits(x, rng.random(len(candidates)))]] = True
+        if absorbed.any():
+            arrival[idx[absorbed]] = min(t + config.dt, config.t_max)
+            keep = ~absorbed
+            state = [col[keep] for col in state]
     return arrival
 
 
@@ -218,10 +241,7 @@ def estimate_arrival_cdf(topology: NetworkTopology, config: SimConfig,
     # hand the generator's current state to the dynamics by reseeding a
     # child stream, so sampling and stepping stay decoupled but reproducible
     child_seed = int(rng.integers(0, 2**63 - 1))
-    arrivals = simulate_agents(topology, SimConfig(
-        n_agents=config.n_agents, dt=config.dt, t_max=config.t_max,
-        seed=child_seed, sigma=config.sigma, drift=config.drift),
-        edges, ys)
+    arrivals = simulate_agents(topology, replace(config, seed=child_seed), edges, ys)
 
     finite = np.sort(arrivals[~np.isnan(arrivals)])
     fraction = np.searchsorted(finite, eval_times, side="right") / config.n_agents

@@ -289,6 +289,40 @@ class TestCliEntry:
             assert err["field"].replace("[]", "").split(".") == parts
         assert not (tmp_path / "out" / "f_series.csv").exists()
 
+    @pytest.mark.parametrize("m0, field", [
+        ({"kind": "bumps", "centers": [["a", 0]], "radii": [0.3]}, "problem.m0.centers"),
+        ({"kind": "hat", "center": ["a", 0], "width": 0.5}, "problem.m0.center"),
+        ({"kind": "tabulated", "edges": [{"edge": 0, "values": [0.0, 1.0, 0.0]}]},
+         "problem.m0.edges[].arclength"),
+    ], ids=["bumps_center_string", "hat_center_string", "tabulated_arclength_missing"])
+    def test_bad_density_names_field(self, tmp_path, capsys, m0, field):
+        doc = fast_config(tmp_path)
+        doc["problem"]["m0"] = m0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["field"] == field
+
+    def test_particle_step_too_large_exit_code(self, tmp_path, capsys):
+        """A dt_mc so large that one step bounces an agent through more
+        vertices than the per-step limit is a config error, not a crash."""
+        n = 40
+        doc = fast_config(tmp_path, mode="oracle", agents=50, dt_mc=1e6)
+        doc["network"] = {
+            "vertices": [{"id": i, "position": [float(i), 0.0]} for i in range(n + 1)],
+            "edges": [{"id": i, "tail": i, "head": i + 1, "length": 1.0} for i in range(n)],
+            "exit_vertex": 0}
+        doc["problem"]["m0"] = {"kind": "hat", "center": [30.0, 0.0], "width": 5.0}
+        doc["numerics"]["h_target"] = 0.5
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "StepTooLarge"
+        assert "dt" in err["message"]
+
     def test_negative_tol_flag_exit_code(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(fast_config(tmp_path)))

@@ -191,7 +191,7 @@ class TestDrift:
         g = mn.build_grid(single_edge, 0.25)
         u = mn.sample_function(g, lambda p: p[:, 0])
         d = drift_from_matrix(g, np.stack([u.data] * 4), dt=0.1)
-        vals = d.eval(np.array([0, 0]), np.array([0.1, 0.6]), 0)
+        vals = d.eval(0, np.array([0.1, 0.6]), *d.edge_constants(np.array([0, 0])))
         np.testing.assert_allclose(vals, -1.0)
         assert d.level_at(0.25) == 2
         assert d.level_at(9.9) == 3  # clamped to the last level

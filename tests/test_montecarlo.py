@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet.errors import ZeroMass
+from mfgnet.errors import StepTooLarge, ZeroMass
+from mfgnet.mfg import density_drift
 from mfgnet.montecarlo import (
     SimConfig,
+    _bridge_hits,
     _route_batch,
     _TopologyTables,
     dkw_epsilon,
@@ -33,6 +37,12 @@ class TestSingleAgent:
         cfg = SimConfig(n_agents=1, dt=1e-4, t_max=2e-3, seed=1)
         out = simulate_agents(single_edge, cfg, np.zeros(200, dtype=int), np.full(200, 0.95))
         assert np.isnan(out).all()
+
+    def test_negative_or_nan_start_rejected(self, single_edge):
+        cfg = SimConfig(n_agents=2, dt=1e-3, t_max=1.0, seed=0)
+        for bad in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                simulate_agents(single_edge, cfg, np.zeros(2, dtype=int), np.array([0.5, bad]))
 
     def test_deterministic_replay(self, three_star):
         cfg = SimConfig(n_agents=500, dt=1e-3, t_max=2.0, seed=42)
@@ -174,3 +184,186 @@ class TestEstimateCdf:
             dists.append(np.abs(frac - ref).max())
         assert dists[2] < dists[0]
         assert dists[1] < 1.2 * dists[0]
+
+
+def _reference_drift_eval(drift, edge_ids, ys, level):
+    h = drift.grid.h[edge_ids]
+    k = np.clip((ys / h).astype(int), 0, drift.grid.n_cells[edge_ids] - 1)
+    frac = ys / h - k
+    base = drift.node_offsets[edge_ids] + k
+    row = drift.values[level]
+    return (1.0 - frac) * row[base] + frac * row[base + 1]
+
+
+def _reference_resolve_crossings(tables, edges, ys, rng):
+    absorbed = np.zeros(len(edges), dtype=bool)
+    for _ in range(1000):
+        below = ys < 0.0
+        above = ys > tables.length[edges]
+        moving = np.flatnonzero((below | above) & ~absorbed)
+        if len(moving) == 0:
+            return absorbed
+        at_tail = below[moving]
+        verts = np.where(at_tail, tables.tail[edges[moving]], tables.head[edges[moving]])
+        over = np.where(at_tail, -ys[moving], ys[moving] - tables.length[edges[moving]])
+        hit_exit = verts == tables.exit_vertex
+        absorbed[moving[hit_exit]] = True
+        ys[moving[hit_exit]] = 0.0
+        go = moving[~hit_exit]
+        if len(go):
+            new_e, new_y = _route_batch(tables, verts[~hit_exit], over[~hit_exit], rng)
+            edges[go] = new_e
+            ys[go] = new_y
+    raise RuntimeError("too many crossings")
+
+
+def _reference_simulate_agents(topology, config, start_edges, start_ys):
+    """The particle loop as first written: every step gathers the active
+    agents from the full arrays and scatters them back."""
+    tables = _TopologyTables(topology)
+    rng = np.random.default_rng(config.seed)
+    edges = np.asarray(start_edges, dtype=int).copy()
+    ys = np.asarray(start_ys, dtype=float).copy()
+    arrival = np.full(len(edges), np.nan)
+
+    exit_edge = topology.exit_edge
+    on_exit = (edges == exit_edge.id) & (
+        (ys <= 0.0) if exit_edge.tail == topology.exit_vertex else (ys >= exit_edge.length))
+    arrival[on_exit] = 0.0
+
+    drift = config.drift
+    noise_scale = config.sigma * math.sqrt(config.dt)
+    n_steps = math.ceil(config.t_max / config.dt)
+    bridge_scale = -2.0 / (config.sigma**2 * config.dt)
+    exit_from_tail = exit_edge.tail == topology.exit_vertex
+
+    for step in range(n_steps):
+        active = np.flatnonzero(np.isnan(arrival))
+        if len(active) == 0:
+            break
+        t = step * config.dt
+        e = edges[active]
+        y = ys[active]
+        on_exit_before = e == exit_edge.id
+        d_before = np.where(on_exit_before,
+                            y if exit_from_tail else exit_edge.length - y, np.inf)
+        if drift is not None:
+            a = _reference_drift_eval(drift, e, y, drift.level_at(t))
+            y = y + a * config.dt
+        y = y + noise_scale * rng.standard_normal(len(active))
+        absorbed = _reference_resolve_crossings(tables, e, y, rng)
+        candidates = np.flatnonzero(on_exit_before & (e == exit_edge.id) & ~absorbed)
+        if len(candidates):
+            d_after = y[candidates] if exit_from_tail else exit_edge.length - y[candidates]
+            p_cross = np.exp(bridge_scale * d_before[candidates] * d_after)
+            hit = rng.random(len(candidates)) < p_cross
+            absorbed[candidates[hit]] = True
+        edges[active] = e
+        ys[active] = y
+        arrival[active[absorbed]] = min(t + config.dt, config.t_max)
+    return arrival
+
+
+def _smooth_drift(topology, h, n_levels, dt):
+    """A density drift from a positive phi history that varies along every
+    edge and in time."""
+    grid = mn.build_grid(topology, h)
+    x = np.arange(grid.n_flat) / grid.n_flat
+    levels = np.arange(n_levels)[:, None] / n_levels
+    phi = np.exp(np.sin(7.0 * x[None, :] + 3.0 * levels) + 2.0 * x[None, :] * levels)
+    return density_drift(grid, phi, dt)
+
+
+def _head_exit_edge():
+    """Unit edge whose exit is its head."""
+    return mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 1, 0, 1.0)], 0)
+
+
+class TestAgainstReferenceLoop:
+    """The compacted loop must reproduce the original loop bit for bit:
+    same draws, same order, same arithmetic for every arrival."""
+
+    def assert_same(self, topology, config, edges, ys):
+        got = simulate_agents(topology, config, edges, ys)
+        want = _reference_simulate_agents(topology, config, edges, ys)
+        assert np.array_equal(got, want, equal_nan=True)
+        return got
+
+    def test_single_edge_with_density_drift(self, single_edge):
+        n = 2000
+        drift = _smooth_drift(single_edge, 0.05, 41, 0.05)
+        ys = np.random.default_rng(1).random(n)
+        for dt in (1e-3, 4e-3):
+            cfg = SimConfig(n_agents=n, dt=dt, t_max=2.0, seed=3, drift=drift)
+            arr = self.assert_same(single_edge, cfg, np.zeros(n, dtype=int), ys)
+            assert np.isfinite(arr).mean() > 0.5
+
+    def test_three_star_routing(self, three_star):
+        n = 1500
+        rng = np.random.default_rng(2)
+        edges, ys = rng.integers(0, 3, n), rng.random(n)
+        cfg = SimConfig(n_agents=n, dt=2e-3, t_max=3.0, seed=4)
+        self.assert_same(three_star, cfg, edges, ys)
+
+    def test_three_star_with_drift(self, three_star):
+        n = 1000
+        rng = np.random.default_rng(5)
+        edges, ys = rng.integers(0, 3, n), rng.random(n)
+        drift = _smooth_drift(three_star, 0.1, 21, 0.1)
+        cfg = SimConfig(n_agents=n, dt=2e-3, t_max=2.0, seed=6, drift=drift)
+        self.assert_same(three_star, cfg, edges, ys)
+
+    def test_example1_edges_of_different_lengths(self, example1_config):
+        topo = example1_config.spec.topology
+        n = 1000
+        rng = np.random.default_rng(12)
+        edges = rng.integers(0, topo.n_edges, n)
+        ys = rng.random(n) * np.array([e.length for e in topo.edges])[edges]
+        drift = _smooth_drift(topo, 0.1, 21, 0.25)
+        for dt, d in ((2e-3, drift), (5e-3, drift), (5e-3, None)):
+            cfg = SimConfig(n_agents=n, dt=dt, t_max=5.0, seed=13, drift=d)
+            self.assert_same(topo, cfg, edges, ys)
+
+    def test_exit_at_edge_head(self):
+        topo = _head_exit_edge()
+        n = 1500
+        drift = _smooth_drift(topo, 0.05, 11, 0.2)
+        ys = np.random.default_rng(7).random(n)
+        for d in (None, drift):
+            cfg = SimConfig(n_agents=n, dt=1e-3, t_max=2.0, seed=8, drift=d)
+            arr = self.assert_same(topo, cfg, np.zeros(n, dtype=int), ys)
+            assert np.isfinite(arr).mean() > 0.5
+
+    def test_agents_starting_on_the_exit(self, single_edge):
+        ys = np.array([0.0, 0.3, 0.0, 0.9, 0.5])
+        cfg = SimConfig(n_agents=5, dt=1e-3, t_max=1.0, seed=9)
+        arr = self.assert_same(single_edge, cfg, np.zeros(5, dtype=int), ys)
+        assert arr[0] == arr[2] == 0.0
+        head = _head_exit_edge()
+        arr = self.assert_same(head, cfg, np.zeros(5, dtype=int), 1.0 - ys)
+        assert arr[0] == arr[2] == 0.0
+
+    def test_censored_at_horizon(self, three_star):
+        n = 800
+        rng = np.random.default_rng(10)
+        edges, ys = rng.integers(0, 3, n), rng.random(n)
+        cfg = SimConfig(n_agents=n, dt=1e-3, t_max=0.1, seed=11)
+        arr = self.assert_same(three_star, cfg, edges, ys)
+        assert 0 < np.isnan(arr).sum() < n
+        assert np.nanmax(arr) <= 0.1
+
+
+def test_bridge_decision_matches_plain_exp():
+    xs = np.array([0.0, -1.0, -40.0, -41.0, -708.0, -720.0, -745.0, -745.2, -746.0, -1e4])
+    us = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    x, u = (a.ravel() for a in np.meshgrid(xs, us))
+    np.testing.assert_array_equal(_bridge_hits(x, u), u < np.exp(x))
+
+
+def test_crossing_limit_raises_typed_error():
+    n = 40
+    topo = mn.build_network([(i, (float(i), 0.0)) for i in range(n + 1)],
+                            [(i, i, i + 1, 1.0) for i in range(n)], 0)
+    cfg = SimConfig(n_agents=50, dt=1e6, t_max=4.0, seed=7)
+    with pytest.raises(StepTooLarge, match="dt"):
+        simulate_agents(topo, cfg, np.full(50, 30), np.full(50, 0.5))
