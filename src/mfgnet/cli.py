@@ -93,7 +93,7 @@ def _get(section: dict, key: str, path: str, kind=None, default=_MISSING):
     return value
 
 
-def _build_density(m0: dict):
+def _build_density(m0: dict, n_edges: int):
     _check_keys(m0, {"kind", "centers", "radii", "center", "width", "edges"}, "problem.m0")
     kind = _get(m0, "kind", "problem.m0", str)
     if kind == "abs":
@@ -103,6 +103,8 @@ def _build_density(m0: dict):
         radii = _floats(m0, "radii", "problem.m0")
         if centers.ndim != 2 or centers.shape[1] != 2 or len(radii) != len(centers):
             raise ValidationError("problem.m0", "need n centers of dim 2 and n radii")
+        if (radii <= 0).any():
+            raise ValidationError("problem.m0.radii", "must be positive")
 
         def bumps(pts):
             d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -125,7 +127,12 @@ def _build_density(m0: dict):
             vs = _floats(row, "values", path)
             if xs.ndim != 1 or xs.shape != vs.shape or len(xs) < 2 or (np.diff(xs) <= 0).any():
                 raise ValidationError(path, "arclength must be increasing and match values")
-            tables[_integer(_get(row, "edge", path), f"{path}.edge")] = (xs, vs)
+            if (vs < 0).any():
+                raise ValidationError(f"{path}.values", "a density must be nonnegative")
+            edge = _integer(_get(row, "edge", path), f"{path}.edge")
+            if not 0 <= edge < n_edges:
+                raise ValidationError(f"{path}.edge", f"no edge {edge} in the network")
+            tables[edge] = (xs, vs)
         return TabulatedDensity(tables)
     raise ValidationError("problem.m0.kind", f"unknown density kind {kind!r}")
 
@@ -212,7 +219,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as err:
         raise ValidationError("problem", str(err)) from err
     m0_doc = _get(prob, "m0", "problem", dict)
-    density = _build_density(m0_doc)
+    density = _build_density(m0_doc, topology.n_edges)
 
     num = _get(doc, "numerics", "$", dict)
     _check_keys(num, {"h_target", "cfl_factor", "tol", "t_init", "max_iters", "h_ladder"},

@@ -11,10 +11,10 @@ is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): the exit traces of a candidate
-map, or every level of both sweeps. ``lanczos.LanczosStep`` does the same
-from Lanczos bases on grids too large for the eigenbasis, at the levels
-that are asked for. The sweeps stay the reference, and the only path where
-neither pays.
+map, or both sweeps at chosen levels. ``lanczos.LanczosStep`` does the same
+from Lanczos bases on grids too large for the eigenbasis; ``capture`` builds
+both sweeps' fields from either. The sweeps stay the reference, and the
+only path where neither pays.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ __all__ = [
     "psi_initial",
     "HeatSweep",
     "ModalStep",
+    "capture",
     "modal_pays",
-    "modal_capture_pays",
     "krylov_pays",
 ]
 
@@ -49,15 +49,6 @@ CFL_LIMIT = 0.5
 # pays once n_int^3 <= R * n_steps * n_flat with R = 2 * 9 / 0.18 = 100,
 # even for a single map evaluation.
 MODAL_COST_RATIO = 100.0
-# ModalStep.sweeps rebuilds each level of both sweeps with about 4 * n_int^2
-# flops in blocked matrix products: about 0.125 ns * n_int^2 per level once
-# n_int >= 400 (3.2 us at n_int = 100, 23 us at 400, 42 us at 600, 70 us at
-# 800; same VM and BLAS). A sweep pair that tracks the minimum costs about
-# 40 us per level plus 2 * 5 ns per node, so the rebuild pays once
-# n_int^2 <= R * (n_flat + 4000), with R = 10 / 0.125 = 80 and 4000 =
-# 40 us / 10 ns the per-level overhead counted in nodes: up to n_int = 600
-# on a path graph. The eigh is already paid for by the map.
-MODAL_CAPTURE_COST_RATIO = 80.0
 # Accuracy target of a LanczosStep basis: its a-posteriori bound on the error
 # of K^k x, relative to x in the h-weighted norm, for every k < n_steps.
 KRYLOV_TOL = 1e-13
@@ -72,7 +63,7 @@ KRYLOV_TOL = 1e-13
 # M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
 KRYLOV_COST_RATIO = 0.2
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
-# levels ModalStep.sweeps rebuilds per matrix product: the phi window costs
+# levels per block of ModalStep.phi_levels' recursion: the phi window costs
 # 2 * W * n_int flops per level and each block a fixed Python overhead; 32
 # and 256 were slower than 64 on desk and example1, 64-128 about equal
 _BLOCK_LEVELS = 64
@@ -240,7 +231,6 @@ class HeatSweep:
     exit_values: np.ndarray            # pinned exit value, per level
     snapshots: dict[int, GridField] = field(default_factory=dict)
     full: np.ndarray | None = None     # (n_steps+1, n_flat) when recorded
-    min_value: float = np.nan
 
     def level(self, n: int) -> GridField:
         if n in self.snapshots:
@@ -258,7 +248,7 @@ def _normalize_pins(time_grid: TimeGrid, extra_dirichlet) -> list[tuple[int, np.
 
 def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
                exit_series: np.ndarray, extra_pins, level_seq,
-               snapshot_levels, record_full, track_min, init_level) -> HeatSweep:
+               snapshot_levels, record_full, init_level) -> HeatSweep:
     exit_id = grid.topology.exit_vertex
     pins = [(exit_id, exit_series)] + list(extra_pins)
     op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
@@ -274,17 +264,13 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
     cur = init.copy()
     nxt = np.empty_like(cur)
     scratch = op.scratch()
-    vmin = np.inf
 
     def record(level: int, state: np.ndarray) -> None:
-        nonlocal vmin
         exit_adjacent[level] = state[adj_idx]
         if level in wanted:
             snapshots[level] = GridField(grid, state.copy(), level * time_grid.dt)
         if full is not None:
             full[level] = state
-        if track_min:
-            vmin = min(vmin, float(state.min()))
 
     record(init_level, cur)
     for level in level_seq:
@@ -296,13 +282,12 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
     terminal = GridField(grid, (cur if init_level == 0 else init).copy(), time_grid.t_max)
     return HeatSweep(grid=grid, time_grid=time_grid, initial=initial, terminal=terminal,
                      exit_adjacent=exit_adjacent, exit_values=exit_series,
-                     snapshots=snapshots, full=full,
-                     min_value=(vmin if track_min else np.nan))
+                     snapshots=snapshots, full=full)
 
 
 def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
                        extra_dirichlet=None, snapshot_levels=None,
-                       record_full: bool = False, track_min: bool = False) -> HeatSweep:
+                       record_full: bool = False) -> HeatSweep:
     """Sweep the value-potential equation from its constant terminal state
     down to level 0, pinning the exit at exp(c_T(t_n)).
 
@@ -315,8 +300,7 @@ def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
                       range(time_grid.n_steps - 1, -1, -1),
-                      snapshot_levels, record_full, track_min,
-                      init_level=time_grid.n_steps)
+                      snapshot_levels, record_full, init_level=time_grid.n_steps)
 
 
 def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
@@ -332,7 +316,7 @@ def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
 
 def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
                       phi0: GridField, extra_dirichlet=None, snapshot_levels=None,
-                      record_full: bool = False, track_min: bool = False) -> HeatSweep:
+                      record_full: bool = False) -> HeatSweep:
     """Sweep the density potential forward from m0 / phi0 with the exit
     held at zero. ``phi0`` must be strictly positive."""
     init = psi_initial(m0, phi0)
@@ -340,7 +324,7 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
                       range(1, time_grid.n_steps + 1),
-                      snapshot_levels, record_full, track_min, init_level=0)
+                      snapshot_levels, record_full, init_level=0)
 
 
 def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
@@ -348,14 +332,6 @@ def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
     on these grids: n_int^3 <= MODAL_COST_RATIO * n_steps * n_flat."""
     n_int = grid.n_flat - grid.n_vertices
     return n_int**3 <= MODAL_COST_RATIO * time_grid.n_steps * grid.n_flat
-
-
-def modal_capture_pays(grid: SpatialGrid) -> bool:
-    """Whether rebuilding every level from a ModalStep (``ModalStep.sweeps``)
-    costs less than one sweep pair per level:
-    n_int^2 <= MODAL_CAPTURE_COST_RATIO * (n_flat + 4000)."""
-    n_int = grid.n_flat - grid.n_vertices
-    return n_int**2 <= MODAL_CAPTURE_COST_RATIO * (grid.n_flat + 4000)
 
 
 def krylov_pays(time_grid: TimeGrid) -> bool:
@@ -371,20 +347,36 @@ def _powers(base: np.ndarray, exponent) -> np.ndarray:
     return out
 
 
-def _captured(grid: SpatialGrid, time_grid: TimeGrid, kept: dict[int, np.ndarray],
-              snapshot_levels, exit_adjacent: np.ndarray, exit_values: np.ndarray,
-              full: np.ndarray | None = None) -> HeatSweep:
-    """A HeatSweep from the states kept at level 0, level n_steps and every
-    snapshot level, which become its fields without a copy."""
+def capture(fast, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
+            record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
+    """Both sweeps of one candidate map from a fast path, each ``HeatSweep``
+    field as the time-stepping sweeps give it, with the states evaluated
+    only at level 0, the last level and ``snapshot_levels``, plus phi at
+    every level (``full``) with ``record_full``.
 
-    def field_at(n: int, t: float) -> GridField:
-        return GridField(grid, kept[n], t)
+    The fast path, a ``ModalStep`` or a ``lanczos.LanczosStep``, provides
+    ``phi_levels(exit_series, levels)``: phi at ``levels`` and next to the
+    exit on every level; ``psi_levels(psi0, levels)``: psi at ``levels``
+    (each >= 1); and ``exit_adjacent_trace(psi0)``: the map's exit trace.
+    Level 0 of phi is the map's too, so F is the map's F to the last bit.
+    """
+    grid, tg, n_steps = fast.operator.grid, fast.time_grid, fast.n_steps
+    written = sorted({0, n_steps} | set(snapshot_levels))
+    phi_rows, phi_adjacent = fast.phi_levels(
+        exit_series, np.arange(n_steps + 1) if record_full else written)
+    phi = dict(zip(written, phi_rows[written] if record_full else phi_rows))
+    psi0 = psi_initial(m0, GridField(grid, phi[0]))
+    psi = {0: psi0, **dict(zip(written[1:], fast.psi_levels(psi0, written[1:])))}
 
-    return HeatSweep(
-        grid=grid, time_grid=time_grid, initial=field_at(0, 0.0),
-        terminal=field_at(time_grid.n_steps, time_grid.t_max), exit_adjacent=exit_adjacent,
-        exit_values=exit_values, full=full,
-        snapshots={n: field_at(n, n * time_grid.dt) for n in snapshot_levels})
+    def sweep(states, exit_adjacent, exit_values, full=None) -> HeatSweep:
+        return HeatSweep(
+            grid=grid, time_grid=tg, initial=GridField(grid, states[0], 0.0),
+            terminal=GridField(grid, states[n_steps], tg.t_max),
+            exit_adjacent=exit_adjacent, exit_values=exit_values, full=full,
+            snapshots={n: GridField(grid, states[n], n * tg.dt) for n in snapshot_levels})
+
+    return (sweep(phi, phi_adjacent, exit_series, phi_rows if record_full else None),
+            sweep(psi, fast.exit_adjacent_trace(psi0), np.zeros(n_steps + 1)))
 
 
 class ModalStep:
@@ -400,8 +392,8 @@ class ModalStep:
     lambda^n = lambda^(a*B) * lambda^j and each sum over levels is one
     matrix product with the (B, n_int) table of lambda^j, weighted by the
     (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
-    ``sweeps`` rebuilds every level of both sweeps from the same tables, a
-    block of levels per matrix product, at O(n_steps * n_int^2).
+    ``phi_levels`` and ``psi_levels`` evaluate the sweeps at chosen levels
+    for ``capture`` from the same tables, at O(n_int^2) per level asked for.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
@@ -462,91 +454,67 @@ class ModalStep:
         trace[1:] = by_level.ravel()[: self.n_steps]
         return trace
 
-    def sweeps(self, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
-               record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
-        """Both sweeps of one candidate map, every ``HeatSweep`` field as the
-        time-stepping sweeps give it (``full`` for phi only, with
-        ``record_full``).
+    def _states(self, coef: np.ndarray, exit_values) -> np.ndarray:
+        """Flat, flux-balanced states D^-1 Q c, one per row of modal
+        coordinates ``coef``, with the exit at ``exit_values``."""
+        op, nv = self.operator, self.operator.grid.n_vertices
+        out = np.empty((len(coef), op.grid.n_flat))
+        np.matmul(coef, self.basis.T, out=out[:, nv:])
+        out[:, nv:] /= self.d
+        out[:, op.pinned[0]] = exit_values
+        op.balance_vertices(out, np.empty((len(coef), len(op.adj_interior))))
+        return out
 
-        In modal coordinates c_n = Q^T D u^n, the forward sweep is
-        c_n = lambda^(n-1) c_1 and the backward one
+    def phi_levels(self, exit_series: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+        """The backward sweep at each of ``levels``, one flat state per row,
+        and next to the exit on every level. Level 0 is ``phi_initial``'s
+        output.
+
+        In modal coordinates c_n = Q^T D u^n the sweep is
         c_n = lambda^(N-n) c_N + b_modal * S_n, with
         S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
         levels, a sliding window of g times the lambda^j table plus a carry
-        from the block above. Each block is rebuilt by one
-        (W, n_int) x (n_int, n_int) product, and only one block is held at a
-        time. Level 0 of phi is ``phi_initial``'s output and psi's exit trace
-        is ``exit_adjacent_trace``'s, so F is the map's F to the last bit.
+        from the block above. Only the rows of ``levels`` become flat
+        states, a block of them per matrix product.
         """
         n_steps, rows, width = self.n_steps, self.offset_powers.shape[0], self.block_levels
+        row_of = np.full(n_steps + 1, -1)
+        row_of[levels] = np.arange(len(levels))
+        out = np.empty((len(levels), self.operator.grid.n_flat))
+        trace = np.empty(n_steps + 1)
         phi0 = self.phi_initial(exit_series)
-        psi0 = psi_initial(m0, GridField(self.operator.grid, phi0))
-        level_one = self._level_one(psi0)
+        trace[0] = phi0[self.operator.grid.exit_adjacent_index]
+        if row_of[0] >= 0:
+            out[row_of[0]] = phi0
+
         top = self.ones_modal * exit_series[-1]
+        # row j of padded[start + window] is (g_(N-s-j+2-W), ..., g_(N-s-j+1))
+        # with s = start, zero past level N
+        padded = np.zeros(n_steps + 2 * width)
+        padded[width: width + n_steps] = exit_series[:0:-1]
+        window = np.arange(width)[:, None] + np.arange(width)
+        reversed_powers = self.offset_powers[:width][::-1]
+        carry = _powers(self.evals, width)
+        sums = np.zeros((width, len(self.evals)))
+        for start in range(0, n_steps, width):
+            m = np.arange(start, min(start + width, n_steps))  # level N - m
+            coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
+            sums *= carry
+            sums += padded[start + window] @ reversed_powers
+            coef *= top
+            coef += self.b_modal * sums[: len(m)]
+            trace[n_steps - m] = coef @ self.adj_row
+            pick = np.flatnonzero(row_of[n_steps - m] >= 0)
+            if len(pick):
+                picked = n_steps - m[pick]
+                out[row_of[picked]] = self._states(coef[pick], exit_series[picked])
+        return out, trace
 
-        def blocks():  # m = 0, 1, ..., N-1 in blocks of W, with lambda^m
-            for start in range(0, n_steps, width):
-                m = np.arange(start, min(start + width, n_steps))
-                yield m, self.chunk_powers[m // rows] * self.offset_powers[m % rows]
-
-        def backward():  # level N - m
-            # row j of padded[m + window] is (g_(N-m-j+2-W), ..., g_(N-m-j+1)),
-            # zero past level N
-            padded = np.zeros(n_steps + 2 * width)
-            padded[width: width + n_steps] = exit_series[:0:-1]
-            window = np.arange(width)[:, None] + np.arange(width)
-            reversed_powers = self.offset_powers[:width][::-1]
-            carry = _powers(self.evals, width)
-            sums = np.zeros((width, len(self.evals)))
-            for m, powers in blocks():
-                sums *= carry
-                sums += padded[m[0] + window] @ reversed_powers
-                powers *= top
-                powers += self.b_modal * sums[: len(m)]
-                yield n_steps - m, powers
-
-        def forward():  # level m + 1
-            for m, powers in blocks():
-                powers *= level_one
-                yield m + 1, powers
-
-        phi = self._rebuild(phi0, exit_series, backward(), snapshot_levels, record_full)
-        psi = self._rebuild(psi0, np.zeros(n_steps + 1), forward(), snapshot_levels, False,
-                            exit_adjacent=self.exit_adjacent_trace(psi0))
-        return phi, psi
-
-    def _rebuild(self, level_zero: np.ndarray, exit_series: np.ndarray, blocks,
-                 snapshot_levels, record_full: bool,
-                 exit_adjacent: np.ndarray | None = None) -> HeatSweep:
-        """One sweep's HeatSweep from its state at level 0 and blocks of
-        (levels, modal coordinates) for every later level."""
-        op, tg = self.operator, self.time_grid
-        grid, nv, n_levels = op.grid, op.grid.n_vertices, tg.n_steps + 1
-        adj = grid.exit_adjacent_index
-        wanted = np.zeros(n_levels, dtype=bool)
-        wanted[list(snapshot_levels)] = True
-        wanted[tg.n_steps] = True  # the terminal state
-        kept = {0: level_zero}
-        own_trace = exit_adjacent is None
-        if own_trace:
-            exit_adjacent = np.empty(n_levels)
-            exit_adjacent[0] = level_zero[adj]
-        full = np.empty((n_levels, grid.n_flat)) if record_full else None
-        if full is not None:
-            full[0] = level_zero
-
-        buffer = np.empty((self.block_levels, grid.n_flat))
-        contrib = np.empty((self.block_levels, len(op.adj_interior)))
-        for levels, coef in blocks:
-            block = buffer[: len(levels)]
-            np.matmul(coef, self.basis.T, out=block[:, nv:])
-            block[:, nv:] /= self.d
-            block[:, op.pinned[0]] = exit_series[levels]
-            op.balance_vertices(block, contrib[: len(levels)])
-            if own_trace:
-                exit_adjacent[levels] = block[:, adj]
-            if full is not None:
-                full[levels] = block
-            for i in np.flatnonzero(wanted[levels]):
-                kept[int(levels[i])] = block[i].copy()
-        return _captured(grid, tg, kept, snapshot_levels, exit_adjacent, exit_series, full)
+    def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
+        """The forward sweep from psi0 at each of ``levels`` (each >= 1), one
+        flat state per row: c_n = lambda^(n-1) c_1."""
+        m = np.asarray(levels) - 1
+        rows = self.offset_powers.shape[0]
+        coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
+        coef *= self._level_one(psi0)
+        return self._states(coef, 0.0)

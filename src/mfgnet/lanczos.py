@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import GridField, SpatialGrid, TimeGrid
-from .heat import KRYLOV_TOL, HeatSweep, StepOperator, _captured, psi_initial
+from .grid import SpatialGrid, TimeGrid
+from .heat import KRYLOV_TOL, StepOperator
 
 __all__ = ["LanczosStep"]
 
@@ -206,9 +206,9 @@ class LanczosStep:
     exit value stays constant, so phi at level n is
     g_N + b_adj sum_(j < N-n) (g_(n+1+j) - g_N) K^j e_adj, and the exit
     trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj. A map
-    replays the basis twice. ``sweeps`` evaluates fields only at level 0,
-    the last level and the snapshot levels: phi's from the same basis, psi's
-    from a basis started at u^1, and both exit traces on every level.
+    replays the basis twice. For ``heat.capture``, ``phi_levels`` evaluates
+    phi at chosen levels from the same basis and ``psi_levels`` psi from a
+    basis started at u^1.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
@@ -224,7 +224,7 @@ class LanczosStep:
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
 
-    def _phi_levels(self, exit_series: np.ndarray, levels: list[int]) -> np.ndarray:
+    def _phi_rows(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row."""
         excess = exit_series[1:] - exit_series[-1]
         coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
@@ -235,7 +235,7 @@ class LanczosStep:
 
     def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
         """Level 0 of the backward sweep, as ``ModalStep.phi_initial``."""
-        return self._phi_levels(exit_series, [0])[0]
+        return self._phi_rows(exit_series, [0])[0]
 
     def _level_one(self, psi0: np.ndarray) -> np.ndarray:
         op = self.operator
@@ -243,41 +243,28 @@ class LanczosStep:
         op.step(psi0, np.zeros(1), u1, op.scratch())
         return u1
 
-    def _trace(self, psi0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-        trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
-        # |e_adj|_H = sqrt(h_adj)
-        trace[1:] = self.pins.series(self.pins.project(u1)) / self.pins.norm
-        return trace
-
     def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
         """Value next to the exit on every level of the forward sweep from
         psi0 with the exit held at zero, as ``ModalStep.exit_adjacent_trace``."""
-        return self._trace(psi0, self._level_one(psi0))
+        trace = np.empty(self.n_steps + 1)
+        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
+        # |e_adj|_H = sqrt(h_adj)
+        trace[1:] = self.pins.series(self.pins.project(self._level_one(psi0))) / self.pins.norm
+        return trace
 
-    def sweeps(self, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
-               record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
-        """Both sweeps of one candidate map at level 0, the last level and
-        ``snapshot_levels``, with both exit traces on every level. Every
-        level (``record_full``) is left to the sweeps."""
-        if record_full:
-            raise ValueError("LanczosStep evaluates chosen levels; sweep to record every level")
-        op, tg, n_steps = self.operator, self.time_grid, self.n_steps
-        levels = sorted({0, n_steps} | set(snapshot_levels))
-        phi = dict(zip(levels, self._phi_levels(exit_series, levels)))
-        psi0 = psi_initial(m0, GridField(op.grid, phi[0]))
-        u1 = self._level_one(psi0)
-        density = _LanczosBasis(op, u1, n_steps)
-        later = density.combine(density.powers([n - 1 for n in levels[1:]]))
-        psi = {0: psi0, **dict(zip(levels[1:], later))}
-
-        # phi next to the exit: g_N + b_adj sum_j (g_(n+1+j) - g_N) kernel_j,
+    def phi_levels(self, exit_series: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+        """phi at each of ``levels``, one flat state per row, and next to the
+        exit on every level, as ``ModalStep.phi_levels``."""
+        # g_N + b_adj sum_j (g_(n+1+j) - g_N) kernel_j, with
         # kernel_j = e_adj^T K^j e_adj = e_1^T T^j e_1
         kernel = self.pins.series(np.eye(1, self.pins.m)[0])
         excess = exit_series[1:] - exit_series[-1]
-        phi_adjacent = np.full(n_steps + 1, exit_series[-1])
-        phi_adjacent[:-1] += self.b_adj * np.correlate(excess, kernel, "full")[n_steps - 1:]
-        grid = op.grid
-        return (_captured(grid, tg, phi, snapshot_levels, phi_adjacent, exit_series),
-                _captured(grid, tg, psi, snapshot_levels, self._trace(psi0, u1),
-                          np.zeros(n_steps + 1)))
+        trace = np.full(self.n_steps + 1, exit_series[-1])
+        trace[:-1] += self.b_adj * np.correlate(excess, kernel, "full")[self.n_steps - 1:]
+        return self._phi_rows(exit_series, levels), trace
+
+    def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
+        """The forward sweep from psi0 at each of ``levels`` (each >= 1), one
+        flat state per row, as ``ModalStep.psi_levels``."""
+        density = _LanczosBasis(self.operator, self._level_one(psi0), self.n_steps)
+        return density.combine(density.powers([n - 1 for n in levels]))

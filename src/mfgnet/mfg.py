@@ -33,8 +33,8 @@ from .heat import (
     KRYLOV_TOL,
     HeatSweep,
     ModalStep,
+    capture,
     krylov_pays,
-    modal_capture_pays,
     modal_pays,
     psi_initial,
     solve_backward_phi,
@@ -186,14 +186,11 @@ class PsiMapResult:
     psi: HeatSweep | None
 
 
-def _fast_step(problem: DiscreteProblem, fields: bool,
-               record_full: bool) -> ModalStep | LanczosStep | None:
+def _fast_step(problem: DiscreteProblem, record_full: bool) -> ModalStep | LanczosStep | None:
     """The problem's ModalStep or LanczosStep (built on first use) when it
     pays on the grids for this evaluation; None to sweep."""
     grid, time_grid = problem.grid, problem.time_grid
     if modal_pays(grid, time_grid):
-        if fields and not modal_capture_pays(grid):
-            return None
         if problem.modal is None:
             problem.modal = ModalStep(grid, time_grid)
         return problem.modal
@@ -228,19 +225,19 @@ def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
     level of phi; psi's levels are never kept whole) returns both sweeps.
     When ``modal_pays`` on the grids, the problem's ModalStep replaces the
     sweeps: it yields only the exit traces when no field is asked for, and
-    rebuilds every level when ``modal_capture_pays`` too; otherwise the
-    grids are swept. Where ``modal_pays`` fails and ``krylov_pays`` holds,
-    the problem's LanczosStep does the same, evaluating fields only at level
-    0, the last level and the snapshot levels; ``record_full`` sweeps.
+    otherwise evaluates fields only at level 0, the last level and the
+    snapshot levels (``capture``), with phi at every level for
+    ``record_full``. Where ``modal_pays`` fails and ``krylov_pays`` holds,
+    the problem's LanczosStep does the same, except that ``record_full``
+    sweeps.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
         raise ValueError(f"candidate time {t_candidate} outside [{spec.cost.t0}, {spec.cost.t_max}]")
     grid, time_grid = problem.grid, problem.time_grid
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
-    fields = bool(snapshot_levels or record_full)
 
-    fast = _fast_step(problem, fields, record_full)
+    fast = _fast_step(problem, record_full)
     if fast is None:
         phi = solve_backward_phi(grid, time_grid, exit_series, snapshot_levels=snapshot_levels,
                                  record_full=record_full)
@@ -248,8 +245,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
                                 snapshot_levels=snapshot_levels)
         trace = psi.exit_adjacent
     else:
-        if fields:
-            phi, psi = fast.sweeps(exit_series, problem.m0, snapshot_levels, record_full)
+        if snapshot_levels or record_full:
+            phi, psi = capture(fast, exit_series, problem.m0, snapshot_levels, record_full)
             psi0, trace = psi.initial.data, psi.exit_adjacent
         else:
             psi0 = psi_initial(problem.m0, GridField(grid, fast.phi_initial(exit_series)))

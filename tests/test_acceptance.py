@@ -136,10 +136,10 @@ def test_criterion_3_min_principle_and_positivity():
                 # random bumps are nonzero at the exit; projecting is intended
                 warnings.simplefilter("ignore", UserWarning)
                 m0 = mn.normalize_mass(g, g_raw)
-            phi = solve_backward_phi(g, tg, c_T, track_min=True)
-            psi = solve_forward_psi(g, tg, m0, phi.initial, track_min=True)
-            assert phi.min_value >= 1.0 - 1e-12
-            assert psi.min_value >= -1e-14
+            phi = solve_backward_phi(g, tg, c_T, record_full=True)
+            psi = solve_forward_psi(g, tg, m0, phi.initial, record_full=True)
+            assert phi.full.min() >= 1.0 - 1e-12
+            assert psi.full.min() >= -1e-14
 
 
 def test_criterion_4_mass_budget(example1_ladder):

@@ -294,7 +294,15 @@ class TestCliEntry:
         ({"kind": "hat", "center": ["a", 0], "width": 0.5}, "problem.m0.center"),
         ({"kind": "tabulated", "edges": [{"edge": 0, "values": [0.0, 1.0, 0.0]}]},
          "problem.m0.edges[].arclength"),
-    ], ids=["bumps_center_string", "hat_center_string", "tabulated_arclength_missing"])
+        ({"kind": "tabulated", "edges": [{"edge": 0, "arclength": [0.0, 1.0],
+                                          "values": [-1.0, -1.0]}]},
+         "problem.m0.edges[].values"),
+        ({"kind": "tabulated", "edges": [{"edge": 5, "arclength": [0.0, 1.0],
+                                          "values": [1.0, 1.0]}]},
+         "problem.m0.edges[].edge"),
+        ({"kind": "bumps", "centers": [[0.5, 0.0]], "radii": [-1.0]}, "problem.m0.radii"),
+    ], ids=["bumps_center_string", "hat_center_string", "tabulated_arclength_missing",
+            "tabulated_values_negative", "tabulated_edge_unknown", "bumps_radius_negative"])
     def test_bad_density_names_field(self, tmp_path, capsys, m0, field):
         doc = fast_config(tmp_path)
         doc["problem"]["m0"] = m0

@@ -161,9 +161,9 @@ class TestBackwardSweep:
     def test_zero_cost_gives_unit_field(self, three_star):
         g = mn.build_grid(three_star, 0.2)
         tg = mn.build_time_grid(1.0, g.min_h, 0.25)
-        sweep = solve_backward_phi(g, tg, lambda s: np.zeros_like(s), track_min=True)
+        sweep = solve_backward_phi(g, tg, lambda s: np.zeros_like(s), record_full=True)
         np.testing.assert_allclose(sweep.initial.data, 1.0, rtol=1e-14)
-        assert sweep.min_value == pytest.approx(1.0)
+        assert sweep.full.min() == pytest.approx(1.0)
 
     def test_exit_datum_imposed_exactly(self, three_star):
         g = mn.build_grid(three_star, 0.2)
@@ -182,8 +182,8 @@ class TestBackwardSweep:
             knots = np.sort(rng.uniform(0, 0.8, 3))
             vals = rng.uniform(0.2, 3.0, 3)
             c = lambda s: np.log(np.interp(s, knots, vals))
-            sweep = solve_backward_phi(g, tg, c, track_min=True)
-            assert sweep.min_value >= vals.min() - 1e-12
+            sweep = solve_backward_phi(g, tg, c, record_full=True)
+            assert sweep.full.min() >= vals.min() - 1e-12
 
 
 class TestForwardSweep:
@@ -191,8 +191,8 @@ class TestForwardSweep:
         g = mn.build_grid(three_star, 0.2)
         tg = mn.build_time_grid(0.5, g.min_h, 0.25)
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, g.zeros(), phi0, track_min=True)
-        assert sweep.min_value == 0.0
+        sweep = solve_forward_psi(g, tg, g.zeros(), phi0, record_full=True)
+        assert sweep.full.min() == 0.0
         np.testing.assert_array_equal(sweep.terminal.data, 0.0)
 
     def test_nonnegativity_preserved(self, three_star):
@@ -201,8 +201,8 @@ class TestForwardSweep:
         rng = np.random.default_rng(3)
         m0 = mn.GridField(g, rng.uniform(0, 1, g.n_flat))
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, m0, phi0, track_min=True)
-        assert sweep.min_value >= -1e-14
+        sweep = solve_forward_psi(g, tg, m0, phi0, record_full=True)
+        assert sweep.full.min() >= -1e-14
 
     def test_nonpositive_phi_rejected(self, three_star):
         g = mn.build_grid(three_star, 0.2)

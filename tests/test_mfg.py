@@ -287,10 +287,10 @@ class TestFixedPoint:
         res = fixed_point(problem)
         grid, tg = problem.grid, problem.time_grid
         c_T = lambda s: cost(s, res.capture_t_input, problem.spec.cost)  # noqa: E731
-        phi = solve_backward_phi(grid, tg, c_T, track_min=True)
-        psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, track_min=True)
-        assert phi.min_value >= 1.0 - 1e-12
-        assert psi.min_value >= -1e-14
+        phi = solve_backward_phi(grid, tg, c_T, record_full=True)
+        psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, record_full=True)
+        assert phi.full.min() >= 1.0 - 1e-12
+        assert psi.full.min() >= -1e-14
 
     def test_equilibrium_level_matches_t_star(self):
         res = fixed_point(desk_problem())

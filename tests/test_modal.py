@@ -55,7 +55,6 @@ def problem(request):
 
 def _force_sweeps(mp):
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
-    mp.setattr(heat, "MODAL_CAPTURE_COST_RATIO", 0.0)
     mp.setattr(heat, "KRYLOV_COST_RATIO", 0.0)
 
 
@@ -89,33 +88,36 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
 
 
 def test_modal_capture_matches_sweep(problem, monkeypatch):
-    """Every field of both sweeps rebuilt from the eigenbasis, against the
-    time-stepping sweeps: phi at every level, psi at several, both exit
-    traces and the minima."""
-    assert heat.modal_capture_pays(problem.grid)
+    """Both sweeps evaluated from the eigenbasis at the written levels, and
+    phi at every level with ``record_full``, against the time-stepping
+    sweeps, with both exit traces."""
     spec, n_steps = problem.spec, problem.time_grid.n_steps
     levels = {0, 1, 7, n_steps // 2, n_steps}
     t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
-    modal = psi_map(t, problem, snapshot_levels=levels, record_full=True)
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
         sweep = psi_map(t, problem, snapshot_levels=levels, record_full=True)
-    assert problem.modal is not None
+    for record_full in (False, True):
+        modal = psi_map(t, problem, snapshot_levels=levels, record_full=record_full)
+        assert problem.modal is not None
 
-    assert modal.t_star == sweep.t_star
-    assert _rel(modal.f_series, sweep.f_series) <= 1e-10
-    assert _rel(modal.phi.full, sweep.phi.full) <= 1e-10
-    for name in ("phi", "psi"):
-        m, s = getattr(modal, name), getattr(sweep, name)
-        assert m.snapshots.keys() == s.snapshots.keys() == levels
-        for n in levels:
-            assert _rel(m.level(n).data, s.level(n).data) <= 1e-10
-            assert m.level(n).time_label == s.level(n).time_label
-        assert _rel(m.initial.data, s.initial.data) <= 1e-10
-        assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
-        assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
-        np.testing.assert_array_equal(m.exit_values, s.exit_values)
-    assert modal.psi.full is None and sweep.psi.full is None
+        assert modal.t_star == sweep.t_star
+        assert _rel(modal.f_series, sweep.f_series) <= 1e-10
+        if record_full:
+            assert _rel(modal.phi.full, sweep.phi.full) <= 1e-10
+        else:
+            assert modal.phi.full is None
+        for name in ("phi", "psi"):
+            m, s = getattr(modal, name), getattr(sweep, name)
+            assert m.snapshots.keys() == s.snapshots.keys() == levels
+            for n in levels:
+                assert _rel(m.level(n).data, s.level(n).data) <= 1e-10
+                assert m.level(n).time_label == s.level(n).time_label
+            assert _rel(m.initial.data, s.initial.data) <= 1e-10
+            assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
+            assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
+            np.testing.assert_array_equal(m.exit_values, s.exit_values)
+        assert modal.psi.full is None and sweep.psi.full is None
 
 
 def test_symmetrized_step_is_symmetric(problem):
@@ -151,7 +153,7 @@ def test_fixed_point_same_with_sweep_forced(example1_config, monkeypatch):
 
 def test_fixed_point_makes_no_sweep(example1_config, monkeypatch):
     def no_sweep(*args, **kwargs):
-        raise AssertionError("swept on a grid under both cost rules")
+        raise AssertionError("swept on a grid where the modal path pays")
 
     monkeypatch.setattr(heat, "_run_sweep", no_sweep)
     problem = discretize(replace(example1_config.spec, h_target=0.05))
@@ -177,26 +179,52 @@ def test_operator_built_once_on_first_modal_map(monkeypatch):
     assert len(calls) == 1
 
 
-def test_grid_over_capture_rule_sweeps_its_capture(monkeypatch):
+def test_modal_capture_converts_only_written_levels(example1_config, monkeypatch):
+    """A solve-mode capture turns modal coordinates into flat states (each
+    balanced at its vertices) only at the levels it keeps: 0, the
+    equilibrium level and the last. psi's level 1 takes one more step in
+    ``psi_levels`` and one in ``exit_adjacent_trace``."""
+    problem = discretize(replace(example1_config.spec, h_target=0.05))
+    t = 5.0
+    psi_map(t, problem)  # builds the eigenbasis
+    written = {0, problem.time_grid.level_of(t), problem.time_grid.n_steps}
+
+    rows = []
+    balance = StepOperator.balance_vertices
+
+    def counted(self, out, contrib):
+        rows.append(1 if out.ndim == 1 else len(out))
+        balance(self, out, contrib)
+
+    monkeypatch.setattr(StepOperator, "balance_vertices", counted)
+    res = psi_map(t, problem, snapshot_levels=written)
+    assert res.phi.snapshots.keys() == res.psi.snapshots.keys() == written
+    assert sum(rows) <= 2 * len(written) + 2, rows
+
+
+def test_long_edge_capture_makes_no_sweep(monkeypatch):
     """One long edge with n_int = 700: the eigenbasis pays for the maps
-    (many steps), but rebuilding every level costs more than sweeping."""
+    (many steps), and the capture evaluates only the written levels from it,
+    as the sweeps give them."""
     topo = mn.build_network([(0, (0.0, 0.0)), (1, (7.01, 0.0))], [(0, 0, 1, 7.01)], 0)
     spec = mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.02, 0.15, 0.1, 0.0, 0.1),
                           theta=0.01, m0=lambda p: np.maximum(1 - np.abs(p[:, 0] - 3.5), 0.0),
                           h_target=0.01, max_iters=3)
     problem = discretize(spec)
+    assert problem.grid.n_flat - problem.grid.n_vertices == 700
     assert modal_pays(problem.grid, problem.time_grid)
-    assert not heat.modal_capture_pays(problem.grid)
 
-    sweeps = []
-    run_sweep = heat._run_sweep
-    monkeypatch.setattr(heat, "_run_sweep",
-                        lambda *a, **kw: sweeps.append(a) or run_sweep(*a, **kw))
-    res = fixed_point(problem)
+    with monkeypatch.context() as mp:
+        mp.setattr(heat, "_run_sweep", lambda *a, **kw: pytest.fail("swept the capture"))
+        res = fixed_point(problem)
     assert problem.modal is not None
-    assert len(sweeps) == 2  # the capture only; every map was modal
-    assert all(np.isfinite(f.data).all() for by_level in res.fields.values()
-               for f in by_level.values())
+    with monkeypatch.context() as mp:
+        _force_sweeps(mp)
+        sweep = psi_map(res.capture_t_input, problem, snapshot_levels=set(res.fields["phi"]))
+    assert res.fields["phi"].keys() == {0, res.equilibrium_level}
+    for n in res.fields["phi"]:
+        assert _rel(res.fields["phi"][n].data, sweep.phi.level(n).data) <= 1e-10
+        assert _rel(res.fields["psi"][n].data, sweep.psi.level(n).data) <= 1e-10
 
 
 def _lattice(side, h, t_max, chords=()):
