@@ -29,8 +29,6 @@ from .errors import (
     NonpositivePhi,
     NumericalFailure,
     ParseError,
-    StepTooCoarse,
-    StepTooLarge,
     ValidationError,
     ZeroMass,
 )
@@ -44,14 +42,14 @@ from .mfg import (
     fixed_point,
     refine_spec,
 )
-from .montecarlo import SimConfig, estimate_arrival_cdf
+from .montecarlo import SimConfig, estimate_arrival_cdf, read_levels
 from .network import build_network
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "run", "main"]
 
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
-_ORACLE_MEMORY_LIMIT = 2 * 1024**3  # bytes of full-history storage
+_ORACLE_MEMORY_LIMIT = 2 * 1024**3  # bytes held for the particles' drift
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -88,7 +86,8 @@ def _get(section: dict, key: str, path: str, kind=None, default=_MISSING):
             return default
         raise ValidationError(f"{path}.{key}", "missing required field")
     value = section[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON true or false is a Python bool, which is an int
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValidationError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     return value
 
@@ -138,7 +137,10 @@ def _build_density(m0: dict, n_edges: int):
 
 
 def _number(value, kind, path: str):
-    """``kind(value)``, or a ValidationError naming ``path``."""
+    """``kind(value)``, or a ValidationError naming ``path``; a JSON true,
+    false or string is not a number."""
+    if isinstance(value, (bool, str)):
+        raise ValidationError(path, f"expected a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as err:
@@ -197,8 +199,9 @@ def parse_config(text: str) -> RunConfig:
         edges.append((*(_integer(_get(e, key, path), f"{path}.{key}")
                         for key in ("id", "tail", "head")),
                       None if length is None else _number(length, float, f"{path}.length")))
+    exit_vertex = _get(net, "exit_vertex", "network", int)
     try:
-        topology = build_network(vertices, edges, int(_get(net, "exit_vertex", "network", int)))
+        topology = build_network(vertices, edges, exit_vertex)
     except MFGNetError as err:
         raise ValidationError("network", str(err)) from err
 
@@ -213,9 +216,8 @@ def parse_config(text: str) -> RunConfig:
         cost_spec = CostSpec(
             t0=float(_get(prob, "t0", "problem", (int, float))),
             t_max=float(_get(prob, "t_max", "problem", (int, float))),
-            c1=float(cost_doc.get("c1", 0.0)),
-            c2=float(cost_doc.get("c2", 0.0)),
-            c3=float(cost_doc.get("c3", 0.0)))
+            **{c: _number(cost_doc.get(c, 0.0), float, f"problem.cost.{c}")
+               for c in ("c1", "c2", "c3")})
     except ValueError as err:
         raise ValidationError("problem", str(err)) from err
     m0_doc = _get(prob, "m0", "problem", dict)
@@ -262,7 +264,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError("run.dt_mc", "must be positive")
 
     return RunConfig(
-        spec=spec, mode=mode, out_dir=str(rn.get("out_dir", "out")), seed=seed,
+        spec=spec, mode=mode, out_dir=_get(rn, "out_dir", "run", str, default="out"), seed=seed,
         snapshots=snapshots, agents=agents,
         dt_mc=dt_mc,
         h_ladder=ladder, geometry_label=net.get("geometry"), m0_config=m0_doc)
@@ -315,12 +317,18 @@ def _write_csv(path: Path, header: str, *columns) -> None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
-def _write_summary(out: Path, summary: dict) -> None:
+def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
+    """summary.json: the mode's own entries plus those every mode writes."""
+    summary = {**summary, "mode": config.mode, "schema_version": 1, "seed": config.seed,
+               "theta": config.spec.theta, "tolerance": config.spec.tol}
+    if config.geometry_label is not None:
+        summary["geometry"] = config.geometry_label
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem,
-                     record_full: bool = False):
+                     extra_levels=()):
+    """Solve and write the artifacts, capturing fields also at ``extra_levels``."""
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
@@ -328,8 +336,8 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
 
     progress = None if quiet else (
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
-    result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress,
-                         record_full=record_full)
+    result = fixed_point(problem, snapshot_levels=snapshot_levels | set(extra_levels),
+                         progress=progress)
 
     _write_csv(out / "f_series.csv", "t,F", result.times, result.f_series)
     _write_csv(out / "iterates.csv", "iteration,T",
@@ -346,26 +354,19 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
             field_to_csv(result.fields["u"][n], snapdir / f"u_{n:08d}.csv")
 
     summary = {
-        "mode": config.mode,
-        "schema_version": 1,
         "converged": result.converged,
         "cycle_detected": result.cycle_detected,
         "iterations": result.iterations,
         "iterates": result.iterates,
         "t_init": result.t_init,
         "t_star": result.t_star,
-        "theta": spec.theta,
         "h_target": spec.h_target,
         "dt": result.time_grid.dt,
         "n_time_steps": result.time_grid.n_steps,
         "equilibrium_level": lvl,
         "residual_mass_error": result.residual_mass,
-        "tolerance": spec.tol,
-        "seed": config.seed,
         "notes": result.notes,
     }
-    if config.geometry_label is not None:
-        summary["geometry"] = config.geometry_label
     return result, summary
 
 
@@ -373,25 +374,30 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     spec = config.spec
     problem = discretize(spec)
     grid, tg = problem.grid, problem.time_grid
+    dt_mc = config.dt_mc if config.dt_mc is not None else tg.dt / 10.0
+    sim = SimConfig(n_agents=config.agents, dt=dt_mc, t_max=spec.cost.t_max, seed=config.seed)
 
-    need = (tg.n_steps + 1) * grid.n_flat * 8
+    # phi, psi, u and m at each level the particles read (one per particle
+    # step, or every level when the steps are finer), and the step times
+    n_mc = math.ceil(sim.t_max / sim.dt)
+    n_read = min(n_mc, tg.n_steps + 1)
+    need = 8 * (4 * n_read * grid.n_flat + n_mc)
     if need > _ORACLE_MEMORY_LIMIT:
         raise ValidationError(
-            "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB of "
-            "solution history; coarsen h or use solve mode")
+            "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB for the "
+            f"fields at the {n_read} levels its {n_mc} particle steps read; coarsen h, "
+            "raise run.dt_mc or use solve mode")
 
     # the particles follow the drift of the capture solve, whose F is the one
-    # written to f_series.csv
-    result, summary = _solve_artifacts(config, out, quiet, problem, record_full=True)
-    drift = density_drift(grid, result.phi_full, tg.dt)
-    dt_mc = config.dt_mc if config.dt_mc is not None else tg.dt / 10.0
+    # written to f_series.csv, evaluated only at the levels they read
+    levels = read_levels(sim, tg.dt, tg.n_steps).tolist()
+    result, summary = _solve_artifacts(config, out, quiet, problem, levels)
+    phi = np.stack([result.fields["phi"][n].data for n in levels])
+    drift = density_drift(grid, phi, tg.dt, levels)
     if not quiet:
         print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}", flush=True)
-    mc = estimate_arrival_cdf(
-        spec.topology,
-        SimConfig(n_agents=config.agents, dt=dt_mc, t_max=spec.cost.t_max,
-                  seed=config.seed, drift=drift),
-        grid, problem.m0, tg.times)
+    mc = estimate_arrival_cdf(spec.topology, replace(sim, drift=drift), grid, problem.m0,
+                              tg.times)
 
     f_pde = result.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
@@ -423,18 +429,7 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
     _write_csv(out / "refine_study.csv", "h,E_h,T,iterations",
                *([r[key] for r in rows]
                  for key in ("h", "residual_mass_error", "t_star", "iterations")))
-    summary = {
-        "mode": config.mode,
-        "schema_version": 1,
-        "converged": all_converged,
-        "theta": config.spec.theta,
-        "tolerance": config.spec.tol,
-        "seed": config.seed,
-        "refine_study": rows,
-    }
-    if config.geometry_label is not None:
-        summary["geometry"] = config.geometry_label
-    return summary
+    return {"converged": all_converged, "refine_study": rows}
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
@@ -459,12 +454,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
         except OSError:
             pass
-        if isinstance(err, (ParseError, ValidationError, StepTooCoarse, StepTooLarge)):
-            return 2
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
-        return 2
-    _write_summary(out, summary)
+        return 2  # the config, a step too coarse or a particle step too large
+    _write_summary(config, out, summary)
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)
     return 0 if summary["converged"] else 4

@@ -62,6 +62,10 @@ KRYLOV_TOL = 1e-13
 # (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
 # M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
 KRYLOV_COST_RATIO = 0.2
+# A capture writing L levels costs (396 + 26 L) us per recurrence step there
+# (0.147 + 0.0098 L s at m = 371), against 2 * 58 us per step for the sweep
+# pair: it pays once m (1 + L / 15) <= 0.29 n_steps, so the maps' ratio serves.
+KRYLOV_CAPTURE_LEVELS = 15.0
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels per block of ModalStep.phi_levels' recursion: the phi window costs
 # 2 * W * n_int flops per level and each block a fixed Python overhead; 32
@@ -230,14 +234,6 @@ class HeatSweep:
     exit_adjacent: np.ndarray          # value next to the exit, per level
     exit_values: np.ndarray            # pinned exit value, per level
     snapshots: dict[int, GridField] = field(default_factory=dict)
-    full: np.ndarray | None = None     # (n_steps+1, n_flat) when recorded
-
-    def level(self, n: int) -> GridField:
-        if n in self.snapshots:
-            return self.snapshots[n]
-        if self.full is not None:
-            return GridField(self.grid, self.full[n].copy(), n * self.time_grid.dt)
-        raise KeyError(f"level {n} was not recorded")
 
 
 def _normalize_pins(time_grid: TimeGrid, extra_dirichlet) -> list[tuple[int, np.ndarray]]:
@@ -248,7 +244,7 @@ def _normalize_pins(time_grid: TimeGrid, extra_dirichlet) -> list[tuple[int, np.
 
 def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
                exit_series: np.ndarray, extra_pins, level_seq,
-               snapshot_levels, record_full, init_level) -> HeatSweep:
+               snapshot_levels, init_level) -> HeatSweep:
     exit_id = grid.topology.exit_vertex
     pins = [(exit_id, exit_series)] + list(extra_pins)
     op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
@@ -259,7 +255,6 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
     exit_adjacent = np.empty(n_levels)
     snapshots: dict[int, GridField] = {}
     wanted = set(snapshot_levels or ())
-    full = np.empty((n_levels, grid.n_flat)) if record_full else None
 
     cur = init.copy()
     nxt = np.empty_like(cur)
@@ -269,8 +264,6 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
         exit_adjacent[level] = state[adj_idx]
         if level in wanted:
             snapshots[level] = GridField(grid, state.copy(), level * time_grid.dt)
-        if full is not None:
-            full[level] = state
 
     record(init_level, cur)
     for level in level_seq:
@@ -282,12 +275,11 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
     terminal = GridField(grid, (cur if init_level == 0 else init).copy(), time_grid.t_max)
     return HeatSweep(grid=grid, time_grid=time_grid, initial=initial, terminal=terminal,
                      exit_adjacent=exit_adjacent, exit_values=exit_series,
-                     snapshots=snapshots, full=full)
+                     snapshots=snapshots)
 
 
 def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
-                       extra_dirichlet=None, snapshot_levels=None,
-                       record_full: bool = False) -> HeatSweep:
+                       extra_dirichlet=None, snapshot_levels=None) -> HeatSweep:
     """Sweep the value-potential equation from its constant terminal state
     down to level 0, pinning the exit at exp(c_T(t_n)).
 
@@ -300,7 +292,7 @@ def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
                       range(time_grid.n_steps - 1, -1, -1),
-                      snapshot_levels, record_full, init_level=time_grid.n_steps)
+                      snapshot_levels, init_level=time_grid.n_steps)
 
 
 def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
@@ -315,8 +307,7 @@ def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
 
 
 def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
-                      phi0: GridField, extra_dirichlet=None, snapshot_levels=None,
-                      record_full: bool = False) -> HeatSweep:
+                      phi0: GridField, extra_dirichlet=None, snapshot_levels=None) -> HeatSweep:
     """Sweep the density potential forward from m0 / phi0 with the exit
     held at zero. ``phi0`` must be strictly positive."""
     init = psi_initial(m0, phi0)
@@ -324,7 +315,7 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
     return _run_sweep(grid, time_grid, init, exit_series,
                       _normalize_pins(time_grid, extra_dirichlet),
                       range(1, time_grid.n_steps + 1),
-                      snapshot_levels, record_full, init_level=0)
+                      snapshot_levels, init_level=0)
 
 
 def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
@@ -334,11 +325,14 @@ def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
     return n_int**3 <= MODAL_COST_RATIO * time_grid.n_steps * grid.n_flat
 
 
-def krylov_pays(time_grid: TimeGrid) -> bool:
-    """Whether a LanczosStep costs less than sweeping:
-    sqrt(n_steps * ln(1 / KRYLOV_TOL)) <= KRYLOV_COST_RATIO * n_steps."""
+def krylov_pays(time_grid: TimeGrid, n_levels: int = 0) -> bool:
+    """Whether a LanczosStep costs less than sweeping, for a map
+    (``n_levels`` 0) or a capture writing ``n_levels`` levels:
+    sqrt(n_steps * ln(1 / KRYLOV_TOL)) * (1 + n_levels / KRYLOV_CAPTURE_LEVELS)
+    <= KRYLOV_COST_RATIO * n_steps."""
     n = time_grid.n_steps
-    return math.sqrt(n * math.log(1 / KRYLOV_TOL)) <= KRYLOV_COST_RATIO * n
+    m = math.sqrt(n * math.log(1 / KRYLOV_TOL))
+    return m * (1 + n_levels / KRYLOV_CAPTURE_LEVELS) <= KRYLOV_COST_RATIO * n
 
 
 def _powers(base: np.ndarray, exponent) -> np.ndarray:
@@ -347,12 +341,11 @@ def _powers(base: np.ndarray, exponent) -> np.ndarray:
     return out
 
 
-def capture(fast, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
-            record_full: bool = False) -> tuple[HeatSweep, HeatSweep]:
+def capture(fast, exit_series: np.ndarray, m0: GridField,
+            snapshot_levels=()) -> tuple[HeatSweep, HeatSweep]:
     """Both sweeps of one candidate map from a fast path, each ``HeatSweep``
     field as the time-stepping sweeps give it, with the states evaluated
-    only at level 0, the last level and ``snapshot_levels``, plus phi at
-    every level (``full``) with ``record_full``.
+    only at level 0, the last level and ``snapshot_levels``.
 
     The fast path, a ``ModalStep`` or a ``lanczos.LanczosStep``, provides
     ``phi_levels(exit_series, levels)``: phi at ``levels`` and next to the
@@ -362,20 +355,19 @@ def capture(fast, exit_series: np.ndarray, m0: GridField, snapshot_levels=(),
     """
     grid, tg, n_steps = fast.operator.grid, fast.time_grid, fast.n_steps
     written = sorted({0, n_steps} | set(snapshot_levels))
-    phi_rows, phi_adjacent = fast.phi_levels(
-        exit_series, np.arange(n_steps + 1) if record_full else written)
-    phi = dict(zip(written, phi_rows[written] if record_full else phi_rows))
+    phi_rows, phi_adjacent = fast.phi_levels(exit_series, written)
+    phi = dict(zip(written, phi_rows))
     psi0 = psi_initial(m0, GridField(grid, phi[0]))
     psi = {0: psi0, **dict(zip(written[1:], fast.psi_levels(psi0, written[1:])))}
 
-    def sweep(states, exit_adjacent, exit_values, full=None) -> HeatSweep:
+    def sweep(states, exit_adjacent, exit_values) -> HeatSweep:
         return HeatSweep(
             grid=grid, time_grid=tg, initial=GridField(grid, states[0], 0.0),
             terminal=GridField(grid, states[n_steps], tg.t_max),
-            exit_adjacent=exit_adjacent, exit_values=exit_values, full=full,
+            exit_adjacent=exit_adjacent, exit_values=exit_values,
             snapshots={n: GridField(grid, states[n], n * tg.dt) for n in snapshot_levels})
 
-    return (sweep(phi, phi_adjacent, exit_series, phi_rows if record_full else None),
+    return (sweep(phi, phi_adjacent, exit_series),
             sweep(psi, fast.exit_adjacent_trace(psi0), np.zeros(n_steps + 1)))
 
 

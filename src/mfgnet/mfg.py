@@ -186,15 +186,16 @@ class PsiMapResult:
     psi: HeatSweep | None
 
 
-def _fast_step(problem: DiscreteProblem, record_full: bool) -> ModalStep | LanczosStep | None:
+def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosStep | None:
     """The problem's ModalStep or LanczosStep (built on first use) when it
-    pays on the grids for this evaluation; None to sweep."""
+    pays on the grids for an evaluation writing ``n_levels`` levels (0 for
+    a map); None to sweep."""
     grid, time_grid = problem.grid, problem.time_grid
     if modal_pays(grid, time_grid):
         if problem.modal is None:
             problem.modal = ModalStep(grid, time_grid)
         return problem.modal
-    if record_full or not krylov_pays(time_grid):
+    if not krylov_pays(time_grid, n_levels):
         return None
     if problem.krylov is None:
         # imported here: every process compiles what it imports when no
@@ -216,20 +217,17 @@ def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
     trace[trace < 0] = 0.0
 
 
-def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
-            record_full: bool = False) -> PsiMapResult:
+def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=()) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    Asking for fields (``snapshot_levels``, or ``record_full`` for every
-    level of phi; psi's levels are never kept whole) returns both sweeps.
-    When ``modal_pays`` on the grids, the problem's ModalStep replaces the
+    Asking for fields at ``snapshot_levels`` returns both sweeps. When
+    ``modal_pays`` on the grids, the problem's ModalStep replaces the
     sweeps: it yields only the exit traces when no field is asked for, and
     otherwise evaluates fields only at level 0, the last level and the
-    snapshot levels (``capture``), with phi at every level for
-    ``record_full``. Where ``modal_pays`` fails and ``krylov_pays`` holds,
-    the problem's LanczosStep does the same, except that ``record_full``
-    sweeps.
+    snapshot levels (``capture``). Where ``modal_pays`` fails, the problem's
+    LanczosStep does the same when ``krylov_pays`` holds for the number of
+    levels written.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -237,16 +235,16 @@ def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=(),
     grid, time_grid = problem.grid, problem.time_grid
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
 
-    fast = _fast_step(problem, record_full)
+    written = len({0, time_grid.n_steps, *snapshot_levels}) if snapshot_levels else 0
+    fast = _fast_step(problem, written)
     if fast is None:
-        phi = solve_backward_phi(grid, time_grid, exit_series, snapshot_levels=snapshot_levels,
-                                 record_full=record_full)
+        phi = solve_backward_phi(grid, time_grid, exit_series, snapshot_levels=snapshot_levels)
         psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
                                 snapshot_levels=snapshot_levels)
         trace = psi.exit_adjacent
     else:
-        if snapshot_levels or record_full:
-            phi, psi = capture(fast, exit_series, problem.m0, snapshot_levels, record_full)
+        if snapshot_levels:
+            phi, psi = capture(fast, exit_series, problem.m0, snapshot_levels)
             psi0, trace = psi.initial.data, psi.exit_adjacent
         else:
             psi0 = psi_initial(problem.m0, GridField(grid, fast.phi_initial(exit_series)))
@@ -300,26 +298,25 @@ class EquilibriumResult:
     time_grid: TimeGrid
     cycle_detected: bool = False
     notes: list[str] = field(default_factory=list)
-    phi_full: np.ndarray | None = None  # every level of the capture's phi, if recorded
 
     @property
     def iterations(self) -> int:
         return len(self.iterates)
 
 
-def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progress=None,
-                record_full: bool = False) -> EquilibriumResult:
+def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
+                progress=None) -> EquilibriumResult:
     """Iterate the candidate-time map from t_init until two successive
     values agree within ``spec.tol`` (or max_iters / a 2-cycle stops it).
 
     ``spec`` may already be discretized. Never raises on non-convergence:
     the best iterate is returned with ``converged=False`` and a note. After
     the loop the last candidate is evaluated once more with fields, to
-    capture them at the equilibrium level, at ``snapshot_levels`` and, with
-    ``record_full``, phi at every level. On grids where ``psi_map`` takes
-    the modal or the Lanczos path for fields this evaluates them from the
-    cached eigenbasis or Lanczos basis without sweeping; on the modal path a
-    converged capture's F is the last iteration's to the last bit.
+    capture them at level 0, the equilibrium level and ``snapshot_levels``.
+    On grids where ``psi_map`` takes the modal or the Lanczos path for
+    fields this evaluates them from the cached eigenbasis or Lanczos basis
+    without sweeping; on the modal path a converged capture's F is the last
+    iteration's to the last bit.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -356,11 +353,11 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
 
     level = problem.time_grid.level_of(t_report)
     wanted = {0, level} | set(snapshot_levels)
-    cap = psi_map(capture_input, problem, snapshot_levels=wanted, record_full=record_full)
+    cap = psi_map(capture_input, problem, snapshot_levels=wanted)
 
     fields: dict[str, dict[int, GridField]] = {"phi": {}, "psi": {}, "u": {}, "m": {}}
     for n in sorted(wanted):
-        phi_n, psi_n = cap.phi.level(n), cap.psi.level(n)
+        phi_n, psi_n = cap.phi.snapshots[n], cap.psi.snapshots[n]
         u_n, m_n = recover_um(phi_n, psi_n)
         fields["phi"][n], fields["psi"][n] = phi_n, psi_n
         fields["u"][n], fields["m"][n] = u_n, m_n
@@ -378,7 +375,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(), progres
         phi_exit_adjacent=cap.phi.exit_adjacent,
         psi_exit_adjacent=cap.psi.exit_adjacent,
         grid=problem.grid, time_grid=problem.time_grid,
-        cycle_detected=cycle, notes=notes, phi_full=cap.phi.full)
+        cycle_detected=cycle, notes=notes)
 
 
 def refine_spec(spec: ProblemSpec, h_target: float) -> ProblemSpec:
@@ -387,25 +384,30 @@ def refine_spec(spec: ProblemSpec, h_target: float) -> ProblemSpec:
 
 
 class DriftSeries:
-    """Optimal drift -du/dx per edge node per time level: centered
+    """Optimal drift -du/dx per edge node at chosen time levels: centered
     differences inside each edge, one-sided at its endpoints. Node values
     are direction-aware (per edge), unlike vertex-shared GridField storage.
+    Row i holds PDE level ``levels[i]`` (increasing; by default level i).
     """
 
-    def __init__(self, grid: SpatialGrid, values: np.ndarray, dt: float | None = None):
+    def __init__(self, grid: SpatialGrid, values: np.ndarray, dt: float | None = None,
+                 levels=None):
         self.grid = grid
-        self.values = values  # (n_levels, n_edge_nodes)
+        self.values = values  # (n_rows, n_edge_nodes)
         self.dt = dt
         self.node_offsets = np.concatenate([[0], np.cumsum(grid.n_cells + 1)])
-
-    @property
-    def n_levels(self) -> int:
-        return self.values.shape[0]
+        levels = np.arange(len(values)) if levels is None else np.asarray(levels)
+        self.row_of = np.full(levels[-1] + 1, -1)
+        self.row_of[levels] = np.arange(len(levels))
 
     def level_at(self, t: float) -> int:
+        """The row of level int(t / dt), clamped to [0, last level]."""
         if self.dt is None:
             raise ValueError("this drift series was built without a time step")
-        return min(max(int(t / self.dt), 0), self.n_levels - 1)
+        row = self.row_of[min(max(int(t / self.dt), 0), len(self.row_of) - 1)]
+        if row < 0:
+            raise KeyError(f"the drift series holds no row for time {t}")
+        return row
 
     def edge_nodes(self, level: int, edge_id: int) -> np.ndarray:
         sl = slice(self.node_offsets[edge_id], self.node_offsets[edge_id + 1])
@@ -443,15 +445,18 @@ def _derivative_plan(grid: SpatialGrid):
     return np.asarray(left), np.asarray(right), np.asarray(inv_den)
 
 
-def drift_from_matrix(grid: SpatialGrid, u_matrix: np.ndarray, dt: float | None = None) -> DriftSeries:
-    """Differentiate value fields, one level per row of ``u_matrix``, into
-    the feedback drift -du/dx."""
+def drift_from_matrix(grid: SpatialGrid, u_matrix: np.ndarray, dt: float | None = None,
+                      levels=None) -> DriftSeries:
+    """Differentiate value fields, one level per row of ``u_matrix`` (the
+    rows of ``levels``, as ``DriftSeries`` takes them), into the feedback
+    drift -du/dx."""
     left, right, inv_den = _derivative_plan(grid)
     values = -(u_matrix[:, right] - u_matrix[:, left]) * inv_den
-    return DriftSeries(grid, values, dt)
+    return DriftSeries(grid, values, dt, levels)
 
 
-def density_drift(grid: SpatialGrid, phi_matrix: np.ndarray, dt: float | None = None) -> DriftSeries:
+def density_drift(grid: SpatialGrid, phi_matrix: np.ndarray, dt: float | None = None,
+                  levels=None) -> DriftSeries:
     """Drift of the population density implied by the heat pair.
 
     Substituting m = phi*psi into the two heat equations shows the density
@@ -461,4 +466,4 @@ def density_drift(grid: SpatialGrid, phi_matrix: np.ndarray, dt: float | None = 
     the arrival flow of the computed density; the two differ once the
     arrival cost is nonzero.
     """
-    return drift_from_matrix(grid, -2.0 * np.log(phi_matrix), dt)
+    return drift_from_matrix(grid, -2.0 * np.log(phi_matrix), dt, levels)

@@ -30,6 +30,7 @@ __all__ = [
     "SimConfig",
     "ArrivalCdf",
     "simulate_agents",
+    "read_levels",
     "estimate_arrival_cdf",
     "dkw_epsilon",
 ]
@@ -185,6 +186,14 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
             keep = ~absorbed
             state = [col[keep] for col in state]
     return arrival
+
+
+def read_levels(config: SimConfig, dt: float, last_level: int) -> np.ndarray:
+    """The levels, increasing, at which ``simulate_agents`` reads a drift
+    with time step ``dt`` and levels 0 to ``last_level``: its ``level_at(t)``
+    at every step time t = k * config.dt, by the loop's arithmetic."""
+    t = np.arange(math.ceil(config.t_max / config.dt)) * config.dt
+    return np.unique(np.minimum((t / dt).astype(int), last_level))
 
 
 def dkw_epsilon(n: int, alpha: float = 0.05) -> float:

@@ -64,3 +64,13 @@ def random_tree_network(rng: np.random.Generator, n_extra_edges: int = 0):
 
 def assert_json_equal(a, b):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def every_level(time_grid) -> range:
+    """Every level of a time grid, as snapshot levels."""
+    return range(time_grid.n_steps + 1)
+
+
+def level_states(sweep) -> np.ndarray:
+    """A sweep's snapshot states in level order, one row each."""
+    return np.stack([sweep.snapshots[n].data for n in sorted(sweep.snapshots)])

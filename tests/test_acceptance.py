@@ -18,7 +18,7 @@ import mfgnet as mn
 from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi
 from mfgnet.mfg import cost, fixed_point, refine_spec
 
-from conftest import bundled_text, random_tree_network
+from conftest import bundled_text, every_level, level_states, random_tree_network
 
 H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -136,10 +136,10 @@ def test_criterion_3_min_principle_and_positivity():
                 # random bumps are nonzero at the exit; projecting is intended
                 warnings.simplefilter("ignore", UserWarning)
                 m0 = mn.normalize_mass(g, g_raw)
-            phi = solve_backward_phi(g, tg, c_T, record_full=True)
-            psi = solve_forward_psi(g, tg, m0, phi.initial, record_full=True)
-            assert phi.full.min() >= 1.0 - 1e-12
-            assert psi.full.min() >= -1e-14
+            phi = solve_backward_phi(g, tg, c_T, snapshot_levels=every_level(tg))
+            psi = solve_forward_psi(g, tg, m0, phi.initial, snapshot_levels=every_level(tg))
+            assert level_states(phi).min() >= 1.0 - 1e-12
+            assert level_states(psi).min() >= -1e-14
 
 
 def test_criterion_4_mass_budget(example1_ladder):

@@ -289,6 +289,54 @@ class TestCliEntry:
             assert err["field"].replace("[]", "").split(".") == parts
         assert not (tmp_path / "out" / "f_series.csv").exists()
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("problem.cost.c1", [0.1], "problem.cost.c1"),
+        ("problem.cost.c2", None, "problem.cost.c2"),
+        ("version", True, "$.version"),
+        ("numerics.h_target", True, "numerics.h_target"),
+        ("problem.t0", True, "problem.t0"),
+        ("problem.cost.c1", True, "problem.cost.c1"),
+        ("network.exit_vertex", True, "network.exit_vertex"),
+        ("run.seed", True, "run.seed"),
+        ("numerics.max_iters", True, "numerics.max_iters"),
+        ("run.out_dir", None, "run.out_dir"),
+        ("run.out_dir", 3, "run.out_dir"),
+    ], ids=["c1_list", "c2_null", "version_true", "h_target_true", "t0_true", "c1_true",
+            "exit_vertex_true", "seed_true", "max_iters_true", "out_dir_null", "out_dir_number"])
+    def test_wrong_json_type_names_field(self, tmp_path, capsys, monkeypatch, field, value, named):
+        """A list, null, true or false where a number or a path belongs."""
+        monkeypatch.chdir(tmp_path)  # where a run given out_dir null would write
+        doc = fast_config(tmp_path)
+        *sections, key = field.split(".")
+        target = doc
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["field"] == named
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("dt_mc, flags, levels", [
+        (1e-3, ["--h", "1e-4"], 10_000),  # 3.2 GB of fields
+        (1e-9, [], 64_001),               # 80 GB of particle step times
+    ], ids=["desk_h_1e-4", "desk_dt_mc_1e-9"])
+    def test_oracle_over_memory_limit_rejected(self, tmp_path, capsys, dt_mc, flags, levels):
+        """Desk whose drift would take GBs stops before solving."""
+        doc = json.loads(bundled_text("desk.json"))
+        doc["run"].update(out_dir=str(tmp_path / "out"), dt_mc=dt_mc)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--quiet", *flags]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["field"] == "run.mode"
+        assert f"{levels} levels" in err["message"]
+        assert not (tmp_path / "out" / "f_series.csv").exists()
+
     @pytest.mark.parametrize("m0, field", [
         ({"kind": "bumps", "centers": [["a", 0]], "radii": [0.3]}, "problem.m0.centers"),
         ({"kind": "hat", "center": ["a", 0], "width": 0.5}, "problem.m0.center"),

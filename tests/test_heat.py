@@ -5,7 +5,7 @@ import mfgnet as mn
 from mfgnet.errors import CflViolation, NonpositivePhi
 from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi, step
 
-from conftest import random_tree_network
+from conftest import every_level, level_states, random_tree_network
 
 
 def star(step_lengths):
@@ -73,9 +73,9 @@ class TestVertexSolve:
             tg = mn.build_time_grid(0.3, g.min_h, 0.25)
             m0 = mn.GridField(g, rng.uniform(0, 5, g.n_flat))
             phi0 = mn.GridField(g, rng.uniform(1, 2, g.n_flat))
-            sweep = solve_forward_psi(g, tg, m0, phi0, record_full=True)
+            sweep = solve_forward_psi(g, tg, m0, phi0, snapshot_levels=every_level(tg))
             op = StepOperator(g, (topo.exit_vertex,), tg.dt)
-            for state in sweep.full[1:]:
+            for state in level_states(sweep)[1:]:
                 scale = op.total_weight * max(abs(state).max(), 1.0)
                 assert (np.abs(op.kirchhoff_residual(state)) <= 1e-12 * scale).all()
 
@@ -161,9 +161,10 @@ class TestBackwardSweep:
     def test_zero_cost_gives_unit_field(self, three_star):
         g = mn.build_grid(three_star, 0.2)
         tg = mn.build_time_grid(1.0, g.min_h, 0.25)
-        sweep = solve_backward_phi(g, tg, lambda s: np.zeros_like(s), record_full=True)
+        sweep = solve_backward_phi(g, tg, lambda s: np.zeros_like(s),
+                                   snapshot_levels=every_level(tg))
         np.testing.assert_allclose(sweep.initial.data, 1.0, rtol=1e-14)
-        assert sweep.full.min() == pytest.approx(1.0)
+        assert level_states(sweep).min() == pytest.approx(1.0)
 
     def test_exit_datum_imposed_exactly(self, three_star):
         g = mn.build_grid(three_star, 0.2)
@@ -182,8 +183,8 @@ class TestBackwardSweep:
             knots = np.sort(rng.uniform(0, 0.8, 3))
             vals = rng.uniform(0.2, 3.0, 3)
             c = lambda s: np.log(np.interp(s, knots, vals))
-            sweep = solve_backward_phi(g, tg, c, record_full=True)
-            assert sweep.full.min() >= vals.min() - 1e-12
+            sweep = solve_backward_phi(g, tg, c, snapshot_levels=every_level(tg))
+            assert level_states(sweep).min() >= vals.min() - 1e-12
 
 
 class TestForwardSweep:
@@ -191,8 +192,8 @@ class TestForwardSweep:
         g = mn.build_grid(three_star, 0.2)
         tg = mn.build_time_grid(0.5, g.min_h, 0.25)
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, g.zeros(), phi0, record_full=True)
-        assert sweep.full.min() == 0.0
+        sweep = solve_forward_psi(g, tg, g.zeros(), phi0, snapshot_levels=every_level(tg))
+        assert level_states(sweep).min() == 0.0
         np.testing.assert_array_equal(sweep.terminal.data, 0.0)
 
     def test_nonnegativity_preserved(self, three_star):
@@ -201,8 +202,8 @@ class TestForwardSweep:
         rng = np.random.default_rng(3)
         m0 = mn.GridField(g, rng.uniform(0, 1, g.n_flat))
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, m0, phi0, record_full=True)
-        assert sweep.full.min() >= -1e-14
+        sweep = solve_forward_psi(g, tg, m0, phi0, snapshot_levels=every_level(tg))
+        assert level_states(sweep).min() >= -1e-14
 
     def test_nonpositive_phi_rejected(self, three_star):
         g = mn.build_grid(three_star, 0.2)
@@ -217,9 +218,9 @@ class TestForwardSweep:
         tg = mn.build_time_grid(0.2, g.min_h, 0.25)
         m0 = mn.sample_function(g, lambda p: p[:, 0])
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, m0, phi0, record_full=True)
+        sweep = solve_forward_psi(g, tg, m0, phi0, snapshot_levels=every_level(tg))
         adj = g.exit_adjacent_index
-        np.testing.assert_array_equal(sweep.exit_adjacent, sweep.full[:, adj])
+        np.testing.assert_array_equal(sweep.exit_adjacent, level_states(sweep)[:, adj])
 
 
 class TestConservation:

@@ -19,6 +19,8 @@ from mfgnet.mfg import (
     residual_mass_error,
 )
 
+from conftest import every_level, level_states
+
 
 EX1_COST = CostSpec(t0=0.5, t_max=10.0, c1=0.1, c2=0.0, c3=0.1)
 
@@ -196,6 +198,16 @@ class TestDrift:
         assert d.level_at(0.25) == 2
         assert d.level_at(9.9) == 3  # clamped to the last level
 
+    def test_rows_at_chosen_levels(self, single_edge):
+        g = mn.build_grid(single_edge, 0.25)
+        u = mn.sample_function(g, lambda p: p[:, 0])
+        d = drift_from_matrix(g, np.stack([u.data, 2 * u.data, 3 * u.data]), dt=0.1,
+                              levels=[0, 4, 7])
+        assert [d.level_at(t) for t in (0.0, 0.45, 0.75, 9.9)] == [0, 1, 2, 2]
+        np.testing.assert_allclose(d.edge_nodes(d.level_at(0.45), 0), -2.0)
+        with pytest.raises(KeyError):
+            d.level_at(0.25)
+
 
 def desk_problem(h=0.05, theta=0.5):
     topo = mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 0, 1, 1.0)], 0)
@@ -287,10 +299,11 @@ class TestFixedPoint:
         res = fixed_point(problem)
         grid, tg = problem.grid, problem.time_grid
         c_T = lambda s: cost(s, res.capture_t_input, problem.spec.cost)  # noqa: E731
-        phi = solve_backward_phi(grid, tg, c_T, record_full=True)
-        psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, record_full=True)
-        assert phi.full.min() >= 1.0 - 1e-12
-        assert psi.full.min() >= -1e-14
+        phi = solve_backward_phi(grid, tg, c_T, snapshot_levels=every_level(tg))
+        psi = solve_forward_psi(grid, tg, problem.m0, phi.initial,
+                                snapshot_levels=every_level(tg))
+        assert level_states(phi).min() >= 1.0 - 1e-12
+        assert level_states(psi).min() >= -1e-14
 
     def test_equilibrium_level_matches_t_star(self):
         res = fixed_point(desk_problem())

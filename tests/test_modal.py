@@ -11,7 +11,7 @@ import pytest
 import mfgnet as mn
 from mfgnet import heat
 from mfgnet.errors import NumericalFailure
-from mfgnet.heat import StepOperator, modal_pays
+from mfgnet.heat import StepOperator, krylov_pays, modal_pays
 from mfgnet.mfg import _clip_rounding, cost, discretize, fixed_point, psi_map
 
 from conftest import bundled_text, random_tree_network
@@ -88,36 +88,31 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
 
 
 def test_modal_capture_matches_sweep(problem, monkeypatch):
-    """Both sweeps evaluated from the eigenbasis at the written levels, and
-    phi at every level with ``record_full``, against the time-stepping
+    """Both sweeps evaluated from the eigenbasis at the written levels, a
+    few of them and one in every 11 (several to a block of the phi
+    recursion, as the oracle's read levels are), against the time-stepping
     sweeps, with both exit traces."""
     spec, n_steps = problem.spec, problem.time_grid.n_steps
-    levels = {0, 1, 7, n_steps // 2, n_steps}
+    levels = {0, 1, 7, n_steps // 2, n_steps, *range(3, n_steps, 11)}
     t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
-        sweep = psi_map(t, problem, snapshot_levels=levels, record_full=True)
-    for record_full in (False, True):
-        modal = psi_map(t, problem, snapshot_levels=levels, record_full=record_full)
-        assert problem.modal is not None
+        sweep = psi_map(t, problem, snapshot_levels=levels)
+    modal = psi_map(t, problem, snapshot_levels=levels)
+    assert problem.modal is not None
 
-        assert modal.t_star == sweep.t_star
-        assert _rel(modal.f_series, sweep.f_series) <= 1e-10
-        if record_full:
-            assert _rel(modal.phi.full, sweep.phi.full) <= 1e-10
-        else:
-            assert modal.phi.full is None
-        for name in ("phi", "psi"):
-            m, s = getattr(modal, name), getattr(sweep, name)
-            assert m.snapshots.keys() == s.snapshots.keys() == levels
-            for n in levels:
-                assert _rel(m.level(n).data, s.level(n).data) <= 1e-10
-                assert m.level(n).time_label == s.level(n).time_label
-            assert _rel(m.initial.data, s.initial.data) <= 1e-10
-            assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
-            assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
-            np.testing.assert_array_equal(m.exit_values, s.exit_values)
-        assert modal.psi.full is None and sweep.psi.full is None
+    assert modal.t_star == sweep.t_star
+    assert _rel(modal.f_series, sweep.f_series) <= 1e-10
+    for name in ("phi", "psi"):
+        m, s = getattr(modal, name), getattr(sweep, name)
+        assert m.snapshots.keys() == s.snapshots.keys() == levels
+        for n in levels:
+            assert _rel(m.snapshots[n].data, s.snapshots[n].data) <= 1e-10
+            assert m.snapshots[n].time_label == s.snapshots[n].time_label
+        assert _rel(m.initial.data, s.initial.data) <= 1e-10
+        assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
+        assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
+        np.testing.assert_array_equal(m.exit_values, s.exit_values)
 
 
 def test_symmetrized_step_is_symmetric(problem):
@@ -223,8 +218,8 @@ def test_long_edge_capture_makes_no_sweep(monkeypatch):
         sweep = psi_map(res.capture_t_input, problem, snapshot_levels=set(res.fields["phi"]))
     assert res.fields["phi"].keys() == {0, res.equilibrium_level}
     for n in res.fields["phi"]:
-        assert _rel(res.fields["phi"][n].data, sweep.phi.level(n).data) <= 1e-10
-        assert _rel(res.fields["psi"][n].data, sweep.psi.level(n).data) <= 1e-10
+        assert _rel(res.fields["phi"][n].data, sweep.phi.snapshots[n].data) <= 1e-10
+        assert _rel(res.fields["psi"][n].data, sweep.psi.snapshots[n].data) <= 1e-10
 
 
 def _lattice(side, h, t_max, chords=()):
@@ -303,13 +298,12 @@ def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
         k, s = getattr(krylov, name), getattr(sweep, name)
         assert k.snapshots.keys() == s.snapshots.keys() == levels
         for n in levels:
-            assert _rel(k.level(n).data, s.level(n).data) <= 1e-9
-            assert k.level(n).time_label == s.level(n).time_label
+            assert _rel(k.snapshots[n].data, s.snapshots[n].data) <= 1e-9
+            assert k.snapshots[n].time_label == s.snapshots[n].time_label
         assert _rel(k.initial.data, s.initial.data) <= 1e-9
         assert _rel(k.terminal.data, s.terminal.data) <= 1e-9
         assert _rel(k.exit_adjacent, s.exit_adjacent) <= 1e-9
         np.testing.assert_array_equal(k.exit_values, s.exit_values)
-        assert k.full is None
 
 
 def test_fixed_point_krylov_same_as_sweep(monkeypatch):
@@ -337,6 +331,29 @@ def test_fixed_point_krylov_same_as_sweep(monkeypatch):
         assert krylov.fields[name].keys() == sweep.fields[name].keys()
         for n in krylov.fields[name]:
             assert _rel(krylov.fields[name][n].data, sweep.fields[name][n].data) <= 1e-9
+
+
+def test_krylov_capture_sweeps_many_levels(monkeypatch):
+    """On a grid where the maps take the Lanczos path, a capture that writes
+    a few levels takes it too, and one that writes many levels sweeps:
+    ``krylov_pays`` counts the levels written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(6, 0.05, 2.0))
+    tg = problem.time_grid
+    assert not modal_pays(problem.grid, tg) and krylov_pays(tg)
+    many = set(range(0, tg.n_steps + 1, tg.n_steps // 40))
+    assert not krylov_pays(tg, len(many | {tg.n_steps}))
+
+    run_sweep, swept = heat._run_sweep, []
+    monkeypatch.setattr(heat, "_run_sweep",
+                        lambda *a, **kw: swept.append(kw["init_level"]) or run_sweep(*a, **kw))
+    few = fixed_point(problem)
+    assert swept == [] and problem.krylov is not None
+    res = fixed_point(problem, snapshot_levels=many)
+    assert swept == [tg.n_steps, 0]  # the capture's two sweeps, the maps none
+    assert res.iterates == few.iterates
+    assert res.fields["phi"].keys() == many | {0, res.equilibrium_level}
 
 
 def test_krylov_holds_no_basis(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from mfgnet.montecarlo import (
     dkw_epsilon,
     estimate_arrival_cdf,
     sample_initial_positions,
+    read_levels,
     simulate_agents,
 )
+
+from conftest import every_level, level_states
 
 
 def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
@@ -114,11 +118,12 @@ class TestDensityDriftConsistency:
             topology=single_edge, cost=mfg.CostSpec(0.5, 4.0, 1.0, 0.0, 1.0),
             theta=0.5, m0=hat, h_target=0.02, t_init=4.0)
         prob = mfg.discretize(spec)
-        res = mfg.psi_map(2.0, prob, record_full=True)
         tg = prob.time_grid
+        res = mfg.psi_map(2.0, prob, snapshot_levels=every_level(tg))
+        phi = level_states(res.phi)
 
-        good = mfg.density_drift(prob.grid, res.phi.full, tg.dt)
-        bad = mfg.drift_from_matrix(prob.grid, np.log(res.phi.full), tg.dt)
+        good = mfg.density_drift(prob.grid, phi, tg.dt)
+        bad = mfg.drift_from_matrix(prob.grid, np.log(phi), tg.dt)
         sups = []
         for drift in (good, bad):
             cfg = SimConfig(n_agents=30_000, dt=5e-4, t_max=4.0, seed=5, drift=drift)
@@ -264,14 +269,18 @@ def _reference_simulate_agents(topology, config, start_edges, start_ys):
     return arrival
 
 
-def _smooth_drift(topology, h, n_levels, dt):
-    """A density drift from a positive phi history that varies along every
-    edge and in time."""
+def _smooth_phi(topology, h, n_levels):
+    """A grid and a positive phi history on it that varies along every edge
+    and in time, one level per row."""
     grid = mn.build_grid(topology, h)
     x = np.arange(grid.n_flat) / grid.n_flat
     levels = np.arange(n_levels)[:, None] / n_levels
-    phi = np.exp(np.sin(7.0 * x[None, :] + 3.0 * levels) + 2.0 * x[None, :] * levels)
-    return density_drift(grid, phi, dt)
+    return grid, np.exp(np.sin(7.0 * x[None, :] + 3.0 * levels) + 2.0 * x[None, :] * levels)
+
+
+def _smooth_drift(topology, h, n_levels, dt):
+    """A density drift from ``_smooth_phi``'s history."""
+    return density_drift(*_smooth_phi(topology, h, n_levels), dt)
 
 
 def _head_exit_edge():
@@ -367,3 +376,39 @@ def test_crossing_limit_raises_typed_error():
     cfg = SimConfig(n_agents=50, dt=1e6, t_max=4.0, seed=7)
     with pytest.raises(StepTooLarge, match="dt"):
         simulate_agents(topo, cfg, np.full(50, 30), np.full(50, 0.5))
+
+
+class TestReadLevels:
+    """The oracle evaluates phi only at ``read_levels``; the particles must
+    read no other level, and read the same rows as from the full history."""
+
+    @pytest.mark.parametrize("dt_mc, dt, last_level", [
+        (1e-3, 1.5625e-4, 12800),  # desk's ratio of time steps
+        (3e-3, 0.01, 200),         # particle steps finer than levels
+        (0.01, 0.01, 200),         # equal steps
+        (7e-3, 0.01, 50),          # the drift ends before the horizon
+    ])
+    def test_levels_simulate_agents_reads(self, dt_mc, dt, last_level):
+        # a long edge, so no agent is absorbed and every step is taken
+        topo = mn.build_network([(0, (0.0, 0.0)), (1, (20.0, 0.0))], [(0, 0, 1, 20.0)], 0)
+        drift = _smooth_drift(topo, 0.5, last_level + 1, dt)
+        asked, level_at = set(), drift.level_at
+        drift.level_at = lambda t: asked.add(level_at(t)) or level_at(t)
+        cfg = SimConfig(n_agents=5, dt=dt_mc, t_max=2.0, seed=2, drift=drift)
+        arr = simulate_agents(topo, cfg, np.zeros(5, dtype=int), np.full(5, 19.0))
+        assert np.isnan(arr).all()
+        np.testing.assert_array_equal(read_levels(cfg, dt, last_level), sorted(asked))
+
+    def test_drift_at_read_levels_gives_the_same_arrivals(self, three_star):
+        dt, n_levels = 0.01, 201
+        grid, phi = _smooth_phi(three_star, 0.1, n_levels)
+        cfg = SimConfig(n_agents=3000, dt=3e-3, t_max=2.0, seed=4)
+        levels = read_levels(cfg, dt, n_levels - 1)
+        assert len(levels) < n_levels
+        ys = np.random.default_rng(6).random(cfg.n_agents)
+        edges = np.arange(cfg.n_agents) % 3
+        arrivals = [simulate_agents(three_star, replace(cfg, drift=drift), edges, ys)
+                    for drift in (density_drift(grid, phi, dt),
+                                  density_drift(grid, phi[levels], dt, levels))]
+        assert np.array_equal(*arrivals, equal_nan=True)
+        assert np.isfinite(arrivals[0]).mean() > 0.2
