@@ -148,9 +148,15 @@ def _number(value, kind, path: str):
 
 
 def _floats(section: dict, key: str, path: str) -> np.ndarray:
-    """The list ``section[key]`` as a float array, or a ValidationError."""
-    return _number(_get(section, key, path, list), partial(np.asarray, dtype=float),
-                   f"{path}.{key}")
+    """The list ``section[key]``, of numbers or of lists of numbers, as a
+    float array, or a ValidationError; as in ``_number``, a JSON true,
+    false or string element is not a number."""
+    value = _get(section, key, path, list)
+    for item in value:
+        for x in item if isinstance(item, list) else [item]:
+            if isinstance(x, (bool, str)):
+                raise ValidationError(f"{path}.{key}", f"expected a number, got {x!r}")
+    return _number(value, partial(np.asarray, dtype=float), f"{path}.{key}")
 
 
 def _integer(value, path: str) -> int:
@@ -388,8 +394,8 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
             f"fields at the {n_read} levels its {n_mc} particle steps read; coarsen h, "
             "raise run.dt_mc or use solve mode")
 
-    # the particles follow the drift of the capture solve, whose F is the one
-    # written to f_series.csv, evaluated only at the levels they read
+    # the particles follow the drift of the map whose F is written to
+    # f_series.csv, with its fields evaluated only at the levels they read
     levels = read_levels(sim, tg.dt, tg.n_steps).tolist()
     result, summary = _solve_artifacts(config, out, quiet, problem, levels)
     phi = np.stack([result.fields["phi"][n].data for n in levels])
@@ -432,6 +438,15 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
     return {"converged": all_converged, "refine_study": rows}
 
 
+def _report(err: MFGNetError) -> dict:
+    """Write the JSON error payload of ``err`` to stderr, and return it."""
+    payload = {"error": {"type": type(err).__name__, "message": str(err)}}
+    if isinstance(err, ValidationError):
+        payload["error"]["field"] = err.field
+    sys.stderr.write(json.dumps(payload) + "\n")
+    return payload
+
+
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one run, writing artifacts into config.out_dir."""
     out = Path(config.out_dir)
@@ -446,10 +461,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         else:
             raise ValidationError("run.mode", f"unknown mode {config.mode!r}")
     except MFGNetError as err:
-        payload = {"error": {"type": type(err).__name__, "message": str(err)}}
-        if isinstance(err, ValidationError):
-            payload["error"]["field"] = err.field
-        sys.stderr.write(json.dumps(payload) + "\n")
+        payload = _report(err)
         try:
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
         except OSError:
@@ -518,10 +530,7 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(parse_config(text), args)
     except MFGNetError as err:
-        payload = {"error": {"type": type(err).__name__, "message": str(err)}}
-        if isinstance(err, ValidationError):
-            payload["error"]["field"] = err.field
-        sys.stderr.write(json.dumps(payload) + "\n")
+        _report(err)
         return 2
     return run(config, quiet=args.quiet)
 

@@ -10,11 +10,11 @@ a degree-1 unpinned vertex degenerates to a reflecting end. ``StepOperator``
 is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
-step (exit pinned, every other vertex free): the exit traces of a candidate
-map, or both sweeps at chosen levels. ``lanczos.LanczosStep`` does the same
-from Lanczos bases on grids too large for the eigenbasis; ``capture`` builds
-both sweeps' fields from either. The sweeps stay the reference, and the
-only path where neither pays.
+step (exit pinned, every other vertex free): what a candidate map needs
+(phi at level 0 and psi's exit trace), or both sweeps at chosen levels.
+``lanczos.LanczosStep`` does the same from Lanczos bases on grids too large
+for the eigenbasis; ``mfg.map_fields`` evaluates a map's fields from either.
+The sweeps stay the reference, and the only path where neither pays.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "psi_initial",
     "HeatSweep",
     "ModalStep",
-    "capture",
     "modal_pays",
     "krylov_pays",
 ]
@@ -62,9 +61,11 @@ KRYLOV_TOL = 1e-13
 # (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
 # M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
 KRYLOV_COST_RATIO = 0.2
-# A capture writing L levels costs (396 + 26 L) us per recurrence step there
-# (0.147 + 0.0098 L s at m = 371), against 2 * 58 us per step for the sweep
-# pair: it pays once m (1 + L / 15) <= 0.29 n_steps, so the maps' ratio serves.
+# Fields at L levels after level 0 (``mfg.map_fields``) cost about
+# (204 + 15 L) us per recurrence step there (0.081 s at L = 1, 0.186 s at
+# L = 20, m = 371), against 65 us per step for the sweep pair on the same
+# 2-CPU Xeon VM: they pay once m (1 + L / 14) <= 0.32 n_steps, so the maps'
+# ratio with 15 levels stays on the safe side.
 KRYLOV_CAPTURE_LEVELS = 15.0
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels per block of ModalStep.phi_levels' recursion: the phi window costs
@@ -327,7 +328,7 @@ def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
 
 def krylov_pays(time_grid: TimeGrid, n_levels: int = 0) -> bool:
     """Whether a LanczosStep costs less than sweeping, for a map
-    (``n_levels`` 0) or a capture writing ``n_levels`` levels:
+    (``n_levels`` 0) or fields at ``n_levels`` levels after level 0:
     sqrt(n_steps * ln(1 / KRYLOV_TOL)) * (1 + n_levels / KRYLOV_CAPTURE_LEVELS)
     <= KRYLOV_COST_RATIO * n_steps."""
     n = time_grid.n_steps
@@ -339,36 +340,6 @@ def _powers(base: np.ndarray, exponent) -> np.ndarray:
     out = np.power(base, exponent)
     out[np.abs(out) < _FLUSH] = 0.0
     return out
-
-
-def capture(fast, exit_series: np.ndarray, m0: GridField,
-            snapshot_levels=()) -> tuple[HeatSweep, HeatSweep]:
-    """Both sweeps of one candidate map from a fast path, each ``HeatSweep``
-    field as the time-stepping sweeps give it, with the states evaluated
-    only at level 0, the last level and ``snapshot_levels``.
-
-    The fast path, a ``ModalStep`` or a ``lanczos.LanczosStep``, provides
-    ``phi_levels(exit_series, levels)``: phi at ``levels`` and next to the
-    exit on every level; ``psi_levels(psi0, levels)``: psi at ``levels``
-    (each >= 1); and ``exit_adjacent_trace(psi0)``: the map's exit trace.
-    Level 0 of phi is the map's too, so F is the map's F to the last bit.
-    """
-    grid, tg, n_steps = fast.operator.grid, fast.time_grid, fast.n_steps
-    written = sorted({0, n_steps} | set(snapshot_levels))
-    phi_rows, phi_adjacent = fast.phi_levels(exit_series, written)
-    phi = dict(zip(written, phi_rows))
-    psi0 = psi_initial(m0, GridField(grid, phi[0]))
-    psi = {0: psi0, **dict(zip(written[1:], fast.psi_levels(psi0, written[1:])))}
-
-    def sweep(states, exit_adjacent, exit_values) -> HeatSweep:
-        return HeatSweep(
-            grid=grid, time_grid=tg, initial=GridField(grid, states[0], 0.0),
-            terminal=GridField(grid, states[n_steps], tg.t_max),
-            exit_adjacent=exit_adjacent, exit_values=exit_values,
-            snapshots={n: GridField(grid, states[n], n * tg.dt) for n in snapshot_levels})
-
-    return (sweep(phi, phi_adjacent, exit_series),
-            sweep(psi, fast.exit_adjacent_trace(psi0), np.zeros(n_steps + 1)))
 
 
 class ModalStep:
@@ -385,7 +356,7 @@ class ModalStep:
     matrix product with the (B, n_int) table of lambda^j, weighted by the
     (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
     ``phi_levels`` and ``psi_levels`` evaluate the sweeps at chosen levels
-    for ``capture`` from the same tables, at O(n_int^2) per level asked for.
+    from the same tables, at O(n_int^2) per level asked for.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
@@ -457,27 +428,22 @@ class ModalStep:
         op.balance_vertices(out, np.empty((len(coef), len(op.adj_interior))))
         return out
 
-    def phi_levels(self, exit_series: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
-        """The backward sweep at each of ``levels``, one flat state per row,
-        and next to the exit on every level. Level 0 is ``phi_initial``'s
-        output.
+    def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
+        """The backward sweep at each of ``levels`` (each >= 1), one flat
+        state per row.
 
         In modal coordinates c_n = Q^T D u^n the sweep is
         c_n = lambda^(N-n) c_N + b_modal * S_n, with
         S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
         levels, a sliding window of g times the lambda^j table plus a carry
-        from the block above. Only the rows of ``levels`` become flat
-        states, a block of them per matrix product.
+        from the block above, down to the lowest level asked for. Only the
+        rows of ``levels`` become flat states, a block of them per matrix
+        product.
         """
         n_steps, rows, width = self.n_steps, self.offset_powers.shape[0], self.block_levels
         row_of = np.full(n_steps + 1, -1)
         row_of[levels] = np.arange(len(levels))
         out = np.empty((len(levels), self.operator.grid.n_flat))
-        trace = np.empty(n_steps + 1)
-        phi0 = self.phi_initial(exit_series)
-        trace[0] = phi0[self.operator.grid.exit_adjacent_index]
-        if row_of[0] >= 0:
-            out[row_of[0]] = phi0
 
         top = self.ones_modal * exit_series[-1]
         # row j of padded[start + window] is (g_(N-s-j+2-W), ..., g_(N-s-j+1))
@@ -488,19 +454,18 @@ class ModalStep:
         reversed_powers = self.offset_powers[:width][::-1]
         carry = _powers(self.evals, width)
         sums = np.zeros((width, len(self.evals)))
-        for start in range(0, n_steps, width):
+        for start in range(0, n_steps - min(levels) + 1, width):
             m = np.arange(start, min(start + width, n_steps))  # level N - m
-            coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
             sums *= carry
             sums += padded[start + window] @ reversed_powers
-            coef *= top
-            coef += self.b_modal * sums[: len(m)]
-            trace[n_steps - m] = coef @ self.adj_row
             pick = np.flatnonzero(row_of[n_steps - m] >= 0)
             if len(pick):
-                picked = n_steps - m[pick]
-                out[row_of[picked]] = self._states(coef[pick], exit_series[picked])
-        return out, trace
+                m = m[pick]
+                coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
+                coef *= top
+                coef += self.b_modal * sums[pick]
+                out[row_of[n_steps - m]] = self._states(coef, exit_series[n_steps - m])
+        return out
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

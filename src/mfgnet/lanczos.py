@@ -206,9 +206,9 @@ class LanczosStep:
     exit value stays constant, so phi at level n is
     g_N + b_adj sum_(j < N-n) (g_(n+1+j) - g_N) K^j e_adj, and the exit
     trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj. A map
-    replays the basis twice. For ``heat.capture``, ``phi_levels`` evaluates
-    phi at chosen levels from the same basis and ``psi_levels`` psi from a
-    basis started at u^1.
+    replays the basis twice. For ``mfg.map_fields``, ``phi_levels``
+    evaluates phi at chosen levels from the same basis and ``psi_levels``
+    psi from a basis started at u^1.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
@@ -224,8 +224,9 @@ class LanczosStep:
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
 
-    def _phi_rows(self, exit_series: np.ndarray, levels) -> np.ndarray:
-        """phi at each of ``levels``, one flat state per row."""
+    def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
+        """phi at each of ``levels``, one flat state per row, as
+        ``ModalStep.phi_levels`` (level 0 allowed)."""
         excess = exit_series[1:] - exit_series[-1]
         coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
         rows = self.pins.combine(coefs * self.b_adj)
@@ -235,7 +236,7 @@ class LanczosStep:
 
     def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
         """Level 0 of the backward sweep, as ``ModalStep.phi_initial``."""
-        return self._phi_rows(exit_series, [0])[0]
+        return self.phi_levels(exit_series, [0])[0]
 
     def _level_one(self, psi0: np.ndarray) -> np.ndarray:
         op = self.operator
@@ -251,17 +252,6 @@ class LanczosStep:
         # |e_adj|_H = sqrt(h_adj)
         trace[1:] = self.pins.series(self.pins.project(self._level_one(psi0))) / self.pins.norm
         return trace
-
-    def phi_levels(self, exit_series: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
-        """phi at each of ``levels``, one flat state per row, and next to the
-        exit on every level, as ``ModalStep.phi_levels``."""
-        # g_N + b_adj sum_j (g_(n+1+j) - g_N) kernel_j, with
-        # kernel_j = e_adj^T K^j e_adj = e_1^T T^j e_1
-        kernel = self.pins.series(np.eye(1, self.pins.m)[0])
-        excess = exit_series[1:] - exit_series[-1]
-        trace = np.full(self.n_steps + 1, exit_series[-1])
-        trace[:-1] += self.b_adj * np.correlate(excess, kernel, "full")[self.n_steps - 1:]
-        return self._phi_rows(exit_series, levels), trace
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

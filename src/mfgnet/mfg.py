@@ -31,9 +31,7 @@ from .grid import (
 )
 from .heat import (
     KRYLOV_TOL,
-    HeatSweep,
     ModalStep,
-    capture,
     krylov_pays,
     modal_pays,
     psi_initial,
@@ -56,6 +54,7 @@ __all__ = [
     "quorum_time",
     "psi_map",
     "PsiMapResult",
+    "map_fields",
     "fixed_point",
     "recover_um",
     "residual_mass_error",
@@ -174,16 +173,18 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 
 @dataclass
 class PsiMapResult:
-    """One evaluation of the candidate-time map, with the sweeps behind it
-    when fields were asked for (None otherwise on the modal and Lanczos
-    paths)."""
+    """One evaluation of the candidate-time map, with what fixes its fields
+    at every level: phi's exit series exp(c_T(t_n)), phi and psi at level 0
+    (flat states), and psi next to the exit on every level."""
 
     t_input: float
     t_star: float
     f_series: np.ndarray
     crossing_level: int | None
-    phi: HeatSweep | None
-    psi: HeatSweep | None
+    exit_series: np.ndarray
+    phi0: np.ndarray
+    psi0: np.ndarray
+    psi_exit_adjacent: np.ndarray
 
 
 def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosStep | None:
@@ -206,6 +207,29 @@ def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosSt
     return problem.krylov
 
 
+def map_fields(res: PsiMapResult, problem: DiscreteProblem,
+               levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
+    """phi and psi of the map ``res`` at each of ``levels``, keyed by level.
+
+    Level 0 is the map's own phi0 and psi0. The other levels come from the
+    problem's ModalStep or LanczosStep when ``_fast_step`` finds one pays
+    for that many levels, and otherwise from the two reference sweeps.
+    """
+    grid, tg = problem.grid, problem.time_grid
+    phi0 = GridField(grid, res.phi0, 0.0)
+    phi, psi = {0: phi0}, {0: GridField(grid, res.psi0, 0.0)}
+    later = sorted(set(levels) - {0})
+    fast = _fast_step(problem, len(later)) if later else None
+    if fast is not None:
+        pairs = zip(fast.phi_levels(res.exit_series, later), fast.psi_levels(res.psi0, later))
+        for n, (phi_n, psi_n) in zip(later, pairs):
+            phi[n], psi[n] = GridField(grid, phi_n, n * tg.dt), GridField(grid, psi_n, n * tg.dt)
+    elif later:
+        phi.update(solve_backward_phi(grid, tg, res.exit_series, snapshot_levels=later).snapshots)
+        psi.update(solve_forward_psi(grid, tg, problem.m0, phi0, snapshot_levels=later).snapshots)
+    return ({n: phi[n] for n in levels}, {n: psi[n] for n in levels})
+
+
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
     """Zero, in place, the negatives of a fast path's exit trace that lie
     within its accuracy target of 0, relative to max(psi0), which bounds
@@ -217,17 +241,15 @@ def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
     trace[trace < 0] = 0.0
 
 
-def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=()) -> PsiMapResult:
+def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    Asking for fields at ``snapshot_levels`` returns both sweeps. When
-    ``modal_pays`` on the grids, the problem's ModalStep replaces the
-    sweeps: it yields only the exit traces when no field is asked for, and
-    otherwise evaluates fields only at level 0, the last level and the
-    snapshot levels (``capture``). Where ``modal_pays`` fails, the problem's
-    LanczosStep does the same when ``krylov_pays`` holds for the number of
-    levels written.
+    When ``modal_pays`` on the grids, the problem's ModalStep replaces the
+    sweeps and evaluates only what the map needs: phi at level 0 and psi's
+    exit trace. Where ``modal_pays`` fails, the problem's LanczosStep does
+    the same when ``krylov_pays`` holds. ``map_fields`` evaluates the
+    result's fields at other levels.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -235,21 +257,15 @@ def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=()) ->
     grid, time_grid = problem.grid, problem.time_grid
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
 
-    written = len({0, time_grid.n_steps, *snapshot_levels}) if snapshot_levels else 0
-    fast = _fast_step(problem, written)
+    fast = _fast_step(problem, 0)
     if fast is None:
-        phi = solve_backward_phi(grid, time_grid, exit_series, snapshot_levels=snapshot_levels)
-        psi = solve_forward_psi(grid, time_grid, problem.m0, phi.initial,
-                                snapshot_levels=snapshot_levels)
-        trace = psi.exit_adjacent
+        phi0 = solve_backward_phi(grid, time_grid, exit_series).initial.data
+        psi = solve_forward_psi(grid, time_grid, problem.m0, GridField(grid, phi0))
+        psi0, trace = psi.initial.data, psi.exit_adjacent
     else:
-        if snapshot_levels:
-            phi, psi = capture(fast, exit_series, problem.m0, snapshot_levels)
-            psi0, trace = psi.initial.data, psi.exit_adjacent
-        else:
-            psi0 = psi_initial(problem.m0, GridField(grid, fast.phi_initial(exit_series)))
-            trace = fast.exit_adjacent_trace(psi0)
-            phi = psi = None
+        phi0 = fast.phi_initial(exit_series)
+        psi0 = psi_initial(problem.m0, GridField(grid, phi0))
+        trace = fast.exit_adjacent_trace(psi0)
         _clip_rounding(trace, psi0)
     f_series = cumulative_flow(trace, exit_series, grid, time_grid)
     if not np.isfinite(f_series[-1]):
@@ -258,7 +274,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem, snapshot_levels=()) ->
     crossing = int(np.argmax(above)) if above.any() else None
     t_star = quorum_time(f_series, spec.theta, spec.cost.t0, spec.cost.t_max, time_grid)
     return PsiMapResult(t_input=t_candidate, t_star=t_star, f_series=f_series,
-                        crossing_level=crossing, phi=phi, psi=psi)
+                        crossing_level=crossing, exit_series=exit_series, phi0=phi0,
+                        psi0=psi0, psi_exit_adjacent=trace)
 
 
 def recover_um(phi: GridField, psi: GridField) -> tuple[GridField, GridField]:
@@ -285,14 +302,13 @@ class EquilibriumResult:
     converged: bool
     iterates: list[float]
     t_init: float
-    capture_t_input: float      # candidate used by the field-capture solve
+    capture_t_input: float      # candidate whose map gave the fields and F
     f_series: np.ndarray
     times: np.ndarray
     equilibrium_level: int
     residual_mass: float
     fields: dict[str, dict[int, GridField]]
     phi_exit_values: np.ndarray
-    phi_exit_adjacent: np.ndarray
     psi_exit_adjacent: np.ndarray
     grid: SpatialGrid
     time_grid: TimeGrid
@@ -310,13 +326,12 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     values agree within ``spec.tol`` (or max_iters / a 2-cycle stops it).
 
     ``spec`` may already be discretized. Never raises on non-convergence:
-    the best iterate is returned with ``converged=False`` and a note. After
-    the loop the last candidate is evaluated once more with fields, to
-    capture them at level 0, the equilibrium level and ``snapshot_levels``.
-    On grids where ``psi_map`` takes the modal or the Lanczos path for
-    fields this evaluates them from the cached eigenbasis or Lanczos basis
-    without sweeping; on the modal path a converged capture's F is the last
-    iteration's to the last bit.
+    the best iterate is returned with ``converged=False`` and a note. The
+    fields at level 0, the equilibrium level and ``snapshot_levels`` are
+    those of the capture candidate's map (``map_fields``). That is the last
+    iteration's map when the loop converged; a candidate it never mapped
+    (a 2-cycle's midpoint, or the last iterate after ``max_iters``) is
+    mapped once more.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -351,29 +366,25 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
         t_report, capture_input = iterates[-1], t_cur
         notes.append(f"no convergence within {spec.max_iters} iterations")
 
+    if res.t_input != capture_input:
+        res = psi_map(capture_input, problem)
     level = problem.time_grid.level_of(t_report)
-    wanted = {0, level} | set(snapshot_levels)
-    cap = psi_map(capture_input, problem, snapshot_levels=wanted)
+    phi, psi = map_fields(res, problem, sorted({0, level} | set(snapshot_levels)))
 
-    fields: dict[str, dict[int, GridField]] = {"phi": {}, "psi": {}, "u": {}, "m": {}}
-    for n in sorted(wanted):
-        phi_n, psi_n = cap.phi.snapshots[n], cap.psi.snapshots[n]
-        u_n, m_n = recover_um(phi_n, psi_n)
-        fields["phi"][n], fields["psi"][n] = phi_n, psi_n
-        fields["u"][n], fields["m"][n] = u_n, m_n
+    fields: dict[str, dict[int, GridField]] = {"phi": phi, "psi": psi, "u": {}, "m": {}}
+    for n in phi:
+        fields["u"][n], fields["m"][n] = recover_um(phi[n], psi[n])
 
     e_h = residual_mass_error(fields["m"][level], spec.theta, problem.grid)
-    if not (np.isfinite(e_h) and np.isfinite(cap.f_series).all()):
+    if not (np.isfinite(e_h) and np.isfinite(res.f_series).all()):
         raise NumericalFailure("non-finite values in the converged solution")
 
     return EquilibriumResult(
         t_star=t_report, converged=converged, iterates=iterates, t_init=t_init,
         capture_t_input=capture_input,
-        f_series=cap.f_series, times=problem.time_grid.times,
+        f_series=res.f_series, times=problem.time_grid.times,
         equilibrium_level=level, residual_mass=e_h, fields=fields,
-        phi_exit_values=cap.phi.exit_values,
-        phi_exit_adjacent=cap.phi.exit_adjacent,
-        psi_exit_adjacent=cap.psi.exit_adjacent,
+        phi_exit_values=res.exit_series, psi_exit_adjacent=res.psi_exit_adjacent,
         grid=problem.grid, time_grid=problem.time_grid,
         cycle_detected=cycle, notes=notes)
 

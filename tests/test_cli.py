@@ -349,8 +349,17 @@ class TestCliEntry:
                                           "values": [1.0, 1.0]}]},
          "problem.m0.edges[].edge"),
         ({"kind": "bumps", "centers": [[0.5, 0.0]], "radii": [-1.0]}, "problem.m0.radii"),
+        ({"kind": "hat", "center": [True, 0.0], "width": 0.5}, "problem.m0.center"),
+        ({"kind": "hat", "center": ["0.5", 0.0], "width": 0.5}, "problem.m0.center"),
+        ({"kind": "bumps", "centers": [[0.1, "0.2"]], "radii": [0.3]}, "problem.m0.centers"),
+        ({"kind": "bumps", "centers": [[0.5, 0.0]], "radii": [True]}, "problem.m0.radii"),
+        ({"kind": "tabulated", "edges": [{"edge": 0, "arclength": [0.0, 1.0],
+                                          "values": [1.0, False]}]},
+         "problem.m0.edges[].values"),
     ], ids=["bumps_center_string", "hat_center_string", "tabulated_arclength_missing",
-            "tabulated_values_negative", "tabulated_edge_unknown", "bumps_radius_negative"])
+            "tabulated_values_negative", "tabulated_edge_unknown", "bumps_radius_negative",
+            "hat_center_bool", "hat_center_numeric_string", "bumps_center_numeric_string",
+            "bumps_radius_bool", "tabulated_values_bool"])
     def test_bad_density_names_field(self, tmp_path, capsys, m0, field):
         doc = fast_config(tmp_path)
         doc["problem"]["m0"] = m0

@@ -339,7 +339,9 @@ class TestExitFluxIdentity:
         gaps = []
         for h in (0.1, 0.05):
             res = fixed_point(desk_problem(h=h))
-            raw = res.phi_exit_adjacent * res.psi_exit_adjacent / res.grid.exit_h
+            c_T = lambda s: cost(s, res.capture_t_input, EX1_COST)  # noqa: E731
+            phi_adjacent = solve_backward_phi(res.grid, res.time_grid, c_T).exit_adjacent
+            raw = phi_adjacent * res.psi_exit_adjacent / res.grid.exit_h
             prod = res.phi_exit_values * res.psi_exit_adjacent / res.grid.exit_h
             denom = max(np.abs(prod).max(), 1e-30)
             gaps.append(np.abs(raw - prod).max() / denom)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet import heat
+from mfgnet import heat, mfg
 from mfgnet.errors import NumericalFailure
 from mfgnet.heat import StepOperator, krylov_pays, modal_pays
-from mfgnet.mfg import _clip_rounding, cost, discretize, fixed_point, psi_map
+from mfgnet.mfg import _clip_rounding, discretize, fixed_point, map_fields, psi_map
 
 from conftest import bundled_text, random_tree_network
 from test_mfg import desk_problem
@@ -53,9 +53,19 @@ def problem(request):
         return discretize(INSTANCES[request.param]())
 
 
-def _force_sweeps(mp):
+def _force_sweeps(mp) -> list:
+    """Make every evaluation sweep; the returned list records the init
+    level of each sweep run."""
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
     mp.setattr(heat, "KRYLOV_COST_RATIO", 0.0)
+    return _record_sweeps(mp)
+
+
+def _record_sweeps(mp) -> list:
+    run_sweep, swept = heat._run_sweep, []
+    mp.setattr(heat, "_run_sweep",
+               lambda *a, **kw: swept.append(kw["init_level"]) or run_sweep(*a, **kw))
+    return swept
 
 
 def _force_krylov(mp):
@@ -74,45 +84,43 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
     for t in (t0, 0.5 * (t0 + t_max), t_max):
         modal = psi_map(t, problem)
         with monkeypatch.context() as mp:
-            _force_sweeps(mp)
-            sweep = psi_map(t, problem, snapshot_levels={0})
-        assert modal.phi is None and sweep.phi is not None
+            swept = _force_sweeps(mp)
+            sweep = psi_map(t, problem)
+        assert problem.modal is not None and len(swept) == 2
         assert modal.t_star == sweep.t_star
         assert modal.crossing_level == sweep.crossing_level
         assert np.abs(modal.f_series - sweep.f_series).max() <= 1e-9
 
-        exit_series = np.exp(cost(problem.time_grid.times, t, spec.cost))
-        phi0 = problem.modal.phi_initial(exit_series)
-        ref = sweep.phi.initial.data
-        assert np.abs(phi0 - ref).max() <= 1e-9 * np.abs(ref).max()
+        np.testing.assert_array_equal(modal.phi0, problem.modal.phi_initial(modal.exit_series))
+        ref = sweep.phi0
+        assert np.abs(modal.phi0 - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_modal_capture_matches_sweep(problem, monkeypatch):
     """Both sweeps evaluated from the eigenbasis at the written levels, a
     few of them and one in every 11 (several to a block of the phi
     recursion, as the oracle's read levels are), against the time-stepping
-    sweeps, with both exit traces."""
+    sweeps, with psi's exit trace."""
     spec, n_steps = problem.spec, problem.time_grid.n_steps
     levels = {0, 1, 7, n_steps // 2, n_steps, *range(3, n_steps, 11)}
     t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
-        sweep = psi_map(t, problem, snapshot_levels=levels)
-    modal = psi_map(t, problem, snapshot_levels=levels)
+        sweep = psi_map(t, problem)
+        sweep_fields = map_fields(sweep, problem, levels)
+    modal = psi_map(t, problem)
+    modal_fields = map_fields(modal, problem, levels)
     assert problem.modal is not None
 
     assert modal.t_star == sweep.t_star
     assert _rel(modal.f_series, sweep.f_series) <= 1e-10
-    for name in ("phi", "psi"):
-        m, s = getattr(modal, name), getattr(sweep, name)
-        assert m.snapshots.keys() == s.snapshots.keys() == levels
+    for m, s in zip(modal_fields, sweep_fields):
+        assert m.keys() == s.keys() == levels
         for n in levels:
-            assert _rel(m.snapshots[n].data, s.snapshots[n].data) <= 1e-10
-            assert m.snapshots[n].time_label == s.snapshots[n].time_label
-        assert _rel(m.initial.data, s.initial.data) <= 1e-10
-        assert _rel(m.terminal.data, s.terminal.data) <= 1e-10
-        assert _rel(m.exit_adjacent, s.exit_adjacent) <= 1e-10
-        np.testing.assert_array_equal(m.exit_values, s.exit_values)
+            assert _rel(m[n].data, s[n].data) <= 1e-10
+            assert m[n].time_label == s[n].time_label
+    assert _rel(modal.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-10
+    np.testing.assert_array_equal(modal.exit_series, sweep.exit_series)
 
 
 def test_symmetrized_step_is_symmetric(problem):
@@ -167,7 +175,7 @@ def test_operator_built_once_on_first_modal_map(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     problem = discretize(desk_problem())
     assert problem.modal is None
-    psi_map(0.5, problem, snapshot_levels={3})
+    map_fields(psi_map(0.5, problem), problem, {3})
     assert problem.modal is not None and len(calls) == 1
     for t in (0.5, 3.0, 10.0):
         psi_map(t, problem)
@@ -175,8 +183,8 @@ def test_operator_built_once_on_first_modal_map(monkeypatch):
 
 
 def test_modal_capture_converts_only_written_levels(example1_config, monkeypatch):
-    """A solve-mode capture turns modal coordinates into flat states (each
-    balanced at its vertices) only at the levels it keeps: 0, the
+    """A map and a solve-mode capture turn modal coordinates into flat
+    states (each balanced at its vertices) only at the levels kept: 0, the
     equilibrium level and the last. psi's level 1 takes one more step in
     ``psi_levels`` and one in ``exit_adjacent_trace``."""
     problem = discretize(replace(example1_config.spec, h_target=0.05))
@@ -192,8 +200,8 @@ def test_modal_capture_converts_only_written_levels(example1_config, monkeypatch
         balance(self, out, contrib)
 
     monkeypatch.setattr(StepOperator, "balance_vertices", counted)
-    res = psi_map(t, problem, snapshot_levels=written)
-    assert res.phi.snapshots.keys() == res.psi.snapshots.keys() == written
+    phi, psi = map_fields(psi_map(t, problem), problem, written)
+    assert phi.keys() == psi.keys() == written
     assert sum(rows) <= 2 * len(written) + 2, rows
 
 
@@ -215,11 +223,11 @@ def test_long_edge_capture_makes_no_sweep(monkeypatch):
     assert problem.modal is not None
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
-        sweep = psi_map(res.capture_t_input, problem, snapshot_levels=set(res.fields["phi"]))
+        phi, psi = map_fields(psi_map(res.capture_t_input, problem), problem, res.fields["phi"])
     assert res.fields["phi"].keys() == {0, res.equilibrium_level}
     for n in res.fields["phi"]:
-        assert _rel(res.fields["phi"][n].data, sweep.phi.snapshots[n].data) <= 1e-10
-        assert _rel(res.fields["psi"][n].data, sweep.psi.snapshots[n].data) <= 1e-10
+        assert _rel(res.fields["phi"][n].data, phi[n].data) <= 1e-10
+        assert _rel(res.fields["psi"][n].data, psi[n].data) <= 1e-10
 
 
 def _lattice(side, h, t_max, chords=()):
@@ -265,20 +273,21 @@ def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
             _force_krylov(mp)
             krylov = psi_map(t, problem)
         with monkeypatch.context() as mp:
-            _force_sweeps(mp)
-            sweep = psi_map(t, problem, snapshot_levels={0})
-        assert krylov.phi is None and problem.krylov is not None
+            swept = _force_sweeps(mp)
+            sweep = psi_map(t, problem)
+        assert problem.krylov is not None and len(swept) == 2
         assert krylov.t_star == sweep.t_star
         assert krylov.crossing_level == sweep.crossing_level
         assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
         assert (np.diff(krylov.f_series) >= 0).all()
 
-        exit_series = np.exp(cost(problem.time_grid.times, t, spec.cost))
-        assert _rel(problem.krylov.phi_initial(exit_series), sweep.phi.initial.data) <= 1e-10
+        np.testing.assert_array_equal(krylov.phi0,
+                                      problem.krylov.phi_initial(krylov.exit_series))
+        assert _rel(krylov.phi0, sweep.phi0) <= 1e-10
 
 
 def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
-    """Fields at the requested levels and both exit traces on every level,
+    """Fields at the requested levels and psi's exit trace on every level,
     evaluated from Lanczos bases, against the time-stepping sweeps."""
     problem, spec = krylov_problem, krylov_problem.spec
     n_steps = problem.time_grid.n_steps
@@ -286,24 +295,23 @@ def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
     t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
     with monkeypatch.context() as mp:
         _force_krylov(mp)
-        krylov = psi_map(t, problem, snapshot_levels=levels)
+        krylov = psi_map(t, problem)
+        krylov_fields = map_fields(krylov, problem, levels)
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
-        sweep = psi_map(t, problem, snapshot_levels=levels)
+        sweep = psi_map(t, problem)
+        sweep_fields = map_fields(sweep, problem, levels)
 
     assert krylov.t_star == sweep.t_star
     assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
     assert (np.diff(krylov.f_series) >= 0).all()
-    for name in ("phi", "psi"):
-        k, s = getattr(krylov, name), getattr(sweep, name)
-        assert k.snapshots.keys() == s.snapshots.keys() == levels
+    for k, s in zip(krylov_fields, sweep_fields):
+        assert k.keys() == s.keys() == levels
         for n in levels:
-            assert _rel(k.snapshots[n].data, s.snapshots[n].data) <= 1e-9
-            assert k.snapshots[n].time_label == s.snapshots[n].time_label
-        assert _rel(k.initial.data, s.initial.data) <= 1e-9
-        assert _rel(k.terminal.data, s.terminal.data) <= 1e-9
-        assert _rel(k.exit_adjacent, s.exit_adjacent) <= 1e-9
-        np.testing.assert_array_equal(k.exit_values, s.exit_values)
+            assert _rel(k[n].data, s[n].data) <= 1e-9
+            assert k[n].time_label == s[n].time_label
+    assert _rel(krylov.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-9
+    np.testing.assert_array_equal(krylov.exit_series, sweep.exit_series)
 
 
 def test_fixed_point_krylov_same_as_sweep(monkeypatch):
@@ -326,7 +334,6 @@ def test_fixed_point_krylov_same_as_sweep(monkeypatch):
     assert krylov.equilibrium_level == sweep.equilibrium_level
     assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
     assert _rel(krylov.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-9
-    assert _rel(krylov.phi_exit_adjacent, sweep.phi_exit_adjacent) <= 1e-9
     for name in ("phi", "psi", "u", "m"):
         assert krylov.fields[name].keys() == sweep.fields[name].keys()
         for n in krylov.fields[name]:
@@ -343,11 +350,9 @@ def test_krylov_capture_sweeps_many_levels(monkeypatch):
     tg = problem.time_grid
     assert not modal_pays(problem.grid, tg) and krylov_pays(tg)
     many = set(range(0, tg.n_steps + 1, tg.n_steps // 40))
-    assert not krylov_pays(tg, len(many | {tg.n_steps}))
+    assert not krylov_pays(tg, len(many - {0}))
 
-    run_sweep, swept = heat._run_sweep, []
-    monkeypatch.setattr(heat, "_run_sweep",
-                        lambda *a, **kw: swept.append(kw["init_level"]) or run_sweep(*a, **kw))
+    swept = _record_sweeps(monkeypatch)
     few = fixed_point(problem)
     assert swept == [] and problem.krylov is not None
     res = fixed_point(problem, snapshot_levels=many)
@@ -367,7 +372,7 @@ def test_krylov_holds_no_basis(monkeypatch):
     try:
         for levels in ((), (), {0, 100, 400}):
             tracemalloc.reset_peak()
-            psi_map(0.3, problem, snapshot_levels=levels)
+            map_fields(psi_map(0.3, problem), problem, levels)
             peak = tracemalloc.get_traced_memory()[1]
             basis = problem.krylov.pins.m * problem.krylov.operator.n_interior * 8
             assert peak < basis, (levels, peak, basis)
@@ -396,17 +401,71 @@ def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
         raise AssertionError("eigh called above the cutoff")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    res = psi_map(0.05, problem)
-    assert res.phi is not None and problem.modal is None  # too few steps to pay
+    psi_map(0.05, problem)
+    assert problem.krylov is None and problem.modal is None  # too few steps to pay
     monkeypatch.setattr(heat, "KRYLOV_COST_RATIO", np.inf)
-    res = psi_map(0.05, problem, snapshot_levels={3})
-    assert res.phi is not None and problem.krylov is not None and problem.modal is None
+    map_fields(psi_map(0.05, problem), problem, {3})
+    assert problem.krylov is not None and problem.modal is None
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
 def test_psi_map_unit_tests_take_the_modal_path(h):
-    """TestPsiMap runs psi_map on these grids without asking for fields, so
-    its checks hold on the modal path."""
+    """TestPsiMap runs psi_map on these grids, so its checks hold on the
+    modal path."""
     problem = discretize(desk_problem(h=h))
     assert modal_pays(problem.grid, problem.time_grid)
-    assert psi_map(5.0, problem).phi is None
+    psi_map(5.0, problem)
+    assert problem.modal is not None
+
+
+def _cycling_spec(max_iters=50):
+    """A unit edge whose lateness cost makes the map jump between 0.1 and
+    1.7625, a 2-cycle, on a grid where the modal path pays."""
+    topo = mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 0, 1, 1.0)], 0)
+    return mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.1, 2.0, 0.1, 5.0, 0.0),
+                          theta=0.3, m0=lambda p: np.maximum(1 - np.abs(2 * p[:, 0] - 1), 0.0),
+                          h_target=0.1, max_iters=max_iters)
+
+
+def _record_maps(mp) -> list:
+    """Record every result of ``psi_map`` as ``fixed_point`` calls it."""
+    real, maps = mfg.psi_map, []
+    mp.setattr(mfg, "psi_map", lambda t, problem: maps.append(real(t, problem)) or maps[-1])
+    return maps
+
+
+@pytest.mark.parametrize("path", ["modal", "krylov", "sweep"])
+def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, monkeypatch):
+    """A converged loop makes no map beyond its iterations: the fields and
+    F come from the last iteration's map, on each of the three paths."""
+    if path == "modal":
+        spec = replace(example1_config.spec, h_target=0.1)
+    else:
+        spec = _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)])
+        (_force_krylov if path == "krylov" else _force_sweeps)(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(spec)
+    maps = _record_maps(monkeypatch)
+    res = fixed_point(problem, snapshot_levels={5})
+    assert res.converged and len(maps) == res.iterations
+    assert (problem.modal is not None, problem.krylov is not None) == {
+        "modal": (True, False), "krylov": (False, True), "sweep": (False, False)}[path]
+    assert maps[-1].t_input == res.capture_t_input
+    np.testing.assert_array_equal(res.f_series, maps[-1].f_series)
+    np.testing.assert_array_equal(res.psi_exit_adjacent, maps[-1].psi_exit_adjacent)
+    np.testing.assert_array_equal(res.fields["phi"][0].data, maps[-1].phi0)
+
+
+@pytest.mark.parametrize("max_iters", [50, 2], ids=["cycle", "max_iters"])
+def test_unmapped_capture_candidate_is_mapped_once(max_iters, monkeypatch):
+    """A 2-cycle's midpoint, or the last iterate after max_iters, was never
+    mapped: the capture maps it, once."""
+    maps = _record_maps(monkeypatch)
+    res = fixed_point(_cycling_spec(max_iters), snapshot_levels={5})
+    assert not res.converged
+    assert res.cycle_detected == (max_iters == 50)
+    assert len(maps) == res.iterations + 1
+    assert maps[-1].t_input == res.capture_t_input
+    assert res.capture_t_input not in [m.t_input for m in maps[:-1]]
+    np.testing.assert_array_equal(res.f_series, maps[-1].f_series)

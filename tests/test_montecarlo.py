@@ -19,7 +19,7 @@ from mfgnet.montecarlo import (
     simulate_agents,
 )
 
-from conftest import every_level, level_states
+from conftest import every_level
 
 
 def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
@@ -119,8 +119,8 @@ class TestDensityDriftConsistency:
             theta=0.5, m0=hat, h_target=0.02, t_init=4.0)
         prob = mfg.discretize(spec)
         tg = prob.time_grid
-        res = mfg.psi_map(2.0, prob, snapshot_levels=every_level(tg))
-        phi = level_states(res.phi)
+        res = mfg.psi_map(2.0, prob)
+        phi = np.stack([f.data for f in mfg.map_fields(res, prob, every_level(tg))[0].values()])
 
         good = mfg.density_drift(prob.grid, phi, tg.dt)
         bad = mfg.drift_from_matrix(prob.grid, np.log(phi), tg.dt)
