@@ -40,6 +40,7 @@ from .mfg import (
     density_drift,
     discretize,
     fixed_point,
+    map_phi,
     refine_spec,
 )
 from .montecarlo import SimConfig, estimate_arrival_cdf, read_levels
@@ -332,9 +333,8 @@ def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem,
-                     extra_levels=()):
-    """Solve and write the artifacts, capturing fields also at ``extra_levels``."""
+def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem):
+    """Solve and write the artifacts."""
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
@@ -342,8 +342,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
 
     progress = None if quiet else (
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
-    result = fixed_point(problem, snapshot_levels=snapshot_levels | set(extra_levels),
-                         progress=progress)
+    result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress)
 
     _write_csv(out / "f_series.csv", "t,F", result.times, result.f_series)
     _write_csv(out / "iterates.csv", "iteration,T",
@@ -383,8 +382,8 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     dt_mc = config.dt_mc if config.dt_mc is not None else tg.dt / 10.0
     sim = SimConfig(n_agents=config.agents, dt=dt_mc, t_max=spec.cost.t_max, seed=config.seed)
 
-    # phi, psi, u and m at each level the particles read (one per particle
-    # step, or every level when the steps are finer), and the step times
+    # phi at each level the particles read (one per particle step, or every level
+    # when the steps are finer), the drift and its temporaries, and the step times
     n_mc = math.ceil(sim.t_max / sim.dt)
     n_read = min(n_mc, tg.n_steps + 1)
     need = 8 * (4 * n_read * grid.n_flat + n_mc)
@@ -395,11 +394,10 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
             "raise run.dt_mc or use solve mode")
 
     # the particles follow the drift of the map whose F is written to
-    # f_series.csv, with its fields evaluated only at the levels they read
-    levels = read_levels(sim, tg.dt, tg.n_steps).tolist()
-    result, summary = _solve_artifacts(config, out, quiet, problem, levels)
-    phi = np.stack([result.fields["phi"][n].data for n in levels])
-    drift = density_drift(grid, phi, tg.dt, levels)
+    # f_series.csv, with phi evaluated only at the levels they read
+    result, summary = _solve_artifacts(config, out, quiet, problem)
+    levels = read_levels(sim, tg.dt, tg.n_steps)
+    drift = density_drift(grid, map_phi(result.map, problem, levels), tg.dt, levels)
     if not quiet:
         print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}", flush=True)
     mc = estimate_arrival_cdf(spec.topology, replace(sim, drift=drift), grid, problem.m0,

@@ -13,8 +13,8 @@ is that step for one grid, pinned set and time step.
 step (exit pinned, every other vertex free): what a candidate map needs
 (phi at level 0 and psi's exit trace), or both sweeps at chosen levels.
 ``lanczos.LanczosStep`` does the same from Lanczos bases on grids too large
-for the eigenbasis; ``mfg.map_fields`` evaluates a map's fields from either.
-The sweeps stay the reference, and the only path where neither pays.
+for the eigenbasis; ``mfg.map_phi`` and ``map_psi`` evaluate fields from
+either. The sweeps stay the reference, and the only path where neither pays.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ KRYLOV_TOL = 1e-13
 # (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
 # M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
 KRYLOV_COST_RATIO = 0.2
-# Fields at L levels after level 0 (``mfg.map_fields``) cost about
+# phi and psi at L levels after level 0 (``mfg.map_fields``) cost about
 # (204 + 15 L) us per recurrence step there (0.081 s at L = 1, 0.186 s at
 # L = 20, m = 371), against 65 us per step for the sweep pair on the same
 # 2-CPU Xeon VM: they pay once m (1 + L / 14) <= 0.32 n_steps, so the maps'

@@ -206,9 +206,9 @@ class LanczosStep:
     exit value stays constant, so phi at level n is
     g_N + b_adj sum_(j < N-n) (g_(n+1+j) - g_N) K^j e_adj, and the exit
     trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj. A map
-    replays the basis twice. For ``mfg.map_fields``, ``phi_levels``
-    evaluates phi at chosen levels from the same basis and ``psi_levels``
-    psi from a basis started at u^1.
+    replays the basis twice. For ``mfg.map_phi``, ``phi_levels`` evaluates
+    phi at chosen levels from the same basis; for ``mfg.map_psi``,
+    ``psi_levels`` evaluates psi from a basis started at u^1.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):

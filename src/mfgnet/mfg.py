@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,6 +56,8 @@ __all__ = [
     "psi_map",
     "PsiMapResult",
     "map_fields",
+    "map_phi",
+    "map_psi",
     "fixed_point",
     "recover_um",
     "residual_mass_error",
@@ -140,21 +143,14 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
     return DiscreteProblem(spec=spec, grid=grid, time_grid=time_grid, m0=m0)
 
 
-def cumulative_flow(psi, c_T, grid: SpatialGrid, time_grid: TimeGrid) -> np.ndarray:
+def cumulative_flow(trace: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
+                    time_grid: TimeGrid) -> np.ndarray:
     """Discrete cumulative arrival distribution on the time grid.
 
-    F(t_n) = (dt/h0) * sum_{k<=n} exp(c_T(t_k)) * psi_k(exit-adjacent node).
-    ``psi`` may be a per-level array of exit-adjacent values or a sequence
-    of GridField levels; ``c_T`` a callable of time giving cost values, or
-    the per-level weights exp(c_T(t_n)) themselves (phi's exit series).
+    F(t_n) = (dt/h0) * sum_{k<=n} exp(c_T(t_k)) * psi_k(exit-adjacent node),
+    from psi's exit-adjacent ``trace`` and the per-level ``weights``
+    exp(c_T(t_n)), phi's exit series.
     """
-    if isinstance(psi, np.ndarray):
-        trace = psi
-    else:
-        idx = grid.exit_adjacent_index
-        trace = np.array([f.data[idx] for f in psi])
-    weights = (np.exp(c_T(time_grid.times)) if callable(c_T)
-               else np.asarray(c_T, dtype=float))
     return np.cumsum(weights[: len(trace)] * trace) * (time_grid.dt / grid.exit_h)
 
 
@@ -207,27 +203,50 @@ def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosSt
     return problem.krylov
 
 
-def map_fields(res: PsiMapResult, problem: DiscreteProblem,
-               levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
-    """phi and psi of the map ``res`` at each of ``levels``, keyed by level.
-
-    Level 0 is the map's own phi0 and psi0. The other levels come from the
-    problem's ModalStep or LanczosStep when ``_fast_step`` finds one pays
-    for that many levels, and otherwise from the two reference sweeps.
-    """
-    grid, tg = problem.grid, problem.time_grid
-    phi0 = GridField(grid, res.phi0, 0.0)
-    phi, psi = {0: phi0}, {0: GridField(grid, res.psi0, 0.0)}
-    later = sorted(set(levels) - {0})
+def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray, fast_rows,
+                sweep) -> np.ndarray:
+    """One flat state per row of ``levels`` (increasing, distinct): ``level0``
+    at level 0, the rest from ``fast_rows(fast, later)`` when ``_fast_step``
+    finds a fast path that pays, else from ``sweep(snapshot_levels=later)``."""
+    levels = np.asarray(levels, dtype=int)
+    later = levels[levels > 0].tolist()
+    out = np.empty((len(levels), problem.grid.n_flat))
+    out[levels == 0] = level0
     fast = _fast_step(problem, len(later)) if later else None
     if fast is not None:
-        pairs = zip(fast.phi_levels(res.exit_series, later), fast.psi_levels(res.psi0, later))
-        for n, (phi_n, psi_n) in zip(later, pairs):
-            phi[n], psi[n] = GridField(grid, phi_n, n * tg.dt), GridField(grid, psi_n, n * tg.dt)
+        out[levels > 0] = fast_rows(fast, later)
     elif later:
-        phi.update(solve_backward_phi(grid, tg, res.exit_series, snapshot_levels=later).snapshots)
-        psi.update(solve_forward_psi(grid, tg, problem.m0, phi0, snapshot_levels=later).snapshots)
-    return ({n: phi[n] for n in levels}, {n: psi[n] for n in levels})
+        snapshots = sweep(snapshot_levels=later).snapshots
+        out[levels > 0] = [snapshots[n].data for n in later]
+    return out
+
+
+def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
+    """phi of the map ``res`` at ``levels`` (increasing, distinct), one flat
+    state per row, from the exit series alone: level 0 is the map's phi0."""
+    return _level_rows(problem, levels, res.phi0,
+                       lambda fast, later: fast.phi_levels(res.exit_series, later),
+                       partial(solve_backward_phi, problem.grid, problem.time_grid,
+                               res.exit_series))
+
+
+def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
+    """psi of the map ``res`` at ``levels``, as ``map_phi``, forward from
+    the map's psi0."""
+    return _level_rows(problem, levels, res.psi0,
+                       lambda fast, later: fast.psi_levels(res.psi0, later),
+                       partial(solve_forward_psi, problem.grid, problem.time_grid, problem.m0,
+                               GridField(problem.grid, res.phi0)))
+
+
+def map_fields(res: PsiMapResult, problem: DiscreteProblem,
+               levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
+    """phi and psi of the map ``res`` at each of ``levels``, keyed by level
+    in increasing order: ``map_phi`` and ``map_psi`` as GridFields."""
+    levels = sorted(set(levels))
+    grid, dt = problem.grid, problem.time_grid.dt
+    return tuple({n: GridField(grid, row, n * dt) for n, row in zip(levels, rows)}
+                 for rows in (map_phi(res, problem, levels), map_psi(res, problem, levels)))
 
 
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
@@ -248,8 +267,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     When ``modal_pays`` on the grids, the problem's ModalStep replaces the
     sweeps and evaluates only what the map needs: phi at level 0 and psi's
     exit trace. Where ``modal_pays`` fails, the problem's LanczosStep does
-    the same when ``krylov_pays`` holds. ``map_fields`` evaluates the
-    result's fields at other levels.
+    the same when ``krylov_pays`` holds. ``map_phi`` and ``map_psi``
+    evaluate the result's fields at other levels.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -302,14 +321,11 @@ class EquilibriumResult:
     converged: bool
     iterates: list[float]
     t_init: float
-    capture_t_input: float      # candidate whose map gave the fields and F
-    f_series: np.ndarray
+    map: PsiMapResult           # the capture candidate's map: F and every field
     times: np.ndarray
     equilibrium_level: int
     residual_mass: float
     fields: dict[str, dict[int, GridField]]
-    phi_exit_values: np.ndarray
-    psi_exit_adjacent: np.ndarray
     grid: SpatialGrid
     time_grid: TimeGrid
     cycle_detected: bool = False
@@ -319,6 +335,11 @@ class EquilibriumResult:
     def iterations(self) -> int:
         return len(self.iterates)
 
+    capture_t_input = property(lambda self: self.map.t_input)
+    f_series = property(lambda self: self.map.f_series)
+    phi_exit_values = property(lambda self: self.map.exit_series)
+    psi_exit_adjacent = property(lambda self: self.map.psi_exit_adjacent)
+
 
 def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
                 progress=None) -> EquilibriumResult:
@@ -327,11 +348,12 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
 
     ``spec`` may already be discretized. Never raises on non-convergence:
     the best iterate is returned with ``converged=False`` and a note. The
-    fields at level 0, the equilibrium level and ``snapshot_levels`` are
-    those of the capture candidate's map (``map_fields``). That is the last
-    iteration's map when the loop converged; a candidate it never mapped
-    (a 2-cycle's midpoint, or the last iterate after ``max_iters``) is
-    mapped once more.
+    result keeps the capture candidate's map (``map``): the last iteration's
+    when the loop converged; a candidate it never mapped (a 2-cycle's
+    midpoint, or the last iterate after ``max_iters``) is mapped once more.
+    ``fields`` holds phi, psi, u and m from one ``map_fields`` at level 0,
+    the equilibrium level and ``snapshot_levels``; ``map_phi`` and
+    ``map_psi`` evaluate the map at other levels.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -369,7 +391,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     if res.t_input != capture_input:
         res = psi_map(capture_input, problem)
     level = problem.time_grid.level_of(t_report)
-    phi, psi = map_fields(res, problem, sorted({0, level} | set(snapshot_levels)))
+    phi, psi = map_fields(res, problem, {0, level} | set(snapshot_levels))
 
     fields: dict[str, dict[int, GridField]] = {"phi": phi, "psi": psi, "u": {}, "m": {}}
     for n in phi:
@@ -380,12 +402,9 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
         raise NumericalFailure("non-finite values in the converged solution")
 
     return EquilibriumResult(
-        t_star=t_report, converged=converged, iterates=iterates, t_init=t_init,
-        capture_t_input=capture_input,
-        f_series=res.f_series, times=problem.time_grid.times,
-        equilibrium_level=level, residual_mass=e_h, fields=fields,
-        phi_exit_values=res.exit_series, psi_exit_adjacent=res.psi_exit_adjacent,
-        grid=problem.grid, time_grid=problem.time_grid,
+        t_star=t_report, converged=converged, iterates=iterates, t_init=t_init, map=res,
+        times=problem.time_grid.times, equilibrium_level=level, residual_mass=e_h,
+        fields=fields, grid=problem.grid, time_grid=problem.time_grid,
         cycle_detected=cycle, notes=notes)
 
 

@@ -163,6 +163,46 @@ class TestRunOracle:
         assert len(lines) == summary["n_time_steps"] + 2
 
 
+def _small_desk(out_dir, mode):
+    """The bundled desk downsized as in acceptance criterion 9."""
+    doc = json.loads(bundled_text("desk.json"))
+    doc["numerics"]["h_target"] = 0.05
+    doc["problem"]["t_max"] = 4.0
+    doc["run"].update(agents=5000, mode=mode, out_dir=str(out_dir))
+    return parse_config(json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def small_desk_oracle(tmp_path_factory):
+    """The downsized desk in oracle mode, with the recover_um calls counted."""
+    import mfgnet.mfg
+
+    out = tmp_path_factory.mktemp("small_desk_oracle")
+    calls = []
+    recover_um = mfgnet.mfg.recover_um
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mfgnet.mfg, "recover_um",
+                   lambda phi, psi: calls.append(phi.time_label) or recover_um(phi, psi))
+        assert run(_small_desk(out, "oracle"), quiet=True) == 0
+    return out, calls
+
+
+class TestOracleFields:
+    def test_solve_outputs_byte_identical(self, small_desk_oracle, tmp_path):
+        """The particles' read levels do not touch the written fields."""
+        oracle, _ = small_desk_oracle
+        assert run(_small_desk(tmp_path, "solve"), quiet=True) == 0
+        for name in ("u_final.csv", "m_final.csv", "f_series.csv", "m0.csv"):
+            assert (oracle / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_um_only_at_start_and_equilibrium(self, small_desk_oracle):
+        """The oracle reads phi alone: psi, u and m are formed at level 0 and
+        the equilibrium level only."""
+        oracle, calls = small_desk_oracle
+        summary = json.loads((oracle / "summary.json").read_text())
+        assert sorted(calls) == [0.0, summary["equilibrium_level"] * summary["dt"]]
+
+
 def test_non_convergence_exit_code(tmp_path):
     doc = fast_config(tmp_path)
     doc["numerics"]["max_iters"] = 1

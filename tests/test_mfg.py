@@ -71,7 +71,7 @@ class TestCumulativeFlow:
         g = mn.build_grid(single_edge, 0.1)
         tg = mn.build_time_grid(1.0, 0.1, 0.25)
         trace = np.zeros(tg.n_steps + 1)
-        F = cumulative_flow(trace, lambda s: np.zeros_like(s), g, tg)
+        F = cumulative_flow(trace, np.exp(np.zeros(tg.n_steps + 1)), g, tg)
         assert (F == 0).all()
 
     def test_single_term_hand_value(self, single_edge):
@@ -79,7 +79,7 @@ class TestCumulativeFlow:
         g = mn.build_grid(single_edge, 0.1)
         tg = mn.TimeGrid(dt=0.01, n_steps=1, t_max=0.01)
         trace = np.array([0.2, 0.0])
-        F = cumulative_flow(trace, lambda s: np.full_like(s, 0.5), g, tg)
+        F = cumulative_flow(trace, np.exp(np.full(tg.n_steps + 1, 0.5)), g, tg)
         assert F[0] == pytest.approx(0.03297442541400256)
 
     def test_nondecreasing_for_nonnegative_density(self, single_edge):
@@ -87,17 +87,8 @@ class TestCumulativeFlow:
         tg = mn.build_time_grid(1.0, 0.1, 0.25)
         rng = np.random.default_rng(0)
         trace = rng.uniform(0, 1, tg.n_steps + 1)
-        F = cumulative_flow(trace, lambda s: np.sin(s), g, tg)
+        F = cumulative_flow(trace, np.exp(np.sin(tg.times)), g, tg)
         assert (np.diff(F) >= 0).all()
-
-    def test_accepts_field_sequence(self, single_edge):
-        g = mn.build_grid(single_edge, 0.25)
-        tg = mn.TimeGrid(dt=0.01, n_steps=1, t_max=0.01)
-        f0, f1 = g.zeros(), g.zeros()
-        f0.data[g.exit_adjacent_index] = 0.3
-        f1.data[g.exit_adjacent_index] = 0.4
-        F = cumulative_flow([f0, f1], lambda s: np.zeros_like(s), g, tg)
-        np.testing.assert_allclose(F, [0.01 / 0.25 * 0.3, 0.01 / 0.25 * 0.7])
 
 
 class TestQuorum:

@@ -120,7 +120,7 @@ class TestDensityDriftConsistency:
         prob = mfg.discretize(spec)
         tg = prob.time_grid
         res = mfg.psi_map(2.0, prob)
-        phi = np.stack([f.data for f in mfg.map_fields(res, prob, every_level(tg))[0].values()])
+        phi = mfg.map_phi(res, prob, every_level(tg))
 
         good = mfg.density_drift(prob.grid, phi, tg.dt)
         bad = mfg.drift_from_matrix(prob.grid, np.log(phi), tg.dt)
