@@ -14,6 +14,7 @@ large for the network), 3 numerical failure, 4 no convergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .grid import TabulatedDensity, field_to_csv
+from .grid import MEMORY_LIMIT, TabulatedDensity, field_to_csv
 from .mfg import (
     CostSpec,
     DiscreteProblem,
@@ -50,8 +51,9 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run", "main"]
 
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
-_ORACLE_MEMORY_LIMIT = 2 * 1024**3  # bytes held for the particles' drift
-_CSV_BLOCK_ROWS = 1024
+# rows per block of the CSV writers: at 1024, example1's solve peaked about
+# 0.5 MB higher, holding a block's rows as strings, at about the same speed
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -312,16 +314,63 @@ def emit_config(config: RunConfig) -> dict:
     return doc
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
-    """One row per index of the equal-length ``columns`` (ints or floats);
-    repr of a Python int or float is its exact shortest form. Converted a
-    block of rows at a time, so no column is held as Python numbers."""
-    columns = [np.asarray(c) for c in columns]
+def _run_starts(keys: np.ndarray) -> np.ndarray | None:
+    """The first row of each run of equal ``keys``, when the column comes
+    in runs (at most one run in two rows); else None."""
+    changes = keys[1:] != keys[:-1]
+    if 2 * (np.count_nonzero(changes) + 1) > len(keys):
+        return None
+    return np.concatenate(([0], np.flatnonzero(changes) + 1))
+
+
+def _text_blocks(column: np.ndarray):
+    """The repr of each value of ``column`` (ints or floats), one iterable
+    of strings per block of _CSV_BLOCK_ROWS rows; repr of a Python int or
+    float is its exact shortest form.
+
+    A column that comes in runs of equal values, such as the particles'
+    arrived fractions on a fine time grid, formats each run's value once
+    per block it meets. Values are told apart by bit pattern, so -0.0, 0.0
+    and NaN each keep their own repr. Other columns are formatted lazily,
+    row by row: holding a block's strings raised example1's peak RSS.
+    """
+    column = np.ascontiguousarray(column)
+    starts = _run_starts(column.view(f"u{column.itemsize}"))
+    blocks = range(0, len(column), _CSV_BLOCK_ROWS)
+    if starts is None:
+        for start in blocks:
+            yield map(repr, column[start: start + _CSV_BLOCK_ROWS].tolist())
+        return
+    for start in blocks:
+        rows = np.arange(start, min(start + _CSV_BLOCK_ROWS, len(column)))
+        run = np.searchsorted(starts, rows, side="right") - 1
+        text = list(map(repr, column[starts[run[0]: run[-1] + 1]].tolist()))
+        yield np.array(text, dtype=object)[run - run[0]].tolist()
+
+
+def _line_blocks(lines):
+    """The lines of an open text file, without their newlines, as lists of
+    _CSV_BLOCK_ROWS lines."""
+    while block := [line[:-1] for line in itertools.islice(lines, _CSV_BLOCK_ROWS)]:
+        yield block
+
+
+def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
+    """One row per index of the equal-length ``columns`` (ints or floats),
+    each value written as its repr, by ``_text_blocks``.
+
+    ``lead``, an open CSV file with one line per row after its header,
+    begins each row with that line's text, so values already written there
+    are not formatted again.
+    """
+    blocks = [_text_blocks(np.asarray(c)) for c in columns]
+    if lead is not None:
+        next(lead)  # its header
+        blocks.insert(0, _line_blocks(lead))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = (c[start: start + _CSV_BLOCK_ROWS].tolist() for c in columns)
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
+        for cells in zip(*blocks):
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
@@ -387,7 +436,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     n_mc = math.ceil(sim.t_max / sim.dt)
     n_read = min(n_mc, tg.n_steps + 1)
     need = 8 * (4 * n_read * grid.n_flat + n_mc)
-    if need > _ORACLE_MEMORY_LIMIT:
+    if need > MEMORY_LIMIT:
         raise ValidationError(
             "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB for the "
             f"fields at the {n_read} levels its {n_mc} particle steps read; coarsen h, "
@@ -405,8 +454,10 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
 
     f_pde = result.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
-    _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-               tg.times, f_pde, mc.fraction, mc.band_lo, mc.band_hi)
+    # t and f_pde are f_series.csv's rows, text and all
+    with open(out / "f_series.csv") as series:
+        _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
+                   mc.fraction, mc.band_lo, mc.band_hi, lead=series)
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,

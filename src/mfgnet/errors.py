@@ -33,6 +33,11 @@ class StepTooCoarse(MFGNetError):
     """Requested spatial step exceeds the shortest edge."""
 
 
+class StepTooFine(MFGNetError):
+    """Requested spatial step needs more grid nodes or time levels than the
+    memory bound allows."""
+
+
 class ZeroMass(MFGNetError):
     """A density with zero (or negative) total mass cannot be normalized."""
 

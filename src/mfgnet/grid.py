@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooCoarse, ZeroMass
+from .errors import StepTooCoarse, StepTooFine, ZeroMass
 from .network import NetworkTopology
 
 __all__ = [
+    "MEMORY_LIMIT",
     "SpatialGrid",
     "TimeGrid",
     "GridField",
@@ -32,6 +33,16 @@ __all__ = [
     "normalize_mass",
     "field_to_csv",
 ]
+
+
+# Bytes a grid may ask for. A solve holds about seven float arrays of one
+# value per time level (the times, phi's exit series, F, psi's exit trace
+# and their temporaries: 7.0 per level measured on example1 and desk) and
+# a few of one value per node (positions, weights, the sweep's buffers and
+# the written fields); each count below is rounded up.
+MEMORY_LIMIT = 2 * 1024**3
+_FLOATS_PER_LEVEL = 8
+_FLOATS_PER_NODE = 8
 
 
 class SpatialGrid:
@@ -116,6 +127,15 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
+        """The time of each level. Every array a solve holds per level
+        starts here, so this raises StepTooFine, before allocating, when
+        they would need more than MEMORY_LIMIT."""
+        max_levels = MEMORY_LIMIT // (8 * _FLOATS_PER_LEVEL)
+        if self.n_steps >= max_levels:
+            raise StepTooFine(
+                f"dt={self.dt:.3g} needs {self.n_steps + 1} time levels up to "
+                f"t_max={self.t_max:g}, more than the {max_levels} that the "
+                f"{MEMORY_LIMIT / 1024**3:g} GiB memory bound allows; raise numerics.h_target (--h)")
         return np.arange(self.n_steps + 1) * self.dt
 
     def level_of(self, t: float) -> int:
@@ -159,7 +179,9 @@ def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
     """Partition every edge with cells of width as close to ``h_target`` as
     the edge length allows (at least two cells per edge).
 
-    Raises StepTooCoarse when ``h_target`` exceeds the shortest edge.
+    Raises StepTooCoarse when ``h_target`` exceeds the shortest edge, and
+    StepTooFine, before allocating, when the grid's nodes would need more
+    than MEMORY_LIMIT.
     """
     if not h_target > 0:
         raise StepTooCoarse(f"h_target must be positive, got {h_target}")
@@ -167,8 +189,14 @@ def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
     if h_target > min_len:
         raise StepTooCoarse(
             f"h_target={h_target} exceeds the shortest edge length {min_len}")
-    n_cells = np.array([max(2, round(e.length / h_target)) for e in topology.edges])
-    return SpatialGrid(topology, n_cells)
+    cells = [max(2.0, e.length / h_target) for e in topology.edges]
+    n_flat = topology.n_vertices + sum(cells) - len(cells)
+    if not 8 * _FLOATS_PER_NODE * n_flat <= MEMORY_LIMIT:
+        raise StepTooFine(
+            f"h_target={h_target} needs about {n_flat:.3g} grid nodes, more than the "
+            f"{MEMORY_LIMIT / 1024**3:g} GiB memory bound allows; raise numerics.h_target "
+            "(--h)")
+    return SpatialGrid(topology, np.array([round(c) for c in cells]))
 
 
 def build_time_grid(t_max: float, h_min: float, cfl_factor: float = 0.25) -> TimeGrid:
@@ -281,4 +309,7 @@ def field_to_csv(field: GridField, path) -> None:
     with open(path, "w") as fh:
         fh.write("edge_id,k,x_coord_1,x_coord_2,value\n")
         for first, count, rows in edges:
-            fh.write(rows.format(*map(repr, field.data[order[first: first + count]].tolist())))
+            values = field.data[order[first: first + count]].tolist()
+            # a list, not map(): CPython 3.11 kept about 100 KB per lattice
+            # field alive when format unpacked a map of reprs
+            fh.write(rows.format(*[repr(x) for x in values]))

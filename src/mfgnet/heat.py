@@ -61,17 +61,29 @@ KRYLOV_TOL = 1e-13
 # (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
 # M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
 KRYLOV_COST_RATIO = 0.2
-# phi and psi at L levels after level 0 (``mfg.map_fields``) cost about
-# (204 + 15 L) us per recurrence step there (0.081 s at L = 1, 0.186 s at
-# L = 20, m = 371), against 65 us per step for the sweep pair on the same
-# 2-CPU Xeon VM: they pay once m (1 + L / 14) <= 0.32 n_steps, so the maps'
-# ratio with 15 levels stays on the safe side.
-KRYLOV_CAPTURE_LEVELS = 15.0
+# phi and psi at L levels after level 0 (``mfg.map_fields``) there, with
+# the maps' basis built, took 0.16, 0.25, 0.37, 0.60 and 1.03 s at L = 1,
+# 10, 20, 40 and 80: about (404 + 30 L) us per recurrence step (m = 371),
+# against 0.61 s for the sweep pair at any L, 136 us per step (same VM).
+# They pay while m (1 + L / 13.6) <= 0.34 n_steps, up to L = 42 there.
+# With the maps' ratio, m (1 + L / 29) <= 0.2 n_steps crosses over at the
+# same L there.
+KRYLOV_CAPTURE_LEVELS = 29.0
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels per block of ModalStep.phi_levels' recursion: the phi window costs
 # 2 * W * n_int flops per level and each block a fixed Python overhead; 32
 # and 256 were slower than 64 on desk and example1, 64-128 about equal
 _BLOCK_LEVELS = 64
+# ModalStep.phi_levels takes one chunked tail sum per level up to this many
+# levels, and the block recursion above. A tail sum costs about
+# (N - n) * n_int multiply-adds at level n; the recursion costs W times that
+# per level it spans, from N down to the lowest level asked for, however
+# few are asked. On example1 (h 0.05 and 0.025) and desk, with the levels
+# spread over all N or the lower half, tail sums took 0.1 against 7-33 ms
+# for one level and were 1.3 to 2.3 times faster at 96 levels; the two
+# were about equal at 128 to 192 levels, and the recursion faster from 256
+# (single-threaded OpenBLAS, 2-CPU Xeon VM)
+_TAIL_SUM_LEVELS = 96
 
 
 class StepOperator:
@@ -380,20 +392,28 @@ class ModalStep:
         self.chunk_powers = _powers(self.evals, rows * np.arange(chunks)[:, None])
         self.block_levels = min(rows, _BLOCK_LEVELS)
 
+    def _phi_modal(self, exit_series: np.ndarray, level: int) -> np.ndarray:
+        """Modal coordinates of the backward sweep at ``level`` from one
+        chunked tail sum: c_n = lambda^(N-n) c_N + b_modal * S_n with
+        S_n = sum_(j < N-n) lambda^j g_(n+1+j), each chunk of B terms one
+        row of a matrix product with the lambda^j table."""
+        tail = exit_series[level + 1:]
+        rows = self.offset_powers.shape[0]
+        chunks = -(-len(tail) // rows)
+        by_level = np.zeros(chunks * rows)  # by_level[a, j] = g_(n + a*B + j + 1)
+        by_level[: len(tail)] = tail
+        by_level = by_level.reshape(chunks, rows)
+        sums = (self.chunk_powers[:chunks] * (by_level @ self.offset_powers)).sum(axis=0)
+        return (_powers(self.evals, len(tail)) * self.ones_modal * exit_series[-1]
+                + self.b_modal * sums)
+
     def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
         """Level 0 of the backward sweep from the constant state
         exit_series[-1], with the exit pinned at exit_series[n] on level n:
         u^0 = K^N u^N + sum_{n<N} g_{n+1} K^n b."""
-        chunks, rows = self.chunk_powers.shape[0], self.offset_powers.shape[0]
-        by_level = np.zeros(chunks * rows)  # by_level[a, j] = g_(a*B + j + 1)
-        by_level[: self.n_steps] = exit_series[1:]
-        by_level = by_level.reshape(chunks, rows)
-        sums = (self.chunk_powers * (by_level @ self.offset_powers)).sum(axis=0)
-        coef = (_powers(self.evals, self.n_steps) * self.ones_modal * exit_series[-1]
-                + self.b_modal * sums)
         op = self.operator
         out = np.empty(op.grid.n_flat)
-        out[op.grid.n_vertices:] = (self.basis @ coef) / self.d
+        out[op.grid.n_vertices:] = (self.basis @ self._phi_modal(exit_series, 0)) / self.d
         out[op.pinned] = exit_series[0]
         op.balance_vertices(out, op.scratch()[2])
         return out
@@ -433,13 +453,18 @@ class ModalStep:
         state per row.
 
         In modal coordinates c_n = Q^T D u^n the sweep is
-        c_n = lambda^(N-n) c_N + b_modal * S_n, with
+        c_n = lambda^(N-n) c_N + b_modal * S_n. Up to _TAIL_SUM_LEVELS
+        levels each take one chunked tail sum for S_n, as ``phi_initial``
+        does for level 0. More levels share a recursion,
         S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
         levels, a sliding window of g times the lambda^j table plus a carry
         from the block above, down to the lowest level asked for. Only the
         rows of ``levels`` become flat states, a block of them per matrix
         product.
         """
+        if len(levels) <= _TAIL_SUM_LEVELS:
+            coef = np.array([self._phi_modal(exit_series, n) for n in levels])
+            return self._states(coef, exit_series[levels])
         n_steps, rows, width = self.n_steps, self.offset_powers.shape[0], self.block_levels
         row_of = np.full(n_steps + 1, -1)
         row_of[levels] = np.arange(len(levels))

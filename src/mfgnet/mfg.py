@@ -456,9 +456,15 @@ class DriftSeries:
         frac = ys / h
         k = np.minimum(frac.astype(int), last_cell)
         frac -= k
-        base = offset + k
+        k += offset  # the node at the start of each agent's cell
         row = self.values[level]
-        return (1.0 - frac) * row.take(base) + frac * row[1:].take(base)
+        # (1 - frac) * left + frac * right, in place in the gathered arrays
+        left, right = row.take(k), row[1:].take(k)
+        right *= frac
+        np.subtract(1.0, frac, out=frac)
+        left *= frac
+        left += right
+        return left
 
 
 def _derivative_plan(grid: SpatialGrid):

@@ -4,10 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet.cli import emit_config, main, parse_config, run
+from mfgnet.cli import (
+    _CSV_BLOCK_ROWS,
+    _run_starts,
+    _write_csv,
+    emit_config,
+    main,
+    parse_config,
+    run,
+)
 from mfgnet.errors import ParseError, ValidationError
 
 from conftest import assert_json_equal, bundled_text
@@ -203,6 +212,41 @@ class TestOracleFields:
         assert sorted(calls) == [0.0, summary["equilibrium_level"] * summary["dt"]]
 
 
+class TestWriteCsv:
+    """Each row is ``",".join(map(repr, row))``, whether a column's values
+    are formatted once per run or each on its own, across blocks."""
+
+    def columns(self):
+        n = 2 * _CSV_BLOCK_ROWS + 5  # three blocks of rows
+        rng = np.random.default_rng(8)
+        few = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1 / 3, 5e-324])
+        lengths = rng.multinomial(n - 40, np.full(40, 1 / 40)) + 1
+        runs = np.repeat(few[rng.integers(0, len(few), 40)], lengths)
+        int_runs = np.repeat(rng.integers(-3, 4, 40), lengths)
+        scattered = few[rng.integers(0, len(few), n)]
+        distinct = rng.random(n)
+        distinct[:5] = [-0.0, 0.0, np.nan, np.inf, 0.0]
+        assert _run_starts(runs.view("u8")) is not None
+        assert _run_starts(int_runs.view("u8")) is not None
+        assert _run_starts(scattered.view("u8")) is None
+        return runs, int_runs, scattered, distinct, np.arange(n)
+
+    def test_rows_are_the_reprs(self, tmp_path):
+        columns = self.columns()
+        _write_csv(tmp_path / "a.csv", "a,b,c,d,e", *columns)
+        rows = zip(*(c.tolist() for c in columns))
+        expected = ["a,b,c,d,e", *(",".join(map(repr, row)) for row in rows)]
+        assert (tmp_path / "a.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_lead_file_begins_the_rows(self, tmp_path):
+        columns = self.columns()
+        _write_csv(tmp_path / "lead.csv", "a,b", *columns[:2])
+        with open(tmp_path / "lead.csv") as lead:
+            _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:], lead=lead)
+        _write_csv(tmp_path / "whole.csv", "a,b,c,d,e", *columns)
+        assert (tmp_path / "joined.csv").read_text() == (tmp_path / "whole.csv").read_text()
+
+
 def test_non_convergence_exit_code(tmp_path):
     doc = fast_config(tmp_path)
     doc["numerics"]["max_iters"] = 1
@@ -376,6 +420,22 @@ class TestCliEntry:
         assert err["field"] == "run.mode"
         assert f"{levels} levels" in err["message"]
         assert not (tmp_path / "out" / "f_series.csv").exists()
+
+    @pytest.mark.parametrize("h, needs", [
+        ("1e-4", "4000000002 time levels"),  # 30 GiB for the level times alone
+        ("1e-9", "6.14e+09 grid nodes"),     # 92 GiB for the node positions alone
+    ])
+    def test_too_fine_step_rejected_before_allocating(self, tmp_path, capsys, h, needs):
+        """example1 at a spatial step whose grid cannot be held exits 2 with
+        an error naming h_target, not with a traceback."""
+        p = tmp_path / "cfg.json"
+        p.write_text(bundled_text("example1.json"))
+        assert main(["--config", str(p), "--h", h, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "StepTooFine"
+        assert needs in err["message"]
+        assert "numerics.h_target (--h)" in err["message"]
 
     @pytest.mark.parametrize("m0, field", [
         ({"kind": "bumps", "centers": [["a", 0]], "radii": [0.3]}, "problem.m0.centers"),

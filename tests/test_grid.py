@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet.errors import StepTooCoarse, ZeroMass
+from mfgnet.errors import StepTooCoarse, StepTooFine, ZeroMass
 from mfgnet.grid import TabulatedDensity, field_to_csv
 
 
@@ -30,6 +30,12 @@ class TestBuildGrid:
         with pytest.raises(StepTooCoarse):
             mn.build_grid(line(0.15), 0.2)
 
+    def test_step_too_fine_for_the_memory_bound(self):
+        mn.build_grid(line(1.0), 1e-5)  # 100 000 nodes
+        for h in (1e-9, 1e-320):  # the second gives an infinite cell count
+            with pytest.raises(StepTooFine, match="grid nodes"):
+                mn.build_grid(line(1.0), h)
+
     def test_node_positions_follow_the_chord(self):
         topo = mn.build_network([(0, (0, 0)), (1, (2, 0))], [(0, 0, 1, 2.0)], 0)
         g = mn.build_grid(topo, 0.5)
@@ -52,6 +58,11 @@ class TestTimeGrid:
         tg = mn.build_time_grid(10.0, 0.07, 0.25)
         assert tg.n_steps == 8164
         assert tg.dt == pytest.approx(10.0 / 8164)
+
+    def test_times_within_the_memory_bound(self):
+        assert len(mn.TimeGrid(dt=1.0, n_steps=10**6, t_max=1e6).times) == 10**6 + 1
+        with pytest.raises(StepTooFine, match="time levels"):
+            mn.TimeGrid(dt=1e-9, n_steps=10**9, t_max=1.0).times
 
     def test_step_never_exceeds_cfl_target(self):
         for t_max, h, f in [(10, 0.1, 0.25), (3.7, 0.13, 0.4), (1, 0.07, 0.2)]:

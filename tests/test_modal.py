@@ -123,6 +123,22 @@ def test_modal_capture_matches_sweep(problem, monkeypatch):
     np.testing.assert_array_equal(modal.exit_series, sweep.exit_series)
 
 
+@pytest.mark.parametrize("name, h", [("example1.json", 0.05), ("desk.json", None)])
+def test_phi_tail_sums_match_the_recursion(name, h, monkeypatch):
+    """phi at a few levels, one chunked tail sum each, against the block
+    recursion that serves many levels: within 1e-13 of max |phi|."""
+    problem = discretize(_bundled(name, h))
+    tg = problem.time_grid
+    res = psi_map(0.6 * problem.spec.cost.t_max, problem)
+    n = tg.n_steps
+    levels = sorted({1, 7, n // 3, tg.level_of(res.t_star), n - 1, n})
+    assert len(levels) <= heat._TAIL_SUM_LEVELS
+    tail = problem.modal.phi_levels(res.exit_series, levels)
+    monkeypatch.setattr(heat, "_TAIL_SUM_LEVELS", 0)
+    recursion = problem.modal.phi_levels(res.exit_series, levels)
+    assert np.abs(tail - recursion).max() <= 1e-13 * np.abs(recursion).max()
+
+
 def test_symmetrized_step_is_symmetric(problem):
     grid = problem.grid
     op = StepOperator(grid, (grid.topology.exit_vertex,), problem.time_grid.dt)

@@ -361,12 +361,84 @@ class TestAgainstReferenceLoop:
         assert 0 < np.isnan(arr).sum() < n
         assert np.nanmax(arr) <= 0.1
 
+    def test_most_absorbed_through_the_bridge(self, single_edge, monkeypatch):
+        """Every agent on the exit edge and a small step: the bridge test
+        absorbs more agents than the exit crossings do."""
+        absorbed = _count_absorptions(monkeypatch)
+        n = 2000
+        drift = _smooth_drift(single_edge, 0.05, 41, 0.05)
+        ys = np.random.default_rng(1).random(n) * 0.05
+        cfg = SimConfig(n_agents=n, dt=1e-4, t_max=0.05, seed=3, drift=drift)
+        arr = self.assert_same(single_edge, cfg, np.zeros(n, dtype=int), ys)
+        assert np.isfinite(arr).mean() > 0.7
+        assert absorbed["bridge"] > absorbed["crossing"] > 0
+
+    def test_routed_off_the_exit_edge_and_back_in_one_step(self, monkeypatch):
+        """Two short leaves at the exit edge's far vertex: a step carries
+        agents off the exit edge and back onto it, and only agents that
+        start and end it on the exit edge take the bridge test."""
+        topo = mn.build_network(
+            [(0, (0.0, 0.0)), (1, (0.3, 0.0)), (2, (0.32, 0.0)), (3, (0.3, 0.03))],
+            [(0, 0, 1, 0.3), (1, 1, 2, 0.02), (2, 3, 1, 0.03)], 0)
+        returns = _count_returns(monkeypatch, exit_edge=0)
+        n = 1500
+        rng = np.random.default_rng(14)
+        edges = rng.integers(0, 3, n)
+        ys = rng.random(n) * np.array([0.3, 0.02, 0.03])[edges]
+        for d in (None, _smooth_drift(topo, 0.01, 21, 0.05)):
+            cfg = SimConfig(n_agents=n, dt=2e-3, t_max=1.0, seed=15, drift=d)
+            self.assert_same(topo, cfg, edges, ys)
+        assert returns[0] > 100
+
+
+def _count_absorptions(mp) -> dict:
+    """Count the agents ``simulate_agents`` absorbs at a crossing and by the
+    bridge test."""
+    import mfgnet.montecarlo as mc
+
+    counts = {"crossing": 0, "bridge": 0}
+    resolve, bridge = mc._resolve_crossings, mc._bridge_hits
+
+    def counted_resolve(*args):
+        absorbed, routed = resolve(*args)
+        counts["crossing"] += len(absorbed)
+        return absorbed, routed
+
+    def counted_bridge(x, u):
+        hits = bridge(x, u)
+        counts["bridge"] += len(hits)
+        return hits
+
+    mp.setattr(mc, "_resolve_crossings", counted_resolve)
+    mp.setattr(mc, "_bridge_hits", counted_bridge)
+    return counts
+
+
+def _count_returns(mp, exit_edge: int) -> list:
+    """Count the agents a step routes at least twice that start and end it
+    on ``exit_edge`` without being absorbed."""
+    import mfgnet.montecarlo as mc
+
+    count = [0]
+    resolve = mc._resolve_crossings
+
+    def counted(tables, edges, ys, lengths, rng):
+        before = edges.copy()
+        absorbed, routed = resolve(tables, edges, ys, lengths, rng)
+        agents, routes = np.unique(routed, return_counts=True)
+        back = (routes >= 2) & (before[agents] == exit_edge) & (edges[agents] == exit_edge)
+        count[0] += len(np.setdiff1d(agents[back], absorbed))
+        return absorbed, routed
+
+    mp.setattr(mc, "_resolve_crossings", counted)
+    return count
+
 
 def test_bridge_decision_matches_plain_exp():
     xs = np.array([0.0, -1.0, -40.0, -41.0, -708.0, -720.0, -745.0, -745.2, -746.0, -1e4])
     us = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     x, u = (a.ravel() for a in np.meshgrid(xs, us))
-    np.testing.assert_array_equal(_bridge_hits(x, u), u < np.exp(x))
+    np.testing.assert_array_equal(_bridge_hits(x, u), np.flatnonzero(u < np.exp(x)))
 
 
 def test_crossing_limit_raises_typed_error():
