@@ -89,8 +89,7 @@ def _get(section: dict, key: str, path: str, kind=None, default=_MISSING):
             return default
         raise ValidationError(f"{path}.{key}", "missing required field")
     value = section[key]
-    # a JSON true or false is a Python bool, which is an int
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if kind is not None and not isinstance(value, kind):
         raise ValidationError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     return value
 
@@ -116,7 +115,7 @@ def _build_density(m0: dict, n_edges: int):
         center = _floats(m0, "center", "problem.m0")
         if center.shape != (2,):
             raise ValidationError("problem.m0.center", "expected [x, y]")
-        width = float(_get(m0, "width", "problem.m0", (int, float)))
+        width = _number(_get(m0, "width", "problem.m0"), float, "problem.m0.width")
         if width <= 0:
             raise ValidationError("problem.m0.width", "must be positive")
         return lambda pts: np.maximum(1.0 - np.linalg.norm(pts - center, axis=1) / width, 0.0)
@@ -186,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
     _check_keys(doc, {"version", "network", "problem", "numerics", "run"}, "$")
-    if _get(doc, "version", "$", int) != 1:
+    if _integer(_get(doc, "version", "$"), "$.version") != 1:
         raise ValidationError("version", f"unsupported schema version {doc['version']}")
 
     net = _get(doc, "network", "$", dict)
@@ -208,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
         edges.append((*(_integer(_get(e, key, path), f"{path}.{key}")
                         for key in ("id", "tail", "head")),
                       None if length is None else _number(length, float, f"{path}.length")))
-    exit_vertex = _get(net, "exit_vertex", "network", int)
+    exit_vertex = _integer(_get(net, "exit_vertex", "network"), "network.exit_vertex")
     try:
         topology = build_network(vertices, edges, exit_vertex)
     except MFGNetError as err:
@@ -216,15 +215,15 @@ def parse_config(text: str) -> RunConfig:
 
     prob = _get(doc, "problem", "$", dict)
     _check_keys(prob, {"t0", "t_max", "theta", "cost", "m0"}, "problem")
-    theta = float(_get(prob, "theta", "problem", (int, float)))
+    theta = _number(_get(prob, "theta", "problem"), float, "problem.theta")
     if not 0 < theta < 1:
         raise ValidationError("theta", f"must lie strictly between 0 and 1, got {theta}")
     cost_doc = _get(prob, "cost", "problem", dict)
     _check_keys(cost_doc, {"c1", "c2", "c3"}, "problem.cost")
     try:
         cost_spec = CostSpec(
-            t0=float(_get(prob, "t0", "problem", (int, float))),
-            t_max=float(_get(prob, "t_max", "problem", (int, float))),
+            t0=_number(_get(prob, "t0", "problem"), float, "problem.t0"),
+            t_max=_number(_get(prob, "t_max", "problem"), float, "problem.t_max"),
             **{c: _number(cost_doc.get(c, 0.0), float, f"problem.cost.{c}")
                for c in ("c1", "c2", "c3")})
     except ValueError as err:
@@ -239,7 +238,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         spec = ProblemSpec(
             topology=topology, cost=cost_spec, theta=theta, m0=density,
-            h_target=float(_get(num, "h_target", "numerics", (int, float))),
+            h_target=_number(_get(num, "h_target", "numerics"), float, "numerics.h_target"),
             cfl_factor=_number(num.get("cfl_factor", 0.25), float, "numerics.cfl_factor"),
             tol=_number(num.get("tol", 1e-4), float, "numerics.tol"),
             t_init=_number(t_init, float, "numerics.t_init") if t_init is not None else None,
@@ -393,7 +392,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
     result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress)
 
-    _write_csv(out / "f_series.csv", "t,F", result.times, result.f_series)
+    _write_csv(out / "f_series.csv", "t,F", result.times, result.map.f_series)
     _write_csv(out / "iterates.csv", "iteration,T",
                range(len(result.iterates) + 1), [result.t_init, *result.iterates])
     lvl = result.equilibrium_level
@@ -432,15 +431,18 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     sim = SimConfig(n_agents=config.agents, dt=dt_mc, t_max=spec.cost.t_max, seed=config.seed)
 
     # phi at each level the particles read (one per particle step, or every level
-    # when the steps are finer), the drift and its temporaries, and the step times
+    # when the steps are finer), the drift and its temporaries, the step times,
+    # and 22 floats per agent (under tracemalloc, desk's run peaked 157 to 174
+    # bytes higher per agent between 1e5 and 8e5 agents)
     n_mc = math.ceil(sim.t_max / sim.dt)
     n_read = min(n_mc, tg.n_steps + 1)
-    need = 8 * (4 * n_read * grid.n_flat + n_mc)
+    need = 8 * (4 * n_read * grid.n_flat + n_mc + 22 * config.agents)
     if need > MEMORY_LIMIT:
         raise ValidationError(
             "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB for the "
-            f"fields at the {n_read} levels its {n_mc} particle steps read; coarsen h, "
-            "raise run.dt_mc or use solve mode")
+            f"fields at the {n_read} levels its {n_mc} particle steps read and for "
+            f"run.agents = {config.agents} agents; coarsen h, raise run.dt_mc, lower "
+            "run.agents or use solve mode")
 
     # the particles follow the drift of the map whose F is written to
     # f_series.csv, with phi evaluated only at the levels they read
@@ -452,7 +454,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     mc = estimate_arrival_cdf(spec.topology, replace(sim, drift=drift), grid, problem.m0,
                               tg.times)
 
-    f_pde = result.f_series
+    f_pde = result.map.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     # t and f_pde are f_series.csv's rows, text and all
     with open(out / "f_series.csv") as series:

@@ -12,9 +12,9 @@ is that step for one grid, pinned set and time step.
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
 (phi at level 0 and psi's exit trace), or both sweeps at chosen levels.
-``lanczos.LanczosStep`` does the same from Lanczos bases on grids too large
-for the eigenbasis; ``mfg.map_phi`` and ``map_psi`` evaluate fields from
-either. The sweeps stay the reference, and the only path where neither pays.
+``lanczos.LanczosStep`` does the same from Lanczos bases, and ``SweepStep``
+by sweeping, where neither pays: ``mfg`` calls only these four methods.
+The public sweeps stay the reference.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "solve_forward_psi",
     "psi_initial",
     "HeatSweep",
+    "SweepStep",
     "ModalStep",
     "modal_pays",
     "krylov_pays",
@@ -249,43 +250,37 @@ class HeatSweep:
     snapshots: dict[int, GridField] = field(default_factory=dict)
 
 
-def _normalize_pins(time_grid: TimeGrid, extra_dirichlet) -> list[tuple[int, np.ndarray]]:
-    shape = (time_grid.n_steps + 1,)
-    return [(int(vid), np.broadcast_to(np.asarray(val, dtype=float), shape).copy())
-            for vid, val in (extra_dirichlet or [])]
-
-
 def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
-               exit_series: np.ndarray, extra_pins, level_seq,
-               snapshot_levels, init_level) -> HeatSweep:
-    exit_id = grid.topology.exit_vertex
-    pins = [(exit_id, exit_series)] + list(extra_pins)
+               exit_series: np.ndarray, snapshot_levels=None, extra_dirichlet=None, *,
+               backward: bool) -> HeatSweep:
+    """Step ``init`` from level N down to 0 (``backward``) or from 0 up to N."""
+    n_steps = time_grid.n_steps
+    pins = [(grid.topology.exit_vertex, exit_series)] + [
+        (int(vid), np.broadcast_to(np.asarray(val, dtype=float), (n_steps + 1,)).copy())
+        for vid, val in (extra_dirichlet or [])]
     op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
     pin_matrix = np.stack([series for _, series in pins], axis=1)  # (N+1, P)
 
-    n_levels = time_grid.n_steps + 1
     adj_idx = grid.exit_adjacent_index
-    exit_adjacent = np.empty(n_levels)
+    exit_adjacent = np.empty(n_steps + 1)
     snapshots: dict[int, GridField] = {}
     wanted = set(snapshot_levels or ())
 
-    cur = init.copy()
-    nxt = np.empty_like(cur)
-    scratch = op.scratch()
+    cur, nxt, scratch = init.copy(), np.empty_like(init), op.scratch()
 
     def record(level: int, state: np.ndarray) -> None:
         exit_adjacent[level] = state[adj_idx]
         if level in wanted:
             snapshots[level] = GridField(grid, state.copy(), level * time_grid.dt)
 
-    record(init_level, cur)
-    for level in level_seq:
+    record(n_steps if backward else 0, cur)
+    for level in range(n_steps - 1, -1, -1) if backward else range(1, n_steps + 1):
         op.step(cur, pin_matrix[level], nxt, scratch)
         cur, nxt = nxt, cur
         record(level, cur)
 
-    initial = GridField(grid, (init if init_level == 0 else cur).copy(), 0.0)
-    terminal = GridField(grid, (cur if init_level == 0 else init).copy(), time_grid.t_max)
+    initial = GridField(grid, (cur if backward else init).copy(), 0.0)
+    terminal = GridField(grid, (init if backward else cur).copy(), time_grid.t_max)
     return HeatSweep(grid=grid, time_grid=time_grid, initial=initial, terminal=terminal,
                      exit_adjacent=exit_adjacent, exit_values=exit_series,
                      snapshots=snapshots)
@@ -301,11 +296,8 @@ def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,
     """
     exit_series = (np.exp(np.asarray(c_T(time_grid.times), dtype=float)) if callable(c_T)
                    else np.asarray(c_T, dtype=float))
-    init = np.full(grid.n_flat, exit_series[-1])
-    return _run_sweep(grid, time_grid, init, exit_series,
-                      _normalize_pins(time_grid, extra_dirichlet),
-                      range(time_grid.n_steps - 1, -1, -1),
-                      snapshot_levels, init_level=time_grid.n_steps)
+    return _run_sweep(grid, time_grid, np.full(grid.n_flat, exit_series[-1]), exit_series,
+                      snapshot_levels, extra_dirichlet, backward=True)
 
 
 def psi_initial(m0: GridField, phi0: GridField) -> np.ndarray:
@@ -323,12 +315,39 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
                       phi0: GridField, extra_dirichlet=None, snapshot_levels=None) -> HeatSweep:
     """Sweep the density potential forward from m0 / phi0 with the exit
     held at zero. ``phi0`` must be strictly positive."""
-    init = psi_initial(m0, phi0)
-    exit_series = np.zeros(time_grid.n_steps + 1)
-    return _run_sweep(grid, time_grid, init, exit_series,
-                      _normalize_pins(time_grid, extra_dirichlet),
-                      range(1, time_grid.n_steps + 1),
-                      snapshot_levels, init_level=0)
+    return _run_sweep(grid, time_grid, psi_initial(m0, phi0), np.zeros(time_grid.n_steps + 1),
+                      snapshot_levels, extra_dirichlet, backward=False)
+
+
+class SweepStep:
+    """``ModalStep``'s four evaluations, each one time-stepping sweep: the
+    path where neither it nor ``lanczos.LanczosStep`` pays."""
+
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
+        self.grid, self.time_grid = grid, time_grid
+
+    def _phi(self, exit_series: np.ndarray, levels=None) -> HeatSweep:
+        return _run_sweep(self.grid, self.time_grid, np.full(self.grid.n_flat, exit_series[-1]),
+                          exit_series, levels, backward=True)
+
+    def _psi(self, psi0: np.ndarray, levels=None) -> HeatSweep:
+        return _run_sweep(self.grid, self.time_grid, psi0, np.zeros(self.time_grid.n_steps + 1),
+                          levels, backward=False)
+
+    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
+        return self._phi(exit_series).initial.data
+
+    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+        return self._psi(psi0).exit_adjacent
+
+    def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
+        """Rows in the order of ``levels``, not of the backward sweep."""
+        snapshots = self._phi(exit_series, levels).snapshots
+        return np.array([snapshots[n].data for n in levels])
+
+    def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
+        snapshots = self._psi(psi0, levels).snapshots
+        return np.array([snapshots[n].data for n in levels])
 
 
 def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:

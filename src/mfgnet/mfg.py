@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,11 +32,10 @@ from .grid import (
 from .heat import (
     KRYLOV_TOL,
     ModalStep,
+    SweepStep,
     krylov_pays,
     modal_pays,
     psi_initial,
-    solve_backward_phi,
-    solve_forward_psi,
 )
 from .network import NetworkTopology
 
@@ -183,17 +181,17 @@ class PsiMapResult:
     psi_exit_adjacent: np.ndarray
 
 
-def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosStep | None:
-    """The problem's ModalStep or LanczosStep (built on first use) when it
-    pays on the grids for an evaluation writing ``n_levels`` levels (0 for
-    a map); None to sweep."""
+def _evaluator(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosStep | SweepStep:
+    """The evaluator of the sweeps for a map (``n_levels`` 0) or for fields at
+    ``n_levels`` levels after level 0: the problem's ModalStep or LanczosStep
+    (built on first use) where it pays on the grids, else a SweepStep."""
     grid, time_grid = problem.grid, problem.time_grid
     if modal_pays(grid, time_grid):
         if problem.modal is None:
             problem.modal = ModalStep(grid, time_grid)
         return problem.modal
     if not krylov_pays(time_grid, n_levels):
-        return None
+        return SweepStep(grid, time_grid)
     if problem.krylov is None:
         # imported here: every process compiles what it imports when no
         # bytecode is cached, and only these grids need this module
@@ -203,21 +201,16 @@ def _fast_step(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosSt
     return problem.krylov
 
 
-def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray, fast_rows,
-                sweep) -> np.ndarray:
+def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray, rows) -> np.ndarray:
     """One flat state per row of ``levels`` (increasing, distinct): ``level0``
-    at level 0, the rest from ``fast_rows(fast, later)`` when ``_fast_step``
-    finds a fast path that pays, else from ``sweep(snapshot_levels=later)``."""
+    at level 0, the rest from ``rows(evaluator, later)`` with the
+    ``_evaluator`` for that many levels."""
     levels = np.asarray(levels, dtype=int)
     later = levels[levels > 0].tolist()
     out = np.empty((len(levels), problem.grid.n_flat))
     out[levels == 0] = level0
-    fast = _fast_step(problem, len(later)) if later else None
-    if fast is not None:
-        out[levels > 0] = fast_rows(fast, later)
-    elif later:
-        snapshots = sweep(snapshot_levels=later).snapshots
-        out[levels > 0] = [snapshots[n].data for n in later]
+    if later:
+        out[levels > 0] = rows(_evaluator(problem, len(later)), later)
     return out
 
 
@@ -225,18 +218,14 @@ def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """phi of the map ``res`` at ``levels`` (increasing, distinct), one flat
     state per row, from the exit series alone: level 0 is the map's phi0."""
     return _level_rows(problem, levels, res.phi0,
-                       lambda fast, later: fast.phi_levels(res.exit_series, later),
-                       partial(solve_backward_phi, problem.grid, problem.time_grid,
-                               res.exit_series))
+                       lambda step, later: step.phi_levels(res.exit_series, later))
 
 
 def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """psi of the map ``res`` at ``levels``, as ``map_phi``, forward from
     the map's psi0."""
     return _level_rows(problem, levels, res.psi0,
-                       lambda fast, later: fast.psi_levels(res.psi0, later),
-                       partial(solve_forward_psi, problem.grid, problem.time_grid, problem.m0,
-                               GridField(problem.grid, res.phi0)))
+                       lambda step, later: step.psi_levels(res.psi0, later))
 
 
 def map_fields(res: PsiMapResult, problem: DiscreteProblem,
@@ -250,10 +239,10 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem,
 
 
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
-    """Zero, in place, the negatives of a fast path's exit trace that lie
-    within its accuracy target of 0, relative to max(psi0), which bounds
+    """Zero, in place, the negatives of an exit trace that lie within the
+    fast paths' accuracy target of 0, relative to max(psi0), which bounds
     every level of the forward sweep. The swept trace is >= 0 by the minimum
-    principle, so a larger negative is a failure."""
+    principle, so it is left as it is, and a larger negative is a failure."""
     floor = -KRYLOV_TOL * float(np.abs(psi0).max())
     if trace.min() < floor:
         raise NumericalFailure(f"exit trace reaches {trace.min():.3g}, below {floor:.3g}")
@@ -264,11 +253,11 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    When ``modal_pays`` on the grids, the problem's ModalStep replaces the
-    sweeps and evaluates only what the map needs: phi at level 0 and psi's
-    exit trace. Where ``modal_pays`` fails, the problem's LanczosStep does
-    the same when ``krylov_pays`` holds. ``map_phi`` and ``map_psi``
-    evaluate the result's fields at other levels.
+    The ``_evaluator`` for a map evaluates only what it needs: phi at level
+    0 and psi's exit trace. That is the problem's ModalStep when
+    ``modal_pays`` on the grids, its LanczosStep when ``krylov_pays``, and
+    a SweepStep otherwise. ``map_phi`` and ``map_psi`` evaluate
+    the result's fields at other levels.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -276,16 +265,11 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     grid, time_grid = problem.grid, problem.time_grid
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
 
-    fast = _fast_step(problem, 0)
-    if fast is None:
-        phi0 = solve_backward_phi(grid, time_grid, exit_series).initial.data
-        psi = solve_forward_psi(grid, time_grid, problem.m0, GridField(grid, phi0))
-        psi0, trace = psi.initial.data, psi.exit_adjacent
-    else:
-        phi0 = fast.phi_initial(exit_series)
-        psi0 = psi_initial(problem.m0, GridField(grid, phi0))
-        trace = fast.exit_adjacent_trace(psi0)
-        _clip_rounding(trace, psi0)
+    step = _evaluator(problem, 0)
+    phi0 = step.phi_initial(exit_series)
+    psi0 = psi_initial(problem.m0, GridField(grid, phi0))
+    trace = step.exit_adjacent_trace(psi0)
+    _clip_rounding(trace, psi0)
     f_series = cumulative_flow(trace, exit_series, grid, time_grid)
     if not np.isfinite(f_series[-1]):
         raise NumericalFailure("arrival distribution is not finite; the sweeps diverged")
@@ -334,11 +318,6 @@ class EquilibriumResult:
     @property
     def iterations(self) -> int:
         return len(self.iterates)
-
-    capture_t_input = property(lambda self: self.map.t_input)
-    f_series = property(lambda self: self.map.f_series)
-    phi_exit_values = property(lambda self: self.map.exit_series)
-    psi_exit_adjacent = property(lambda self: self.map.psi_exit_adjacent)
 
 
 def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),

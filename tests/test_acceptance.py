@@ -172,13 +172,13 @@ def test_criterion_6_monotone_flow_and_quorum(example1_ladder):
         results, _ = example1_ladder
         for h, res in results.items():
             assert res.converged
-            assert (np.diff(res.f_series) >= -1e-12).all()
+            assert (np.diff(res.map.f_series) >= -1e-12).all()
             theta = 0.5
             t0, t_max = 0.5, 10.0
             if t0 < res.t_star < t_max:
                 lvl = res.time_grid.level_of(res.t_star)
-                assert res.f_series[lvl] > theta
-                assert (res.f_series[:lvl] <= theta).all()
+                assert res.map.f_series[lvl] > theta
+                assert (res.map.f_series[:lvl] <= theta).all()
 
 
 def test_criterion_7_oracle_agreement(desk_oracle):
@@ -205,11 +205,11 @@ def test_criterion_8_identities(example1_ladder):
         # cost-weighted density-potential flux vs product-rule mass flux
         # at the exit; psi(exit) = 0 and phi(exit) = exp(c_T) are imposed
         h0 = res.grid.exit_h
-        dpsi = res.psi_exit_adjacent / h0
-        weights = np.exp(cost(res.times, res.capture_t_input,
+        dpsi = res.map.psi_exit_adjacent / h0
+        weights = np.exp(cost(res.times, res.map.t_input,
                               mn.CostSpec(0.5, 10.0, 0.1, 0.0, 0.1)))
         flux_psi = weights * dpsi
-        flux_m = res.phi_exit_values * dpsi
+        flux_m = res.map.exit_series * dpsi
         scale = np.maximum(np.abs(flux_psi), 1e-300)
         assert (np.abs(flux_m - flux_psi) / scale).max() <= 1e-10
 

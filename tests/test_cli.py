@@ -113,6 +113,19 @@ class TestParse:
             again = parse_config(json.dumps(emitted))
             assert_json_equal(emitted, emit_config(again))
 
+    @pytest.mark.parametrize("field, value", [
+        ("version", 1.0), ("network.exit_vertex", 0.0), ("run.seed", 7.0),
+        ("numerics.max_iters", 50.0)])
+    def test_whole_floats_parse_as_integers(self, tmp_path, field, value):
+        doc = fast_config(tmp_path)
+        expected = json.dumps(emit_config(parse_config(json.dumps(doc))))
+        *sections, key = field.split(".")
+        target = doc
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        assert json.dumps(emit_config(parse_config(json.dumps(doc)))) == expected
+
     def test_tabulated_density_parses(self, tmp_path):
         doc = fast_config(tmp_path)
         doc["problem"]["m0"] = {"kind": "tabulated", "edges": [
@@ -342,12 +355,13 @@ class TestCliEntry:
         ("run.snapshots", 1.5, []),
         ("run.agents", 100.5, ["--mode", "oracle"]),
         ("numerics.max_iters", 2.5, []),
+        ("network.exit_vertex", 0.5, []),
     ], ids=["h_nan", "tol_nan", "t_max_inf", "h_ladder_nan", "dt_mc_negative",
             "dt_mc_nan", "c1_nan", "dt_mc_string", "seed_string", "agents_string",
             "snapshots_string", "h_ladder_string", "vertex_id_string",
             "position_string", "position_scalar", "vertex_not_object", "edge_tail_missing", "edge_head_string",
             "edge_length_string", "seed_fractional", "snapshots_fractional",
-            "agents_fractional", "max_iters_fractional"])
+            "agents_fractional", "max_iters_fractional", "exit_vertex_fractional"])
     def test_nonfinite_and_out_of_range_rejected_before_solving(
             self, tmp_path, capsys, field, value, flags):
         doc = fast_config(tmp_path)
@@ -404,21 +418,23 @@ class TestCliEntry:
         assert err["field"] == named
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
-    @pytest.mark.parametrize("dt_mc, flags, levels", [
-        (1e-3, ["--h", "1e-4"], 10_000),  # 3.2 GB of fields
-        (1e-9, [], 64_001),               # 80 GB of particle step times
-    ], ids=["desk_h_1e-4", "desk_dt_mc_1e-9"])
-    def test_oracle_over_memory_limit_rejected(self, tmp_path, capsys, dt_mc, flags, levels):
-        """Desk whose drift would take GBs stops before solving."""
+    @pytest.mark.parametrize("run_doc, flags, fragment", [
+        ({"dt_mc": 1e-3}, ["--h", "1e-4"], "10000 levels"),  # 3.2 GB of fields
+        ({"dt_mc": 1e-9}, [], "64001 levels"),               # 80 GB of particle step times
+        ({"agents": 10**10}, [], "run.agents = 10000000000"),  # 1.8 TB of agents
+    ], ids=["desk_h_1e-4", "desk_dt_mc_1e-9", "desk_agents_1e10"])
+    def test_oracle_over_memory_limit_rejected(self, tmp_path, capsys, run_doc, flags,
+                                               fragment):
+        """Desk whose drift or agents would take GBs stops before solving."""
         doc = json.loads(bundled_text("desk.json"))
-        doc["run"].update(out_dir=str(tmp_path / "out"), dt_mc=dt_mc)
+        doc["run"].update(out_dir=str(tmp_path / "out"), **run_doc)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
         assert main(["--config", str(p), "--quiet", *flags]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValidationError"
         assert err["field"] == "run.mode"
-        assert f"{levels} levels" in err["message"]
+        assert fragment in err["message"]
         assert not (tmp_path / "out" / "f_series.csv").exists()
 
     @pytest.mark.parametrize("h, needs", [

@@ -289,7 +289,7 @@ class TestFixedPoint:
         problem = discretize(desk_problem())
         res = fixed_point(problem)
         grid, tg = problem.grid, problem.time_grid
-        c_T = lambda s: cost(s, res.capture_t_input, problem.spec.cost)  # noqa: E731
+        c_T = lambda s: cost(s, res.map.t_input, problem.spec.cost)  # noqa: E731
         phi = solve_backward_phi(grid, tg, c_T, snapshot_levels=every_level(tg))
         psi = solve_forward_psi(grid, tg, problem.m0, phi.initial,
                                 snapshot_levels=every_level(tg))
@@ -314,10 +314,10 @@ class TestExitFluxIdentity:
         equals the cost-weighted flux of psi at machine precision."""
         res = fixed_point(desk_problem())
         h0 = res.grid.exit_h
-        dpsi = res.psi_exit_adjacent / h0  # psi(exit) == 0
+        dpsi = res.map.psi_exit_adjacent / h0  # psi(exit) == 0
         weights = np.exp(cost(res.times, res.t_star, EX1_COST))
         flux_psi = weights * dpsi
-        flux_m = res.phi_exit_values * dpsi  # + psi(exit)*dphi, which is 0
+        flux_m = res.map.exit_series * dpsi  # + psi(exit)*dphi, which is 0
         scale = np.maximum(np.abs(flux_psi), 1e-30)
         # the capture pass solved with the converged candidate, so the
         # cost weights recomputed at t_star match the stored exit values
@@ -330,10 +330,10 @@ class TestExitFluxIdentity:
         gaps = []
         for h in (0.1, 0.05):
             res = fixed_point(desk_problem(h=h))
-            c_T = lambda s: cost(s, res.capture_t_input, EX1_COST)  # noqa: E731
+            c_T = lambda s: cost(s, res.map.t_input, EX1_COST)  # noqa: E731
             phi_adjacent = solve_backward_phi(res.grid, res.time_grid, c_T).exit_adjacent
-            raw = phi_adjacent * res.psi_exit_adjacent / res.grid.exit_h
-            prod = res.phi_exit_values * res.psi_exit_adjacent / res.grid.exit_h
+            raw = phi_adjacent * res.map.psi_exit_adjacent / res.grid.exit_h
+            prod = res.map.exit_series * res.map.psi_exit_adjacent / res.grid.exit_h
             denom = max(np.abs(prod).max(), 1e-30)
             gaps.append(np.abs(raw - prod).max() / denom)
         assert gaps[1] < gaps[0]
@@ -348,9 +348,9 @@ def test_example2_reaches_marginal_quorum(example2_config):
     res = fixed_point(example2_config.spec)
     assert res.converged
     assert res.t_star == example2_config.spec.cost.t_max
-    assert 0.66 <= res.f_series[-1] <= 0.70
+    assert 0.66 <= res.map.f_series[-1] <= 0.70
     assert res.residual_mass <= 2e-2
-    assert (np.diff(res.f_series) >= -1e-12).all()
+    assert (np.diff(res.map.f_series) >= -1e-12).all()
 
 
 def test_theta_bounds_enforced():

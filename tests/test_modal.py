@@ -11,7 +11,16 @@ import pytest
 import mfgnet as mn
 from mfgnet import heat, mfg
 from mfgnet.errors import NumericalFailure
-from mfgnet.heat import StepOperator, krylov_pays, modal_pays
+from mfgnet.heat import (
+    ModalStep,
+    StepOperator,
+    SweepStep,
+    krylov_pays,
+    modal_pays,
+    solve_backward_phi,
+    solve_forward_psi,
+)
+from mfgnet.lanczos import LanczosStep
 from mfgnet.mfg import _clip_rounding, discretize, fixed_point, map_fields, psi_map
 
 from conftest import bundled_text, random_tree_network
@@ -54,8 +63,8 @@ def problem(request):
 
 
 def _force_sweeps(mp) -> list:
-    """Make every evaluation sweep; the returned list records the init
-    level of each sweep run."""
+    """Make every evaluation sweep; the returned list records the direction
+    of each sweep run, True for backward."""
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
     mp.setattr(heat, "KRYLOV_COST_RATIO", 0.0)
     return _record_sweeps(mp)
@@ -64,7 +73,7 @@ def _force_sweeps(mp) -> list:
 def _record_sweeps(mp) -> list:
     run_sweep, swept = heat._run_sweep, []
     mp.setattr(heat, "_run_sweep",
-               lambda *a, **kw: swept.append(kw["init_level"]) or run_sweep(*a, **kw))
+               lambda *a, **kw: swept.append(kw["backward"]) or run_sweep(*a, **kw))
     return swept
 
 
@@ -163,7 +172,7 @@ def test_fixed_point_same_with_sweep_forced(example1_config, monkeypatch):
     assert modal.iterates == sweep.iterates
     assert modal.t_star == sweep.t_star
     assert modal.equilibrium_level == sweep.equilibrium_level
-    assert _rel(modal.f_series, sweep.f_series) <= 1e-10
+    assert _rel(modal.map.f_series, sweep.map.f_series) <= 1e-10
     for name in ("phi", "psi", "u", "m"):
         assert modal.fields[name].keys() == sweep.fields[name].keys()
         for n in modal.fields[name]:
@@ -179,9 +188,9 @@ def test_fixed_point_makes_no_sweep(example1_config, monkeypatch):
     res = fixed_point(problem, snapshot_levels={5})
     assert res.converged and 5 in res.fields["m"]
     # the converged capture evaluated the last iteration's candidate
-    last = psi_map(res.capture_t_input, problem)
-    np.testing.assert_array_equal(res.f_series, last.f_series)
-    np.testing.assert_array_equal(res.psi_exit_adjacent,
+    last = psi_map(res.map.t_input, problem)
+    np.testing.assert_array_equal(res.map.f_series, last.f_series)
+    np.testing.assert_array_equal(res.map.psi_exit_adjacent,
                                   problem.modal.exit_adjacent_trace(res.fields["psi"][0].data))
 
 
@@ -239,7 +248,7 @@ def test_long_edge_capture_makes_no_sweep(monkeypatch):
     assert problem.modal is not None
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
-        phi, psi = map_fields(psi_map(res.capture_t_input, problem), problem, res.fields["phi"])
+        phi, psi = map_fields(psi_map(res.map.t_input, problem), problem, res.fields["phi"])
     assert res.fields["phi"].keys() == {0, res.equilibrium_level}
     for n in res.fields["phi"]:
         assert _rel(res.fields["phi"][n].data, phi[n].data) <= 1e-10
@@ -279,6 +288,41 @@ def krylov_problem(request):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return discretize(KRYLOV_INSTANCES[request.param]())
+
+
+def test_evaluators_share_one_interface():
+    """ModalStep, LanczosStep and SweepStep, built directly on one grid,
+    agree on all four evaluations; SweepStep's are the reference sweeps' to
+    the last bit, with rows in the order of the levels asked for."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
+    grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
+    levels = [1, 7, tg.n_steps // 2, tg.n_steps]
+    exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
+    phi = solve_backward_phi(grid, tg, exit_series, snapshot_levels=levels)
+    psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, snapshot_levels=levels)
+    psi0 = psi.initial.data
+    reference = {
+        "phi_initial": phi.initial.data,
+        "exit_adjacent_trace": psi.exit_adjacent,
+        "phi_levels": np.array([phi.snapshots[n].data for n in levels]),
+        "psi_levels": np.array([psi.snapshots[n].data for n in levels]),
+    }
+
+    def evaluations(step):
+        return {"phi_initial": step.phi_initial(exit_series),
+                "exit_adjacent_trace": step.exit_adjacent_trace(psi0),
+                "phi_levels": step.phi_levels(exit_series, levels),
+                "psi_levels": step.psi_levels(psi0, levels)}
+
+    for name, value in evaluations(SweepStep(grid, tg)).items():
+        np.testing.assert_array_equal(value, reference[name], err_msg=name)
+    np.testing.assert_array_equal(SweepStep(grid, tg).phi_levels(exit_series, levels[::-1]),
+                                  reference["phi_levels"][::-1])
+    for step in (ModalStep(grid, tg), LanczosStep(grid, tg)):
+        for name, value in evaluations(step).items():
+            assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
 
 
 def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
@@ -348,8 +392,8 @@ def test_fixed_point_krylov_same_as_sweep(monkeypatch):
     assert krylov.iterates == sweep.iterates
     assert krylov.t_star == sweep.t_star
     assert krylov.equilibrium_level == sweep.equilibrium_level
-    assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
-    assert _rel(krylov.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-9
+    assert np.abs(krylov.map.f_series - sweep.map.f_series).max() <= 1e-12
+    assert _rel(krylov.map.psi_exit_adjacent, sweep.map.psi_exit_adjacent) <= 1e-9
     for name in ("phi", "psi", "u", "m"):
         assert krylov.fields[name].keys() == sweep.fields[name].keys()
         for n in krylov.fields[name]:
@@ -372,7 +416,7 @@ def test_krylov_capture_sweeps_many_levels(monkeypatch):
     few = fixed_point(problem)
     assert swept == [] and problem.krylov is not None
     res = fixed_point(problem, snapshot_levels=many)
-    assert swept == [tg.n_steps, 0]  # the capture's two sweeps, the maps none
+    assert swept == [True, False]  # the capture's two sweeps, the maps none
     assert res.iterates == few.iterates
     assert res.fields["phi"].keys() == many | {0, res.equilibrium_level}
 
@@ -467,9 +511,9 @@ def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, m
     assert res.converged and len(maps) == res.iterations
     assert (problem.modal is not None, problem.krylov is not None) == {
         "modal": (True, False), "krylov": (False, True), "sweep": (False, False)}[path]
-    assert maps[-1].t_input == res.capture_t_input
-    np.testing.assert_array_equal(res.f_series, maps[-1].f_series)
-    np.testing.assert_array_equal(res.psi_exit_adjacent, maps[-1].psi_exit_adjacent)
+    assert maps[-1].t_input == res.map.t_input
+    np.testing.assert_array_equal(res.map.f_series, maps[-1].f_series)
+    np.testing.assert_array_equal(res.map.psi_exit_adjacent, maps[-1].psi_exit_adjacent)
     np.testing.assert_array_equal(res.fields["phi"][0].data, maps[-1].phi0)
 
 
@@ -482,6 +526,6 @@ def test_unmapped_capture_candidate_is_mapped_once(max_iters, monkeypatch):
     assert not res.converged
     assert res.cycle_detected == (max_iters == 50)
     assert len(maps) == res.iterations + 1
-    assert maps[-1].t_input == res.capture_t_input
-    assert res.capture_t_input not in [m.t_input for m in maps[:-1]]
-    np.testing.assert_array_equal(res.f_series, maps[-1].f_series)
+    assert maps[-1].t_input == res.map.t_input
+    assert res.map.t_input not in [m.t_input for m in maps[:-1]]
+    np.testing.assert_array_equal(res.map.f_series, maps[-1].f_series)
