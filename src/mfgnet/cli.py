@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -72,9 +73,18 @@ class RunConfig:
     m0_config: dict | None = None
 
 
+# the JSON name of each type that json.loads returns
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(kind: type) -> str:
+    return _JSON_TYPES.get(kind, kind.__name__)
+
+
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
     if not isinstance(section, dict):
-        raise ValidationError(path, f"expected an object, got {type(section).__name__}")
+        raise ValidationError(path, f"expected an object, got {_json_type(type(section))}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValidationError(path, f"unknown key(s): {', '.join(unknown)}")
@@ -90,7 +100,8 @@ def _get(section: dict, key: str, path: str, kind=None, default=_MISSING):
         raise ValidationError(f"{path}.{key}", "missing required field")
     value = section[key]
     if kind is not None and not isinstance(value, kind):
-        raise ValidationError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
+        raise ValidationError(f"{path}.{key}",
+                              f"expected {_json_type(kind)}, got {_json_type(type(value))}")
     return value
 
 
@@ -396,15 +407,26 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
     _write_csv(out / "iterates.csv", "iteration,T",
                range(len(result.iterates) + 1), [result.t_init, *result.iterates])
     lvl = result.equilibrium_level
-    field_to_csv(result.fields["m"][0], out / "m0.csv")
-    field_to_csv(result.fields["m"][lvl], out / "m_final.csv")
-    field_to_csv(result.fields["u"][lvl], out / "u_final.csv")
+    written: dict[tuple[str, int], Path] = {}
+
+    def write(name: str, n: int, path: Path) -> None:
+        """The field ``name`` at level ``n``, formatted once: a second path
+        gets a copy of the first file."""
+        if (name, n) in written:
+            shutil.copyfile(written[name, n], path)
+        else:
+            field_to_csv(result.fields[name][n], path)
+            written[name, n] = path
+
+    write("m", 0, out / "m0.csv")
+    write("m", lvl, out / "m_final.csv")
+    write("u", lvl, out / "u_final.csv")
     if snapshot_levels:
         snapdir = out / "snapshots"
         snapdir.mkdir(exist_ok=True)
         for n in sorted(snapshot_levels):
-            field_to_csv(result.fields["m"][n], snapdir / f"m_{n:08d}.csv")
-            field_to_csv(result.fields["u"][n], snapdir / f"u_{n:08d}.csv")
+            write("m", n, snapdir / f"m_{n:08d}.csv")
+            write("u", n, snapdir / f"u_{n:08d}.csv")
 
     summary = {
         "converged": result.converged,

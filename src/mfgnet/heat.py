@@ -11,10 +11,11 @@ is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
-(phi at level 0 and psi's exit trace), or both sweeps at chosen levels.
-``lanczos.LanczosStep`` does the same from Lanczos bases, and ``SweepStep``
-by sweeping, where neither pays: ``mfg`` calls only these four methods.
-The public sweeps stay the reference.
+(phi and psi at level 0 and psi's exit trace), or both sweeps at chosen
+levels. ``lanczos.LanczosStep`` does the same from Lanczos bases, and
+``SweepStep`` by sweeping, where neither pays: ``mfg`` calls only the
+methods of their common base, ``Evaluator``. The public sweeps stay the
+reference.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "ModalStep",
     "modal_pays",
     "krylov_pays",
+    "krylov_reach_pays",
 ]
 
 CFL_LIMIT = 0.5
@@ -58,9 +60,12 @@ KRYLOV_TOL = 1e-13
 # n_steps = 4481, against the estimate's 366. There a recurrence step costs
 # 158 us to build a basis (its error checks included) and 80 us to replay
 # one, against 50 us per sweep step (single-threaded, 2-CPU Xeon VM). A
-# fixed point of M maps builds two bases and replays 2M + 3 times, about
-# (556 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps swept: at
-# M = 1, the dearest case, it pays once m <= 0.28 * n_steps.
+# fixed point of M maps builds two bases and replays one twice for its
+# fields; each map replays it twice more unless ``krylov_reach_pays``. That
+# is at most (476 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps
+# swept: at M = 1, the dearest case, it pays once m <= 0.31 * n_steps.
+# The ratio was set when a fixed point replayed 2M + 3 times (m <= 0.28
+# n_steps) and is kept.
 KRYLOV_COST_RATIO = 0.2
 # phi and psi at L levels after level 0 (``mfg.map_fields``) there, with
 # the maps' basis built, took 0.16, 0.25, 0.37, 0.60 and 1.03 s at L = 1,
@@ -70,6 +75,14 @@ KRYLOV_COST_RATIO = 0.2
 # With the maps' ratio, m (1 + L / 29) <= 0.2 n_steps crosses over at the
 # same L there.
 KRYLOV_CAPTURE_LEVELS = 29.0
+# A map reads phi0 only where m0 is nonzero and psi's level 1 only on the
+# nodes one step from there reaches (S). With the maps' basis recorded on S
+# (m |S| floats), a map on the street lattice took 5.5, 7.8, 6.3, 9.7 and
+# 15.5 ms at |S| = 218, 686, 1 758, 4 238 and 10 536 (all of n_flat), against
+# 83 ms for its two replays (same VM), so time alone always favours it. The
+# rows took 0.65, 2.0, 5.2, 12.6 and 31 MB: they are recorded only while
+# they stay within an eighth of the m x n_flat basis the path never holds.
+KRYLOV_REACH_SHARE = 0.125
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels per block of ModalStep.phi_levels' recursion: the phi window costs
 # 2 * W * n_int flops per level and each block a fixed Python overhead; 32
@@ -252,13 +265,16 @@ class HeatSweep:
 
 def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
                exit_series: np.ndarray, snapshot_levels=None, extra_dirichlet=None, *,
-               backward: bool) -> HeatSweep:
-    """Step ``init`` from level N down to 0 (``backward``) or from 0 up to N."""
+               backward: bool, op: StepOperator | None = None) -> HeatSweep:
+    """Step ``init`` from level N down to 0 (``backward``) or from 0 up to N
+    with ``op``, the exit-pinned StepOperator of these grids; without one,
+    a StepOperator is built for the exit and ``extra_dirichlet``'s pins."""
     n_steps = time_grid.n_steps
     pins = [(grid.topology.exit_vertex, exit_series)] + [
         (int(vid), np.broadcast_to(np.asarray(val, dtype=float), (n_steps + 1,)).copy())
         for vid, val in (extra_dirichlet or [])]
-    op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
+    if op is None:
+        op = StepOperator(grid, tuple(v for v, _ in pins), time_grid.dt)
     pin_matrix = np.stack([series for _, series in pins], axis=1)  # (N+1, P)
 
     adj_idx = grid.exit_adjacent_index
@@ -319,20 +335,37 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
                       snapshot_levels, extra_dirichlet, backward=False)
 
 
-class SweepStep:
-    """``ModalStep``'s four evaluations, each one time-stepping sweep: the
-    path where neither it nor ``lanczos.LanczosStep`` pays."""
+class Evaluator:
+    """The evaluations of the two sweeps that ``mfg`` makes on one pair of
+    grids. ``ModalStep``, ``SweepStep`` and ``lanczos.LanczosStep`` each
+    provide ``phi_initial``, ``exit_adjacent_trace``, ``phi_levels`` and
+    ``psi_levels``."""
+
+    def start(self, exit_series: np.ndarray,
+              m0: GridField) -> tuple[np.ndarray | None, np.ndarray]:
+        """phi and psi at level 0 for phi's exit series ``exit_series`` and
+        the normalized crowd ``m0``: phi0 on every node (None when it was
+        evaluated only where m0 is nonzero) and psi0 = m0 / phi0."""
+        phi0 = self.phi_initial(exit_series)
+        return phi0, psi_initial(m0, GridField(m0.grid, phi0))
+
+
+class SweepStep(Evaluator):
+    """``ModalStep``'s evaluations, each one time-stepping sweep with one
+    exit-pinned StepOperator: the path where neither it nor
+    ``lanczos.LanczosStep`` pays."""
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
         self.grid, self.time_grid = grid, time_grid
+        self.operator = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
 
     def _phi(self, exit_series: np.ndarray, levels=None) -> HeatSweep:
         return _run_sweep(self.grid, self.time_grid, np.full(self.grid.n_flat, exit_series[-1]),
-                          exit_series, levels, backward=True)
+                          exit_series, levels, backward=True, op=self.operator)
 
     def _psi(self, psi0: np.ndarray, levels=None) -> HeatSweep:
         return _run_sweep(self.grid, self.time_grid, psi0, np.zeros(self.time_grid.n_steps + 1),
-                          levels, backward=False)
+                          levels, backward=False, op=self.operator)
 
     def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
         return self._phi(exit_series).initial.data
@@ -367,13 +400,19 @@ def krylov_pays(time_grid: TimeGrid, n_levels: int = 0) -> bool:
     return m * (1 + n_levels / KRYLOV_CAPTURE_LEVELS) <= KRYLOV_COST_RATIO * n
 
 
+def krylov_reach_pays(n_reach: int, n_flat: int) -> bool:
+    """Whether a LanczosStep records its maps' basis on the ``n_reach``
+    nodes S that a map reads: n_reach <= KRYLOV_REACH_SHARE * n_flat."""
+    return n_reach <= KRYLOV_REACH_SHARE * n_flat
+
+
 def _powers(base: np.ndarray, exponent) -> np.ndarray:
     out = np.power(base, exponent)
     out[np.abs(out) < _FLUSH] = 0.0
     return out
 
 
-class ModalStep:
+class ModalStep(Evaluator):
     """The two sweeps' exit-pinned step, applied many times from its
     eigenbasis instead of level by level.
 

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import SpatialGrid, TimeGrid
-from .heat import KRYLOV_TOL, StepOperator
+from .grid import GridField, SpatialGrid, TimeGrid
+from .heat import KRYLOV_TOL, Evaluator, StepOperator, krylov_reach_pays, psi_initial
 
 __all__ = ["LanczosStep"]
 
@@ -37,10 +37,11 @@ class _LanczosBasis:
     (bandwidth B), applied once per chunk. Nothing is m x m: a dense eigh of
     T at m = 370 raised the street lattice's peak RSS by 6 MB. Only alpha
     and beta are kept: ``combine`` and ``project`` replay the recurrence, so
-    no m x n_flat basis is held either.
+    no m x n_flat basis is held either. The build records W on the flat
+    indices ``nodes`` only, when given, as the (m, len(nodes)) ``on_nodes``.
     """
 
-    def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int):
+    def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int, nodes=None):
         self.op, self.n_steps, self.start = op, n_steps, start
         self.h = 1.0 / np.sqrt(op.inv_h2)
         self.norm = math.sqrt(self._dot(start, start))
@@ -50,9 +51,12 @@ class _LanczosBasis:
         self.chunks = -(-n_steps // self.rows)
         self.alpha: list[float] = []
         self.beta: list[float] = []
+        recorded = []
         target, last = 16, None
-        for _ in self._recurrence():
+        for w in self._recurrence():
             m = len(self.alpha)
+            if nodes is not None:
+                recorded.append(w[nodes])
             if m < target:
                 continue
             self._tables(m)
@@ -71,6 +75,7 @@ class _LanczosBasis:
             target = m + min(max(grow, 8), m)
         else:  # beta hit 0: the Krylov space is invariant and T exact
             self._tables(len(self.alpha))
+        self.on_nodes = None if nodes is None else np.array(recorded[: self.m])
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         nv = self.op.grid.n_vertices
@@ -196,7 +201,16 @@ class _LanczosBasis:
         return np.array([self._dot(w, y) for w in itertools.islice(self._recurrence(), self.m)])
 
 
-class LanczosStep:
+def _reach(op: StepOperator, m0: np.ndarray) -> np.ndarray:
+    """The nodes where ``m0`` or one ``op`` step of its indicator is
+    nonzero, sorted: every node that a step from ``m0``'s support reaches."""
+    on = (m0 != 0).astype(float)
+    stepped = np.empty_like(on)
+    op.step(on, np.zeros(1), stepped, op.scratch())
+    return np.flatnonzero(on + np.abs(stepped))
+
+
+class LanczosStep(Evaluator):
     """The two sweeps' exit-pinned step, applied many times from Lanczos
     bases: the counterpart of ModalStep for grids too large for its eigh,
     at O(m * n_flat) per map with m about sqrt(n_steps).
@@ -205,13 +219,19 @@ class LanczosStep:
     grid, serves every map. The sweep from a constant state with a constant
     exit value stays constant, so phi at level n is
     g_N + b_adj sum_(j < N-n) (g_(n+1+j) - g_N) K^j e_adj, and the exit
-    trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj. A map
-    replays the basis twice. For ``mfg.map_phi``, ``phi_levels`` evaluates
+    trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj.
+
+    A map reads phi0 only where the crowd m0 is nonzero, and u^1 only on the
+    nodes that one step from there reaches: S. Where
+    ``heat.krylov_reach_pays``, the basis is recorded on S, and a map does
+    not replay it: phi0 on S is W_S^T c, and <w_j, u^1>_H sums over S.
+    Else a map replays the basis twice, once for phi0 on every node and
+    once for <w_j, u^1>_H. For ``mfg.map_phi``, ``phi_levels`` evaluates
     phi at chosen levels from the same basis; for ``mfg.map_psi``,
     ``psi_levels`` evaluates psi from a basis started at u^1.
     """
 
-    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
         op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
         self.operator = op
         self.time_grid = time_grid
@@ -220,9 +240,21 @@ class LanczosStep:
         start = np.zeros(grid.n_flat)
         start[adj] = 1.0
         op.balance_vertices(start, op.scratch()[2])
-        self.pins = _LanczosBasis(op, start, self.n_steps)
+        reach = _reach(op, m0.data)
+        if not krylov_reach_pays(len(reach), grid.n_flat):
+            reach = None
+        self.reach = reach  # S, sorted, where the basis is recorded
+        self.pins = _LanczosBasis(op, start, self.n_steps, reach)
+        if reach is not None:
+            self.off_reach = np.ones(grid.n_flat, dtype=bool)
+            self.off_reach[reach] = False
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
+
+    def _in_reach(self, state: np.ndarray) -> bool:
+        """Whether the basis was recorded on S and ``state`` is 0 off S: the
+        recorded basis then serves it exactly."""
+        return self.reach is not None and not state[self.off_reach].any()
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row, as
@@ -238,6 +270,23 @@ class LanczosStep:
         """Level 0 of the backward sweep, as ``ModalStep.phi_initial``."""
         return self.phi_levels(exit_series, [0])[0]
 
+    def start(self, exit_series: np.ndarray,
+              m0: GridField) -> tuple[np.ndarray | None, np.ndarray]:
+        """As ``Evaluator.start``; phi0 is None when it was evaluated on S
+        alone, from the recorded basis, with the arithmetic of
+        ``phi_levels`` to the last bit."""
+        if not self._in_reach(m0.data):
+            return super().start(exit_series, m0)
+        coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
+        on_reach = np.zeros(len(self.reach))
+        for c, w in zip(coefs, self.pins.on_nodes):  # in combine's order
+            on_reach += c * w
+        on_reach += exit_series[-1]
+        # 1 off S, where m0 / phi0 is m0 itself: 0 (of m0's sign)
+        phi0 = np.ones(len(m0.data))
+        phi0[self.reach] = on_reach
+        return None, psi_initial(m0, GridField(m0.grid, phi0))
+
     def _level_one(self, psi0: np.ndarray) -> np.ndarray:
         op = self.operator
         u1 = np.empty(op.grid.n_flat)
@@ -249,8 +298,16 @@ class LanczosStep:
         psi0 with the exit held at zero, as ``ModalStep.exit_adjacent_trace``."""
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.operator.grid.exit_adjacent_index]
+        u1 = self._level_one(psi0)
+        if self._in_reach(u1):  # W^T H u^1 over S's interior nodes
+            nv = self.operator.grid.n_vertices
+            k = np.searchsorted(self.reach, nv)  # S's vertices come first
+            inner = self.reach[k:]
+            coefs = self.pins.on_nodes[:, k:] @ (self.pins.h[inner - nv] * u1[inner])
+        else:
+            coefs = self.pins.project(u1)
         # |e_adj|_H = sqrt(h_adj)
-        trace[1:] = self.pins.series(self.pins.project(self._level_one(psi0))) / self.pins.norm
+        trace[1:] = self.pins.series(coefs) / self.pins.norm
         return trace
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:

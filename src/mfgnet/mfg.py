@@ -35,7 +35,7 @@ from .heat import (
     SweepStep,
     krylov_pays,
     modal_pays,
-    psi_initial,
+    Evaluator,
 )
 from .network import NetworkTopology
 
@@ -132,6 +132,7 @@ class DiscreteProblem:
     m0: GridField  # normalized
     modal: ModalStep | None = field(default=None, repr=False)  # built by psi_map
     krylov: LanczosStep | None = field(default=None, repr=False)  # built by psi_map
+    sweep: SweepStep | None = field(default=None, repr=False)  # built by psi_map
 
 
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
@@ -169,56 +170,67 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 class PsiMapResult:
     """One evaluation of the candidate-time map, with what fixes its fields
     at every level: phi's exit series exp(c_T(t_n)), phi and psi at level 0
-    (flat states), and psi next to the exit on every level."""
+    (flat states), and psi next to the exit on every level. ``phi0`` is None
+    where the map evaluated phi0 only where the crowd starts (Lanczos
+    grids); ``map_phi(res, problem, [0])`` gives phi at level 0 on any
+    path."""
 
     t_input: float
     t_star: float
     f_series: np.ndarray
     crossing_level: int | None
     exit_series: np.ndarray
-    phi0: np.ndarray
+    phi0: np.ndarray | None
     psi0: np.ndarray
     psi_exit_adjacent: np.ndarray
 
 
-def _evaluator(problem: DiscreteProblem, n_levels: int) -> ModalStep | LanczosStep | SweepStep:
+def _evaluator(problem: DiscreteProblem, n_levels: int) -> Evaluator:
     """The evaluator of the sweeps for a map (``n_levels`` 0) or for fields at
     ``n_levels`` levels after level 0: the problem's ModalStep or LanczosStep
-    (built on first use) where it pays on the grids, else a SweepStep."""
+    where it pays on the grids, else its SweepStep, each built on first
+    use."""
     grid, time_grid = problem.grid, problem.time_grid
     if modal_pays(grid, time_grid):
         if problem.modal is None:
             problem.modal = ModalStep(grid, time_grid)
         return problem.modal
     if not krylov_pays(time_grid, n_levels):
-        return SweepStep(grid, time_grid)
+        if problem.sweep is None:
+            problem.sweep = SweepStep(grid, time_grid)
+        return problem.sweep
     if problem.krylov is None:
         # imported here: every process compiles what it imports when no
         # bytecode is cached, and only these grids need this module
         from .lanczos import LanczosStep
 
-        problem.krylov = LanczosStep(grid, time_grid)
+        problem.krylov = LanczosStep(grid, time_grid, problem.m0)
     return problem.krylov
 
 
-def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray, rows) -> np.ndarray:
+def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray | None,
+                rows) -> np.ndarray:
     """One flat state per row of ``levels`` (increasing, distinct): ``level0``
-    at level 0, the rest from ``rows(evaluator, later)`` with the
-    ``_evaluator`` for that many levels."""
+    at level 0, the rest from ``rows(evaluator, asked)`` with the
+    ``_evaluator`` for the levels after level 0. Without ``level0``, level
+    0 is asked for with them."""
     levels = np.asarray(levels, dtype=int)
-    later = levels[levels > 0].tolist()
+    later = levels > 0
+    asked = later if level0 is not None else np.ones_like(later)
     out = np.empty((len(levels), problem.grid.n_flat))
-    out[levels == 0] = level0
-    if later:
-        out[levels > 0] = rows(_evaluator(problem, len(later)), later)
+    if level0 is not None:
+        out[~later] = level0
+    if asked.any():
+        out[asked] = rows(_evaluator(problem, int(later.sum())), levels[asked].tolist())
     return out
 
 
 def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """phi of the map ``res`` at ``levels`` (increasing, distinct), one flat
-    state per row, from the exit series alone: level 0 is the map's phi0."""
+    state per row, from the exit series alone: level 0 is the map's phi0,
+    or evaluated with the other levels where the map has none."""
     return _level_rows(problem, levels, res.phi0,
-                       lambda step, later: step.phi_levels(res.exit_series, later))
+                       lambda step, asked: step.phi_levels(res.exit_series, asked))
 
 
 def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
@@ -254,10 +266,11 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     arrival distribution -> quorum time.
 
     The ``_evaluator`` for a map evaluates only what it needs: phi at level
-    0 and psi's exit trace. That is the problem's ModalStep when
-    ``modal_pays`` on the grids, its LanczosStep when ``krylov_pays``, and
-    a SweepStep otherwise. ``map_phi`` and ``map_psi`` evaluate
-    the result's fields at other levels.
+    0 (on a LanczosStep, only where m0 is nonzero, when its rule allows),
+    psi at level 0 and psi's exit trace. That is the problem's ModalStep
+    when ``modal_pays`` on the grids, its LanczosStep when ``krylov_pays``,
+    and its SweepStep otherwise. ``map_phi`` and ``map_psi`` evaluate the
+    result's fields at other levels.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -266,8 +279,7 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
 
     step = _evaluator(problem, 0)
-    phi0 = step.phi_initial(exit_series)
-    psi0 = psi_initial(problem.m0, GridField(grid, phi0))
+    phi0, psi0 = step.start(exit_series, problem.m0)
     trace = step.exit_adjacent_trace(psi0)
     _clip_rounding(trace, psi0)
     f_series = cumulative_flow(trace, exit_series, grid, time_grid)

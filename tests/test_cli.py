@@ -126,6 +126,24 @@ class TestParse:
         target[key] = value
         assert json.dumps(emit_config(parse_config(json.dumps(doc)))) == expected
 
+    @pytest.mark.parametrize("sections, key, value, message", [
+        ((), "network", "x", "$.network: expected an object, got a string"),
+        (("network",), "vertices", {}, "network.vertices: expected an array, got an object"),
+        (("problem", "m0"), "kind", 3, "problem.m0.kind: expected a string, got a number"),
+    ], ids=["object", "array", "string"])
+    def test_wrong_container_names_json_types(self, tmp_path, sections, key, value, message):
+        """A value of the wrong JSON type where an object, an array or a
+        string belongs: the error names both types as JSON does."""
+        doc = fast_config(tmp_path)
+        target = doc
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.field == message.split(":")[0]
+        assert str(err.value) == message
+
     def test_tabulated_density_parses(self, tmp_path):
         doc = fast_config(tmp_path)
         doc["problem"]["m0"] = {"kind": "tabulated", "edges": [
@@ -159,6 +177,9 @@ class TestRunSolve:
         assert snapdir.is_dir()
         assert len(list(snapdir.glob("m_*.csv"))) >= 2
         assert len(list(snapdir.glob("u_*.csv"))) >= 2
+        # level 0's m is formatted once, and written under both names
+        m0 = (tmp_path / "out" / "m0.csv").read_bytes()
+        assert m0 == (snapdir / "m_00000000.csv").read_bytes()
 
     def test_error_json_on_validation_failure(self, tmp_path, capsys):
         doc = fast_config(tmp_path)

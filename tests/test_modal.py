@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet import heat, mfg
+from mfgnet import heat, lanczos, mfg
 from mfgnet.errors import NumericalFailure
 from mfgnet.heat import (
     ModalStep,
     StepOperator,
     SweepStep,
     krylov_pays,
+    krylov_reach_pays,
     modal_pays,
     solve_backward_phi,
     solve_forward_psi,
 )
 from mfgnet.lanczos import LanczosStep
-from mfgnet.mfg import _clip_rounding, discretize, fixed_point, map_fields, psi_map
+from mfgnet.mfg import _clip_rounding, discretize, fixed_point, map_fields, map_phi, psi_map
 
 from conftest import bundled_text, random_tree_network
 from test_mfg import desk_problem
@@ -255,9 +256,18 @@ def test_long_edge_capture_makes_no_sweep(monkeypatch):
         assert _rel(res.fields["psi"][n].data, psi[n].data) <= 1e-10
 
 
-def _lattice(side, h, t_max, chords=()):
+def _gaussian(p):
+    return np.exp(-(p**2).sum(axis=1))
+
+
+def _crowd(p):
+    """A crowd within 0.5 of vertex 0: on the exit leaf and next to it."""
+    return np.maximum(0.25 - (p**2).sum(axis=1), 0.0)
+
+
+def _lattice(side, h, t_max, chords=(), m0=_gaussian):
     """A side x side street lattice of unit edges plus ``chords``, with a
-    leaf of length 0.5 to the exit."""
+    leaf of length 0.5 to the exit and the crowd ``m0``."""
     vertices = [(i * side + j, (float(j), float(i))) for i in range(side) for j in range(side)]
     edges = []
     for i in range(side):
@@ -272,12 +282,13 @@ def _lattice(side, h, t_max, chords=()):
     edges.append((len(edges), side * side, 0, 0.5))
     topo = mn.build_network(vertices, edges, side * side)
     return mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.02, t_max, 0.1, 0.0, 0.1),
-                          theta=0.01, m0=lambda p: np.exp(-(p**2).sum(axis=1)),
-                          h_target=h)
+                          theta=0.01, m0=m0, h_target=h)
 
 
 KRYLOV_INSTANCES = {
     "lattice6": lambda: _lattice(6, 0.05, 0.1),
+    "lattice6_crowd": lambda: _lattice(6, 0.05, 0.1, m0=_crowd),
+    "lattice6_abs": lambda: _lattice(6, 0.05, 0.1, m0=lambda p: np.linalg.norm(p, axis=1)),
     "lattice4_chords": lambda: _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]),
     **{f"tree{k}": (lambda k=k: _random_tree(k)) for k in range(4)},
 }
@@ -292,7 +303,7 @@ def krylov_problem(request):
 
 def test_evaluators_share_one_interface():
     """ModalStep, LanczosStep and SweepStep, built directly on one grid,
-    agree on all four evaluations; SweepStep's are the reference sweeps' to
+    agree on all five evaluations; SweepStep's are the reference sweeps' to
     the last bit, with rows in the order of the levels asked for."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -305,6 +316,7 @@ def test_evaluators_share_one_interface():
     psi0 = psi.initial.data
     reference = {
         "phi_initial": phi.initial.data,
+        "start": psi0,
         "exit_adjacent_trace": psi.exit_adjacent,
         "phi_levels": np.array([phi.snapshots[n].data for n in levels]),
         "psi_levels": np.array([psi.snapshots[n].data for n in levels]),
@@ -312,6 +324,7 @@ def test_evaluators_share_one_interface():
 
     def evaluations(step):
         return {"phi_initial": step.phi_initial(exit_series),
+                "start": step.start(exit_series, problem.m0)[1],
                 "exit_adjacent_trace": step.exit_adjacent_trace(psi0),
                 "phi_levels": step.phi_levels(exit_series, levels),
                 "psi_levels": step.psi_levels(psi0, levels)}
@@ -320,7 +333,7 @@ def test_evaluators_share_one_interface():
         np.testing.assert_array_equal(value, reference[name], err_msg=name)
     np.testing.assert_array_equal(SweepStep(grid, tg).phi_levels(exit_series, levels[::-1]),
                                   reference["phi_levels"][::-1])
-    for step in (ModalStep(grid, tg), LanczosStep(grid, tg)):
+    for step in (ModalStep(grid, tg), LanczosStep(grid, tg, problem.m0)):
         for name, value in evaluations(step).items():
             assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
 
@@ -332,18 +345,50 @@ def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
         with monkeypatch.context() as mp:
             _force_krylov(mp)
             krylov = psi_map(t, problem)
+            krylov_phi0 = map_phi(krylov, problem, [0])[0]
         with monkeypatch.context() as mp:
             swept = _force_sweeps(mp)
             sweep = psi_map(t, problem)
+            sweep_phi0 = map_phi(sweep, problem, [0])[0]
         assert problem.krylov is not None and len(swept) == 2
         assert krylov.t_star == sweep.t_star
         assert krylov.crossing_level == sweep.crossing_level
         assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
         assert (np.diff(krylov.f_series) >= 0).all()
 
-        np.testing.assert_array_equal(krylov.phi0,
+        np.testing.assert_array_equal(krylov_phi0,
                                       problem.krylov.phi_initial(krylov.exit_series))
-        assert _rel(krylov.phi0, sweep.phi0) <= 1e-10
+        assert _rel(krylov_phi0, sweep_phi0) <= 1e-10
+
+
+@pytest.mark.parametrize("name, recorded", [("lattice6_crowd", True), ("lattice6_abs", False)])
+def test_krylov_map_replays_only_past_the_reach_rule(name, recorded, monkeypatch):
+    """A crowd whose reach S passes ``krylov_reach_pays`` has the maps'
+    basis recorded on S, and a map with the basis built runs no recurrence
+    step; a crowd on every node keeps the two replays of the basis."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(KRYLOV_INSTANCES[name]())
+    _force_krylov(monkeypatch)
+    psi_map(0.05, problem)  # builds the basis
+    basis = problem.krylov.pins
+    assert (problem.krylov.reach is not None) == recorded
+    assert krylov_reach_pays(len(np.flatnonzero(problem.m0.data)), problem.grid.n_flat) == recorded
+
+    steps = []
+    recurrence = lanczos._LanczosBasis._recurrence
+
+    def counted(self):
+        for w in recurrence(self):
+            steps.append(self)
+            yield w
+
+    monkeypatch.setattr(lanczos._LanczosBasis, "_recurrence", counted)
+    for t in (0.02, 0.05, 0.1):
+        res = psi_map(t, problem)
+        assert (res.phi0 is None) == recorded
+    assert len(steps) == (0 if recorded else 3 * 2 * basis.m)
+    assert all(s is basis for s in steps)
 
 
 def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
@@ -372,6 +417,22 @@ def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
             assert k[n].time_label == s[n].time_label
     assert _rel(krylov.psi_exit_adjacent, sweep.psi_exit_adjacent) <= 1e-9
     np.testing.assert_array_equal(krylov.exit_series, sweep.exit_series)
+
+
+def test_sweep_path_builds_one_operator(monkeypatch):
+    """Where every evaluation sweeps, the problem's SweepStep builds one
+    exit-pinned StepOperator for all of its maps and fields."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]))
+    swept = _force_sweeps(monkeypatch)
+    built = []
+    init = StepOperator.__init__
+    monkeypatch.setattr(StepOperator, "__init__",
+                        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    res = fixed_point(problem, snapshot_levels={5})
+    assert res.iterations > 1 and len(swept) == 2 * res.iterations + 2
+    assert len(built) == 1 and problem.sweep is not None
 
 
 def test_fixed_point_krylov_same_as_sweep(monkeypatch):
@@ -494,15 +555,17 @@ def _record_maps(mp) -> list:
     return maps
 
 
-@pytest.mark.parametrize("path", ["modal", "krylov", "sweep"])
+@pytest.mark.parametrize("path", ["modal", "krylov", "krylov_reach", "sweep"])
 def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, monkeypatch):
     """A converged loop makes no map beyond its iterations: the fields and
-    F come from the last iteration's map, on each of the three paths."""
+    F come from the last iteration's map, on each of the three paths (the
+    Lanczos one with and without its basis recorded on the crowd's reach)."""
     if path == "modal":
         spec = replace(example1_config.spec, h_target=0.1)
     else:
-        spec = _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)])
-        (_force_krylov if path == "krylov" else _force_sweeps)(monkeypatch)
+        spec = _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)],
+                        m0=_crowd if path == "krylov_reach" else _gaussian)
+        (_force_sweeps if path == "sweep" else _force_krylov)(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(spec)
@@ -510,11 +573,13 @@ def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, m
     res = fixed_point(problem, snapshot_levels={5})
     assert res.converged and len(maps) == res.iterations
     assert (problem.modal is not None, problem.krylov is not None) == {
-        "modal": (True, False), "krylov": (False, True), "sweep": (False, False)}[path]
+        "modal": (True, False), "krylov": (False, True), "krylov_reach": (False, True),
+        "sweep": (False, False)}[path]
+    assert (res.map.phi0 is None) == (path == "krylov_reach")
     assert maps[-1].t_input == res.map.t_input
     np.testing.assert_array_equal(res.map.f_series, maps[-1].f_series)
     np.testing.assert_array_equal(res.map.psi_exit_adjacent, maps[-1].psi_exit_adjacent)
-    np.testing.assert_array_equal(res.fields["phi"][0].data, maps[-1].phi0)
+    np.testing.assert_array_equal(res.fields["phi"][0].data, map_phi(maps[-1], problem, [0])[0])
 
 
 @pytest.mark.parametrize("max_iters", [50, 2], ids=["cycle", "max_iters"])
