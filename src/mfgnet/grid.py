@@ -45,7 +45,7 @@ _FLOATS_PER_LEVEL = 8
 _FLOATS_PER_NODE = 8
 # rows per str.format call of field_to_csv: one call per edge cost about
 # 4 us per edge on the 24 x 24 street lattice (1 200 edges); 128 and 256
-# rows per call were slower than 512, 1024 about the same
+# rows per call were slower than 512 and 1024 (one interleaved run each)
 _CSV_BLOCK_ROWS = 512
 
 
