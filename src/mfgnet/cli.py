@@ -286,7 +286,8 @@ def parse_config(text: str) -> RunConfig:
         spec=spec, mode=mode, out_dir=_get(rn, "out_dir", "run", str, default="out"), seed=seed,
         snapshots=snapshots, agents=agents,
         dt_mc=dt_mc,
-        h_ladder=ladder, geometry_label=net.get("geometry"), m0_config=m0_doc)
+        h_ladder=ladder, geometry_label=_get(net, "geometry", "network", str, default=None),
+        m0_config=m0_doc)
 
 
 def emit_config(config: RunConfig) -> dict:

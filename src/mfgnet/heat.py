@@ -11,11 +11,12 @@ is that step for one grid, pinned set and time step.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
-(phi and psi at level 0 and psi's exit trace), or both sweeps at chosen
-levels. ``lanczos.LanczosStep`` does the same from Lanczos bases, and
-``SweepStep`` by sweeping, where neither pays: ``mfg`` calls only the
-methods of their common base, ``Evaluator``. The public sweeps stay the
-reference.
+(psi at level 0 and psi's exit trace), or both sweeps at chosen levels.
+``lanczos.LanczosStep`` does the same from Lanczos bases, and ``SweepStep``
+by sweeping, where neither pays. Each is built for one problem (its grids
+and its crowd m0), and ``mfg`` calls only the three methods of their common
+base, ``Evaluator``: ``map``, ``phi_levels`` and ``psi_levels``. The public
+sweeps stay the reference.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ KRYLOV_TOL = 1e-13
 # 158 us to build a basis (its error checks included) and 80 us to replay
 # one, against 50 us per sweep step (single-threaded, 2-CPU Xeon VM). A
 # fixed point of M maps builds two bases and replays one twice for its
-# fields; each map replays it twice more unless ``krylov_reach_pays``. That
+# fields; each map reads the maps' basis twice on the nodes S of
+# ``KRYLOV_REACH_SHARE``, replaying it for each read past that rule. That
 # is at most (476 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps
 # swept: at M = 1, the dearest case, it pays once m <= 0.31 * n_steps.
 # The ratio was set when a fixed point replayed 2M + 3 times (m <= 0.28
@@ -75,13 +77,14 @@ KRYLOV_COST_RATIO = 0.2
 # With the maps' ratio, m (1 + L / 29) <= 0.2 n_steps crosses over at the
 # same L there.
 KRYLOV_CAPTURE_LEVELS = 29.0
-# A map reads phi0 only where m0 is nonzero and psi's level 1 only on the
-# nodes one step from there reaches (S). With the maps' basis recorded on S
-# (m |S| floats), a map on the street lattice took 5.5, 7.8, 6.3, 9.7 and
-# 15.5 ms at |S| = 218, 686, 1 758, 4 238 and 10 536 (all of n_flat), against
-# 83 ms for its two replays (same VM), so time alone always favours it. The
-# rows took 0.65, 2.0, 5.2, 12.6 and 31 MB: they are recorded only while
-# they stay within an eighth of the m x n_flat basis the path never holds.
+# A map reads the maps' basis only on S: phi0 where m0 is nonzero and psi's
+# level 1 on the nodes one step from there reaches. With the basis rows on
+# S kept by the build (m |S| floats), a map on the street lattice took 5.5,
+# 7.8, 6.3, 9.7 and 15.5 ms at |S| = 218, 686, 1 758, 4 238 and 10 536 (all
+# of n_flat), against 83 ms when each of its two reads replays the basis
+# (same VM), so time alone always favours keeping them. The rows took 0.65,
+# 2.0, 5.2, 12.6 and 31 MB: they are kept only while they stay within an
+# eighth of the m x n_flat basis the path never holds.
 KRYLOV_REACH_SHARE = 0.125
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 # levels per block of ModalStep.phi_levels' recursion: the phi window costs
@@ -336,41 +339,47 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
 
 
 class Evaluator:
-    """The evaluations of the two sweeps that ``mfg`` makes on one pair of
-    grids. ``ModalStep``, ``SweepStep`` and ``lanczos.LanczosStep`` each
-    provide ``phi_initial``, ``exit_adjacent_trace``, ``phi_levels`` and
-    ``psi_levels``."""
+    """The evaluations of the two sweeps that ``mfg`` makes for one problem:
+    its grids and its normalized crowd ``m0``, with one exit-pinned
+    StepOperator. ``ModalStep``, ``SweepStep`` and ``lanczos.LanczosStep``
+    each provide ``phi_levels`` and ``psi_levels``; the first two give this
+    ``map`` its ``_trace``, and the third maps on the crowd's reach."""
 
-    def start(self, exit_series: np.ndarray,
-              m0: GridField) -> tuple[np.ndarray | None, np.ndarray]:
-        """phi and psi at level 0 for phi's exit series ``exit_series`` and
-        the normalized crowd ``m0``: phi0 on every node (None when it was
-        evaluated only where m0 is nonzero) and psi0 = m0 / phi0."""
-        phi0 = self.phi_initial(exit_series)
-        return phi0, psi_initial(m0, GridField(m0.grid, phi0))
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
+        self.grid, self.time_grid, self.m0 = grid, time_grid, m0
+        self.n_steps = time_grid.n_steps
+        self.operator = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
+
+    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi0 = m0 / phi0 and psi next to the exit on every level, for
+        phi's exit series ``exit_series``."""
+        phi0 = self.phi_levels(exit_series, [0])[0]
+        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
+        return psi0, self._trace(psi0)
+
+    def _level_one(self, psi0: np.ndarray) -> np.ndarray:
+        """The forward sweep's level 1 from psi0, whose vertices need not be
+        balanced: one ordinary step balances them."""
+        op = self.operator
+        u1 = np.empty(op.grid.n_flat)
+        op.step(psi0, np.zeros(1), u1, op.scratch())
+        return u1
 
 
 class SweepStep(Evaluator):
-    """``ModalStep``'s evaluations, each one time-stepping sweep with one
+    """``ModalStep``'s evaluations, each one time-stepping sweep with the
     exit-pinned StepOperator: the path where neither it nor
     ``lanczos.LanczosStep`` pays."""
-
-    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
-        self.grid, self.time_grid = grid, time_grid
-        self.operator = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
 
     def _phi(self, exit_series: np.ndarray, levels=None) -> HeatSweep:
         return _run_sweep(self.grid, self.time_grid, np.full(self.grid.n_flat, exit_series[-1]),
                           exit_series, levels, backward=True, op=self.operator)
 
     def _psi(self, psi0: np.ndarray, levels=None) -> HeatSweep:
-        return _run_sweep(self.grid, self.time_grid, psi0, np.zeros(self.time_grid.n_steps + 1),
+        return _run_sweep(self.grid, self.time_grid, psi0, np.zeros(self.n_steps + 1),
                           levels, backward=False, op=self.operator)
 
-    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
-        return self._phi(exit_series).initial.data
-
-    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+    def _trace(self, psi0: np.ndarray) -> np.ndarray:
         return self._psi(psi0).exit_adjacent
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
@@ -429,11 +438,9 @@ class ModalStep(Evaluator):
     from the same tables, at O(n_int^2) per level asked for.
     """
 
-    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid):
-        op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
-        self.operator = op
-        self.time_grid = time_grid
-        self.n_steps = time_grid.n_steps
+    def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
+        super().__init__(grid, time_grid, m0)
+        op = self.operator
         K, b = op.interior_matrix()
         d = op.inv_h2 ** -0.25  # sqrt(h)
         K *= d[:, None]
@@ -445,9 +452,10 @@ class ModalStep(Evaluator):
         adj = grid.exit_adjacent_index - grid.n_vertices
         self.adj_row = self.basis[adj] / d[adj]
         rows = math.isqrt(self.n_steps - 1) + 1
-        chunks = -(-self.n_steps // rows)
+        self.chunks = -(-self.n_steps // rows)  # enough for every k < n_steps
         self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
-        self.chunk_powers = _powers(self.evals, rows * np.arange(chunks)[:, None])
+        # lambda^(a*B) for every a*B <= n_steps: phi_levels reaches lambda^N
+        self.chunk_powers = _powers(self.evals, rows * np.arange(self.n_steps // rows + 1)[:, None])
         self.block_levels = min(rows, _BLOCK_LEVELS)
 
     def _phi_modal(self, exit_series: np.ndarray, level: int) -> np.ndarray:
@@ -465,33 +473,18 @@ class ModalStep(Evaluator):
         return (_powers(self.evals, len(tail)) * self.ones_modal * exit_series[-1]
                 + self.b_modal * sums)
 
-    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
-        """Level 0 of the backward sweep from the constant state
-        exit_series[-1], with the exit pinned at exit_series[n] on level n:
-        u^0 = K^N u^N + sum_{n<N} g_{n+1} K^n b."""
-        op = self.operator
-        out = np.empty(op.grid.n_flat)
-        out[op.grid.n_vertices:] = (self.basis @ self._phi_modal(exit_series, 0)) / self.d
-        out[op.pinned] = exit_series[0]
-        op.balance_vertices(out, op.scratch()[2])
-        return out
+    def _level_one_modal(self, psi0: np.ndarray) -> np.ndarray:
+        """Modal coordinates Q^T D u^1 of the forward sweep's level 1."""
+        return self.basis.T @ (self.d * self._level_one(psi0)[self.grid.n_vertices:])
 
-    def _level_one(self, psi0: np.ndarray) -> np.ndarray:
-        """Modal coordinates Q^T D u^1 of the forward sweep's level 1. psi0's
-        vertices need not be balanced: one ordinary step balances them."""
-        op = self.operator
-        u1 = np.empty(op.grid.n_flat)
-        op.step(psi0, np.zeros(1), u1, op.scratch())
-        return self.basis.T @ (self.d * u1[op.grid.n_vertices:])
-
-    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
+    def _trace(self, psi0: np.ndarray) -> np.ndarray:
         """Value next to the exit on every level of the forward sweep from
         psi0 with the exit held at zero: trace[n] = e_adj^T K^(n-1) u^1."""
-        weights = self.adj_row * self._level_one(psi0)
+        weights = self.adj_row * self._level_one_modal(psi0)
         trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
+        trace[0] = psi0[self.grid.exit_adjacent_index]
         # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
-        by_level = (self.chunk_powers * weights) @ self.offset_powers.T
+        by_level = (self.chunk_powers[: self.chunks] * weights) @ self.offset_powers.T
         trace[1:] = by_level.ravel()[: self.n_steps]
         return trace
 
@@ -507,13 +500,14 @@ class ModalStep(Evaluator):
         return out
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
-        """The backward sweep at each of ``levels`` (each >= 1), one flat
-        state per row.
+        """The backward sweep from the constant state exit_series[-1], with
+        the exit pinned at exit_series[n] on level n, at each of ``levels``
+        (level 0 allowed), one flat state per row.
 
         In modal coordinates c_n = Q^T D u^n the sweep is
         c_n = lambda^(N-n) c_N + b_modal * S_n. Up to _TAIL_SUM_LEVELS
-        levels each take one chunked tail sum for S_n, as ``phi_initial``
-        does for level 0. More levels share a recursion,
+        levels each take one chunked tail sum for S_n. More levels share a
+        recursion,
         S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
         levels, a sliding window of g times the lambda^j table plus a carry
         from the block above, down to the lowest level asked for. Only the
@@ -538,7 +532,7 @@ class ModalStep(Evaluator):
         carry = _powers(self.evals, width)
         sums = np.zeros((width, len(self.evals)))
         for start in range(0, n_steps - min(levels) + 1, width):
-            m = np.arange(start, min(start + width, n_steps))  # level N - m
+            m = np.arange(start, min(start + width, n_steps + 1))  # level N - m
             sums *= carry
             sums += padded[start + window] @ reversed_powers
             pick = np.flatnonzero(row_of[n_steps - m] >= 0)
@@ -556,5 +550,5 @@ class ModalStep(Evaluator):
         m = np.asarray(levels) - 1
         rows = self.offset_powers.shape[0]
         coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
-        coef *= self._level_one(psi0)
+        coef *= self._level_one_modal(psi0)
         return self._states(coef, 0.0)

@@ -36,9 +36,10 @@ class _LanczosBasis:
     B about sqrt(n_steps) / 2: a (B, m) table of T^j e_1 and the band of T^B
     (bandwidth B), applied once per chunk. Nothing is m x m: a dense eigh of
     T at m = 370 raised the street lattice's peak RSS by 6 MB. Only alpha
-    and beta are kept: ``combine`` and ``project`` replay the recurrence, so
-    no m x n_flat basis is held either. The build records W on the flat
-    indices ``nodes`` only, when given, as the (m, len(nodes)) ``on_nodes``.
+    and beta are kept: ``combine`` and ``LanczosStep``'s reads replay the
+    recurrence, so no m x n_flat basis is held either. The build keeps W on
+    the flat indices ``nodes`` only, when given, as the (m, len(nodes))
+    ``on_nodes``.
     """
 
     def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int, nodes=None):
@@ -196,10 +197,6 @@ class _LanczosBasis:
                 row += c * w
         return out
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """W^T H y."""
-        return np.array([self._dot(w, y) for w in itertools.islice(self._recurrence(), self.m)])
-
 
 def _reach(op: StepOperator, m0: np.ndarray) -> np.ndarray:
     """The nodes where ``m0`` or one ``op`` step of its indicator is
@@ -222,43 +219,38 @@ class LanczosStep(Evaluator):
     trace is e_adj^T K^(n-1) u^1 = <K^(n-1) e_adj, u^1>_H / h_adj.
 
     A map reads phi0 only where the crowd m0 is nonzero, and u^1 only on the
-    nodes that one step from there reaches: S. Where
-    ``heat.krylov_reach_pays``, the basis is recorded on S, and a map does
-    not replay it: phi0 on S is W_S^T c, and <w_j, u^1>_H sums over S.
-    Else a map replays the basis twice, once for phi0 on every node and
-    once for <w_j, u^1>_H. For ``mfg.map_phi``, ``phi_levels`` evaluates
-    phi at chosen levels from the same basis; for ``mfg.map_psi``,
-    ``psi_levels`` evaluates psi from a basis started at u^1.
+    nodes that one step from there reaches: S. So it reads the basis on S
+    alone, twice: phi0 on S is W_S c, and <w_j, u^1>_H sums over S. Where
+    ``heat.krylov_reach_pays``, the build keeps the rows W_S; else each read
+    replays the basis for them, with the same arithmetic. For
+    ``mfg.map_phi``, ``phi_levels`` evaluates phi at chosen levels from the
+    same basis; for ``mfg.map_psi``, ``psi_levels`` evaluates psi from a
+    basis started at u^1.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
-        op = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
-        self.operator = op
-        self.time_grid = time_grid
-        self.n_steps = time_grid.n_steps
+        super().__init__(grid, time_grid, m0)
+        op = self.operator
         adj = grid.exit_adjacent_index
         start = np.zeros(grid.n_flat)
         start[adj] = 1.0
         op.balance_vertices(start, op.scratch()[2])
-        reach = _reach(op, m0.data)
-        if not krylov_reach_pays(len(reach), grid.n_flat):
-            reach = None
-        self.reach = reach  # S, sorted, where the basis is recorded
-        self.pins = _LanczosBasis(op, start, self.n_steps, reach)
-        if reach is not None:
-            self.off_reach = np.ones(grid.n_flat, dtype=bool)
-            self.off_reach[reach] = False
+        self.reach = _reach(op, m0.data)  # S, sorted
+        kept = self.reach if krylov_reach_pays(len(self.reach), grid.n_flat) else None
+        self.pins = _LanczosBasis(op, start, self.n_steps, kept)
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
 
-    def _in_reach(self, state: np.ndarray) -> bool:
-        """Whether the basis was recorded on S and ``state`` is 0 off S: the
-        recorded basis then serves it exactly."""
-        return self.reach is not None and not state[self.off_reach].any()
+    def _on_reach(self):
+        """The basis vectors on S, w_j[S] for j < m: kept by the build, or
+        replayed."""
+        if self.pins.on_nodes is not None:
+            return self.pins.on_nodes
+        return (w[self.reach] for w in itertools.islice(self.pins._recurrence(), self.pins.m))
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row, as
-        ``ModalStep.phi_levels`` (level 0 allowed)."""
+        ``ModalStep.phi_levels``."""
         excess = exit_series[1:] - exit_series[-1]
         coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
         rows = self.pins.combine(coefs * self.b_adj)
@@ -266,49 +258,30 @@ class LanczosStep(Evaluator):
         rows[:, self.operator.pinned[0]] = exit_series[levels]
         return rows
 
-    def phi_initial(self, exit_series: np.ndarray) -> np.ndarray:
-        """Level 0 of the backward sweep, as ``ModalStep.phi_initial``."""
-        return self.phi_levels(exit_series, [0])[0]
-
-    def start(self, exit_series: np.ndarray,
-              m0: GridField) -> tuple[np.ndarray | None, np.ndarray]:
-        """As ``Evaluator.start``; phi0 is None when it was evaluated on S
-        alone, from the recorded basis, with the arithmetic of
-        ``phi_levels`` to the last bit."""
-        if not self._in_reach(m0.data):
-            return super().start(exit_series, m0)
+    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As ``Evaluator.map``, reading the basis on S alone: phi0 on S with
+        the arithmetic of ``phi_levels`` to the last bit, 1 off S, where
+        m0 / phi0 is m0 itself: 0 (of m0's sign)."""
+        reach, nv = self.reach, self.grid.n_vertices
         coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
-        on_reach = np.zeros(len(self.reach))
-        for c, w in zip(coefs, self.pins.on_nodes):  # in combine's order
+        on_reach = np.zeros(len(reach))
+        for c, w in zip(coefs, self._on_reach()):  # in combine's order
             on_reach += c * w
         on_reach += exit_series[-1]
-        # 1 off S, where m0 / phi0 is m0 itself: 0 (of m0's sign)
-        phi0 = np.ones(len(m0.data))
-        phi0[self.reach] = on_reach
-        return None, psi_initial(m0, GridField(m0.grid, phi0))
+        phi0 = np.ones(self.grid.n_flat)
+        phi0[reach] = on_reach
+        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
 
-    def _level_one(self, psi0: np.ndarray) -> np.ndarray:
-        op = self.operator
-        u1 = np.empty(op.grid.n_flat)
-        op.step(psi0, np.zeros(1), u1, op.scratch())
-        return u1
-
-    def exit_adjacent_trace(self, psi0: np.ndarray) -> np.ndarray:
-        """Value next to the exit on every level of the forward sweep from
-        psi0 with the exit held at zero, as ``ModalStep.exit_adjacent_trace``."""
+        # W^T H u^1 over S's interior nodes; S's vertices come first
+        k = np.searchsorted(reach, nv)
+        inner = reach[k:]
+        weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
+        products = np.array([np.dot(w[k:], weighted) for w in self._on_reach()])
         trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[self.operator.grid.exit_adjacent_index]
-        u1 = self._level_one(psi0)
-        if self._in_reach(u1):  # W^T H u^1 over S's interior nodes
-            nv = self.operator.grid.n_vertices
-            k = np.searchsorted(self.reach, nv)  # S's vertices come first
-            inner = self.reach[k:]
-            coefs = self.pins.on_nodes[:, k:] @ (self.pins.h[inner - nv] * u1[inner])
-        else:
-            coefs = self.pins.project(u1)
+        trace[0] = psi0[self.grid.exit_adjacent_index]
         # |e_adj|_H = sqrt(h_adj)
-        trace[1:] = self.pins.series(coefs) / self.pins.norm
-        return trace
+        trace[1:] = self.pins.series(products) / self.pins.norm
+        return psi0, trace
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

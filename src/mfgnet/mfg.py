@@ -169,18 +169,15 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 @dataclass
 class PsiMapResult:
     """One evaluation of the candidate-time map, with what fixes its fields
-    at every level: phi's exit series exp(c_T(t_n)), phi and psi at level 0
-    (flat states), and psi next to the exit on every level. ``phi0`` is None
-    where the map evaluated phi0 only where the crowd starts (Lanczos
-    grids); ``map_phi(res, problem, [0])`` gives phi at level 0 on any
-    path."""
+    at every level: phi's exit series exp(c_T(t_n)), which fixes phi alone,
+    psi at level 0 (a flat state), and psi next to the exit on every level.
+    ``map_phi`` and ``map_psi`` evaluate the fields."""
 
     t_input: float
     t_star: float
     f_series: np.ndarray
     crossing_level: int | None
     exit_series: np.ndarray
-    phi0: np.ndarray | None
     psi0: np.ndarray
     psi_exit_adjacent: np.ndarray
 
@@ -190,54 +187,46 @@ def _evaluator(problem: DiscreteProblem, n_levels: int) -> Evaluator:
     ``n_levels`` levels after level 0: the problem's ModalStep or LanczosStep
     where it pays on the grids, else its SweepStep, each built on first
     use."""
-    grid, time_grid = problem.grid, problem.time_grid
+    grid, time_grid, m0 = problem.grid, problem.time_grid, problem.m0
     if modal_pays(grid, time_grid):
         if problem.modal is None:
-            problem.modal = ModalStep(grid, time_grid)
+            problem.modal = ModalStep(grid, time_grid, m0)
         return problem.modal
     if not krylov_pays(time_grid, n_levels):
         if problem.sweep is None:
-            problem.sweep = SweepStep(grid, time_grid)
+            problem.sweep = SweepStep(grid, time_grid, m0)
         return problem.sweep
     if problem.krylov is None:
         # imported here: every process compiles what it imports when no
         # bytecode is cached, and only these grids need this module
         from .lanczos import LanczosStep
 
-        problem.krylov = LanczosStep(grid, time_grid, problem.m0)
+        problem.krylov = LanczosStep(grid, time_grid, m0)
     return problem.krylov
-
-
-def _level_rows(problem: DiscreteProblem, levels, level0: np.ndarray | None,
-                rows) -> np.ndarray:
-    """One flat state per row of ``levels`` (increasing, distinct): ``level0``
-    at level 0, the rest from ``rows(evaluator, asked)`` with the
-    ``_evaluator`` for the levels after level 0. Without ``level0``, level
-    0 is asked for with them."""
-    levels = np.asarray(levels, dtype=int)
-    later = levels > 0
-    asked = later if level0 is not None else np.ones_like(later)
-    out = np.empty((len(levels), problem.grid.n_flat))
-    if level0 is not None:
-        out[~later] = level0
-    if asked.any():
-        out[asked] = rows(_evaluator(problem, int(later.sum())), levels[asked].tolist())
-    return out
 
 
 def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """phi of the map ``res`` at ``levels`` (increasing, distinct), one flat
-    state per row, from the exit series alone: level 0 is the map's phi0,
-    or evaluated with the other levels where the map has none."""
-    return _level_rows(problem, levels, res.phi0,
-                       lambda step, asked: step.phi_levels(res.exit_series, asked))
+    state per row, from the exit series alone, level 0 included, with the
+    ``_evaluator`` for the levels after level 0."""
+    levels = np.asarray(levels, dtype=int)
+    if not len(levels):
+        return np.empty((0, problem.grid.n_flat))
+    step = _evaluator(problem, int(np.count_nonzero(levels)))
+    return step.phi_levels(res.exit_series, levels.tolist())
 
 
 def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """psi of the map ``res`` at ``levels``, as ``map_phi``, forward from
-    the map's psi0."""
-    return _level_rows(problem, levels, res.psi0,
-                       lambda step, later: step.psi_levels(res.psi0, later))
+    the map's psi0, which is level 0."""
+    levels = np.asarray(levels, dtype=int)
+    later = levels > 0
+    out = np.empty((len(levels), problem.grid.n_flat))
+    out[~later] = res.psi0
+    if later.any():
+        step = _evaluator(problem, int(later.sum()))
+        out[later] = step.psi_levels(res.psi0, levels[later].tolist())
+    return out
 
 
 def map_fields(res: PsiMapResult, problem: DiscreteProblem,
@@ -265,12 +254,11 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    The ``_evaluator`` for a map evaluates only what it needs: phi at level
-    0 (on a LanczosStep, only where m0 is nonzero, when its rule allows),
-    psi at level 0 and psi's exit trace. That is the problem's ModalStep
-    when ``modal_pays`` on the grids, its LanczosStep when ``krylov_pays``,
-    and its SweepStep otherwise. ``map_phi`` and ``map_psi`` evaluate the
-    result's fields at other levels.
+    The ``_evaluator`` for a map evaluates only what it needs: psi at level
+    0 = m0 / phi0 (on a LanczosStep, phi0 only where m0 is nonzero) and
+    psi's exit trace. That is the problem's ModalStep when ``modal_pays`` on
+    the grids, its LanczosStep when ``krylov_pays``, and its SweepStep
+    otherwise. ``map_phi`` and ``map_psi`` evaluate the result's fields.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -278,9 +266,7 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     grid, time_grid = problem.grid, problem.time_grid
     exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
 
-    step = _evaluator(problem, 0)
-    phi0, psi0 = step.start(exit_series, problem.m0)
-    trace = step.exit_adjacent_trace(psi0)
+    psi0, trace = _evaluator(problem, 0).map(exit_series)
     _clip_rounding(trace, psi0)
     f_series = cumulative_flow(trace, exit_series, grid, time_grid)
     if not np.isfinite(f_series[-1]):
@@ -289,8 +275,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     crossing = int(np.argmax(above)) if above.any() else None
     t_star = quorum_time(f_series, spec.theta, spec.cost.t0, spec.cost.t_max, time_grid)
     return PsiMapResult(t_input=t_candidate, t_star=t_star, f_series=f_series,
-                        crossing_level=crossing, exit_series=exit_series, phi0=phi0,
-                        psi0=psi0, psi_exit_adjacent=trace)
+                        crossing_level=crossing, exit_series=exit_series, psi0=psi0,
+                        psi_exit_adjacent=trace)
 
 
 def recover_um(phi: GridField, psi: GridField) -> tuple[GridField, GridField]:

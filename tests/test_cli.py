@@ -130,7 +130,8 @@ class TestParse:
         ((), "network", "x", "$.network: expected an object, got a string"),
         (("network",), "vertices", {}, "network.vertices: expected an array, got an object"),
         (("problem", "m0"), "kind", 3, "problem.m0.kind: expected a string, got a number"),
-    ], ids=["object", "array", "string"])
+        (("network",), "geometry", {"a": 1}, "network.geometry: expected a string, got an object"),
+    ], ids=["object", "array", "string", "geometry"])
     def test_wrong_container_names_json_types(self, tmp_path, sections, key, value, message):
         """A value of the wrong JSON type where an object, an array or a
         string belongs: the error names both types as JSON does."""

@@ -18,6 +18,7 @@ from mfgnet.heat import (
     krylov_pays,
     krylov_reach_pays,
     modal_pays,
+    psi_initial,
     solve_backward_phi,
     solve_forward_psi,
 )
@@ -93,17 +94,21 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
     t0, t_max = spec.cost.t0, spec.cost.t_max
     for t in (t0, 0.5 * (t0 + t_max), t_max):
         modal = psi_map(t, problem)
+        modal_phi0 = map_phi(modal, problem, [0])[0]
         with monkeypatch.context() as mp:
             swept = _force_sweeps(mp)
             sweep = psi_map(t, problem)
-        assert problem.modal is not None and len(swept) == 2
+            assert len(swept) == 2
+            ref = map_phi(sweep, problem, [0])[0]
+        assert problem.modal is not None
         assert modal.t_star == sweep.t_star
         assert modal.crossing_level == sweep.crossing_level
         assert np.abs(modal.f_series - sweep.f_series).max() <= 1e-9
 
-        np.testing.assert_array_equal(modal.phi0, problem.modal.phi_initial(modal.exit_series))
-        ref = sweep.phi0
-        assert np.abs(modal.phi0 - ref).max() <= 1e-9 * np.abs(ref).max()
+        # the map's psi0 is m0 over phi at level 0, to the last bit
+        np.testing.assert_array_equal(
+            modal.psi0, psi_initial(problem.m0, mn.GridField(problem.grid, modal_phi0)))
+        assert np.abs(modal_phi0 - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_modal_capture_matches_sweep(problem, monkeypatch):
@@ -136,17 +141,34 @@ def test_modal_capture_matches_sweep(problem, monkeypatch):
 @pytest.mark.parametrize("name, h", [("example1.json", 0.05), ("desk.json", None)])
 def test_phi_tail_sums_match_the_recursion(name, h, monkeypatch):
     """phi at a few levels, one chunked tail sum each, against the block
-    recursion that serves many levels: within 1e-13 of max |phi|."""
+    recursion that serves many levels, level 0 included: within 1e-13 of
+    max |phi|."""
     problem = discretize(_bundled(name, h))
     tg = problem.time_grid
     res = psi_map(0.6 * problem.spec.cost.t_max, problem)
     n = tg.n_steps
-    levels = sorted({1, 7, n // 3, tg.level_of(res.t_star), n - 1, n})
+    levels = sorted({0, 1, 7, n // 3, tg.level_of(res.t_star), n - 1, n})
     assert len(levels) <= heat._TAIL_SUM_LEVELS
     tail = problem.modal.phi_levels(res.exit_series, levels)
     monkeypatch.setattr(heat, "_TAIL_SUM_LEVELS", 0)
     recursion = problem.modal.phi_levels(res.exit_series, levels)
     assert np.abs(tail - recursion).max() <= 1e-13 * np.abs(recursion).max()
+
+
+@pytest.mark.parametrize("n_steps", [400, 401])
+def test_phi_recursion_reaches_level_0(n_steps, monkeypatch):
+    """The block recursion down to level 0, against the backward sweep
+    within 1e-10 of max |phi|: with a square number of steps, where the
+    chunk of lambda^N is the last of its table, and with one more."""
+    problem = discretize(_bundled("example1.json", 0.1))
+    dt = problem.time_grid.dt
+    tg = mn.TimeGrid(dt=dt, n_steps=n_steps, t_max=n_steps * dt)
+    exit_series = np.exp(np.linspace(0.0, 2.0, n_steps + 1) ** 2)
+    levels = list(range(0, n_steps + 1, 3))
+    assert len(levels) > heat._TAIL_SUM_LEVELS
+    modal = ModalStep(problem.grid, tg, problem.m0).phi_levels(exit_series, levels)
+    sweep = solve_backward_phi(problem.grid, tg, exit_series, snapshot_levels=levels)
+    assert _rel(modal, np.array([sweep.snapshots[n].data for n in levels])) <= 1e-10
 
 
 def test_symmetrized_step_is_symmetric(problem):
@@ -191,8 +213,9 @@ def test_fixed_point_makes_no_sweep(example1_config, monkeypatch):
     # the converged capture evaluated the last iteration's candidate
     last = psi_map(res.map.t_input, problem)
     np.testing.assert_array_equal(res.map.f_series, last.f_series)
-    np.testing.assert_array_equal(res.map.psi_exit_adjacent,
-                                  problem.modal.exit_adjacent_trace(res.fields["psi"][0].data))
+    psi0, trace = problem.modal.map(res.map.exit_series)
+    np.testing.assert_array_equal(psi0, res.fields["psi"][0].data)
+    np.testing.assert_array_equal(res.map.psi_exit_adjacent, trace)
 
 
 def test_operator_built_once_on_first_modal_map(monkeypatch):
@@ -212,7 +235,7 @@ def test_modal_capture_converts_only_written_levels(example1_config, monkeypatch
     """A map and a solve-mode capture turn modal coordinates into flat
     states (each balanced at its vertices) only at the levels kept: 0, the
     equilibrium level and the last. psi's level 1 takes one more step in
-    ``psi_levels`` and one in ``exit_adjacent_trace``."""
+    ``psi_levels`` and one in the map's exit trace."""
     problem = discretize(replace(example1_config.spec, h_target=0.05))
     t = 5.0
     psi_map(t, problem)  # builds the eigenbasis
@@ -302,8 +325,8 @@ def krylov_problem(request):
 
 
 def test_evaluators_share_one_interface():
-    """ModalStep, LanczosStep and SweepStep, built directly on one grid,
-    agree on all five evaluations; SweepStep's are the reference sweeps' to
+    """ModalStep, LanczosStep and SweepStep, built directly on one problem,
+    agree on all three evaluations; SweepStep's are the reference sweeps' to
     the last bit, with rows in the order of the levels asked for."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -311,29 +334,28 @@ def test_evaluators_share_one_interface():
     grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
     levels = [1, 7, tg.n_steps // 2, tg.n_steps]
     exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
-    phi = solve_backward_phi(grid, tg, exit_series, snapshot_levels=levels)
+    phi = solve_backward_phi(grid, tg, exit_series, snapshot_levels=[0, *levels])
     psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, snapshot_levels=levels)
     psi0 = psi.initial.data
     reference = {
-        "phi_initial": phi.initial.data,
-        "start": psi0,
-        "exit_adjacent_trace": psi.exit_adjacent,
-        "phi_levels": np.array([phi.snapshots[n].data for n in levels]),
+        "map psi0": psi0,
+        "map trace": psi.exit_adjacent,
+        "phi_levels": np.array([phi.snapshots[n].data for n in [0, *levels]]),
         "psi_levels": np.array([psi.snapshots[n].data for n in levels]),
     }
 
     def evaluations(step):
-        return {"phi_initial": step.phi_initial(exit_series),
-                "start": step.start(exit_series, problem.m0)[1],
-                "exit_adjacent_trace": step.exit_adjacent_trace(psi0),
-                "phi_levels": step.phi_levels(exit_series, levels),
+        psi0_map, trace = step.map(exit_series)
+        return {"map psi0": psi0_map, "map trace": trace,
+                "phi_levels": step.phi_levels(exit_series, [0, *levels]),
                 "psi_levels": step.psi_levels(psi0, levels)}
 
-    for name, value in evaluations(SweepStep(grid, tg)).items():
+    sweep = SweepStep(grid, tg, problem.m0)
+    for name, value in evaluations(sweep).items():
         np.testing.assert_array_equal(value, reference[name], err_msg=name)
-    np.testing.assert_array_equal(SweepStep(grid, tg).phi_levels(exit_series, levels[::-1]),
-                                  reference["phi_levels"][::-1])
-    for step in (ModalStep(grid, tg), LanczosStep(grid, tg, problem.m0)):
+    np.testing.assert_array_equal(sweep.phi_levels(exit_series, levels[::-1]),
+                                  reference["phi_levels"][:0:-1])
+    for step in (ModalStep(grid, tg, problem.m0), LanczosStep(grid, tg, problem.m0)):
         for name, value in evaluations(step).items():
             assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
 
@@ -346,33 +368,39 @@ def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
             _force_krylov(mp)
             krylov = psi_map(t, problem)
             krylov_phi0 = map_phi(krylov, problem, [0])[0]
+            krylov_psi0 = problem.krylov.map(krylov.exit_series)[0]
         with monkeypatch.context() as mp:
             swept = _force_sweeps(mp)
             sweep = psi_map(t, problem)
+            assert len(swept) == 2
             sweep_phi0 = map_phi(sweep, problem, [0])[0]
-        assert problem.krylov is not None and len(swept) == 2
+        assert problem.krylov is not None
         assert krylov.t_star == sweep.t_star
         assert krylov.crossing_level == sweep.crossing_level
         assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
         assert (np.diff(krylov.f_series) >= 0).all()
 
-        np.testing.assert_array_equal(krylov_phi0,
-                                      problem.krylov.phi_initial(krylov.exit_series))
+        # the map's psi0, from phi0 on the crowd's reach alone, is m0 over
+        # phi at level 0 to the last bit
+        np.testing.assert_array_equal(krylov.psi0, krylov_psi0)
+        np.testing.assert_array_equal(
+            krylov_psi0, psi_initial(problem.m0, mn.GridField(problem.grid, krylov_phi0)))
         assert _rel(krylov_phi0, sweep_phi0) <= 1e-10
 
 
 @pytest.mark.parametrize("name, recorded", [("lattice6_crowd", True), ("lattice6_abs", False)])
 def test_krylov_map_replays_only_past_the_reach_rule(name, recorded, monkeypatch):
     """A crowd whose reach S passes ``krylov_reach_pays`` has the maps'
-    basis recorded on S, and a map with the basis built runs no recurrence
-    step; a crowd on every node keeps the two replays of the basis."""
+    basis kept on S by the build, and a map with the basis built runs no
+    recurrence step; for a crowd on every node, each map replays the basis
+    for its two reads on S."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(KRYLOV_INSTANCES[name]())
     _force_krylov(monkeypatch)
     psi_map(0.05, problem)  # builds the basis
     basis = problem.krylov.pins
-    assert (problem.krylov.reach is not None) == recorded
+    assert (basis.on_nodes is not None) == recorded
     assert krylov_reach_pays(len(np.flatnonzero(problem.m0.data)), problem.grid.n_flat) == recorded
 
     steps = []
@@ -385,10 +413,27 @@ def test_krylov_map_replays_only_past_the_reach_rule(name, recorded, monkeypatch
 
     monkeypatch.setattr(lanczos._LanczosBasis, "_recurrence", counted)
     for t in (0.02, 0.05, 0.1):
-        res = psi_map(t, problem)
-        assert (res.phi0 is None) == recorded
+        psi_map(t, problem)
     assert len(steps) == (0 if recorded else 3 * 2 * basis.m)
     assert all(s is basis for s in steps)
+
+
+def test_krylov_row_source_leaves_the_map_unchanged(monkeypatch):
+    """The basis rows on the crowd's reach, kept by the build or replayed
+    for each read, give the same psi0, exit trace and F to the last bit."""
+    _force_krylov(monkeypatch)
+    maps = []
+    for share in (0.0, 1.0):
+        monkeypatch.setattr(heat, "KRYLOV_REACH_SHARE", share)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            problem = discretize(KRYLOV_INSTANCES["lattice6_crowd"]())
+        maps.append(psi_map(0.05, problem))
+        assert (problem.krylov.pins.on_nodes is not None) == (share == 1.0)
+    replayed, kept = maps
+    np.testing.assert_array_equal(replayed.psi0, kept.psi0)
+    np.testing.assert_array_equal(replayed.psi_exit_adjacent, kept.psi_exit_adjacent)
+    np.testing.assert_array_equal(replayed.f_series, kept.f_series)
 
 
 def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
@@ -575,11 +620,14 @@ def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, m
     assert (problem.modal is not None, problem.krylov is not None) == {
         "modal": (True, False), "krylov": (False, True), "krylov_reach": (False, True),
         "sweep": (False, False)}[path]
-    assert (res.map.phi0 is None) == (path == "krylov_reach")
+    assert (problem.krylov is not None and problem.krylov.pins.on_nodes is not None) == (
+        path == "krylov_reach")
     assert maps[-1].t_input == res.map.t_input
     np.testing.assert_array_equal(res.map.f_series, maps[-1].f_series)
     np.testing.assert_array_equal(res.map.psi_exit_adjacent, maps[-1].psi_exit_adjacent)
-    np.testing.assert_array_equal(res.fields["phi"][0].data, map_phi(maps[-1], problem, [0])[0])
+    levels = sorted(res.fields["phi"])
+    np.testing.assert_array_equal([res.fields["phi"][n].data for n in levels],
+                                  map_phi(maps[-1], problem, levels))
 
 
 @pytest.mark.parametrize("max_iters", [50, 2], ids=["cycle", "max_iters"])
