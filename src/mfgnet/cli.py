@@ -524,7 +524,11 @@ def _report(err: MFGNetError) -> dict:
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one run, writing artifacts into config.out_dir."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file on the path, or no permission
+        _report(ValidationError("run.out_dir", f"cannot make the output directory: {err}"))
+        return 2
     try:
         if config.mode == "solve":
             _, summary = _solve_artifacts(config, out, quiet, discretize(config.spec))
@@ -597,7 +601,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         sys.stderr.write(json.dumps(
             {"error": {"type": "ConfigUnreadable", "message": str(err)}}) + "\n")
         return 2

@@ -87,20 +87,6 @@ KRYLOV_CAPTURE_LEVELS = 29.0
 # eighth of the m x n_flat basis the path never holds.
 KRYLOV_REACH_SHARE = 0.125
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
-# levels per block of ModalStep.phi_levels' recursion: the phi window costs
-# 2 * W * n_int flops per level and each block a fixed Python overhead; 32
-# and 256 were slower than 64 on desk and example1, 64-128 about equal
-_BLOCK_LEVELS = 64
-# ModalStep.phi_levels takes one chunked tail sum per level up to this many
-# levels, and the block recursion above. A tail sum costs about
-# (N - n) * n_int multiply-adds at level n; the recursion costs W times that
-# per level it spans, from N down to the lowest level asked for, however
-# few are asked. On example1 (h 0.05 and 0.025) and desk, with the levels
-# spread over all N or the lower half, tail sums took 0.1 against 7-33 ms
-# for one level and were 1.3 to 2.3 times faster at 96 levels; the two
-# were about equal at 128 to 192 levels, and the recursion faster from 256
-# (single-threaded OpenBLAS, 2-CPU Xeon VM)
-_TAIL_SUM_LEVELS = 96
 
 
 class StepOperator:
@@ -435,7 +421,8 @@ class ModalStep(Evaluator):
     matrix product with the (B, n_int) table of lambda^j, weighted by the
     (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
     ``phi_levels`` and ``psi_levels`` evaluate the sweeps at chosen levels
-    from the same tables, at O(n_int^2) per level asked for.
+    from the same tables, at O(n_int^2) per level asked for, each level's
+    row to the same bits whatever other levels are asked with it.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
@@ -454,24 +441,7 @@ class ModalStep(Evaluator):
         rows = math.isqrt(self.n_steps - 1) + 1
         self.chunks = -(-self.n_steps // rows)  # enough for every k < n_steps
         self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
-        # lambda^(a*B) for every a*B <= n_steps: phi_levels reaches lambda^N
-        self.chunk_powers = _powers(self.evals, rows * np.arange(self.n_steps // rows + 1)[:, None])
-        self.block_levels = min(rows, _BLOCK_LEVELS)
-
-    def _phi_modal(self, exit_series: np.ndarray, level: int) -> np.ndarray:
-        """Modal coordinates of the backward sweep at ``level`` from one
-        chunked tail sum: c_n = lambda^(N-n) c_N + b_modal * S_n with
-        S_n = sum_(j < N-n) lambda^j g_(n+1+j), each chunk of B terms one
-        row of a matrix product with the lambda^j table."""
-        tail = exit_series[level + 1:]
-        rows = self.offset_powers.shape[0]
-        chunks = -(-len(tail) // rows)
-        by_level = np.zeros(chunks * rows)  # by_level[a, j] = g_(n + a*B + j + 1)
-        by_level[: len(tail)] = tail
-        by_level = by_level.reshape(chunks, rows)
-        sums = (self.chunk_powers[:chunks] * (by_level @ self.offset_powers)).sum(axis=0)
-        return (_powers(self.evals, len(tail)) * self.ones_modal * exit_series[-1]
-                + self.b_modal * sums)
+        self.chunk_powers = _powers(self.evals, rows * np.arange(self.chunks)[:, None])
 
     def _level_one_modal(self, psi0: np.ndarray) -> np.ndarray:
         """Modal coordinates Q^T D u^1 of the forward sweep's level 1."""
@@ -484,16 +454,17 @@ class ModalStep(Evaluator):
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.grid.exit_adjacent_index]
         # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
-        by_level = (self.chunk_powers[: self.chunks] * weights) @ self.offset_powers.T
+        by_level = (self.chunk_powers * weights) @ self.offset_powers.T
         trace[1:] = by_level.ravel()[: self.n_steps]
         return trace
 
     def _states(self, coef: np.ndarray, exit_values) -> np.ndarray:
         """Flat, flux-balanced states D^-1 Q c, one per row of modal
-        coordinates ``coef``, with the exit at ``exit_values``."""
+        coordinates ``coef``, with the exit at ``exit_values``. Each row is
+        its own product, so its bits do not depend on the other rows."""
         op, nv = self.operator, self.operator.grid.n_vertices
         out = np.empty((len(coef), op.grid.n_flat))
-        np.matmul(coef, self.basis.T, out=out[:, nv:])
+        np.matmul(coef[:, None], self.basis.T, out=out[:, None, nv:])
         out[:, nv:] /= self.d
         out[:, op.pinned[0]] = exit_values
         op.balance_vertices(out, np.empty((len(coef), len(op.adj_interior))))
@@ -505,44 +476,52 @@ class ModalStep(Evaluator):
         (level 0 allowed), one flat state per row.
 
         In modal coordinates c_n = Q^T D u^n the sweep is
-        c_n = lambda^(N-n) c_N + b_modal * S_n. Up to _TAIL_SUM_LEVELS
-        levels each take one chunked tail sum for S_n. More levels share a
-        recursion,
-        S_n = sum_{j<W} lambda^j g_(n+1+j) + lambda^W S_(n+W): per block of W
-        levels, a sliding window of g times the lambda^j table plus a carry
-        from the block above, down to the lowest level asked for. Only the
-        rows of ``levels`` become flat states, a block of them per matrix
-        product.
+        c_n = lambda^(N-n) c_N + b_modal * S_n, with g the exit series and
+        S_n = sum_(j < N-n) lambda^j g_(n+1+j). At a checkpoint c, a multiple
+        of B or N itself, S_c is one tail sum over the rows of the chunk
+        products (g in chunks of B from level 1) @ (lambda^j table), formed
+        once per call. Every other level n steps down from the checkpoint c
+        above it: c_n = lambda^(c-n) c_c + b_modal * s_n, with
+        s_n = sum_(j < c-n) lambda^j g_(n+1+j) = g_(n+1) + lambda * s_(n+1)
+        from one scan down the offsets, over the blocks from the lowest asked
+        to the highest at once. No step depends on which other levels are
+        asked, so no row's bits do.
         """
-        if len(levels) <= _TAIL_SUM_LEVELS:
-            coef = np.array([self._phi_modal(exit_series, n) for n in levels])
-            return self._states(coef, exit_series[levels])
-        n_steps, rows, width = self.n_steps, self.offset_powers.shape[0], self.block_levels
-        row_of = np.full(n_steps + 1, -1)
-        row_of[levels] = np.arange(len(levels))
-        out = np.empty((len(levels), self.operator.grid.n_flat))
+        n_steps, rows = self.n_steps, self.offset_powers.shape[0]
+        levels = np.asarray(levels, dtype=int)
+        by_level = np.zeros(self.chunks * rows)  # by_level[a, j] = g_(a*B + j + 1)
+        by_level[:n_steps] = exit_series[1:]
+        by_level = by_level.reshape(self.chunks, rows)
+        chunk_sums = by_level @ self.offset_powers
+        # the checkpoint at or above level n is min(a*B, N), with a its chunk
+        chunk_of = -(-levels // rows)
+        down = np.minimum(chunk_of * rows, n_steps) - levels
+        top = np.empty((self.chunks + 1, len(self.evals)))
+        for a in set(chunk_of.tolist()):
+            sums = (self.chunk_powers[: self.chunks - a] * chunk_sums[a:]).sum(axis=0)
+            top[a] = (_powers(self.evals, n_steps - min(a * rows, n_steps)) * self.ones_modal
+                      * exit_series[-1] + self.b_modal * sums)
 
-        top = self.ones_modal * exit_series[-1]
-        # row j of padded[start + window] is (g_(N-s-j+2-W), ..., g_(N-s-j+1))
-        # with s = start, zero past level N
-        padded = np.zeros(n_steps + 2 * width)
-        padded[width: width + n_steps] = exit_series[:0:-1]
-        window = np.arange(width)[:, None] + np.arange(width)
-        reversed_powers = self.offset_powers[:width][::-1]
-        carry = _powers(self.evals, width)
-        sums = np.zeros((width, len(self.evals)))
-        for start in range(0, n_steps - min(levels) + 1, width):
-            m = np.arange(start, min(start + width, n_steps + 1))  # level N - m
-            sums *= carry
-            sums += padded[start + window] @ reversed_powers
-            pick = np.flatnonzero(row_of[n_steps - m] >= 0)
-            if len(pick):
-                m = m[pick]
-                coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
-                coef *= top
-                coef += self.b_modal * sums[pick]
-                out[row_of[n_steps - m]] = self._states(coef, exit_series[n_steps - m])
-        return out
+        coef = top[chunk_of]
+        at = np.flatnonzero(down)
+        if len(at):
+            offset = levels[at] % rows
+            at = at[np.argsort(-offset, kind="stable")]  # offsets from B - 1 down
+            # the blocks kB < n < (k + 1)B from the lowest asked to the highest
+            low = chunk_of[at].min() - 1
+            window = by_level[low: chunk_of[at].max()]
+            partial = np.zeros((len(window), len(self.evals)))
+            counts = np.bincount(offset, minlength=rows).tolist()
+            done = 0
+            for r in range(rows - 1, offset.min() - 1, -1):
+                partial *= self.evals
+                partial += window[:, r, None]
+                if counts[r]:
+                    now = at[done: done + counts[r]]
+                    done += counts[r]
+                    coef[now] = (self.offset_powers[down[now]] * coef[now]
+                                 + self.b_modal * partial[chunk_of[now] - 1 - low])
+        return self._states(coef, exit_series[levels])
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
+from mfgnet import cli
 from mfgnet.cli import (
     _CSV_BLOCK_ROWS,
     _run_starts,
@@ -182,6 +183,20 @@ class TestRunSolve:
         m0 = (tmp_path / "out" / "m0.csv").read_bytes()
         assert m0 == (snapdir / "m_00000000.csv").read_bytes()
 
+    def test_written_fields_do_not_depend_on_snapshots(self, tmp_path):
+        """example1 at h 0.05 writes m0, m_final and u_final with the same
+        bytes without snapshots, with a few and with more than a hundred."""
+        p = tmp_path / "cfg.json"
+        p.write_text(bundled_text("example1.json"))
+        written = []
+        for flags in ([], ["--snapshots", "5000"], ["--snapshots", "100"]):
+            out = tmp_path / f"out{len(written)}"
+            assert main(["--config", str(p), "--h", "0.05", "--out", str(out), "--quiet",
+                         *flags]) == 0
+            written.append({name: (out / name).read_bytes()
+                            for name in ("m0.csv", "m_final.csv", "u_final.csv")})
+        assert written[0] == written[1] == written[2]
+
     def test_error_json_on_validation_failure(self, tmp_path, capsys):
         doc = fast_config(tmp_path)
         doc["numerics"]["h_target"] = 1.5  # coarser than the only edge
@@ -322,6 +337,29 @@ class TestCliEntry:
         assert main(["--config", "/nonexistent.json"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigUnreadable"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["--config", str(p)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigUnreadable"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_dir_on_a_file_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                        below):
+        """An output directory that names a file, or a path below one."""
+        monkeypatch.setattr(cli, "discretize", lambda spec: pytest.fail("solved"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fast_config(tmp_path)))
+        out = taken / "out" if below else taken
+        assert main(["--config", str(p), "--out", str(out), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["field"] == "run.out_dir"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -113,9 +113,9 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
 
 def test_modal_capture_matches_sweep(problem, monkeypatch):
     """Both sweeps evaluated from the eigenbasis at the written levels, a
-    few of them and one in every 11 (several to a block of the phi
-    recursion, as the oracle's read levels are), against the time-stepping
-    sweeps, with psi's exit trace."""
+    few of them and one in every 11 (several to a block of B levels, as the
+    oracle's read levels are), against the time-stepping sweeps, with psi's
+    exit trace."""
     spec, n_steps = problem.spec, problem.time_grid.n_steps
     levels = {0, 1, 7, n_steps // 2, n_steps, *range(3, n_steps, 11)}
     t = 0.5 * (spec.cost.t0 + spec.cost.t_max)
@@ -139,33 +139,30 @@ def test_modal_capture_matches_sweep(problem, monkeypatch):
 
 
 @pytest.mark.parametrize("name, h", [("example1.json", 0.05), ("desk.json", None)])
-def test_phi_tail_sums_match_the_recursion(name, h, monkeypatch):
-    """phi at a few levels, one chunked tail sum each, against the block
-    recursion that serves many levels, level 0 included: within 1e-13 of
-    max |phi|."""
+def test_phi_tail_sums_match_the_recursion(name, h):
+    """phi at a few levels, level 0 included, asked together and each alone:
+    the rows are equal to the last bit, whether a level is a checkpoint (a
+    tail sum) or steps down from one (the scan)."""
     problem = discretize(_bundled(name, h))
     tg = problem.time_grid
     res = psi_map(0.6 * problem.spec.cost.t_max, problem)
     n = tg.n_steps
     levels = sorted({0, 1, 7, n // 3, tg.level_of(res.t_star), n - 1, n})
-    assert len(levels) <= heat._TAIL_SUM_LEVELS
-    tail = problem.modal.phi_levels(res.exit_series, levels)
-    monkeypatch.setattr(heat, "_TAIL_SUM_LEVELS", 0)
-    recursion = problem.modal.phi_levels(res.exit_series, levels)
-    assert np.abs(tail - recursion).max() <= 1e-13 * np.abs(recursion).max()
+    together = problem.modal.phi_levels(res.exit_series, levels)
+    for row, level in zip(together, levels):
+        np.testing.assert_array_equal(row, problem.modal.phi_levels(res.exit_series, [level])[0])
 
 
 @pytest.mark.parametrize("n_steps", [400, 401])
-def test_phi_recursion_reaches_level_0(n_steps, monkeypatch):
-    """The block recursion down to level 0, against the backward sweep
-    within 1e-10 of max |phi|: with a square number of steps, where the
-    chunk of lambda^N is the last of its table, and with one more."""
+def test_phi_recursion_reaches_level_0(n_steps):
+    """phi at every third level down to level 0, against the backward sweep
+    within 1e-10 of max |phi|: with a square number of steps, where N is a
+    multiple of B, and with one more."""
     problem = discretize(_bundled("example1.json", 0.1))
     dt = problem.time_grid.dt
     tg = mn.TimeGrid(dt=dt, n_steps=n_steps, t_max=n_steps * dt)
     exit_series = np.exp(np.linspace(0.0, 2.0, n_steps + 1) ** 2)
     levels = list(range(0, n_steps + 1, 3))
-    assert len(levels) > heat._TAIL_SUM_LEVELS
     modal = ModalStep(problem.grid, tg, problem.m0).phi_levels(exit_series, levels)
     sweep = solve_backward_phi(problem.grid, tg, exit_series, snapshot_levels=levels)
     assert _rel(modal, np.array([sweep.snapshots[n].data for n in levels])) <= 1e-10
@@ -358,6 +355,26 @@ def test_evaluators_share_one_interface():
     for step in (ModalStep(grid, tg, problem.m0), LanczosStep(grid, tg, problem.m0)):
         for name, value in evaluations(step).items():
             assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
+
+
+def test_rows_do_not_depend_on_the_other_levels():
+    """Each evaluator's phi and psi at a level, asked with many other levels
+    and asked alone, are equal to the last bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
+    grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
+    n = tg.n_steps
+    levels = sorted({1, 2, 7, n // 3, n // 2, n - 1, n, *range(5, n, 13)})
+    exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
+    for step in (cls(grid, tg, problem.m0) for cls in (ModalStep, LanczosStep, SweepStep)):
+        psi0 = step.map(exit_series)[0]
+        for name, method, start, asked in (("phi", step.phi_levels, exit_series, [0, *levels]),
+                                           ("psi", step.psi_levels, psi0, levels)):
+            together = method(start, asked)
+            for row, level in zip(together, asked):
+                np.testing.assert_array_equal(row, method(start, [level])[0],
+                                              err_msg=f"{type(step).__name__} {name} {level}")
 
 
 def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
