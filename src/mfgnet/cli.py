@@ -7,6 +7,11 @@ problem parameters, the numeric parameters and run settings. Three modes:
 particle simulator; ``refine-study`` repeats the solve over a ladder of
 spatial steps and tabulates the diagnostics.
 
+Every CSV goes through one writer, ``_write_csv``: each value is its repr,
+a block of _CSV_BLOCK_ROWS rows at a time. A field CSV is such a table
+whose leading columns (edge, node, coordinates) come from the grid's
+``_field_layout``, formatted once per run.
+
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
 """
@@ -34,7 +39,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .grid import MEMORY_LIMIT, TabulatedDensity, field_to_csv
+from .grid import MEMORY_LIMIT, GridField, SpatialGrid, TabulatedDensity
 from .mfg import (
     CostSpec,
     DiscreteProblem,
@@ -52,8 +57,12 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run", "main"]
 
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
-# rows per block of the CSV writers: at 1024, example1's solve peaked about
-# 0.5 MB higher, holding a block's rows as strings, at about the same speed
+# rows per block of _write_csv: at 1024, example1's solve peaked about 0.5 MB
+# higher, holding a block's rows as strings, at about the same speed. Against
+# 512, lattice_solve's medians were 37.39 against 37.51 MB peak_rss_mb (lower
+# in 5 of 5 interleaved perfbench pairs) and 0.60 against 0.57 s wall_s
+# (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
+# fit in one block either way.
 _CSV_BLOCK_ROWS = 256
 
 
@@ -360,8 +369,9 @@ def _text_blocks(column: np.ndarray):
 
 
 def _line_blocks(lines):
-    """The lines of an open text file, without their newlines, as lists of
-    _CSV_BLOCK_ROWS lines."""
+    """The lines after the header of an open CSV file, without their
+    newlines, as lists of _CSV_BLOCK_ROWS lines."""
+    next(lines)
     while block := [line[:-1] for line in itertools.islice(lines, _CSV_BLOCK_ROWS)]:
         yield block
 
@@ -370,18 +380,51 @@ def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
     """One row per index of the equal-length ``columns`` (ints or floats),
     each value written as its repr, by ``_text_blocks``.
 
-    ``lead``, an open CSV file with one line per row after its header,
-    begins each row with that line's text, so values already written there
-    are not formatted again.
+    ``lead``, an iterable of lists of _CSV_BLOCK_ROWS strings, one per row,
+    begins each row with that text, so values already formatted there are
+    not formatted again.
     """
     blocks = [_text_blocks(np.asarray(c)) for c in columns]
     if lead is not None:
-        next(lead)  # its header
-        blocks.insert(0, _line_blocks(lead))
+        blocks.insert(0, lead)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for cells in zip(*blocks):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
+    """The rows of a field CSV, edge by edge from tail to head with k running
+    0..n_cells (vertex slots included): the flat index of each row's value,
+    and the rows' "edge_id,k,x_coord_1,x_coord_2" text, one string of
+    newline-separated rows per block of _CSV_BLOCK_ROWS rows. Each block is
+    built on its own and held as one string: the whole layout at once, held
+    as one string per row, raised lattice_solve's peak RSS by 1.5 MB."""
+    edges = grid.topology.edges
+    tails = np.array([e.tail for e in edges])
+    heads = np.array([e.head for e in edges])
+    first = np.concatenate(([0], np.cumsum(grid.n_cells + 1)))
+    pos = grid.topology.positions()
+    order, text = [], []
+    for start in range(0, first[-1], _CSV_BLOCK_ROWS):
+        row = np.arange(start, min(start + _CSV_BLOCK_ROWS, first[-1]))
+        e = np.searchsorted(first, row, side="right") - 1
+        k, n = row - first[e], grid.n_cells[e]
+        a, b = pos[tails[e]], pos[heads[e]]
+        coords = a + (k / n)[:, None] * (b - a)
+        order.append(np.where(k == 0, tails[e],
+                              np.where(k == n, heads[e], grid.interior_offsets[e] + k - 1)))
+        text.append("\n".join(f"{i},{j},{x!r},{y!r}" for i, j, (x, y)
+                              in zip(e.tolist(), k.tolist(), coords.tolist())))
+    return np.concatenate(order), text
+
+
+def field_to_csv(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> None:
+    """Write a field as rows (edge_id, k, x_coord_1, x_coord_2, value) in the
+    rows of ``layout``, its grid's ``_field_layout``."""
+    order, text = layout
+    _write_csv(path, "edge_id,k,x_coord_1,x_coord_2,value", field.data[order],
+               lead=(block.split("\n") for block in text))
 
 
 def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
@@ -408,6 +451,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
     _write_csv(out / "iterates.csv", "iteration,T",
                range(len(result.iterates) + 1), [result.t_init, *result.iterates])
     lvl = result.equilibrium_level
+    layout = _field_layout(problem.grid)
     written: dict[tuple[str, int], Path] = {}
 
     def write(name: str, n: int, path: Path) -> None:
@@ -416,7 +460,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         if (name, n) in written:
             shutil.copyfile(written[name, n], path)
         else:
-            field_to_csv(result.fields[name][n], path)
+            field_to_csv(result.fields[name][n], path, layout)
             written[name, n] = path
 
     write("m", 0, out / "m0.csv")
@@ -482,7 +526,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # t and f_pde are f_series.csv's rows, text and all
     with open(out / "f_series.csv") as series:
         _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-                   mc.fraction, mc.band_lo, mc.band_hi, lead=series)
+                   mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(series))
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,

@@ -5,7 +5,7 @@ A field is stored as a single flat vector ``[vertex values | interior
 values]`` with the interior of edge j occupying a contiguous segment; the
 tail/head slots of an edge are *views* onto the vertex entries, so the
 continuity conditions across vertices are structural rather than stored
-twice.
+twice. This module formats no text: the CLI writes fields as CSV.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "sample_density",
     "integrate",
     "normalize_mass",
-    "field_to_csv",
 ]
 
 
@@ -43,10 +42,6 @@ __all__ = [
 MEMORY_LIMIT = 2 * 1024**3
 _FLOATS_PER_LEVEL = 8
 _FLOATS_PER_NODE = 8
-# rows per str.format call of field_to_csv: one call per edge cost about
-# 4 us per edge on the 24 x 24 street lattice (1 200 edges); 128 and 256
-# rows per call were slower than 512 and 1024 (one interleaved run each)
-_CSV_BLOCK_ROWS = 512
 
 
 class SpatialGrid:
@@ -87,7 +82,6 @@ class SpatialGrid:
             w[e.tail] += self.h[e.id]
             w[self.islice(e.id)] = self.h[e.id]
         self.quad_weights = w
-        self._csv_rows = None  # field_to_csv's layout, built on first use
 
     def islice(self, edge_id: int) -> slice:
         """Flat slice holding the interior nodes of one edge."""
@@ -283,44 +277,3 @@ def normalize_mass(grid: SpatialGrid, g: GridField) -> GridField:
             "projecting to zero", stacklevel=2)
     out[exit_id] = 0.0
     return GridField(grid, out)
-
-
-def _csv_rows(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
-    """field_to_csv's layout, built once per grid: the flat index of every
-    row, edge by edge from tail to head, and one format string per block of
-    _CSV_BLOCK_ROWS rows with the "edge_id,k,x_coord_1,x_coord_2," prefixes
-    filled in. Each block is built on its own: the whole layout at once
-    raised the street lattice's peak RSS by 1.1 MB."""
-    if grid._csv_rows is None:
-        edges = grid.topology.edges
-        tails = np.array([e.tail for e in edges])
-        heads = np.array([e.head for e in edges])
-        first = np.concatenate(([0], np.cumsum(grid.n_cells + 1)))
-        pos = grid.topology.positions()
-        order, blocks = [], []
-        for start in range(0, first[-1], _CSV_BLOCK_ROWS):
-            row = np.arange(start, min(start + _CSV_BLOCK_ROWS, first[-1]))
-            e = np.searchsorted(first, row, side="right") - 1
-            k, n = row - first[e], grid.n_cells[e]
-            a, b = pos[tails[e]], pos[heads[e]]
-            coords = a + (k / n)[:, None] * (b - a)
-            order.append(np.where(k == 0, tails[e],
-                                  np.where(k == n, heads[e], grid.interior_offsets[e] + k - 1)))
-            blocks.append("".join(f"{i},{j},{x!r},{y!r},{{}}\n" for i, j, (x, y)
-                                  in zip(e.tolist(), k.tolist(), coords.tolist())))
-        grid._csv_rows = (np.concatenate(order), blocks)
-    return grid._csv_rows
-
-
-def field_to_csv(field: GridField, path) -> None:
-    """Write a field as rows (edge_id, k, x_coord_1, x_coord_2, value),
-    k running 0..n_cells along each edge (vertex slots included)."""
-    order, blocks = _csv_rows(field.grid)
-    values = field.data[order]
-    with open(path, "w") as fh:
-        fh.write("edge_id,k,x_coord_1,x_coord_2,value\n")
-        for start, rows in zip(range(0, len(values), _CSV_BLOCK_ROWS), blocks):
-            # a list, not map(): CPython 3.11 kept the reprs alive when
-            # format unpacked a map
-            block = values[start: start + _CSV_BLOCK_ROWS].tolist()
-            fh.write(rows.format(*[repr(x) for x in block]))

@@ -292,9 +292,42 @@ class TestWriteCsv:
         columns = self.columns()
         _write_csv(tmp_path / "lead.csv", "a,b", *columns[:2])
         with open(tmp_path / "lead.csv") as lead:
-            _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:], lead=lead)
+            _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:],
+                       lead=cli._line_blocks(lead))
         _write_csv(tmp_path / "whole.csv", "a,b,c,d,e", *columns)
         assert (tmp_path / "joined.csv").read_text() == (tmp_path / "whole.csv").read_text()
+
+
+def test_field_csv_rows_match_edge_values(tmp_path, three_star):
+    """Every byte of a field file equals a row-by-row loop over the edges
+    and their ``edge_values``, whether the value column comes in runs or
+    not, on a grid of more than two blocks of rows."""
+    grid = mn.build_grid(three_star, 1.0 / _CSV_BLOCK_ROWS)
+    assert sum(grid.n_cells + 1) > 2 * _CSV_BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    in_runs = np.zeros(grid.n_flat)
+    in_runs[three_star.n_vertices + 50: three_star.n_vertices + 90] = -0.0
+    in_runs[three_star.n_vertices + 300: three_star.n_vertices + 320] = np.nan
+    in_runs[three_star.n_vertices + 400:] = 1 / 3
+    in_runs[1] = np.nan  # the centre vertex, in three edges' rows
+    scattered = rng.random(grid.n_flat)
+    scattered[rng.integers(0, grid.n_flat, 40)] = -0.0
+    scattered[rng.integers(0, grid.n_flat, 40)] = np.nan
+    layout = cli._field_layout(grid)
+    pos = three_star.positions()
+    for data, runs in ((in_runs, True), (scattered, False)):
+        column = data[layout[0]]
+        assert (_run_starts(column.view("u8")) is not None) == runs
+        field = mn.GridField(grid, data)
+        cli.field_to_csv(field, tmp_path / "field.csv", layout)
+        expected = ["edge_id,k,x_coord_1,x_coord_2,value"]
+        for e in three_star.edges:
+            (ax, ay), (bx, by) = pos[e.tail].tolist(), pos[e.head].tolist()
+            n = int(grid.n_cells[e.id])
+            for k, v in enumerate(field.edge_values(e.id).tolist()):
+                x, y = ax + k / n * (bx - ax), ay + k / n * (by - ay)
+                expected.append(f"{e.id},{k},{x!r},{y!r},{v!r}")
+        assert (tmp_path / "field.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_non_convergence_exit_code(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import mfgnet as mn
 from mfgnet.errors import StepTooCoarse, StepTooFine, ZeroMass
-from mfgnet.grid import TabulatedDensity, field_to_csv
+from mfgnet.grid import TabulatedDensity
 
 
 def line(length):
@@ -164,16 +164,3 @@ class TestTabulatedDensity:
         assert (f.interior(0) == 0).all()
         assert (f.interior(1) == 2.0).all()
 
-
-def test_field_csv_layout(tmp_path, three_star):
-    g = mn.build_grid(three_star, 0.5)
-    f = mn.sample_function(g, lambda p: p[:, 0])
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "edge_id,k,x_coord_1,x_coord_2,value"
-    assert len(lines) == 1 + sum(g.n_cells[j] + 1 for j in range(3))
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    # vertex slot rows carry the shared vertex value
-    assert float(first[4]) == f.data[three_star.edges[0].tail]
