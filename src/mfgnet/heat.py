@@ -127,9 +127,8 @@ class StepOperator:
             raise CflViolation(
                 f"dt/h^2 = {worst:.6g} exceeds the stability bound {CFL_LIMIT}")
 
-        # flux-balance plan: per free vertex, the adjacent interior node
-        # (as an index into the interior block) and the weight 1/h of
-        # every incident edge
+        # flux-balance plan: per free vertex, the flat index of the
+        # adjacent interior node and the weight 1/h of every incident edge
         topo = grid.topology
         pinned_set = set(pinned)
         free = [v.id for v in topo.vertices if v.id not in pinned_set]
@@ -137,11 +136,11 @@ class StepOperator:
         for vid in free:
             starts.append(len(adj))
             weights = [1.0 / grid.h[j] for j in topo.incident[vid]]
-            adj.extend(grid.adjacent_interior_index(j, vid) - nv for j in topo.incident[vid])
+            adj.extend(grid.adjacent_interior_index(j, vid) for j in topo.incident[vid])
             w.extend(weights)
             total.append(float(sum(weights)))
         self.free_vertices = np.array(free, dtype=int)
-        self.adj_interior = np.asarray(adj, dtype=int)
+        self.adj_nodes = np.asarray(adj, dtype=int)
         self.adj_weights = np.asarray(w)
         self.seg_starts = np.asarray(starts, dtype=int)
         self.total_weight = np.asarray(total)
@@ -178,25 +177,26 @@ class StepOperator:
         balance once continuity across the vertex is imposed. ``out`` may
         hold one state per row, with ``contrib`` one row per state."""
         if len(self.free_vertices):
-            np.take(out[..., self.grid.n_vertices:], self.adj_interior, axis=-1, out=contrib)
+            np.take(out, self.adj_nodes, axis=-1, out=contrib)
             np.multiply(contrib, self.adj_weights, out=contrib)
             sums = np.add.reduceat(contrib, self.seg_starts, axis=-1)
+            sums *= self.inv_total_weight
             # a fancy index on the first axis keeps the one-state step fast
-            out.T[self.free_vertices] = (sums * self.inv_total_weight).T
+            out.T[self.free_vertices] = sums.T
 
     def kirchhoff_residual(self, data: np.ndarray) -> np.ndarray:
         """Per free vertex, the sum of one-sided outgoing difference
         quotients; zero where the vertex value solves the flux balance."""
         if not len(self.free_vertices):
             return np.zeros(0)
-        counts = np.diff(self.seg_starts, append=len(self.adj_interior))
+        counts = np.diff(self.seg_starts, append=len(self.adj_nodes))
         centre = np.repeat(data[self.free_vertices], counts)
-        diffs = (data[self.grid.n_vertices:][self.adj_interior] - centre) * self.adj_weights
+        diffs = (data[self.adj_nodes] - centre) * self.adj_weights
         return np.add.reduceat(diffs, self.seg_starts)
 
     def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.empty(self.n_interior), np.empty(self.n_interior),
-                np.empty(len(self.adj_interior)))
+                np.empty(len(self.adj_nodes)))
 
     def interior_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (K, b) with ``step`` = K u + b * p on the interior block, for
@@ -467,7 +467,7 @@ class ModalStep(Evaluator):
         np.matmul(coef[:, None], self.basis.T, out=out[:, None, nv:])
         out[:, nv:] /= self.d
         out[:, op.pinned[0]] = exit_values
-        op.balance_vertices(out, np.empty((len(coef), len(op.adj_interior))))
+        op.balance_vertices(out, np.empty((len(coef), len(op.adj_nodes))))
         return out
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:

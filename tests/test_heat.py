@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,26 @@ class TestVertexSolve:
                 scale = op.total_weight * max(abs(state).max(), 1.0)
                 assert (np.abs(op.kirchhoff_residual(state)) <= 1e-12 * scale).all()
 
+
+    def test_batch_gathers_only_the_adjacent_nodes(self, three_star):
+        """Balancing a batch of states allocates less than twice ``contrib``:
+        it gathers the few nodes next to the free vertices, not a copy of
+        every state's interior."""
+        g = mn.build_grid(three_star, 0.01)
+        op = StepOperator(g, (three_star.exit_vertex,), 0.25 * g.min_h**2)
+        out = np.random.default_rng(5).random((2000, g.n_flat))
+        contrib = np.empty((len(out), len(op.adj_nodes)))
+        expected = out.copy()
+        for row in expected:
+            op.balance_vertices(row, op.scratch()[2])
+        tracemalloc.start()
+        try:
+            op.balance_vertices(out, contrib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * contrib.nbytes
+        np.testing.assert_array_equal(out, expected)
 
 class TestSingleStep:
     def test_forward_stencil_arithmetic(self, single_edge):
