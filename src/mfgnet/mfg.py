@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonpositivePhi, NumericalFailure
+from .errors import NonpositivePhi, NumericalFailure, ValidationError
 from .grid import (
     GridField,
     SpatialGrid,
@@ -64,6 +64,12 @@ __all__ = [
     "density_drift",
     "DriftSeries",
 ]
+
+# Bound on phi's exit series exp(c - C): it stays within exp(+-650), about
+# 1e+-282, which leaves 25 decades of the float range for psi0 = m0 / phi0
+# and the flow's sums, which scale it by the crowd's density and the levels.
+# So a solve accepts costs that span up to twice this.
+MAX_HALF_COST_RANGE = 650.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,22 @@ class DiscreteProblem:
     sweep: SweepStep | None = field(default=None, repr=False)  # built by psi_map
 
 
+def _max_cost_range(spec: CostSpec) -> float:
+    """The largest range of the arrival cost over [0, t_max] for any start
+    time in [t0, t_max]: the cost is nonnegative and convex in the arrival
+    time, so it peaks at time 0 (c3 T) or t_max (c1 (t_max - t0) + c2 (t_max - T))."""
+    return max(spec.c3 * spec.t_max, (spec.c1 + spec.c2) * (spec.t_max - spec.t0))
+
+
 def discretize(spec: ProblemSpec) -> DiscreteProblem:
+    """Bind ``spec`` to its grids. Raises ValidationError naming problem.cost
+    when the cost's range exceeds 2 * MAX_HALF_COST_RANGE, before allocating."""
+    span = _max_cost_range(spec.cost)
+    if span > 2 * MAX_HALF_COST_RANGE:
+        raise ValidationError(
+            "problem.cost", f"the arrival cost spans up to {span:.6g} over [0, t_max], more "
+            f"than the {2 * MAX_HALF_COST_RANGE:g} over which exp(cost) stays inside the "
+            "float range once shifted; lower the cost slopes or t_max")
     grid = build_grid(spec.topology, spec.h_target)
     time_grid = build_time_grid(spec.cost.t_max, grid.min_h, spec.cfl_factor)
     m0 = normalize_mass(grid, sample_density(grid, spec.m0))
@@ -148,7 +169,8 @@ def cumulative_flow(trace: np.ndarray, weights: np.ndarray, grid: SpatialGrid,
 
     F(t_n) = (dt/h0) * sum_{k<=n} exp(c_T(t_k)) * psi_k(exit-adjacent node),
     from psi's exit-adjacent ``trace`` and the per-level ``weights``
-    exp(c_T(t_n)), phi's exit series.
+    exp(c_T(t_n)), phi's exit series; a constant factor moved from the
+    weights to the trace leaves F as it is.
     """
     return np.cumsum(weights[: len(trace)] * trace) * (time_grid.dt / grid.exit_h)
 
@@ -169,15 +191,21 @@ def quorum_time(f_series: np.ndarray, theta: float, t0: float, t_max: float,
 @dataclass
 class PsiMapResult:
     """One evaluation of the candidate-time map, with what fixes its fields
-    at every level: phi's exit series exp(c_T(t_n)), which fixes phi alone,
-    psi at level 0 (a flat state), and psi next to the exit on every level.
-    ``map_phi`` and ``map_psi`` evaluate the fields."""
+    at every level: phi's exit series exp(c_T(t_n) - C), which fixes phi
+    alone, psi at level 0 (a flat state), and psi next to the exit on every
+    level. ``map_phi`` and ``map_psi`` evaluate the fields.
+
+    C (``cost_shift``, from ``_cost_shift``) keeps the exponentials inside
+    the float range: phi is exp(-C) times the value potential and psi exp(C)
+    times the density potential, F and m = phi * psi do not depend on C, and
+    the value function is u = ln(phi) + C."""
 
     t_input: float
     t_star: float
     f_series: np.ndarray
     crossing_level: int | None
     exit_series: np.ndarray
+    cost_shift: float
     psi0: np.ndarray
     psi_exit_adjacent: np.ndarray
 
@@ -250,6 +278,14 @@ def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
     trace[trace < 0] = 0.0
 
 
+def _cost_shift(c: np.ndarray) -> float:
+    """C of the exit series exp(c - C): 0 while exp(c) stays within
+    exp(MAX_HALF_COST_RANGE), so phi and psi are the pair itself, else the
+    middle of c's range, which ``discretize`` bounds by twice that."""
+    top = float(c.max())
+    return 0.0 if top <= MAX_HALF_COST_RANGE else 0.5 * (top + float(c.min()))
+
+
 def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
@@ -264,7 +300,9 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
         raise ValueError(f"candidate time {t_candidate} outside [{spec.cost.t0}, {spec.cost.t_max}]")
     grid, time_grid = problem.grid, problem.time_grid
-    exit_series = np.exp(np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float))
+    c = np.asarray(cost(time_grid.times, t_candidate, spec.cost), dtype=float)
+    shift = _cost_shift(c)
+    exit_series = np.exp(np.subtract(c, shift, out=c), out=c)
 
     psi0, trace = _evaluator(problem, 0).map(exit_series)
     _clip_rounding(trace, psi0)
@@ -275,8 +313,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     crossing = int(np.argmax(above)) if above.any() else None
     t_star = quorum_time(f_series, spec.theta, spec.cost.t0, spec.cost.t_max, time_grid)
     return PsiMapResult(t_input=t_candidate, t_star=t_star, f_series=f_series,
-                        crossing_level=crossing, exit_series=exit_series, psi0=psi0,
-                        psi_exit_adjacent=trace)
+                        crossing_level=crossing, exit_series=exit_series,
+                        cost_shift=shift, psi0=psi0, psi_exit_adjacent=trace)
 
 
 def recover_um(phi: GridField, psi: GridField) -> tuple[GridField, GridField]:
@@ -373,6 +411,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     fields: dict[str, dict[int, GridField]] = {"phi": phi, "psi": psi, "u": {}, "m": {}}
     for n in phi:
         fields["u"][n], fields["m"][n] = recover_um(phi[n], psi[n])
+        fields["u"][n].data += res.cost_shift  # phi is exp(-C) times the value potential
 
     e_h = residual_mass_error(fields["m"][level], spec.theta, problem.grid)
     if not (np.isfinite(e_h) and np.isfinite(res.f_series).all()):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,40 @@ class TestCliEntry:
         assert err["type"] == "ValidationError"
         assert err["field"] == "run.out_dir"
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+    def test_cost_beyond_floats_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        """A cost whose range no float exponential spans exits 2 naming
+        problem.cost, before anything is solved."""
+        monkeypatch.setattr(cli, "fixed_point", lambda *a, **k: pytest.fail("solved"))
+        doc = json.loads(bundled_text("desk.json"))
+        doc["problem"]["cost"]["c1"] = 1000.0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "--mode", "solve", "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["field"] == "problem.cost"
+
+    def test_cost_beyond_exp_range_solves(self, tmp_path):
+        """Desk with c1 = 100, whose cost reaches 950 where exp overflows a
+        float, solves with no warning; u keeps the cost's own values."""
+        doc = json.loads(bundled_text("desk.json"))
+        doc["problem"]["cost"]["c1"] = 100.0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(p), "--mode", "solve", "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        f = np.loadtxt(out / "f_series.csv", delimiter=",", skiprows=1)[:, 1]
+        assert 0.0 <= f.min() and f.max() <= 1.0
+        exit_row = (out / "u_final.csv").read_text().splitlines()[1].split(",")
+        assert exit_row[:2] == ["0", "0"]  # edge 0 starts at the exit
+        # c1 (T - t0) at the start time T, where the waiting term is 0
+        assert float(exit_row[4]) == pytest.approx(100.0 * (summary["t_star"] - 0.5), abs=1e-12)
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfgnet as mn
+from mfgnet import mfg
 from mfgnet.errors import NonpositivePhi
 from mfgnet.heat import solve_backward_phi, solve_forward_psi
 from mfgnet.mfg import (
@@ -306,6 +307,30 @@ class TestFixedPoint:
             assert 10 in res.fields[name]
             assert 0 in res.fields[name]
 
+
+    @pytest.mark.parametrize("move", [-100.0, 100.0])
+    @pytest.mark.parametrize("path", ["modal", "lanczos", "sweep"])
+    def test_cost_shift_leaves_the_equilibrium(self, monkeypatch, path, move):
+        """Moving the C of phi's exit series exp(c - C) scales phi and psi
+        only: F, T*, m and u stay, on each evaluation path."""
+        if path != "modal":
+            monkeypatch.setattr(mfg, "modal_pays", lambda *a: False)
+        if path == "sweep":
+            monkeypatch.setattr(mfg, "krylov_pays", lambda *a: False)
+        ref = fixed_point(desk_problem())
+        shift = mfg._cost_shift
+        monkeypatch.setattr(mfg, "_cost_shift", lambda c: shift(c) + move)
+        problem = discretize(desk_problem())
+        res = fixed_point(problem)
+        assert {"modal": problem.modal, "lanczos": problem.krylov,
+                "sweep": problem.sweep}[path] is not None
+        assert res.map.cost_shift == ref.map.cost_shift + move
+        assert res.iterates == ref.iterates and res.t_star == ref.t_star
+        np.testing.assert_allclose(res.map.f_series, ref.map.f_series, rtol=0, atol=1e-12)
+        for name in ("m", "u"):
+            for n, field in ref.fields[name].items():
+                np.testing.assert_allclose(res.fields[name][n].data, field.data,
+                                           rtol=0, atol=1e-12)
 
 class TestExitFluxIdentity:
     def test_cost_weight_equals_boundary_value(self):
