@@ -394,29 +394,22 @@ def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
 
 
 def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
-    """The rows of a field CSV, edge by edge from tail to head with k running
-    0..n_cells (vertex slots included): the flat index of each row's value,
-    and the rows' "edge_id,k,x_coord_1,x_coord_2" text, one string of
-    newline-separated rows per block of _CSV_BLOCK_ROWS rows. Each block is
-    built on its own and held as one string: the whole layout at once, held
-    as one string per row, raised lattice_solve's peak RSS by 1.5 MB."""
-    edges = grid.topology.edges
-    tails = np.array([e.tail for e in edges])
-    heads = np.array([e.head for e in edges])
-    first = np.concatenate(([0], np.cumsum(grid.n_cells + 1)))
-    pos = grid.topology.positions()
-    order, text = [], []
+    """The rows of a field CSV, in the grid's ``edge_nodes`` layout (edge by
+    edge from tail to head, k running 0..n_cells, vertex slots included):
+    the flat index of each row's value, and the rows' "edge_id,k,x_coord_1,
+    x_coord_2" text, one string of newline-separated rows per block of
+    _CSV_BLOCK_ROWS rows. Each block is built on its own and held as one
+    string: the whole layout at once, held as one string per row, raised
+    lattice_solve's peak RSS by 1.5 MB."""
+    first = grid.edge_starts
+    text = []
     for start in range(0, first[-1], _CSV_BLOCK_ROWS):
         row = np.arange(start, min(start + _CSV_BLOCK_ROWS, first[-1]))
         e = np.searchsorted(first, row, side="right") - 1
-        k, n = row - first[e], grid.n_cells[e]
-        a, b = pos[tails[e]], pos[heads[e]]
-        coords = a + (k / n)[:, None] * (b - a)
-        order.append(np.where(k == 0, tails[e],
-                              np.where(k == n, heads[e], grid.interior_offsets[e] + k - 1)))
+        k = row - first[e]
         text.append("\n".join(f"{i},{j},{x!r},{y!r}" for i, j, (x, y)
-                              in zip(e.tolist(), k.tolist(), coords.tolist())))
-    return np.concatenate(order), text
+                              in zip(e.tolist(), k.tolist(), grid.edge_points(e, k).tolist())))
+    return grid.edge_nodes, text
 
 
 def field_to_csv(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> None:
@@ -501,13 +494,15 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # when the steps are finer), the drift and its temporaries, the step times,
     # and 22 floats per agent (under tracemalloc, desk's run peaked 157 to 174
     # bytes higher per agent between 1e5 and 8e5 agents)
-    n_mc = math.ceil(sim.t_max / sim.dt)
+    # t_max / dt_mc may be inf; a count past MEMORY_LIMIT fails the guard unrounded
+    steps = sim.t_max / sim.dt
+    n_mc = math.ceil(steps) if steps < MEMORY_LIMIT else steps
     n_read = min(n_mc, tg.n_steps + 1)
     need = 8 * (4 * n_read * grid.n_flat + n_mc + 22 * config.agents)
     if need > MEMORY_LIMIT:
         raise ValidationError(
-            "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.1f} GB for the "
-            f"fields at the {n_read} levels its {n_mc} particle steps read and for "
+            "run.mode", f"oracle mode at h={spec.h_target} needs {need / 1e9:.3g} GB for the "
+            f"fields at the {n_read} levels its {n_mc:.6g} particle steps read and for "
             f"run.agents = {config.agents} agents; coarsen h, raise run.dt_mc, lower "
             "run.agents or use solve mode")
 

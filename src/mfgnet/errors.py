@@ -19,6 +19,10 @@ class SelfLoop(MFGNetError):
     """An edge connects a vertex to itself."""
 
 
+class NonfiniteChord(MFGNetError):
+    """An edge's end vertices are too far apart for a float chord or length."""
+
+
 class NonpositiveLength(MFGNetError):
     """An edge was given a length <= 0."""
 

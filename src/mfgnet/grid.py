@@ -5,7 +5,10 @@ A field is stored as a single flat vector ``[vertex values | interior
 values]`` with the interior of edge j occupying a contiguous segment; the
 tail/head slots of an edge are *views* onto the vertex entries, so the
 continuity conditions across vertices are structural rather than stored
-twice. This module formats no text: the CLI writes fields as CSV.
+twice. Every module reads an edge's nodes from ``SpatialGrid.edge_nodes``
+(the flat index of each, tail to head, cut at ``edge_starts``) and the graph
+from the ``NetworkTopology`` arrays. This module formats no text: the CLI
+writes fields as CSV.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ class SpatialGrid:
     Edge j is split into ``n_cells[j]`` cells of width ``h[j]``; interior
     nodes are k = 1..n_cells[j]-1, with k = 0 and k = n_cells[j] identified
     with the tail/head vertices.
+    Slot ``edge_starts[j] + k`` of ``edge_nodes`` holds the flat index of
+    node k = 0..n_cells[j] of edge j.
     """
 
     def __init__(self, topology: NetworkTopology, n_cells: np.ndarray):
         self.topology = topology
         self.n_cells = np.asarray(n_cells, dtype=int)
-        lengths = np.array([e.length for e in topology.edges])
-        self.h = lengths / self.n_cells
+        self.h = topology.lengths / self.n_cells
 
         nv = topology.n_vertices
         self.n_vertices = nv
@@ -64,43 +68,44 @@ class SpatialGrid:
         self.interior_offsets = nv + np.concatenate([[0], np.cumsum(counts)])
         self.n_flat = int(self.interior_offsets[-1])
 
+        # every earlier edge has two vertex slots in the layout that the
+        # interior numbering skips, so slot s of edge j is node s + nv - 1 - 2j
+        self.edge_starts = np.concatenate([[0], np.cumsum(self.n_cells + 1)])
+        self.edge_nodes = np.arange(self.edge_starts[-1]) + (nv - 1)
+        self.edge_nodes -= np.repeat(2 * np.arange(topology.n_edges), self.n_cells + 1)
+        self.edge_nodes[self.edge_starts[:-1]] = topology.tails
+        self.edge_nodes[self.edge_starts[1:] - 1] = topology.heads
+
         # node coordinates (vertex slots first, then interiors edge by edge)
-        pos = topology.positions()
-        coords = np.empty((self.n_flat, 2))
-        coords[:nv] = pos
-        for e in topology.edges:
-            a, b = pos[e.tail], pos[e.head]
-            frac = np.arange(1, self.n_cells[e.id])[:, None] / self.n_cells[e.id]
-            coords[self.islice(e.id)] = a + frac * (b - a)
-        self.positions = coords
+        self.positions = np.empty((self.n_flat, 2))
+        self.positions[:nv] = topology.positions()
+        edge = np.repeat(np.arange(topology.n_edges), counts)
+        k = np.arange(nv, self.n_flat) - self.interior_offsets[edge] + 1
+        self.positions[nv:] = self.edge_points(edge, k)
 
         # left-endpoint rectangle weights: each of the cells k=0..n_cells-1
         # contributes h * value(node k); the tail vertex owns the k=0 cell.
-        w = np.empty(self.n_flat)
-        w[:nv] = 0.0
-        for e in topology.edges:
-            w[e.tail] += self.h[e.id]
-            w[self.islice(e.id)] = self.h[e.id]
-        self.quad_weights = w
+        self.quad_weights = np.empty(self.n_flat)
+        self.quad_weights[:nv] = np.bincount(topology.tails, weights=self.h, minlength=nv)
+        self.quad_weights[nv:] = np.repeat(self.h, counts)
 
     def islice(self, edge_id: int) -> slice:
         """Flat slice holding the interior nodes of one edge."""
         return slice(self.interior_offsets[edge_id], self.interior_offsets[edge_id + 1])
 
-    def adjacent_interior_index(self, edge_id: int, vertex_id: int) -> int:
-        """Flat index of the interior node next to ``vertex_id`` along ``edge_id``."""
-        e = self.topology.edges[edge_id]
-        if vertex_id == e.tail:
-            return int(self.interior_offsets[edge_id])
-        if vertex_id == e.head:
-            return int(self.interior_offsets[edge_id + 1] - 1)
-        raise ValueError(f"vertex {vertex_id} is not an endpoint of edge {edge_id}")
+    def edge_points(self, edge_ids: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Ambient coordinates of node ``k`` of each edge in ``edge_ids``, on
+        the chord from its tail to its head, one row each."""
+        a = self.positions[self.topology.tails[edge_ids]]
+        b = self.positions[self.topology.heads[edge_ids]]
+        return a + (k / self.n_cells[edge_ids])[:, None] * (b - a)
 
     @property
     def exit_adjacent_index(self) -> int:
         """Flat index of the first interior node on the exit side of the exit edge."""
         e = self.topology.exit_edge
-        return self.adjacent_interior_index(e.id, self.topology.exit_vertex)
+        k = 1 if e.tail == self.topology.exit_vertex else self.n_cells[e.id] - 1
+        return int(self.edge_nodes[self.edge_starts[e.id] + k])
 
     @property
     def exit_h(self) -> float:
@@ -128,12 +133,7 @@ class TimeGrid:
         """The time of each level. Every array a solve holds per level
         starts here, so this raises StepTooFine, before allocating, when
         they would need more than MEMORY_LIMIT."""
-        max_levels = MEMORY_LIMIT // (8 * _FLOATS_PER_LEVEL)
-        if self.n_steps >= max_levels:
-            raise StepTooFine(
-                f"dt={self.dt:.3g} needs {self.n_steps + 1} time levels up to "
-                f"t_max={self.t_max:g}, more than the {max_levels} that the "
-                f"{MEMORY_LIMIT / 1024**3:g} GiB memory bound allows; raise numerics.h_target (--h)")
+        _check_levels(self.n_steps, self.dt, self.t_max)
         return np.arange(self.n_steps + 1) * self.dt
 
     def level_of(self, t: float) -> int:
@@ -166,8 +166,8 @@ class GridField:
 
     def edge_values(self, edge_id: int) -> np.ndarray:
         """All node values along one edge, tail to head (length n_cells+1)."""
-        e = self.grid.topology.edges[edge_id]
-        return np.concatenate(([self.data[e.tail]], self.interior(edge_id), [self.data[e.head]]))
+        starts = self.grid.edge_starts
+        return self.data[self.grid.edge_nodes[starts[edge_id]: starts[edge_id + 1]]]
 
     def copy(self) -> "GridField":
         return GridField(self.grid, self.data.copy(), self.time_label)
@@ -197,6 +197,16 @@ def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
     return SpatialGrid(topology, np.array([round(c) for c in cells]))
 
 
+def _check_levels(n_steps, dt: float, t_max: float) -> None:
+    """StepTooFine if n_steps + 1 levels (n_steps may be inf) overrun MEMORY_LIMIT."""
+    max_levels = MEMORY_LIMIT // (8 * _FLOATS_PER_LEVEL)
+    if not n_steps < max_levels:
+        raise StepTooFine(
+            f"dt={dt:.3g} needs {n_steps + 1:.10g} time levels up to "
+            f"t_max={t_max:g}, more than the {max_levels} that the "
+            f"{MEMORY_LIMIT / 1024**3:g} GiB memory bound allows; raise numerics.h_target (--h)")
+
+
 def build_time_grid(t_max: float, h_min: float, cfl_factor: float = 0.25) -> TimeGrid:
     """Time step dt = cfl_factor*h_min^2, then shrunk so that an integer
     number of steps lands exactly on t_max (the stability bound still holds).
@@ -204,7 +214,10 @@ def build_time_grid(t_max: float, h_min: float, cfl_factor: float = 0.25) -> Tim
     if not 0 < cfl_factor < 1:
         raise ValueError(f"cfl_factor must lie in (0, 1), got {cfl_factor}")
     dt0 = cfl_factor * h_min * h_min
-    n = max(1, math.ceil(t_max / dt0))
+    steps = t_max / dt0
+    if not math.isfinite(steps):  # too many to round up; times checks a finite count
+        _check_levels(steps, dt0, t_max)
+    n = max(1, math.ceil(steps))
     return TimeGrid(dt=t_max / n, n_steps=n, t_max=t_max)
 
 
@@ -224,20 +237,14 @@ class TabulatedDensity:
 
     def sample(self, grid: SpatialGrid) -> GridField:
         out = np.zeros(grid.n_flat)
-        vertex_hits = np.zeros(grid.n_vertices)
-        for e in grid.topology.edges:
-            tab = self.tables.get(e.id)
-            if tab is None:
-                continue
-            xs, vs = tab
-            nodes = np.arange(grid.n_cells[e.id] + 1) * grid.h[e.id]
-            vals = np.interp(nodes, xs, vs, left=vs[0], right=vs[-1])
-            out[grid.islice(e.id)] = vals[1:-1]
-            # vertices shared between tabulated edges: keep the max so a
-            # vertex is never assigned less than any incident table says
-            vertex_hits[e.tail] = max(vertex_hits[e.tail], vals[0])
-            vertex_hits[e.head] = max(vertex_hits[e.head], vals[-1])
-        out[: grid.n_vertices] = vertex_hits
+        for j, (xs, vs) in sorted(self.tables.items()):
+            nodes = grid.edge_nodes[grid.edge_starts[j]: grid.edge_starts[j + 1]]
+            vals = np.interp(np.arange(len(nodes)) * grid.h[j], xs, vs, left=vs[0], right=vs[-1])
+            out[nodes[1:-1]] = vals[1:-1]
+            # a vertex shared by tabulated edges keeps the largest end value,
+            # and of equal ones the first, as max does (0.0 over -0.0)
+            ends, at_ends = nodes[[0, -1]], vals[[0, -1]]
+            out[ends] = np.where(at_ends > out[ends], at_ends, out[ends])
         return GridField(grid, out)
 
 

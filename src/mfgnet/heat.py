@@ -7,7 +7,9 @@ solution of the discrete flux-balance condition once continuity across the
 vertex is imposed. The exit vertex is pinned in both sweeps; any other
 vertex can be pinned explicitly (handy for analytic regression tests), and
 a degree-1 unpinned vertex degenerates to a reflecting end. ``StepOperator``
-is that step for one grid, pinned set and time step.
+is that step for one grid, pinned set and time step; its index plan is
+read, by array arithmetic, from the grid's ``edge_nodes`` layout and the
+topology's ``tails``, ``heads`` and incidence arrays.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
@@ -105,23 +107,16 @@ class StepOperator:
 
         nv = grid.n_vertices
         n_int = grid.n_flat - nv
+        topo = grid.topology
         # interior index of each edge's first and last node, and the vertex
         # beyond it; inside an edge the neighbours are the adjacent slots
-        first, last, tails, heads = [], [], [], []
-        inv_h2 = np.empty(n_int)
-        for e in grid.topology.edges:
-            sl = grid.islice(e.id)
-            first.append(sl.start - nv)
-            last.append(sl.stop - 1 - nv)
-            tails.append(e.tail)
-            heads.append(e.head)
-            inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
-        self.edge_first = np.asarray(first, dtype=int)
-        self.edge_last = np.asarray(last, dtype=int)
-        self.edge_tails = np.asarray(tails, dtype=int)
-        self.edge_heads = np.asarray(heads, dtype=int)
-        self.inv_h2 = inv_h2
-        self.lam = dt * inv_h2
+        self.edge_first = grid.interior_offsets[:-1] - nv
+        self.edge_last = grid.interior_offsets[1:] - 1 - nv
+        self.edge_tails, self.edge_heads = topo.tails, topo.heads
+        # float_power calls libm's pow, as a scalar h ** 2 does; h * h and
+        # the array h ** 2 differ from it in the last bit on some edges
+        self.inv_h2 = np.repeat(1.0 / np.float_power(grid.h, 2), grid.n_cells - 1)
+        self.lam = dt * self.inv_h2
         worst = float(self.lam.max()) if n_int else 0.0
         if worst > CFL_LIMIT * (1 + 1e-12):
             raise CflViolation(
@@ -129,21 +124,21 @@ class StepOperator:
 
         # flux-balance plan: per free vertex, the flat index of the
         # adjacent interior node and the weight 1/h of every incident edge
-        topo = grid.topology
-        pinned_set = set(pinned)
-        free = [v.id for v in topo.vertices if v.id not in pinned_set]
-        adj, w, starts, total = [], [], [], []
-        for vid in free:
-            starts.append(len(adj))
-            weights = [1.0 / grid.h[j] for j in topo.incident[vid]]
-            adj.extend(grid.adjacent_interior_index(j, vid) for j in topo.incident[vid])
-            w.extend(weights)
-            total.append(float(sum(weights)))
-        self.free_vertices = np.array(free, dtype=int)
-        self.adj_nodes = np.asarray(adj, dtype=int)
-        self.adj_weights = np.asarray(w)
-        self.seg_starts = np.asarray(starts, dtype=int)
-        self.total_weight = np.asarray(total)
+        free = np.ones(nv, dtype=bool)
+        free[self.pinned] = False
+        self.free_vertices = np.flatnonzero(free)
+        degree = np.diff(topo.incident_starts)
+        owner = np.repeat(np.arange(nv), degree)  # the vertex of each incidence
+        edges, vertex = topo.incident_edges[free[owner]], owner[free[owner]]
+        slot = np.where(topo.tails[edges] == vertex,
+                        grid.edge_starts[edges] + 1, grid.edge_starts[edges + 1] - 2)
+        self.adj_nodes = grid.edge_nodes[slot]
+        self.adj_weights = 1.0 / grid.h[edges]
+        counts = degree[self.free_vertices]
+        self.seg_starts = np.cumsum(counts) - counts
+        # bincount adds each vertex's weights in order, as a running sum does
+        self.total_weight = np.bincount(np.repeat(np.arange(len(counts)), counts),
+                                        weights=self.adj_weights, minlength=len(counts))
         self.inv_total_weight = 1.0 / self.total_weight
         self.n_interior = n_int
 

@@ -439,9 +439,8 @@ class DriftSeries:
     def __init__(self, grid: SpatialGrid, values: np.ndarray, dt: float | None = None,
                  levels=None):
         self.grid = grid
-        self.values = values  # (n_rows, n_edge_nodes)
+        self.values = values  # (n_rows, len(grid.edge_nodes)), in that layout
         self.dt = dt
-        self.node_offsets = np.concatenate([[0], np.cumsum(grid.n_cells + 1)])
         levels = np.arange(len(values)) if levels is None else np.asarray(levels)
         self.row_of = np.full(levels[-1] + 1, -1)
         self.row_of[levels] = np.arange(len(levels))
@@ -456,13 +455,13 @@ class DriftSeries:
         return row
 
     def edge_nodes(self, level: int, edge_id: int) -> np.ndarray:
-        sl = slice(self.node_offsets[edge_id], self.node_offsets[edge_id + 1])
-        return self.values[level, sl]
+        starts = self.grid.edge_starts
+        return self.values[level, starts[edge_id]: starts[edge_id + 1]]
 
     def edge_constants(self, edge_ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent step, last cell index and first node offset of each
         agent's edge, as ``eval`` takes them."""
-        return self.grid.h[edge_ids], self.grid.n_cells[edge_ids] - 1, self.node_offsets[edge_ids]
+        return self.grid.h[edge_ids], self.grid.n_cells[edge_ids] - 1, self.grid.edge_starts[edge_ids]
 
     def eval(self, level: int, ys: np.ndarray, h: np.ndarray, last_cell: np.ndarray,
              offset: np.ndarray) -> np.ndarray:
@@ -485,16 +484,15 @@ class DriftSeries:
 
 def _derivative_plan(grid: SpatialGrid):
     """Flat-index plan mapping grid nodes to per-edge-node difference
-    quotients (left source, right source, 1/denominator)."""
-    left, right, inv_den = [], [], []
-    for e in grid.topology.edges:
-        sl = grid.islice(e.id)
-        ns = [e.tail, *range(sl.start, sl.stop), e.head]
-        h = grid.h[e.id]
-        left.extend([ns[0], *ns[:-2], ns[-2]])
-        right.extend([ns[1], *ns[2:], ns[-1]])
-        inv_den.extend([1.0 / h, *([1.0 / (2 * h)] * (len(ns) - 2)), 1.0 / h])
-    return np.asarray(left), np.asarray(right), np.asarray(inv_den)
+    quotients (left source, right source, 1/denominator), in the grid's
+    ``edge_nodes`` layout: centred inside each edge, one-sided at its ends."""
+    first, last = grid.edge_starts[:-1], grid.edge_starts[1:] - 1
+    slot = np.arange(grid.edge_starts[-1])
+    left, right = slot - 1, slot + 1
+    left[first], right[last] = first, last
+    inv_den = np.repeat(1.0 / (2 * grid.h), grid.n_cells + 1)
+    inv_den[first] = inv_den[last] = 1.0 / grid.h
+    return grid.edge_nodes[left], grid.edge_nodes[right], inv_den
 
 
 def drift_from_matrix(grid: SpatialGrid, u_matrix: np.ndarray, dt: float | None = None,

@@ -46,17 +46,17 @@ _NO_AGENTS = np.empty(0, dtype=int)
 _PARKED_SHARE = 1 / 16
 
 
+SIGMA = math.sqrt(2.0)  # the noise of the PDE's unit diffusivity
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch settings. ``sigma`` defaults to sqrt(2) to match the unit
-    diffusivity of the PDE scheme; ``drift`` is a DriftSeries or None for
-    driftless motion."""
+    """Batch settings. ``drift`` is a DriftSeries or None for driftless motion."""
 
     n_agents: int
     dt: float
     t_max: float
     seed: int = 0
-    sigma: float = math.sqrt(2.0)
     drift: object | None = None
 
     def __post_init__(self):
@@ -66,36 +66,20 @@ class SimConfig:
             raise ValueError("dt and t_max must be positive")
 
 
-class _TopologyTables:
-    """Flat arrays for vectorized edge/vertex lookups."""
-
-    def __init__(self, topology: NetworkTopology):
-        self.tail = np.array([e.tail for e in topology.edges])
-        self.head = np.array([e.head for e in topology.edges])
-        self.length = np.array([e.length for e in topology.edges])
-        flat, off = [], [0]
-        for v in topology.vertices:
-            flat.extend(topology.incident[v.id])
-            off.append(len(flat))
-        self.inc_flat = np.asarray(flat, dtype=int)
-        self.inc_off = np.asarray(off, dtype=int)
-        self.degree = np.diff(self.inc_off)
-        self.exit_vertex = topology.exit_vertex
-
-
-def _route_batch(tables: _TopologyTables, vertices: np.ndarray, overshoot: np.ndarray,
+def _route_batch(topology: NetworkTopology, vertices: np.ndarray, overshoot: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Re-emit crossing agents: pick an incident edge uniformly at random at
     each vertex and place the leftover distance into it from that vertex."""
-    deg = tables.degree[vertices]
+    first = topology.incident_starts[vertices]
+    deg = topology.incident_starts[vertices + 1] - first
     pick = np.minimum((rng.random(len(vertices)) * deg).astype(int), deg - 1)
-    new_edges = tables.inc_flat[tables.inc_off[vertices] + pick]
-    from_tail = tables.tail[new_edges] == vertices
-    new_ys = np.where(from_tail, overshoot, tables.length[new_edges] - overshoot)
+    new_edges = topology.incident_edges[first + pick]
+    from_tail = topology.tails[new_edges] == vertices
+    new_ys = np.where(from_tail, overshoot, topology.lengths[new_edges] - overshoot)
     return new_edges, new_ys
 
 
-def _resolve_crossings(tables, edges, ys, lengths, rng):
+def _resolve_crossings(topology, edges, ys, lengths, rng):
     """Bounce agents through vertices until every coordinate is inside its
     edge, updating ``edges``, ``ys`` and ``lengths`` in place.
 
@@ -111,13 +95,13 @@ def _resolve_crossings(tables, edges, ys, lengths, rng):
             return np.concatenate(absorbed), np.concatenate(routed)
         y, e = ys[moving], edges[moving]
         at_tail = y < 0.0
-        verts = np.where(at_tail, tables.tail[e], tables.head[e])
+        verts = np.where(at_tail, topology.tails[e], topology.heads[e])
         over = np.where(at_tail, -y, y - lengths[moving])
-        hit_exit = verts == tables.exit_vertex
+        hit_exit = verts == topology.exit_vertex
         absorbed.append(moving[hit_exit])
         go = moving[~hit_exit]
-        new_e, new_y = _route_batch(tables, verts[~hit_exit], over[~hit_exit], rng)
-        edges[go], ys[go], lengths[go] = new_e, new_y, tables.length[new_e]
+        new_e, new_y = _route_batch(topology, verts[~hit_exit], over[~hit_exit], rng)
+        edges[go], ys[go], lengths[go] = new_e, new_y, topology.lengths[new_e]
         routed.append(go)
         # only an agent routed in this round can still be outside its edge
         moving = go[(new_y < 0.0) | (new_y > lengths[go])]
@@ -157,7 +141,6 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     _PARKED_SHARE of them are parked; then one boolean mask compacts every
     column.
     """
-    tables = _TopologyTables(topology)
     rng = np.random.default_rng(config.seed)
     edges = np.asarray(start_edges, dtype=int)
     ys = np.asarray(start_ys, dtype=float)
@@ -172,9 +155,9 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     arrival[on_exit] = 0.0
 
     drift = config.drift
-    noise_scale = config.sigma * math.sqrt(config.dt)
+    noise_scale = SIGMA * math.sqrt(config.dt)
     n_steps = math.ceil(config.t_max / config.dt)
-    bridge_scale = -2.0 / (config.sigma**2 * config.dt)
+    bridge_scale = -2.0 / (SIGMA**2 * config.dt)
 
     # the agents still moving, in their original order so every draw lands
     # on the same agent: index, edge, coordinate, edge length and the
@@ -182,7 +165,7 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     # A parked agent is on no edge, at 0, with no drift and no noise.
     idx = np.flatnonzero(~on_exit)
     e, y = edges[idx], ys[idx]
-    columns = [idx, e, y, tables.length[e], *(() if drift is None else drift.edge_constants(e))]
+    columns = [idx, e, y, topology.lengths[e], *(() if drift is None else drift.edge_constants(e))]
     parked, live = _NO_AGENTS, None
     for step in range(n_steps):
         idx, e, y, lengths, *consts = columns
@@ -209,7 +192,7 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
             noise, draws = np.zeros(n), noise
             noise[live] = draws
         y += noise
-        absorbed, routed = _resolve_crossings(tables, e, y, lengths, rng)
+        absorbed, routed = _resolve_crossings(topology, e, y, lengths, rng)
         if consts and len(routed):
             for c, fresh in zip(consts, drift.edge_constants(e[routed])):
                 c[routed] = fresh
@@ -270,13 +253,9 @@ def sample_initial_positions(grid: SpatialGrid, m0: GridField, n: int,
     """Draw (edge, arclength) starts from a density by inverting the
     left-endpoint rectangle quadrature: pick a cell with probability
     proportional to value * h, then place uniformly inside the cell."""
-    weights, cell_edge, cell_k = [], [], []
-    for e in grid.topology.edges:
-        vals = m0.edge_values(e.id)[:-1]  # left endpoints of the cells
-        weights.append(vals * grid.h[e.id])
-        cell_edge.append(np.full(len(vals), e.id))
-        cell_k.append(np.arange(len(vals)))
-    w = np.concatenate(weights)
+    # cell c, on edge j, starts at layout slot c + j
+    cell_edge = np.repeat(np.arange(grid.topology.n_edges), grid.n_cells)
+    w = m0.data[grid.edge_nodes[np.arange(len(cell_edge)) + cell_edge]] * grid.h[cell_edge]
     if w.min() < 0:
         raise ZeroMass("density must be nonnegative")
     total = w.sum()
@@ -285,8 +264,8 @@ def sample_initial_positions(grid: SpatialGrid, m0: GridField, n: int,
     cum = np.cumsum(w) / total
     cell = np.searchsorted(cum, rng.random(n), side="right")
     cell = np.minimum(cell, len(w) - 1)
-    edges = np.concatenate(cell_edge)[cell]
-    ks = np.concatenate(cell_k)[cell]
+    edges = cell_edge[cell]
+    ks = cell + edges - grid.edge_starts[edges]
     ys = (ks + rng.random(n)) * grid.h[edges]
     return edges, ys
 

@@ -5,10 +5,14 @@ direction (tail -> head) induces the signed incidence used by the vertex
 conditions. The exit vertex is the single absorbing boundary vertex; every
 other vertex is treated as a transition vertex (a degree-1 non-exit vertex
 is the degenerate, reflecting case of the same vertex condition).
+``NetworkTopology``'s arrays (``tails``, ``heads``, ``lengths``, and the
+incidence table ``incident_edges`` cut at ``incident_starts``) are how
+every other module reads the graph.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +21,7 @@ from .errors import (
     DanglingEdgeEndpoint,
     DisconnectedGraph,
     ExitNotDegreeOne,
+    NonfiniteChord,
     NonpositiveLength,
     SelfLoop,
 )
@@ -56,15 +61,23 @@ class Edge:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Validated graph with precomputed incidence tables.
+    """Validated graph with precomputed incidence tables: edge j's fields
+    at index j of ``tails``, ``heads`` and ``lengths``, and ``incident[v]``
+    as ``incident_edges[incident_starts[v]:incident_starts[v + 1]]``.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction (the arrays are read-only); safe to share
+    between threads.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     exit_vertex: int
     incident: tuple[tuple[int, ...], ...] = field(repr=False)  # vertex -> edge ids
+    tails: np.ndarray = field(repr=False, compare=False)
+    heads: np.ndarray = field(repr=False, compare=False)
+    lengths: np.ndarray = field(repr=False, compare=False)
+    incident_edges: np.ndarray = field(repr=False, compare=False)
+    incident_starts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -97,9 +110,9 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
     ids 0..n-1; ``edges`` a sequence of Edge (or (id, tail, head, length)
     tuples, length optional when vertex positions determine it).
 
-    Raises DanglingEdgeEndpoint, SelfLoop, NonpositiveLength,
-    ExitNotDegreeOne or DisconnectedGraph when the inputs do not describe a
-    legal network.
+    Raises DanglingEdgeEndpoint, SelfLoop, NonfiniteChord (vertices too far
+    apart for floats), NonpositiveLength, ExitNotDegreeOne or
+    DisconnectedGraph when the inputs do not describe a legal network.
     """
     verts = [v if isinstance(v, Vertex) else Vertex(int(v[0]), (float(v[1][0]), float(v[1][1])))
              for v in vertices]
@@ -110,7 +123,7 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
     if ids != list(range(len(verts))):
         raise DanglingEdgeEndpoint(f"vertex ids must be dense 0..{len(verts) - 1}, got {ids}")
 
-    pos = {v.id: np.asarray(v.position, dtype=float) for v in verts}
+    valid = range(len(verts))
     built: list[Edge] = []
     for e in edges:
         if isinstance(e, Edge):
@@ -118,12 +131,19 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
         else:
             eid, tail, head = int(e[0]), int(e[1]), int(e[2])
             length = float(e[3]) if len(e) > 3 and e[3] is not None else None
-        if tail not in pos or head not in pos:
-            raise DanglingEdgeEndpoint(f"edge {eid} references missing vertex {tail if tail not in pos else head}")
+        if tail not in valid or head not in valid:
+            raise DanglingEdgeEndpoint(f"edge {eid} references missing vertex {tail if tail not in valid else head}")
         if tail == head:
             raise SelfLoop(f"edge {eid} starts and ends at vertex {tail}")
+        # in Python floats, so an overflow raises here and does not warn in
+        # the grid's positions; a length taken from the chord squares it, and
+        # halves are summed so that two finite ones cannot overflow
+        (ax, ay), (bx, by) = verts[tail].position, verts[head].position
+        dx, dy = float(bx) - float(ax), float(by) - float(ay)
+        if not math.isfinite(dx * dx + dy * dy if length is None else 0.5 * dx + 0.5 * dy):
+            raise NonfiniteChord(f"edge {eid}: vertices {tail} and {head} are too far apart for floats")
         if length is None:
-            length = float(np.linalg.norm(pos[head] - pos[tail]))
+            length = float(np.linalg.norm([dx, dy]))
         if not length > 0.0:
             raise NonpositiveLength(f"edge {eid} has length {length}")
         built.append(Edge(eid, tail, head, float(length)))
@@ -159,22 +179,22 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
         missing = sorted(set(range(len(verts))) - seen)
         raise DisconnectedGraph(f"vertices {missing} are not reachable from the exit")
 
+    tails = np.array([e.tail for e in built])
+    heads = np.array([e.head for e in built])
+    lengths = np.array([e.length for e in built])
+    incident_edges = np.array([j for js in incident for j in js])
+    incident_starts = np.cumsum([0, *map(len, incident)])
+    for a in (tails, heads, lengths, incident_edges, incident_starts):
+        a.flags.writeable = False
     return NetworkTopology(
-        vertices=tuple(verts),
-        edges=tuple(built),
-        exit_vertex=int(exit_vertex),
-        incident=tuple(tuple(js) for js in incident),
-    )
+        vertices=tuple(verts), edges=tuple(built), exit_vertex=int(exit_vertex),
+        incident=tuple(tuple(js) for js in incident), tails=tails, heads=heads,
+        lengths=lengths, incident_edges=incident_edges, incident_starts=incident_starts)
 
 
 def incidence_sign(topology: NetworkTopology, vertex_id: int, edge_id: int) -> int:
     """+1 if the edge starts at the vertex, -1 if it ends there, 0 otherwise."""
-    e = topology.edges[edge_id]
-    if e.tail == vertex_id:
-        return 1
-    if e.head == vertex_id:
-        return -1
-    return 0
+    return int(topology.tails[edge_id] == vertex_id) - int(topology.heads[edge_id] == vertex_id)
 
 
 def classify_vertices(topology: NetworkTopology) -> tuple[set[int], set[int]]:

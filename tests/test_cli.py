@@ -459,6 +459,33 @@ class TestCliEntry:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("change, error, field", [
+        ({"problem": {"t_max": 1e308, "cost": {"c1": 0.0, "c2": 0.0, "c3": 0.0}}},
+         "StepTooFine", None),
+        ({"run": {"dt_mc": 5e-309}}, "ValidationError", "run.mode"),
+        ({"network": {"vertices": [{"id": 0, "position": [1e308, 0.0]},
+                                   {"id": 1, "position": [-1e308, 0.0]}]},
+          "problem": {"m0": {"kind": "abs"}}}, "ValidationError", "network"),
+    ], ids=["t_max_1e308", "dt_mc_5e-309", "chord_overflow"])
+    def test_overflowing_input_exits_2_under_warnings_as_errors(self, tmp_path, change,
+                                                                error, field):
+        """Desk with a value whose step count or chord overflows a float
+        exits 2 with a typed payload, warning-free, from ``python -W error``."""
+        doc = json.loads(bundled_text("desk.json"))
+        for section, values in change.items():
+            doc[section].update(values)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        path = [str(Path(mn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mfgnet", "--config", str(p), "--quiet",
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == error
+        assert err.get("field") == field
+
     @pytest.mark.parametrize("field, value, flags", [
         (None, None, ["--h", "nan"]),
         (None, None, ["--tol", "nan"]),
@@ -550,7 +577,10 @@ class TestCliEntry:
         ({"dt_mc": 1e-3}, ["--h", "1e-4"], "10000 levels"),  # 3.2 GB of fields
         ({"dt_mc": 1e-9}, [], "64001 levels"),               # 80 GB of particle step times
         ({"agents": 10**10}, [], "run.agents = 10000000000"),  # 1.8 TB of agents
-    ], ids=["desk_h_1e-4", "desk_dt_mc_1e-9", "desk_agents_1e10"])
+        ({"dt_mc": 1e-300}, [], "needs 8e+292 GB"),  # a step count of 301 digits
+        ({"dt_mc": 5e-309}, [], "needs inf GB"),     # t_max / dt_mc overflows
+    ], ids=["desk_h_1e-4", "desk_dt_mc_1e-9", "desk_agents_1e10", "desk_dt_mc_1e-300",
+            "desk_dt_mc_5e-309"])
     def test_oracle_over_memory_limit_rejected(self, tmp_path, capsys, run_doc, flags,
                                                fragment):
         """Desk whose drift or agents would take GBs stops before solving."""

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
+from mfgnet.cli import _field_layout
 from mfgnet.errors import StepTooCoarse, StepTooFine, ZeroMass
 from mfgnet.grid import TabulatedDensity
+from mfgnet.heat import StepOperator
+from mfgnet.mfg import _derivative_plan
+from mfgnet.montecarlo import sample_initial_positions
+
+from conftest import random_tree_network
 
 
 def line(length):
@@ -164,3 +170,195 @@ class TestTabulatedDensity:
         assert (f.interior(0) == 0).all()
         assert (f.interior(1) == 2.0).all()
 
+
+
+# The index plans as they were first written, one Python loop per edge or
+# per vertex; the array-built plans must equal them bit for bit.
+
+def _loop_edge_nodes(grid):
+    nodes = []
+    for e in grid.topology.edges:
+        sl = grid.islice(e.id)
+        nodes.extend([e.tail, *range(sl.start, sl.stop), e.head])
+    return np.array(nodes)
+
+
+def _loop_positions(grid):
+    pos = grid.topology.positions()
+    coords = np.empty((grid.n_flat, 2))
+    coords[: grid.n_vertices] = pos
+    for e in grid.topology.edges:
+        a, b = pos[e.tail], pos[e.head]
+        frac = np.arange(1, grid.n_cells[e.id])[:, None] / grid.n_cells[e.id]
+        coords[grid.islice(e.id)] = a + frac * (b - a)
+    return coords
+
+
+def _loop_quad_weights(grid):
+    w = np.zeros(grid.n_flat)
+    for e in grid.topology.edges:
+        w[e.tail] += grid.h[e.id]
+        w[grid.islice(e.id)] = grid.h[e.id]
+    return w
+
+
+def _loop_adjacent(grid, edge_id, vertex_id):
+    e = grid.topology.edges[edge_id]
+    sl = grid.islice(edge_id)
+    return sl.start if vertex_id == e.tail else sl.stop - 1
+
+
+def _loop_step_plan(grid, pinned, dt):
+    nv, topo = grid.n_vertices, grid.topology
+    first, last, inv_h2 = [], [], np.empty(grid.n_flat - nv)
+    for e in topo.edges:
+        sl = grid.islice(e.id)
+        first.append(sl.start - nv)
+        last.append(sl.stop - 1 - nv)
+        inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
+    free = [v.id for v in topo.vertices if v.id not in set(pinned)]
+    adj, w, starts, total = [], [], [], []
+    for vid in free:
+        starts.append(len(adj))
+        weights = [1.0 / grid.h[j] for j in topo.incident[vid]]
+        adj.extend(_loop_adjacent(grid, j, vid) for j in topo.incident[vid])
+        w.extend(weights)
+        total.append(float(sum(weights)))
+    total = np.array(total)
+    return {
+        "edge_first": np.array(first), "edge_last": np.array(last),
+        "edge_tails": np.array([e.tail for e in topo.edges]),
+        "edge_heads": np.array([e.head for e in topo.edges]),
+        "inv_h2": inv_h2, "lam": dt * inv_h2, "free_vertices": np.array(free, dtype=int),
+        "adj_nodes": np.array(adj, dtype=int), "adj_weights": np.array(w),
+        "seg_starts": np.array(starts, dtype=int), "total_weight": total,
+        "inv_total_weight": 1.0 / total,
+    }
+
+
+def _loop_derivative_plan(grid):
+    left, right, inv_den = [], [], []
+    for e in grid.topology.edges:
+        sl = grid.islice(e.id)
+        ns = [e.tail, *range(sl.start, sl.stop), e.head]
+        h = grid.h[e.id]
+        left.extend([ns[0], *ns[:-2], ns[-2]])
+        right.extend([ns[1], *ns[2:], ns[-1]])
+        inv_den.extend([1.0 / h, *([1.0 / (2 * h)] * (len(ns) - 2)), 1.0 / h])
+    return np.array(left), np.array(right), np.array(inv_den)
+
+
+def _loop_field_rows(grid):
+    pos = grid.topology.positions()
+    rows = []
+    for e in grid.topology.edges:
+        a, b = pos[e.tail], pos[e.head]
+        n = grid.n_cells[e.id]
+        coords = a + (np.arange(n + 1) / n)[:, None] * (b - a)
+        rows.extend(f"{e.id},{k},{x!r},{y!r}" for k, (x, y) in enumerate(coords.tolist()))
+    return rows
+
+
+def _loop_sample_initial_positions(grid, m0, n, rng):
+    weights, cell_edge, cell_k = [], [], []
+    for e in grid.topology.edges:
+        sl = grid.islice(e.id)
+        vals = np.concatenate(([m0.data[e.tail]], m0.data[sl]))
+        weights.append(vals * grid.h[e.id])
+        cell_edge.append(np.full(len(vals), e.id))
+        cell_k.append(np.arange(len(vals)))
+    w = np.concatenate(weights)
+    cum = np.cumsum(w) / w.sum()
+    cell = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(w) - 1)
+    edges = np.concatenate(cell_edge)[cell]
+    return edges, (np.concatenate(cell_k)[cell] + rng.random(n)) * grid.h[edges]
+
+
+def _loop_tabulated(density, grid):
+    out, vertex_hits = np.zeros(grid.n_flat), np.zeros(grid.n_vertices)
+    for e in grid.topology.edges:
+        if e.id in density.tables:
+            xs, vs = density.tables[e.id]
+            nodes = np.arange(grid.n_cells[e.id] + 1) * grid.h[e.id]
+            vals = np.interp(nodes, xs, vs, left=vs[0], right=vs[-1])
+            out[grid.islice(e.id)] = vals[1:-1]
+            vertex_hits[e.tail] = max(vertex_hits[e.tail], vals[0])
+            vertex_hits[e.head] = max(vertex_hits[e.head], vals[-1])
+    out[: grid.n_vertices] = vertex_hits
+    return out
+
+
+def _assert_same(got, want, name=""):
+    """Equal values and dtypes, floats to the bit (so -0.0 is not 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, name
+    assert got.dtype == want.dtype or not want.size, name
+    if want.dtype.kind == "f":
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def _layout_cases(star):
+    """The three-edge star, and random trees with 0 to 25 chords (so
+    multi-edges and vertices of degree up to 25), each at two steps."""
+    cases = [(star, 0.1), (star, 0.3)]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        topo = random_tree_network(rng, int(rng.integers(0, 26)))
+        min_len = topo.lengths.min()
+        cases += [(topo, float(rng.uniform(0.03, 0.3)) * min_len) for _ in range(2)]
+    return cases
+
+
+class TestLayoutAgainstLoops:
+    """The topology's arrays and the grid's edge-node layout, and every plan
+    read from them, equal the per-edge and per-vertex loops they replace."""
+
+    def test_every_plan_matches_its_loop(self, three_star):
+        max_degree = 0
+        for topo, h in _layout_cases(three_star):
+            edges = topo.edges
+            assert topo.tails.tolist() == [e.tail for e in edges]
+            assert topo.heads.tolist() == [e.head for e in edges]
+            assert topo.lengths.tolist() == [e.length for e in edges]
+            flat = [j for v in topo.vertices for j in topo.incident[v.id]]
+            assert topo.incident_edges.tolist() == flat
+            assert np.diff(topo.incident_starts).tolist() == [len(js) for js in topo.incident]
+            max_degree = max(max_degree, *map(len, topo.incident))
+
+            grid = mn.build_grid(topo, h)
+            _assert_same(grid.edge_nodes, _loop_edge_nodes(grid))
+            _assert_same(grid.positions, _loop_positions(grid))
+            _assert_same(grid.quad_weights, _loop_quad_weights(grid))
+            assert grid.exit_adjacent_index == _loop_adjacent(
+                grid, topo.exit_edge.id, topo.exit_vertex)
+
+            rng = np.random.default_rng(len(edges))
+            extra = tuple(int(v) for v in rng.permutation(topo.n_vertices)[:2]
+                          if v != topo.exit_vertex)
+            for pinned in ((topo.exit_vertex,), (), (topo.exit_vertex, *extra)):
+                dt = 0.2 * float(grid.h.min()) ** 2
+                op = StepOperator(grid, pinned, dt)
+                for name, want in _loop_step_plan(grid, pinned, dt).items():
+                    _assert_same(getattr(op, name), want, name)
+
+            for got, want in zip(_derivative_plan(grid), _loop_derivative_plan(grid)):
+                _assert_same(got, want)
+            order, text = _field_layout(grid)
+            _assert_same(order, _loop_edge_nodes(grid))
+            assert "\n".join(text).split("\n") == _loop_field_rows(grid)
+
+            m0 = mn.GridField(grid, rng.random(grid.n_flat))
+            got = sample_initial_positions(grid, m0, 500, np.random.default_rng(1))
+            want = _loop_sample_initial_positions(grid, m0, 500, np.random.default_rng(1))
+            for a, b in zip(got, want):
+                _assert_same(a, b)
+
+            # tables on some edges, with zeros of both signs at their ends
+            tables = {}
+            for j in rng.permutation(len(edges))[: max(1, len(edges) // 2)].tolist():
+                xs = np.linspace(0.0, edges[j].length, 4)
+                tables[j] = (xs, rng.choice([0.0, -0.0, 0.5, 1.0], size=4))
+            density = TabulatedDensity(tables)
+            _assert_same(density.sample(grid).data, _loop_tabulated(density, grid))
+        assert max_degree >= 20  # high-degree vertices were exercised

@@ -8,10 +8,10 @@ import mfgnet as mn
 from mfgnet.errors import StepTooLarge, ZeroMass
 from mfgnet.mfg import density_drift
 from mfgnet.montecarlo import (
+    SIGMA,
     SimConfig,
     _bridge_hits,
     _route_batch,
-    _TopologyTables,
     dkw_epsilon,
     estimate_arrival_cdf,
     sample_initial_positions,
@@ -59,17 +59,16 @@ class TestSingleAgent:
 
 class TestRouting:
     def test_uniform_edge_choice(self, three_star):
-        tables = _TopologyTables(three_star)
         rng = np.random.default_rng(11)
         n = 30000
         verts = np.full(n, 1)  # degree-3 center
         over = np.full(n, 0.01)
-        edges, ys = _route_batch(tables, verts, over, rng)
+        edges, ys = _route_batch(three_star, verts, over, rng)
         freq = np.bincount(edges, minlength=3) / n
         se3 = 3 * np.sqrt((1 / 3) * (2 / 3) / n)
         np.testing.assert_allclose(freq, 1 / 3, atol=se3)
         # re-emitted one overshoot away from the vertex on each chosen edge
-        from_tail = tables.tail[edges] == 1
+        from_tail = three_star.tails[edges] == 1
         np.testing.assert_allclose(np.where(from_tail, ys, 1.0 - ys), 0.01)
 
     def test_degree_one_reflects(self, single_edge):
@@ -195,28 +194,28 @@ def _reference_drift_eval(drift, edge_ids, ys, level):
     h = drift.grid.h[edge_ids]
     k = np.clip((ys / h).astype(int), 0, drift.grid.n_cells[edge_ids] - 1)
     frac = ys / h - k
-    base = drift.node_offsets[edge_ids] + k
+    base = drift.grid.edge_starts[edge_ids] + k
     row = drift.values[level]
     return (1.0 - frac) * row[base] + frac * row[base + 1]
 
 
-def _reference_resolve_crossings(tables, edges, ys, rng):
+def _reference_resolve_crossings(topology, edges, ys, rng):
     absorbed = np.zeros(len(edges), dtype=bool)
     for _ in range(1000):
         below = ys < 0.0
-        above = ys > tables.length[edges]
+        above = ys > topology.lengths[edges]
         moving = np.flatnonzero((below | above) & ~absorbed)
         if len(moving) == 0:
             return absorbed
         at_tail = below[moving]
-        verts = np.where(at_tail, tables.tail[edges[moving]], tables.head[edges[moving]])
-        over = np.where(at_tail, -ys[moving], ys[moving] - tables.length[edges[moving]])
-        hit_exit = verts == tables.exit_vertex
+        verts = np.where(at_tail, topology.tails[edges[moving]], topology.heads[edges[moving]])
+        over = np.where(at_tail, -ys[moving], ys[moving] - topology.lengths[edges[moving]])
+        hit_exit = verts == topology.exit_vertex
         absorbed[moving[hit_exit]] = True
         ys[moving[hit_exit]] = 0.0
         go = moving[~hit_exit]
         if len(go):
-            new_e, new_y = _route_batch(tables, verts[~hit_exit], over[~hit_exit], rng)
+            new_e, new_y = _route_batch(topology, verts[~hit_exit], over[~hit_exit], rng)
             edges[go] = new_e
             ys[go] = new_y
     raise RuntimeError("too many crossings")
@@ -225,7 +224,6 @@ def _reference_resolve_crossings(tables, edges, ys, rng):
 def _reference_simulate_agents(topology, config, start_edges, start_ys):
     """The particle loop as first written: every step gathers the active
     agents from the full arrays and scatters them back."""
-    tables = _TopologyTables(topology)
     rng = np.random.default_rng(config.seed)
     edges = np.asarray(start_edges, dtype=int).copy()
     ys = np.asarray(start_ys, dtype=float).copy()
@@ -237,9 +235,9 @@ def _reference_simulate_agents(topology, config, start_edges, start_ys):
     arrival[on_exit] = 0.0
 
     drift = config.drift
-    noise_scale = config.sigma * math.sqrt(config.dt)
+    noise_scale = SIGMA * math.sqrt(config.dt)
     n_steps = math.ceil(config.t_max / config.dt)
-    bridge_scale = -2.0 / (config.sigma**2 * config.dt)
+    bridge_scale = -2.0 / (SIGMA**2 * config.dt)
     exit_from_tail = exit_edge.tail == topology.exit_vertex
 
     for step in range(n_steps):
@@ -256,7 +254,7 @@ def _reference_simulate_agents(topology, config, start_edges, start_ys):
             a = _reference_drift_eval(drift, e, y, drift.level_at(t))
             y = y + a * config.dt
         y = y + noise_scale * rng.standard_normal(len(active))
-        absorbed = _reference_resolve_crossings(tables, e, y, rng)
+        absorbed = _reference_resolve_crossings(topology, e, y, rng)
         candidates = np.flatnonzero(on_exit_before & (e == exit_edge.id) & ~absorbed)
         if len(candidates):
             d_after = y[candidates] if exit_from_tail else exit_edge.length - y[candidates]

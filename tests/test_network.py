@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from mfgnet.errors import (
     DanglingEdgeEndpoint,
     DisconnectedGraph,
     ExitNotDegreeOne,
+    NonfiniteChord,
     NonpositiveLength,
     SelfLoop,
 )
@@ -38,6 +41,21 @@ def test_self_loop_rejected():
 def test_nonpositive_length_rejected():
     with pytest.raises(NonpositiveLength):
         mn.build_network([(0, (0, 0)), (1, (1, 0))], [(0, 0, 1, 0.0)], 0)
+
+
+def test_overflowing_chord_rejected():
+    """Vertices too far apart for their chord, or its squared length when
+    the length comes from it, to be a finite float are rejected before any
+    numpy arithmetic warns; with an explicit length a finite chord is legal."""
+    far = [(0, (1e308, 0.0)), (1, (-1e308, 0.0))]
+    apart = [(0, (1e200, 0.0)), (1, (-1e200, 0.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vertices, edge in ((far, (0, 0, 1, 1.0)), (far, (0, 0, 1)), (apart, (0, 0, 1))):
+            with pytest.raises(NonfiniteChord, match="edge 0"):
+                mn.build_network(vertices, [edge], 0)
+        grid = mn.build_grid(mn.build_network(apart, [(0, 0, 1, 1.0)], 0), 0.25)
+    np.testing.assert_allclose(grid.positions[2:, 0], [5e199, 0.0, -5e199], atol=1e185)
 
 
 def test_dangling_endpoint_rejected():
