@@ -283,8 +283,8 @@ def parse_config(text: str) -> RunConfig:
     if snapshots < 0:
         raise ValidationError("run.snapshots", "must be nonnegative")
     agents = _integer(rn.get("agents", 100_000), "run.agents")
-    if agents < 1:
-        raise ValidationError("run.agents", "must be at least 1")
+    if not 1 <= agents < 2**63:
+        raise ValidationError("run.agents", "must lie between 1 and 2**63 - 1")
     dt_mc = rn.get("dt_mc")
     if dt_mc is not None:
         dt_mc = _number(dt_mc, float, "run.dt_mc")

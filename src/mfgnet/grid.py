@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooCoarse, StepTooFine, ZeroMass
+from .errors import StepTooCoarse, StepTooFine, ValidationError, ZeroMass
 from .network import NetworkTopology
 
 __all__ = [
@@ -249,10 +249,17 @@ class TabulatedDensity:
 
 
 def sample_density(grid: SpatialGrid, density) -> GridField:
-    """Sample either a callable of ambient position or a TabulatedDensity."""
-    if isinstance(density, TabulatedDensity):
-        return density.sample(grid)
-    return sample_function(grid, density)
+    """Sample either a callable of ambient position or a TabulatedDensity.
+    Raises ValidationError naming problem.m0 when a sampled value is not
+    finite, as a density can be at coordinates near the float range's end."""
+    with np.errstate(all="ignore"):
+        fld = (density.sample(grid) if isinstance(density, TabulatedDensity)
+               else sample_function(grid, density))
+    bad = np.count_nonzero(~np.isfinite(fld.data))
+    if bad:
+        raise ValidationError("problem.m0", f"the density is not finite at {bad} of the "
+                              f"{grid.n_flat} grid nodes")
+    return fld
 
 
 def integrate(grid: SpatialGrid, field: GridField) -> float:

@@ -14,11 +14,11 @@ topology's ``tails``, ``heads`` and incidence arrays.
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
 (psi at level 0 and psi's exit trace), or both sweeps at chosen levels.
-``lanczos.LanczosStep`` does the same from Lanczos bases, and ``SweepStep``
-by sweeping, where neither pays. Each is built for one problem (its grids
-and its crowd m0), and ``mfg`` calls only the three methods of their common
-base, ``Evaluator``: ``map``, ``phi_levels`` and ``psi_levels``. The public
-sweeps stay the reference.
+``lanczos.LanczosStep`` does the same from Lanczos bases on grids too large
+for the eigenbasis (``modal_pays``). Each is built for one problem (its
+grids and its crowd m0), and ``mfg`` calls only the three methods they
+share: ``map``, ``phi_levels`` and ``psi_levels``. The public sweeps stay
+the reference.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ __all__ = [
     "solve_forward_psi",
     "psi_initial",
     "HeatSweep",
-    "SweepStep",
     "ModalStep",
     "modal_pays",
-    "krylov_pays",
-    "krylov_reach_pays",
 ]
 
 CFL_LIMIT = 0.5
@@ -52,42 +49,12 @@ CFL_LIMIT = 0.5
 # and then O(n_steps * n_int) per map; one sweep pair costs about 2 * 9 ns
 # per node-step plus 2 * 17 us per step. Leaving out the per-step part, it
 # pays once n_int^3 <= R * n_steps * n_flat with R = 2 * 9 / 0.18 = 100,
-# even for a single map evaluation.
+# even for a single map evaluation. Past it the maps take a LanczosStep, not
+# a sweep pair; the ratio is kept as measured so that no grid changes path.
 MODAL_COST_RATIO = 100.0
 # Accuracy target of a LanczosStep basis: its a-posteriori bound on the error
 # of K^k x, relative to x in the h-weighted norm, for every k < n_steps.
 KRYLOV_TOL = 1e-13
-# A LanczosStep basis needs about m = sqrt(n_steps * ln(1 / KRYLOV_TOL))
-# recurrence steps (x^N has a polynomial approximation of that degree on
-# [-1, 1]: Sachdeva & Vishnoi 2014): 371 on the 24 x 24 street lattice at
-# n_steps = 4481, against the estimate's 366. There a recurrence step costs
-# 158 us to build a basis (its error checks included) and 80 us to replay
-# one, against 50 us per sweep step (single-threaded, 2-CPU Xeon VM). A
-# fixed point of M maps builds two bases and replays one twice for its
-# fields; each map reads the maps' basis twice on the nodes S of
-# ``KRYLOV_REACH_SHARE``, replaying it for each read past that rule. That
-# is at most (476 + 160 M) * m us, against 2 (M + 1) * 50 us * n_steps
-# swept: at M = 1, the dearest case, it pays once m <= 0.31 * n_steps.
-# The ratio was set when a fixed point replayed 2M + 3 times (m <= 0.28
-# n_steps) and is kept.
-KRYLOV_COST_RATIO = 0.2
-# phi and psi at L levels after level 0 (``mfg.map_fields``) there, with
-# the maps' basis built, took 0.16, 0.25, 0.37, 0.60 and 1.03 s at L = 1,
-# 10, 20, 40 and 80: about (404 + 30 L) us per recurrence step (m = 371),
-# against 0.61 s for the sweep pair at any L, 136 us per step (same VM).
-# They pay while m (1 + L / 13.6) <= 0.34 n_steps, up to L = 42 there.
-# With the maps' ratio, m (1 + L / 29) <= 0.2 n_steps crosses over at the
-# same L there.
-KRYLOV_CAPTURE_LEVELS = 29.0
-# A map reads the maps' basis only on S: phi0 where m0 is nonzero and psi's
-# level 1 on the nodes one step from there reaches. With the basis rows on
-# S kept by the build (m |S| floats), a map on the street lattice took 5.5,
-# 7.8, 6.3, 9.7 and 15.5 ms at |S| = 218, 686, 1 758, 4 238 and 10 536 (all
-# of n_flat), against 83 ms when each of its two reads replays the basis
-# (same VM), so time alone always favours keeping them. The rows took 0.65,
-# 2.0, 5.2, 12.6 and 31 MB: they are kept only while they stay within an
-# eighth of the m x n_flat basis the path never holds.
-KRYLOV_REACH_SHARE = 0.125
 _FLUSH = 1e-150  # smaller powers are set to 0, so no product is subnormal
 
 
@@ -322,21 +289,14 @@ def solve_forward_psi(grid: SpatialGrid, time_grid: TimeGrid, m0: GridField,
 class Evaluator:
     """The evaluations of the two sweeps that ``mfg`` makes for one problem:
     its grids and its normalized crowd ``m0``, with one exit-pinned
-    StepOperator. ``ModalStep``, ``SweepStep`` and ``lanczos.LanczosStep``
-    each provide ``phi_levels`` and ``psi_levels``; the first two give this
-    ``map`` its ``_trace``, and the third maps on the crowd's reach."""
+    StepOperator. ``ModalStep`` and ``lanczos.LanczosStep`` each provide
+    ``map`` (phi's exit series to psi0 = m0 / phi0 and psi next to the exit
+    on every level), ``phi_levels`` and ``psi_levels``."""
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
         self.grid, self.time_grid, self.m0 = grid, time_grid, m0
         self.n_steps = time_grid.n_steps
         self.operator = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
-
-    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi0 = m0 / phi0 and psi next to the exit on every level, for
-        phi's exit series ``exit_series``."""
-        phi0 = self.phi_levels(exit_series, [0])[0]
-        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
-        return psi0, self._trace(psi0)
 
     def _level_one(self, psi0: np.ndarray) -> np.ndarray:
         """The forward sweep's level 1 from psi0, whose vertices need not be
@@ -347,53 +307,12 @@ class Evaluator:
         return u1
 
 
-class SweepStep(Evaluator):
-    """``ModalStep``'s evaluations, each one time-stepping sweep with the
-    exit-pinned StepOperator: the path where neither it nor
-    ``lanczos.LanczosStep`` pays."""
-
-    def _phi(self, exit_series: np.ndarray, levels=None) -> HeatSweep:
-        return _run_sweep(self.grid, self.time_grid, np.full(self.grid.n_flat, exit_series[-1]),
-                          exit_series, levels, backward=True, op=self.operator)
-
-    def _psi(self, psi0: np.ndarray, levels=None) -> HeatSweep:
-        return _run_sweep(self.grid, self.time_grid, psi0, np.zeros(self.n_steps + 1),
-                          levels, backward=False, op=self.operator)
-
-    def _trace(self, psi0: np.ndarray) -> np.ndarray:
-        return self._psi(psi0).exit_adjacent
-
-    def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
-        """Rows in the order of ``levels``, not of the backward sweep."""
-        snapshots = self._phi(exit_series, levels).snapshots
-        return np.array([snapshots[n].data for n in levels])
-
-    def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
-        snapshots = self._psi(psi0, levels).snapshots
-        return np.array([snapshots[n].data for n in levels])
-
-
 def modal_pays(grid: SpatialGrid, time_grid: TimeGrid) -> bool:
-    """Whether a ModalStep (one dense eigh) costs less than one sweep pair
-    on these grids: n_int^3 <= MODAL_COST_RATIO * n_steps * n_flat."""
+    """Whether a problem on these grids takes a ModalStep (one dense eigh),
+    not a ``lanczos.LanczosStep``: n_int^3 <= MODAL_COST_RATIO * n_steps *
+    n_flat, the eigh's cost against one sweep pair's."""
     n_int = grid.n_flat - grid.n_vertices
     return n_int**3 <= MODAL_COST_RATIO * time_grid.n_steps * grid.n_flat
-
-
-def krylov_pays(time_grid: TimeGrid, n_levels: int = 0) -> bool:
-    """Whether a LanczosStep costs less than sweeping, for a map
-    (``n_levels`` 0) or fields at ``n_levels`` levels after level 0:
-    sqrt(n_steps * ln(1 / KRYLOV_TOL)) * (1 + n_levels / KRYLOV_CAPTURE_LEVELS)
-    <= KRYLOV_COST_RATIO * n_steps."""
-    n = time_grid.n_steps
-    m = math.sqrt(n * math.log(1 / KRYLOV_TOL))
-    return m * (1 + n_levels / KRYLOV_CAPTURE_LEVELS) <= KRYLOV_COST_RATIO * n
-
-
-def krylov_reach_pays(n_reach: int, n_flat: int) -> bool:
-    """Whether a LanczosStep records its maps' basis on the ``n_reach``
-    nodes S that a map reads: n_reach <= KRYLOV_REACH_SHARE * n_flat."""
-    return n_reach <= KRYLOV_REACH_SHARE * n_flat
 
 
 def _powers(base: np.ndarray, exponent) -> np.ndarray:
@@ -437,6 +356,13 @@ class ModalStep(Evaluator):
         self.chunks = -(-self.n_steps // rows)  # enough for every k < n_steps
         self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
         self.chunk_powers = _powers(self.evals, rows * np.arange(self.chunks)[:, None])
+
+    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi0 = m0 / phi0 and psi next to the exit on every level, for
+        phi's exit series ``exit_series``."""
+        phi0 = self.phi_levels(exit_series, [0])[0]
+        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
+        return psi0, self._trace(psi0)
 
     def _level_one_modal(self, psi0: np.ndarray) -> np.ndarray:
         """Modal coordinates Q^T D u^1 of the forward sweep's level 1."""

@@ -1,9 +1,11 @@
 """Lanczos evaluation of the two sweeps' exit-pinned step, for grids too
-large for ``heat.ModalStep``'s eigenbasis: ``LanczosStep``.
+large for ``heat.ModalStep``'s eigenbasis (past ``heat.modal_pays``):
+``LanczosStep``.
 
-A separate module so that only runs that take this path load it; its rule,
-``heat.krylov_pays``, and its accuracy target, ``heat.KRYLOV_TOL``, stay
-next to the modal path's.
+A separate module so that only runs that take this path load it. Its
+accuracy target, ``heat.KRYLOV_TOL``, stays next to the modal rule; its two
+rules are here: which nodes a build keeps (``krylov_reach_pays``) and how
+many levels its fields take before they are swept (``KRYLOV_FIELD_RATIO``).
 """
 
 from __future__ import annotations
@@ -13,11 +15,37 @@ import math
 
 import numpy as np
 
+from . import heat
 from .errors import NumericalFailure
 from .grid import GridField, SpatialGrid, TimeGrid
-from .heat import KRYLOV_TOL, Evaluator, StepOperator, krylov_reach_pays, psi_initial
+from .heat import KRYLOV_TOL, Evaluator, StepOperator, psi_initial
 
-__all__ = ["LanczosStep"]
+__all__ = ["LanczosStep", "krylov_reach_pays"]
+
+# A map reads the maps' basis only on S: phi0 where m0 is nonzero and psi's
+# level 1 on the nodes one step from there reaches. With the basis rows on
+# S kept by the build (m |S| floats), a map on the street lattice took 5.5,
+# 7.8, 6.3, 9.7 and 15.5 ms at |S| = 218, 686, 1 758, 4 238 and 10 536 (all
+# of n_flat), against 83 ms when each of its two reads replays the basis
+# (single-threaded, 2-CPU Xeon VM), so time alone always favours keeping
+# them. The rows took 0.65, 2.0, 5.2, 12.6 and 31 MB: they are kept only
+# while they stay within an eighth of the m x n_flat basis the path never
+# holds.
+KRYLOV_REACH_SHARE = 0.125
+# phi or psi at L levels after level 0 replays a basis of m vectors about L
+# times, where a sweep takes n_steps steps whatever L. On the 24 x 24 street
+# lattice (m = 371, n_steps = 4 481; same VM, best of 2) phi and psi took
+# 0.18, 0.52 and 1.00 s from the bases at L = 8, 40 and 80, against 0.45,
+# 0.50 and 0.54 s for a sweep pair: they cross between L = 40 and 45. The
+# bases serve them while m L <= KRYLOV_FIELD_RATIO n_steps, up to L = 41
+# there.
+KRYLOV_FIELD_RATIO = 3.4
+
+
+def krylov_reach_pays(n_reach: int, n_flat: int) -> bool:
+    """Whether a LanczosStep records its maps' basis on the ``n_reach``
+    nodes S that a map reads: n_reach <= KRYLOV_REACH_SHARE * n_flat."""
+    return n_reach <= KRYLOV_REACH_SHARE * n_flat
 
 
 class _LanczosBasis:
@@ -221,11 +249,12 @@ class LanczosStep(Evaluator):
     A map reads phi0 only where the crowd m0 is nonzero, and u^1 only on the
     nodes that one step from there reaches: S. So it reads the basis on S
     alone, twice: phi0 on S is W_S c, and <w_j, u^1>_H sums over S. Where
-    ``heat.krylov_reach_pays``, the build keeps the rows W_S; else each read
+    ``krylov_reach_pays``, the build keeps the rows W_S; else each read
     replays the basis for them, with the same arithmetic. For
     ``mfg.map_phi``, ``phi_levels`` evaluates phi at chosen levels from the
     same basis; for ``mfg.map_psi``, ``psi_levels`` evaluates psi from a
-    basis started at u^1.
+    basis started at u^1. Past ``KRYLOV_FIELD_RATIO``'s level count both
+    sweep instead, with ``heat._run_sweep`` and this problem's operator.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
@@ -248,9 +277,26 @@ class LanczosStep(Evaluator):
             return self.pins.on_nodes
         return (w[self.reach] for w in itertools.islice(self.pins._recurrence(), self.pins.m))
 
+    def _sweeps(self, n_levels: int) -> bool:
+        """Whether fields at ``n_levels`` levels after level 0 are swept:
+        m * n_levels > KRYLOV_FIELD_RATIO * n_steps, with m the size of the
+        maps' basis."""
+        return self.pins.m * n_levels > KRYLOV_FIELD_RATIO * self.n_steps
+
+    def _swept(self, init: np.ndarray, exit_series: np.ndarray, levels,
+               backward: bool) -> np.ndarray:
+        """The reference sweep from ``init`` at each of ``levels``, one flat
+        state per row in the order of ``levels``."""
+        snapshots = heat._run_sweep(self.grid, self.time_grid, init, exit_series, levels,
+                                    backward=backward, op=self.operator).snapshots
+        return np.array([snapshots[n].data for n in levels])
+
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row, as
         ``ModalStep.phi_levels``."""
+        if self._sweeps(np.count_nonzero(levels)):
+            return self._swept(np.full(self.grid.n_flat, exit_series[-1]), exit_series,
+                               levels, backward=True)
         excess = exit_series[1:] - exit_series[-1]
         coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
         rows = self.pins.combine(coefs * self.b_adj)
@@ -259,7 +305,7 @@ class LanczosStep(Evaluator):
         return rows
 
     def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """As ``Evaluator.map``, reading the basis on S alone: phi0 on S with
+        """As ``ModalStep.map``, reading the basis on S alone: phi0 on S with
         the arithmetic of ``phi_levels`` to the last bit, 1 off S, where
         m0 / phi0 is m0 itself: 0 (of m0's sign)."""
         reach, nv = self.reach, self.grid.n_vertices
@@ -286,5 +332,7 @@ class LanczosStep(Evaluator):
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one
         flat state per row, as ``ModalStep.psi_levels``."""
+        if self._sweeps(len(levels)):
+            return self._swept(psi0, np.zeros(self.n_steps + 1), levels, backward=False)
         density = _LanczosBasis(self.operator, self._level_one(psi0), self.n_steps)
         return density.combine(density.powers([n - 1 for n in levels]))

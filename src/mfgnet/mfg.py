@@ -7,14 +7,15 @@ at each instant, sweep the value potential backward, sweep the density
 potential forward, accumulate the exit flux into the arrival distribution F,
 and read off the first time F strictly exceeds the quorum fraction. The
 equilibrium is a fixed point of that map, iterated until two successive
-candidates agree to tolerance.
+candidates agree to tolerance. Each problem evaluates its maps and fields
+with one evaluator, chosen from its grids: ``heat.ModalStep`` where
+``heat.modal_pays``, else ``lanczos.LanczosStep``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,18 +30,8 @@ from .grid import (
     normalize_mass,
     sample_density,
 )
-from .heat import (
-    KRYLOV_TOL,
-    ModalStep,
-    SweepStep,
-    krylov_pays,
-    modal_pays,
-    Evaluator,
-)
+from .heat import KRYLOV_TOL, Evaluator, ModalStep, modal_pays
 from .network import NetworkTopology
-
-if TYPE_CHECKING:
-    from .lanczos import LanczosStep
 
 __all__ = [
     "CostSpec",
@@ -136,9 +127,7 @@ class DiscreteProblem:
     grid: SpatialGrid
     time_grid: TimeGrid
     m0: GridField  # normalized
-    modal: ModalStep | None = field(default=None, repr=False)  # built by psi_map
-    krylov: LanczosStep | None = field(default=None, repr=False)  # built by psi_map
-    sweep: SweepStep | None = field(default=None, repr=False)  # built by psi_map
+    evaluator: Evaluator | None = field(default=None, repr=False)  # built by _evaluator
 
 
 def _max_cost_range(spec: CostSpec) -> float:
@@ -210,38 +199,29 @@ class PsiMapResult:
     psi_exit_adjacent: np.ndarray
 
 
-def _evaluator(problem: DiscreteProblem, n_levels: int) -> Evaluator:
-    """The evaluator of the sweeps for a map (``n_levels`` 0) or for fields at
-    ``n_levels`` levels after level 0: the problem's ModalStep or LanczosStep
-    where it pays on the grids, else its SweepStep, each built on first
-    use."""
-    grid, time_grid, m0 = problem.grid, problem.time_grid, problem.m0
-    if modal_pays(grid, time_grid):
-        if problem.modal is None:
-            problem.modal = ModalStep(grid, time_grid, m0)
-        return problem.modal
-    if not krylov_pays(time_grid, n_levels):
-        if problem.sweep is None:
-            problem.sweep = SweepStep(grid, time_grid, m0)
-        return problem.sweep
-    if problem.krylov is None:
-        # imported here: every process compiles what it imports when no
-        # bytecode is cached, and only these grids need this module
-        from .lanczos import LanczosStep
+def _evaluator(problem: DiscreteProblem) -> Evaluator:
+    """The problem's evaluator of the sweeps, built on first use: a
+    ModalStep where ``modal_pays`` on its grids, else a LanczosStep."""
+    if problem.evaluator is None:
+        grid, time_grid, m0 = problem.grid, problem.time_grid, problem.m0
+        if modal_pays(grid, time_grid):
+            problem.evaluator = ModalStep(grid, time_grid, m0)
+        else:
+            # imported here: every process compiles what it imports when no
+            # bytecode is cached, and only these grids need this module
+            from .lanczos import LanczosStep
 
-        problem.krylov = LanczosStep(grid, time_grid, m0)
-    return problem.krylov
+            problem.evaluator = LanczosStep(grid, time_grid, m0)
+    return problem.evaluator
 
 
 def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     """phi of the map ``res`` at ``levels`` (increasing, distinct), one flat
-    state per row, from the exit series alone, level 0 included, with the
-    ``_evaluator`` for the levels after level 0."""
+    state per row, from the exit series alone, level 0 included."""
     levels = np.asarray(levels, dtype=int)
     if not len(levels):
         return np.empty((0, problem.grid.n_flat))
-    step = _evaluator(problem, int(np.count_nonzero(levels)))
-    return step.phi_levels(res.exit_series, levels.tolist())
+    return _evaluator(problem).phi_levels(res.exit_series, levels.tolist())
 
 
 def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
@@ -252,8 +232,7 @@ def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     out = np.empty((len(levels), problem.grid.n_flat))
     out[~later] = res.psi0
     if later.any():
-        step = _evaluator(problem, int(later.sum()))
-        out[later] = step.psi_levels(res.psi0, levels[later].tolist())
+        out[later] = _evaluator(problem).psi_levels(res.psi0, levels[later].tolist())
     return out
 
 
@@ -269,9 +248,9 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem,
 
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
     """Zero, in place, the negatives of an exit trace that lie within the
-    fast paths' accuracy target of 0, relative to max(psi0), which bounds
-    every level of the forward sweep. The swept trace is >= 0 by the minimum
-    principle, so it is left as it is, and a larger negative is a failure."""
+    evaluators' accuracy target of 0, relative to max(psi0), which bounds
+    every level of the forward sweep. The exact trace is >= 0 by the minimum
+    principle, so a larger negative is a failure."""
     floor = -KRYLOV_TOL * float(np.abs(psi0).max())
     if trace.min() < floor:
         raise NumericalFailure(f"exit trace reaches {trace.min():.3g}, below {floor:.3g}")
@@ -290,11 +269,10 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     """Candidate start time -> cost -> backward sweep -> forward sweep ->
     arrival distribution -> quorum time.
 
-    The ``_evaluator`` for a map evaluates only what it needs: psi at level
-    0 = m0 / phi0 (on a LanczosStep, phi0 only where m0 is nonzero) and
-    psi's exit trace. That is the problem's ModalStep when ``modal_pays`` on
-    the grids, its LanczosStep when ``krylov_pays``, and its SweepStep
-    otherwise. ``map_phi`` and ``map_psi`` evaluate the result's fields.
+    The problem's ``_evaluator`` evaluates only what a map needs: psi at
+    level 0 = m0 / phi0 (on a LanczosStep, phi0 only where m0 is nonzero)
+    and psi's exit trace. ``map_phi`` and ``map_psi`` evaluate the result's
+    fields.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -304,7 +282,7 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
     shift = _cost_shift(c)
     exit_series = np.exp(np.subtract(c, shift, out=c), out=c)
 
-    psi0, trace = _evaluator(problem, 0).map(exit_series)
+    psi0, trace = _evaluator(problem).map(exit_series)
     _clip_rounding(trace, psi0)
     f_series = cumulative_flow(trace, exit_series, grid, time_grid)
     if not np.isfinite(f_series[-1]):

@@ -62,8 +62,9 @@ class Edge:
 @dataclass(frozen=True)
 class NetworkTopology:
     """Validated graph with precomputed incidence tables: edge j's fields
-    at index j of ``tails``, ``heads`` and ``lengths``, and ``incident[v]``
-    as ``incident_edges[incident_starts[v]:incident_starts[v + 1]]``.
+    at index j of ``tails``, ``heads`` and ``lengths``, and the edges
+    incident to vertex v, in id order, as
+    ``incident_edges[incident_starts[v]:incident_starts[v + 1]]``.
 
     Immutable after construction (the arrays are read-only); safe to share
     between threads.
@@ -72,7 +73,6 @@ class NetworkTopology:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     exit_vertex: int
-    incident: tuple[tuple[int, ...], ...] = field(repr=False)  # vertex -> edge ids
     tails: np.ndarray = field(repr=False, compare=False)
     heads: np.ndarray = field(repr=False, compare=False)
     lengths: np.ndarray = field(repr=False, compare=False)
@@ -90,10 +90,10 @@ class NetworkTopology:
     @property
     def exit_edge(self) -> Edge:
         """The unique edge incident to the exit vertex."""
-        return self.edges[self.incident[self.exit_vertex][0]]
+        return self.edges[self.incident_edges[self.incident_starts[self.exit_vertex]]]
 
     def degree(self, vertex_id: int) -> int:
-        return len(self.incident[vertex_id])
+        return int(self.incident_starts[vertex_id + 1] - self.incident_starts[vertex_id])
 
     def positions(self) -> np.ndarray:
         """Vertex coordinates as an (n_vertices, 2) array."""
@@ -152,44 +152,45 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
     if eids != list(range(len(built))):
         raise DanglingEdgeEndpoint(f"edge ids must be dense 0..{len(built) - 1}, got {eids}")
 
-    incident: list[list[int]] = [[] for _ in verts]
-    for e in built:
-        incident[e.tail].append(e.id)
-        incident[e.head].append(e.id)
-
-    if not 0 <= exit_vertex < len(verts):
-        raise DanglingEdgeEndpoint(f"exit vertex {exit_vertex} does not exist")
-    if len(incident[exit_vertex]) != 1:
-        raise ExitNotDegreeOne(
-            f"exit vertex {exit_vertex} has degree {len(incident[exit_vertex])}, expected 1")
-
-    # connectivity by breadth-first search from the exit
-    seen = {exit_vertex}
-    frontier = [exit_vertex]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in incident[v]:
-                other = built[j].head if built[j].tail == v else built[j].tail
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    if len(seen) != len(verts):
-        missing = sorted(set(range(len(verts))) - seen)
-        raise DisconnectedGraph(f"vertices {missing} are not reachable from the exit")
-
+    nv = len(verts)
     tails = np.array([e.tail for e in built])
     heads = np.array([e.head for e in built])
     lengths = np.array([e.length for e in built])
-    incident_edges = np.array([j for js in incident for j in js])
-    incident_starts = np.cumsum([0, *map(len, incident)])
+    # each edge is listed at its tail, then at its head: by vertex, in id order
+    owner = np.column_stack([tails, heads]).ravel()
+    order = np.argsort(owner, kind="stable")
+    incident_edges = order // 2
+    incident_starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=nv))])
+
+    if not 0 <= exit_vertex < nv:
+        raise DanglingEdgeEndpoint(f"exit vertex {exit_vertex} does not exist")
+    exit_degree = int(incident_starts[exit_vertex + 1] - incident_starts[exit_vertex])
+    if exit_degree != 1:
+        raise ExitNotDegreeOne(f"exit vertex {exit_vertex} has degree {exit_degree}, expected 1")
+
+    # connectivity by depth-first search from the exit: incidence i leads
+    # from its vertex to far[i], the other end of its edge
+    starts = incident_starts.tolist()
+    far = (tails[incident_edges] + heads[incident_edges] - owner[order]).tolist()
+    seen = [False] * nv
+    seen[exit_vertex] = True
+    stack = [exit_vertex]
+    while stack:
+        v = stack.pop()
+        for w in far[starts[v]: starts[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        missing = [v for v in range(nv) if not seen[v]]
+        raise DisconnectedGraph(f"vertices {missing} are not reachable from the exit")
+
     for a in (tails, heads, lengths, incident_edges, incident_starts):
         a.flags.writeable = False
     return NetworkTopology(
         vertices=tuple(verts), edges=tuple(built), exit_vertex=int(exit_vertex),
-        incident=tuple(tuple(js) for js in incident), tails=tails, heads=heads,
-        lengths=lengths, incident_edges=incident_edges, incident_starts=incident_starts)
+        tails=tails, heads=heads, lengths=lengths, incident_edges=incident_edges,
+        incident_starts=incident_starts)
 
 
 def incidence_sign(topology: NetworkTopology, vertex_id: int, edge_id: int) -> int:

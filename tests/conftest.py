@@ -74,3 +74,30 @@ def every_level(time_grid) -> range:
 def level_states(sweep) -> np.ndarray:
     """A sweep's snapshot states in level order, one row each."""
     return np.stack([sweep.snapshots[n].data for n in sorted(sweep.snapshots)])
+
+
+class SweptEvaluator:
+    """The three evaluations of ``mfg``'s evaluators, ``map``,
+    ``phi_levels`` and ``psi_levels``, each one run of the public reference
+    sweeps: patched in as ``mfg._evaluator``, it runs whole maps and fixed
+    points on the sweeps."""
+
+    def __init__(self, problem):
+        self.grid, self.time_grid, self.m0 = problem.grid, problem.time_grid, problem.m0
+
+    def map(self, exit_series):
+        phi = mn.solve_backward_phi(self.grid, self.time_grid, exit_series)
+        psi = mn.solve_forward_psi(self.grid, self.time_grid, self.m0, phi.initial)
+        return psi.initial.data, psi.exit_adjacent
+
+    def phi_levels(self, exit_series, levels):
+        phi = mn.solve_backward_phi(self.grid, self.time_grid, exit_series,
+                                    snapshot_levels=levels)
+        return np.array([phi.snapshots[n].data for n in levels])
+
+    def psi_levels(self, psi0, levels):
+        # psi0 over a phi0 of ones is psi0 itself, to the last bit
+        ones = mn.GridField(self.grid, np.ones(self.grid.n_flat))
+        psi = mn.solve_forward_psi(self.grid, self.time_grid, mn.GridField(self.grid, psi0),
+                                   ones, snapshot_levels=levels)
+        return np.array([psi.snapshots[n].data for n in levels])

@@ -466,11 +466,16 @@ class TestCliEntry:
         ({"network": {"vertices": [{"id": 0, "position": [1e308, 0.0]},
                                    {"id": 1, "position": [-1e308, 0.0]}]},
           "problem": {"m0": {"kind": "abs"}}}, "ValidationError", "network"),
-    ], ids=["t_max_1e308", "dt_mc_5e-309", "chord_overflow"])
+        ({"run": {"agents": 10**400}}, "ValidationError", "run.agents"),
+        ({"network": {"vertices": [{"id": 0, "position": [0.0, 0.0]},
+                                   {"id": 1, "position": [1e200, 0.0]}]},
+          "problem": {"m0": {"kind": "abs"}}}, "ValidationError", "problem.m0"),
+    ], ids=["t_max_1e308", "dt_mc_5e-309", "chord_overflow", "agents_1e400", "m0_overflow"])
     def test_overflowing_input_exits_2_under_warnings_as_errors(self, tmp_path, change,
                                                                 error, field):
-        """Desk with a value whose step count or chord overflows a float
-        exits 2 with a typed payload, warning-free, from ``python -W error``."""
+        """Desk with a value whose step count, chord, agent count or sampled
+        density overflows a float exits 2 with a typed payload, warning-free,
+        from ``python -W error``."""
         doc = json.loads(bundled_text("desk.json"))
         for section, values in change.items():
             doc[section].update(values)

@@ -202,6 +202,15 @@ def _loop_quad_weights(grid):
     return w
 
 
+def _loop_incident(topo):
+    """Per vertex, the ids of its edges in id order."""
+    incident = [[] for _ in topo.vertices]
+    for e in topo.edges:
+        incident[e.tail].append(e.id)
+        incident[e.head].append(e.id)
+    return incident
+
+
 def _loop_adjacent(grid, edge_id, vertex_id):
     e = grid.topology.edges[edge_id]
     sl = grid.islice(edge_id)
@@ -217,11 +226,12 @@ def _loop_step_plan(grid, pinned, dt):
         last.append(sl.stop - 1 - nv)
         inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
     free = [v.id for v in topo.vertices if v.id not in set(pinned)]
+    incident = _loop_incident(topo)
     adj, w, starts, total = [], [], [], []
     for vid in free:
         starts.append(len(adj))
-        weights = [1.0 / grid.h[j] for j in topo.incident[vid]]
-        adj.extend(_loop_adjacent(grid, j, vid) for j in topo.incident[vid])
+        weights = [1.0 / grid.h[j] for j in incident[vid]]
+        adj.extend(_loop_adjacent(grid, j, vid) for j in incident[vid])
         w.extend(weights)
         total.append(float(sum(weights)))
     total = np.array(total)
@@ -321,10 +331,11 @@ class TestLayoutAgainstLoops:
             assert topo.tails.tolist() == [e.tail for e in edges]
             assert topo.heads.tolist() == [e.head for e in edges]
             assert topo.lengths.tolist() == [e.length for e in edges]
-            flat = [j for v in topo.vertices for j in topo.incident[v.id]]
-            assert topo.incident_edges.tolist() == flat
-            assert np.diff(topo.incident_starts).tolist() == [len(js) for js in topo.incident]
-            max_degree = max(max_degree, *map(len, topo.incident))
+            incident = _loop_incident(topo)
+            assert topo.incident_edges.tolist() == [j for js in incident for j in js]
+            assert np.diff(topo.incident_starts).tolist() == [len(js) for js in incident]
+            assert [topo.degree(v.id) for v in topo.vertices] == [len(js) for js in incident]
+            max_degree = max(max_degree, *map(len, incident))
 
             grid = mn.build_grid(topo, h)
             _assert_same(grid.edge_nodes, _loop_edge_nodes(grid))

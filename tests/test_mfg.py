@@ -20,7 +20,7 @@ from mfgnet.mfg import (
     residual_mass_error,
 )
 
-from conftest import every_level, level_states
+from conftest import SweptEvaluator, every_level, level_states
 
 
 EX1_COST = CostSpec(t0=0.5, t_max=10.0, c1=0.1, c2=0.0, c3=0.1)
@@ -312,18 +312,19 @@ class TestFixedPoint:
     @pytest.mark.parametrize("path", ["modal", "lanczos", "sweep"])
     def test_cost_shift_leaves_the_equilibrium(self, monkeypatch, path, move):
         """Moving the C of phi's exit series exp(c - C) scales phi and psi
-        only: F, T*, m and u stay, on each evaluation path."""
-        if path != "modal":
+        only: F, T*, m and u stay, on each evaluator and on the reference
+        sweeps."""
+        if path == "lanczos":
             monkeypatch.setattr(mfg, "modal_pays", lambda *a: False)
         if path == "sweep":
-            monkeypatch.setattr(mfg, "krylov_pays", lambda *a: False)
+            monkeypatch.setattr(mfg, "_evaluator", SweptEvaluator)
         ref = fixed_point(desk_problem())
         shift = mfg._cost_shift
         monkeypatch.setattr(mfg, "_cost_shift", lambda c: shift(c) + move)
         problem = discretize(desk_problem())
         res = fixed_point(problem)
-        assert {"modal": problem.modal, "lanczos": problem.krylov,
-                "sweep": problem.sweep}[path] is not None
+        assert type(problem.evaluator).__name__ == {
+            "modal": "ModalStep", "lanczos": "LanczosStep", "sweep": "NoneType"}[path]
         assert res.map.cost_shift == ref.map.cost_shift + move
         assert res.iterates == ref.iterates and res.t_star == ref.t_star
         np.testing.assert_allclose(res.map.f_series, ref.map.f_series, rtol=0, atol=1e-12)

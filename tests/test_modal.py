@@ -1,5 +1,5 @@
-"""The modal and Lanczos candidate maps against the time-stepping sweeps
-they replace."""
+"""The modal and Lanczos evaluators against the time-stepping sweeps they
+replace."""
 
 import tracemalloc
 import warnings
@@ -14,18 +14,23 @@ from mfgnet.errors import NumericalFailure
 from mfgnet.heat import (
     ModalStep,
     StepOperator,
-    SweepStep,
-    krylov_pays,
-    krylov_reach_pays,
     modal_pays,
     psi_initial,
     solve_backward_phi,
     solve_forward_psi,
 )
-from mfgnet.lanczos import LanczosStep
-from mfgnet.mfg import _clip_rounding, discretize, fixed_point, map_fields, map_phi, psi_map
+from mfgnet.lanczos import LanczosStep, krylov_reach_pays
+from mfgnet.mfg import (
+    _clip_rounding,
+    cumulative_flow,
+    discretize,
+    fixed_point,
+    map_fields,
+    map_phi,
+    psi_map,
+)
 
-from conftest import bundled_text, random_tree_network
+from conftest import SweptEvaluator, bundled_text, random_tree_network
 from test_mfg import desk_problem
 
 
@@ -65,10 +70,10 @@ def problem(request):
 
 
 def _force_sweeps(mp) -> list:
-    """Make every evaluation sweep; the returned list records the direction
-    of each sweep run, True for backward."""
-    mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
-    mp.setattr(heat, "KRYLOV_COST_RATIO", 0.0)
+    """Make every evaluation one run of the reference sweeps (the problem's
+    evaluator is left unbuilt); the returned list records the direction of
+    each sweep run, True for backward."""
+    mp.setattr(mfg, "_evaluator", SweptEvaluator)
     return _record_sweeps(mp)
 
 
@@ -79,9 +84,11 @@ def _record_sweeps(mp) -> list:
     return swept
 
 
-def _force_krylov(mp):
+def _force_krylov(mp, field_ratio=np.inf):
+    """Make a problem's evaluator a LanczosStep, whose fields take the bases
+    at any level count unless ``field_ratio`` is given."""
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
-    mp.setattr(heat, "KRYLOV_COST_RATIO", np.inf)
+    mp.setattr(lanczos, "KRYLOV_FIELD_RATIO", field_ratio)
 
 
 def _rel(a, b):
@@ -100,7 +107,7 @@ def test_modal_map_matches_sweep(problem, monkeypatch):
             sweep = psi_map(t, problem)
             assert len(swept) == 2
             ref = map_phi(sweep, problem, [0])[0]
-        assert problem.modal is not None
+        assert isinstance(problem.evaluator, ModalStep)
         assert modal.t_star == sweep.t_star
         assert modal.crossing_level == sweep.crossing_level
         assert np.abs(modal.f_series - sweep.f_series).max() <= 1e-9
@@ -125,7 +132,7 @@ def test_modal_capture_matches_sweep(problem, monkeypatch):
         sweep_fields = map_fields(sweep, problem, levels)
     modal = psi_map(t, problem)
     modal_fields = map_fields(modal, problem, levels)
-    assert problem.modal is not None
+    assert isinstance(problem.evaluator, ModalStep)
 
     assert modal.t_star == sweep.t_star
     assert _rel(modal.f_series, sweep.f_series) <= 1e-10
@@ -148,9 +155,10 @@ def test_phi_tail_sums_match_the_recursion(name, h):
     res = psi_map(0.6 * problem.spec.cost.t_max, problem)
     n = tg.n_steps
     levels = sorted({0, 1, 7, n // 3, tg.level_of(res.t_star), n - 1, n})
-    together = problem.modal.phi_levels(res.exit_series, levels)
+    step = problem.evaluator
+    together = step.phi_levels(res.exit_series, levels)
     for row, level in zip(together, levels):
-        np.testing.assert_array_equal(row, problem.modal.phi_levels(res.exit_series, [level])[0])
+        np.testing.assert_array_equal(row, step.phi_levels(res.exit_series, [level])[0])
 
 
 @pytest.mark.parametrize("n_steps", [400, 401])
@@ -181,13 +189,13 @@ def test_fixed_point_same_with_sweep_forced(example1_config, monkeypatch):
     spec = replace(example1_config.spec, h_target=0.1)
     modal_problem = discretize(spec)
     modal = fixed_point(modal_problem)
-    assert modal_problem.modal is not None
+    assert isinstance(modal_problem.evaluator, ModalStep)
 
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
         sweep_problem = discretize(spec)
         sweep = fixed_point(sweep_problem)
-    assert sweep_problem.modal is None
+    assert sweep_problem.evaluator is None
 
     assert modal.iterates == sweep.iterates
     assert modal.t_star == sweep.t_star
@@ -210,7 +218,7 @@ def test_fixed_point_makes_no_sweep(example1_config, monkeypatch):
     # the converged capture evaluated the last iteration's candidate
     last = psi_map(res.map.t_input, problem)
     np.testing.assert_array_equal(res.map.f_series, last.f_series)
-    psi0, trace = problem.modal.map(res.map.exit_series)
+    psi0, trace = problem.evaluator.map(res.map.exit_series)
     np.testing.assert_array_equal(psi0, res.fields["psi"][0].data)
     np.testing.assert_array_equal(res.map.psi_exit_adjacent, trace)
 
@@ -220,9 +228,9 @@ def test_operator_built_once_on_first_modal_map(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     problem = discretize(desk_problem())
-    assert problem.modal is None
+    assert problem.evaluator is None
     map_fields(psi_map(0.5, problem), problem, {3})
-    assert problem.modal is not None and len(calls) == 1
+    assert isinstance(problem.evaluator, ModalStep) and len(calls) == 1
     for t in (0.5, 3.0, 10.0):
         psi_map(t, problem)
     assert len(calls) == 1
@@ -266,7 +274,7 @@ def test_long_edge_capture_makes_no_sweep(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(heat, "_run_sweep", lambda *a, **kw: pytest.fail("swept the capture"))
         res = fixed_point(problem)
-    assert problem.modal is not None
+    assert isinstance(problem.evaluator, ModalStep)
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
         phi, psi = map_fields(psi_map(res.map.t_input, problem), problem, res.fields["phi"])
@@ -321,45 +329,107 @@ def krylov_problem(request):
         return discretize(KRYLOV_INSTANCES[request.param]())
 
 
-def test_evaluators_share_one_interface():
-    """ModalStep, LanczosStep and SweepStep, built directly on one problem,
-    agree on all three evaluations; SweepStep's are the reference sweeps' to
-    the last bit, with rows in the order of the levels asked for."""
+def _reference(problem, exit_series, levels):
+    """phi at level 0 and ``levels`` and psi at ``levels``, psi0 and psi's
+    exit trace, from the reference sweeps."""
+    grid, tg = problem.grid, problem.time_grid
+    phi = solve_backward_phi(grid, tg, exit_series, snapshot_levels=[0, *levels])
+    psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, snapshot_levels=levels)
+    return {
+        "map psi0": psi.initial.data,
+        "map trace": psi.exit_adjacent,
+        "phi_levels": np.array([phi.snapshots[n].data for n in [0, *levels]]),
+        "psi_levels": np.array([psi.snapshots[n].data for n in levels]),
+    }
+
+
+def _evaluations(step, exit_series, psi0, levels):
+    psi0_map, trace = step.map(exit_series)
+    return {"map psi0": psi0_map, "map trace": trace,
+            "phi_levels": step.phi_levels(exit_series, [0, *levels]),
+            "psi_levels": step.psi_levels(psi0, levels)}
+
+
+def test_evaluators_share_one_interface(monkeypatch):
+    """ModalStep and LanczosStep, built directly on one problem, agree with
+    the reference sweeps on all three evaluations. Past its level rule a
+    LanczosStep's fields are those sweeps' to the last bit, with rows in the
+    order of the levels asked for."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
     grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
     levels = [1, 7, tg.n_steps // 2, tg.n_steps]
     exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
-    phi = solve_backward_phi(grid, tg, exit_series, snapshot_levels=[0, *levels])
-    psi = solve_forward_psi(grid, tg, problem.m0, phi.initial, snapshot_levels=levels)
-    psi0 = psi.initial.data
-    reference = {
-        "map psi0": psi0,
-        "map trace": psi.exit_adjacent,
-        "phi_levels": np.array([phi.snapshots[n].data for n in [0, *levels]]),
-        "psi_levels": np.array([psi.snapshots[n].data for n in levels]),
-    }
+    reference = _reference(problem, exit_series, levels)
+    psi0 = reference["map psi0"]
 
-    def evaluations(step):
-        psi0_map, trace = step.map(exit_series)
-        return {"map psi0": psi0_map, "map trace": trace,
-                "phi_levels": step.phi_levels(exit_series, [0, *levels]),
-                "psi_levels": step.psi_levels(psi0, levels)}
-
-    sweep = SweepStep(grid, tg, problem.m0)
-    for name, value in evaluations(sweep).items():
-        np.testing.assert_array_equal(value, reference[name], err_msg=name)
-    np.testing.assert_array_equal(sweep.phi_levels(exit_series, levels[::-1]),
-                                  reference["phi_levels"][:0:-1])
-    for step in (ModalStep(grid, tg, problem.m0), LanczosStep(grid, tg, problem.m0)):
-        for name, value in evaluations(step).items():
+    lanczos_step = LanczosStep(grid, tg, problem.m0)
+    assert not lanczos_step._sweeps(len(levels))
+    for step in (ModalStep(grid, tg, problem.m0), lanczos_step):
+        for name, value in _evaluations(step, exit_series, psi0, levels).items():
             assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
 
+    monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", 0.0)
+    assert lanczos_step._sweeps(1)
+    for name in ("phi_levels", "psi_levels"):
+        value = _evaluations(lanczos_step, exit_series, psi0, levels)[name]
+        np.testing.assert_array_equal(value, reference[name], err_msg=name)
+    np.testing.assert_array_equal(lanczos_step.phi_levels(exit_series, levels[::-1]),
+                                  reference["phi_levels"][:0:-1])
 
-def test_rows_do_not_depend_on_the_other_levels():
+
+@pytest.mark.parametrize("n_steps", [2, 4, 45])
+def test_lanczos_on_few_steps(n_steps, monkeypatch):
+    """On a grid too large for the eigenbasis, with 2, 4 and 45 steps, the
+    Lanczos maps give F within 1e-12 of the reference sweeps' and the fields
+    from its bases are within 1e-9, at every level."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(KRYLOV_INSTANCES["lattice6"]())
+    dt = problem.time_grid.dt
+    problem = replace(problem, time_grid=mn.TimeGrid(dt=dt, n_steps=n_steps, t_max=n_steps * dt))
+    assert not modal_pays(problem.grid, problem.time_grid)
+    _assert_lanczos_matches_sweeps(problem, monkeypatch)
+
+
+def test_lanczos_on_fewer_nodes_than_its_first_check(monkeypatch):
+    """A grid with fewer interior nodes than the 16 vectors a basis builds
+    before its first error check, evaluated by a LanczosStep."""
+    topo = mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0)), (2, (2.0, 0.0)), (3, (1.0, 1.0))],
+                            [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 1, 3, 1.0)], 0)
+    spec = mn.ProblemSpec(topology=topo, cost=mn.CostSpec(0.1, 1.0, 0.5, 0.0, 0.2), theta=0.3,
+                          m0=lambda p: np.maximum(0.8 - np.hypot(p[:, 0] - 1, p[:, 1]), 0.0),
+                          h_target=0.25)
+    problem = discretize(spec)
+    assert problem.grid.n_flat - problem.grid.n_vertices < 16
+    _assert_lanczos_matches_sweeps(problem, monkeypatch)
+
+
+def _assert_lanczos_matches_sweeps(problem, monkeypatch):
+    grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
+    levels = list(range(1, tg.n_steps + 1))
+    exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
+    reference = _reference(problem, exit_series, levels)
+    step = LanczosStep(grid, tg, problem.m0)
+    f_ref = cumulative_flow(reference["map trace"], exit_series, grid, tg)
+    # every level from the bases, whatever the level rule
+    monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
+    got = _evaluations(step, exit_series, reference["map psi0"], levels)
+    trace = got["map trace"]
+    _clip_rounding(trace, got["map psi0"])
+    assert np.abs(cumulative_flow(trace, exit_series, grid, tg) - f_ref).max() <= 1e-12
+    np.testing.assert_array_equal(got["map psi0"], psi_initial(
+        problem.m0, mn.GridField(grid, step.phi_levels(exit_series, [0])[0])))
+    for name in ("map psi0", "phi_levels", "psi_levels"):
+        assert _rel(got[name], reference[name]) <= 1e-9, name
+
+
+def test_rows_do_not_depend_on_the_other_levels(monkeypatch):
     """Each evaluator's phi and psi at a level, asked with many other levels
-    and asked alone, are equal to the last bit."""
+    and asked alone, are equal to the last bit: ModalStep's, and
+    LanczosStep's from its bases and swept (past level 0, which a map asks
+    alone and which always takes the bases)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
@@ -367,14 +437,20 @@ def test_rows_do_not_depend_on_the_other_levels():
     n = tg.n_steps
     levels = sorted({1, 2, 7, n // 3, n // 2, n - 1, n, *range(5, n, 13)})
     exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
-    for step in (cls(grid, tg, problem.m0) for cls in (ModalStep, LanczosStep, SweepStep)):
+    for step, ratio in ((ModalStep(grid, tg, problem.m0), None),
+                        (LanczosStep(grid, tg, problem.m0), np.inf),
+                        (LanczosStep(grid, tg, problem.m0), 0.0)):
+        if ratio is not None:
+            monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", ratio)
         psi0 = step.map(exit_series)[0]
-        for name, method, start, asked in (("phi", step.phi_levels, exit_series, [0, *levels]),
+        phi_asked = levels if ratio == 0.0 else [0, *levels]
+        for name, method, start, asked in (("phi", step.phi_levels, exit_series, phi_asked),
                                            ("psi", step.psi_levels, psi0, levels)):
             together = method(start, asked)
             for row, level in zip(together, asked):
-                np.testing.assert_array_equal(row, method(start, [level])[0],
-                                              err_msg=f"{type(step).__name__} {name} {level}")
+                np.testing.assert_array_equal(
+                    row, method(start, [level])[0],
+                    err_msg=f"{type(step).__name__} {ratio} {name} {level}")
 
 
 def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
@@ -385,13 +461,13 @@ def test_krylov_map_matches_sweep(krylov_problem, monkeypatch):
             _force_krylov(mp)
             krylov = psi_map(t, problem)
             krylov_phi0 = map_phi(krylov, problem, [0])[0]
-            krylov_psi0 = problem.krylov.map(krylov.exit_series)[0]
+            krylov_psi0 = problem.evaluator.map(krylov.exit_series)[0]
         with monkeypatch.context() as mp:
             swept = _force_sweeps(mp)
             sweep = psi_map(t, problem)
             assert len(swept) == 2
             sweep_phi0 = map_phi(sweep, problem, [0])[0]
-        assert problem.krylov is not None
+        assert isinstance(problem.evaluator, LanczosStep)
         assert krylov.t_star == sweep.t_star
         assert krylov.crossing_level == sweep.crossing_level
         assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
@@ -416,7 +492,7 @@ def test_krylov_map_replays_only_past_the_reach_rule(name, recorded, monkeypatch
         problem = discretize(KRYLOV_INSTANCES[name]())
     _force_krylov(monkeypatch)
     psi_map(0.05, problem)  # builds the basis
-    basis = problem.krylov.pins
+    basis = problem.evaluator.pins
     assert (basis.on_nodes is not None) == recorded
     assert krylov_reach_pays(len(np.flatnonzero(problem.m0.data)), problem.grid.n_flat) == recorded
 
@@ -441,12 +517,12 @@ def test_krylov_row_source_leaves_the_map_unchanged(monkeypatch):
     _force_krylov(monkeypatch)
     maps = []
     for share in (0.0, 1.0):
-        monkeypatch.setattr(heat, "KRYLOV_REACH_SHARE", share)
+        monkeypatch.setattr(lanczos, "KRYLOV_REACH_SHARE", share)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             problem = discretize(KRYLOV_INSTANCES["lattice6_crowd"]())
         maps.append(psi_map(0.05, problem))
-        assert (problem.krylov.pins.on_nodes is not None) == (share == 1.0)
+        assert (problem.evaluator.pins.on_nodes is not None) == (share == 1.0)
     replayed, kept = maps
     np.testing.assert_array_equal(replayed.psi0, kept.psi0)
     np.testing.assert_array_equal(replayed.psi_exit_adjacent, kept.psi_exit_adjacent)
@@ -468,6 +544,7 @@ def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
         _force_sweeps(mp)
         sweep = psi_map(t, problem)
         sweep_fields = map_fields(sweep, problem, levels)
+    assert isinstance(problem.evaluator, LanczosStep)
 
     assert krylov.t_star == sweep.t_star
     assert np.abs(krylov.f_series - sweep.f_series).max() <= 1e-12
@@ -482,19 +559,21 @@ def test_krylov_capture_matches_sweep(krylov_problem, monkeypatch):
 
 
 def test_sweep_path_builds_one_operator(monkeypatch):
-    """Where every evaluation sweeps, the problem's SweepStep builds one
-    exit-pinned StepOperator for all of its maps and fields."""
+    """Where a LanczosStep sweeps its fields, the problem's evaluator builds
+    one exit-pinned StepOperator for all of its maps and fields: the fields'
+    two sweeps run on it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(_lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]))
-    swept = _force_sweeps(monkeypatch)
+    _force_krylov(monkeypatch, field_ratio=0.0)
+    swept = _record_sweeps(monkeypatch)
     built = []
     init = StepOperator.__init__
     monkeypatch.setattr(StepOperator, "__init__",
                         lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
     res = fixed_point(problem, snapshot_levels={5})
-    assert res.iterations > 1 and len(swept) == 2 * res.iterations + 2
-    assert len(built) == 1 and problem.sweep is not None
+    assert res.iterations > 1 and swept == [True, False]
+    assert len(built) == 1 and isinstance(problem.evaluator, LanczosStep)
 
 
 def test_fixed_point_krylov_same_as_sweep(monkeypatch):
@@ -509,8 +588,8 @@ def test_fixed_point_krylov_same_as_sweep(monkeypatch):
     with monkeypatch.context() as mp:
         _force_sweeps(mp)
         sweep = fixed_point(sweep_problem, snapshot_levels={5})
-    assert krylov_problem.krylov is not None and krylov_problem.modal is None
-    assert sweep_problem.krylov is None and sweep_problem.modal is None
+    assert isinstance(krylov_problem.evaluator, LanczosStep)
+    assert sweep_problem.evaluator is None
 
     assert krylov.iterates == sweep.iterates
     assert krylov.t_star == sweep.t_star
@@ -525,23 +604,29 @@ def test_fixed_point_krylov_same_as_sweep(monkeypatch):
 
 def test_krylov_capture_sweeps_many_levels(monkeypatch):
     """On a grid where the maps take the Lanczos path, a capture that writes
-    a few levels takes it too, and one that writes many levels sweeps:
-    ``krylov_pays`` counts the levels written."""
+    a few levels takes it too, and one that writes many levels sweeps, as
+    the reference sweeps do to the last bit: the level rule counts the
+    levels written against the maps' basis."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(_lattice(6, 0.05, 2.0))
     tg = problem.time_grid
-    assert not modal_pays(problem.grid, tg) and krylov_pays(tg)
+    assert not modal_pays(problem.grid, tg)
     many = set(range(0, tg.n_steps + 1, tg.n_steps // 40))
-    assert not krylov_pays(tg, len(many - {0}))
 
     swept = _record_sweeps(monkeypatch)
     few = fixed_point(problem)
-    assert swept == [] and problem.krylov is not None
+    step = problem.evaluator
+    assert swept == [] and isinstance(step, LanczosStep)
+    assert not step._sweeps(len(few.fields["phi"]) - 1) and step._sweeps(len(many - {0}))
     res = fixed_point(problem, snapshot_levels=many)
     assert swept == [True, False]  # the capture's two sweeps, the maps none
     assert res.iterates == few.iterates
     assert res.fields["phi"].keys() == many | {0, res.equilibrium_level}
+    asked = sorted(res.fields["phi"])
+    reference = _reference(problem, res.map.exit_series, asked[1:])
+    np.testing.assert_array_equal([res.fields["phi"][n].data for n in asked],
+                                  reference["phi_levels"])
 
 
 def test_krylov_holds_no_basis(monkeypatch):
@@ -557,7 +642,7 @@ def test_krylov_holds_no_basis(monkeypatch):
             tracemalloc.reset_peak()
             map_fields(psi_map(0.3, problem), problem, levels)
             peak = tracemalloc.get_traced_memory()[1]
-            basis = problem.krylov.pins.m * problem.krylov.operator.n_interior * 8
+            basis = problem.evaluator.pins.m * problem.evaluator.operator.n_interior * 8
             assert peak < basis, (levels, peak, basis)
     finally:
         tracemalloc.stop()
@@ -573,8 +658,8 @@ def test_negative_rounding_in_a_fast_trace():
 
 
 def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
-    """Over the eigh cutoff neither the sweeps nor the Lanczos bases make
-    an eigh."""
+    """Over the eigh cutoff the maps and fields take the Lanczos bases, with
+    no eigh and no sweep, however few the steps."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(_lattice(6, 0.05, 0.1))
@@ -584,11 +669,10 @@ def test_grid_over_cutoff_makes_no_eigh(monkeypatch):
         raise AssertionError("eigh called above the cutoff")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    psi_map(0.05, problem)
-    assert problem.krylov is None and problem.modal is None  # too few steps to pay
-    monkeypatch.setattr(heat, "KRYLOV_COST_RATIO", np.inf)
+    swept = _record_sweeps(monkeypatch)
+    assert problem.time_grid.n_steps == 160
     map_fields(psi_map(0.05, problem), problem, {3})
-    assert problem.krylov is not None and problem.modal is None
+    assert isinstance(problem.evaluator, LanczosStep) and swept == []
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
@@ -598,7 +682,7 @@ def test_psi_map_unit_tests_take_the_modal_path(h):
     problem = discretize(desk_problem(h=h))
     assert modal_pays(problem.grid, problem.time_grid)
     psi_map(5.0, problem)
-    assert problem.modal is not None
+    assert isinstance(problem.evaluator, ModalStep)
 
 
 def _cycling_spec(max_iters=50):
@@ -620,24 +704,23 @@ def _record_maps(mp) -> list:
 @pytest.mark.parametrize("path", ["modal", "krylov", "krylov_reach", "sweep"])
 def test_converged_fixed_point_maps_each_candidate_once(path, example1_config, monkeypatch):
     """A converged loop makes no map beyond its iterations: the fields and
-    F come from the last iteration's map, on each of the three paths (the
-    Lanczos one with and without its basis recorded on the crowd's reach)."""
+    F come from the last iteration's map, on the modal path and on the
+    Lanczos one (with and without its basis recorded on the crowd's reach,
+    and with its fields swept)."""
     if path == "modal":
         spec = replace(example1_config.spec, h_target=0.1)
     else:
         spec = _lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)],
                         m0=_crowd if path == "krylov_reach" else _gaussian)
-        (_force_sweeps if path == "sweep" else _force_krylov)(monkeypatch)
+        _force_krylov(monkeypatch, field_ratio=0.0 if path == "sweep" else np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(spec)
     maps = _record_maps(monkeypatch)
     res = fixed_point(problem, snapshot_levels={5})
     assert res.converged and len(maps) == res.iterations
-    assert (problem.modal is not None, problem.krylov is not None) == {
-        "modal": (True, False), "krylov": (False, True), "krylov_reach": (False, True),
-        "sweep": (False, False)}[path]
-    assert (problem.krylov is not None and problem.krylov.pins.on_nodes is not None) == (
+    assert isinstance(problem.evaluator, ModalStep if path == "modal" else LanczosStep)
+    assert (path != "modal" and problem.evaluator.pins.on_nodes is not None) == (
         path == "krylov_reach")
     assert maps[-1].t_input == res.map.t_input
     np.testing.assert_array_equal(res.map.f_series, maps[-1].f_series)

@@ -19,8 +19,8 @@ from conftest import random_tree_network
 
 
 def test_smallest_legal_network(single_edge):
-    assert single_edge.incident[0] == (0,)
-    assert single_edge.incident[1] == (0,)
+    assert single_edge.incident_edges.tolist() == [0, 0]
+    assert single_edge.incident_starts.tolist() == [0, 1, 2]
     assert single_edge.exit_edge.id == 0
     assert single_edge.total_length() == 1.0
 
