@@ -48,12 +48,11 @@ from .mfg import (
     discretize,
     fixed_point,
     map_phi,
-    refine_spec,
 )
 from .montecarlo import SimConfig, estimate_arrival_cdf, read_levels
 from .network import build_network
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "run", "main"]
+__all__ = ["RunConfig", "parse_config", "run", "main"]
 
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
@@ -79,7 +78,6 @@ class RunConfig:
     dt_mc: float | None = None  # default: pde dt / 10
     h_ladder: tuple[float, ...] | None = None
     geometry_label: str | None = None
-    m0_config: dict | None = None
 
 
 # the JSON name of each type that json.loads returns
@@ -248,8 +246,7 @@ def parse_config(text: str) -> RunConfig:
                for c in ("c1", "c2", "c3")})
     except ValueError as err:
         raise ValidationError("problem", str(err)) from err
-    m0_doc = _get(prob, "m0", "problem", dict)
-    density = _build_density(m0_doc, topology.n_edges)
+    density = _build_density(_get(prob, "m0", "problem", dict), topology.n_edges)
 
     num = _get(doc, "numerics", "$", dict)
     _check_keys(num, {"h_target", "cfl_factor", "tol", "t_init", "max_iters", "h_ladder"},
@@ -295,43 +292,7 @@ def parse_config(text: str) -> RunConfig:
         spec=spec, mode=mode, out_dir=_get(rn, "out_dir", "run", str, default="out"), seed=seed,
         snapshots=snapshots, agents=agents,
         dt_mc=dt_mc,
-        h_ladder=ladder, geometry_label=_get(net, "geometry", "network", str, default=None),
-        m0_config=m0_doc)
-
-
-def emit_config(config: RunConfig) -> dict:
-    """Normalized document equivalent to the parsed input; feeding it back
-    through parse_config yields an equivalent RunConfig."""
-    spec = config.spec
-    net = {
-        "vertices": [{"id": v.id, "position": [v.position[0], v.position[1]]}
-                     for v in spec.topology.vertices],
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "length": e.length}
-                  for e in spec.topology.edges],
-        "exit_vertex": spec.topology.exit_vertex,
-    }
-    if config.geometry_label is not None:
-        net["geometry"] = config.geometry_label
-    doc = {
-        "version": 1,
-        "network": net,
-        "problem": {
-            "t0": spec.cost.t0, "t_max": spec.cost.t_max, "theta": spec.theta,
-            "cost": {"c1": spec.cost.c1, "c2": spec.cost.c2, "c3": spec.cost.c3},
-            "m0": config.m0_config,
-        },
-        "numerics": {
-            "h_target": spec.h_target, "cfl_factor": spec.cfl_factor, "tol": spec.tol,
-            "t_init": spec.t_init, "max_iters": spec.max_iters,
-        },
-        "run": {
-            "mode": config.mode, "out_dir": config.out_dir, "seed": config.seed,
-            "snapshots": config.snapshots, "agents": config.agents, "dt_mc": config.dt_mc,
-        },
-    }
-    if config.h_ladder is not None:
-        doc["numerics"]["h_ladder"] = list(config.h_ladder)
-    return doc
+        h_ladder=ladder, geometry_label=_get(net, "geometry", "network", str, default=None))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray | None:
@@ -537,7 +498,7 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
     rows = []
     all_converged = True
     for h in ladder:
-        spec_h = refine_spec(config.spec, h)
+        spec_h = replace(config.spec, h_target=h)
         progress = None if quiet else (
             lambda k, t, h=h: print(f"[mfgnet] h={h}: iteration {k}: T = {t:.6g}", flush=True))
         res = fixed_point(spec_h, progress=progress)

@@ -78,7 +78,7 @@ class SpatialGrid:
 
         # node coordinates (vertex slots first, then interiors edge by edge)
         self.positions = np.empty((self.n_flat, 2))
-        self.positions[:nv] = topology.positions()
+        self.positions[:nv] = topology.positions
         edge = np.repeat(np.arange(topology.n_edges), counts)
         k = np.arange(nv, self.n_flat) - self.interior_offsets[edge] + 1
         self.positions[nv:] = self.edge_points(edge, k)
@@ -103,14 +103,14 @@ class SpatialGrid:
     @property
     def exit_adjacent_index(self) -> int:
         """Flat index of the first interior node on the exit side of the exit edge."""
-        e = self.topology.exit_edge
-        k = 1 if e.tail == self.topology.exit_vertex else self.n_cells[e.id] - 1
-        return int(self.edge_nodes[self.edge_starts[e.id] + k])
+        j = self.topology.exit_edge
+        k = 1 if self.topology.tails[j] == self.topology.exit_vertex else self.n_cells[j] - 1
+        return int(self.edge_nodes[self.edge_starts[j] + k])
 
     @property
     def exit_h(self) -> float:
         """Spatial step of the exit edge."""
-        return float(self.h[self.topology.exit_edge.id])
+        return float(self.h[self.topology.exit_edge])
 
     @property
     def min_h(self) -> float:
@@ -183,11 +183,13 @@ def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
     """
     if not h_target > 0:
         raise StepTooCoarse(f"h_target must be positive, got {h_target}")
-    min_len = min(e.length for e in topology.edges)
+    # in Python floats, so the memory guard's arithmetic cannot warn
+    lengths = topology.lengths.tolist()
+    min_len = min(lengths)
     if h_target > min_len:
         raise StepTooCoarse(
             f"h_target={h_target} exceeds the shortest edge length {min_len}")
-    cells = [max(2.0, e.length / h_target) for e in topology.edges]
+    cells = [max(2.0, length / h_target) for length in lengths]
     n_flat = topology.n_vertices + sum(cells) - len(cells)
     if not 8 * _FLOATS_PER_NODE * n_flat <= MEMORY_LIMIT:
         raise StepTooFine(

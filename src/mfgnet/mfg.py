@@ -15,7 +15,7 @@ with one evaluator, chosen from its grids: ``heat.ModalStep`` where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "fixed_point",
     "recover_um",
     "residual_mass_error",
-    "refine_spec",
     "drift_from_matrix",
     "density_drift",
     "DriftSeries",
@@ -400,11 +399,6 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
         times=problem.time_grid.times, equilibrium_level=level, residual_mass=e_h,
         fields=fields, grid=problem.grid, time_grid=problem.time_grid,
         cycle_detected=cycle, notes=notes)
-
-
-def refine_spec(spec: ProblemSpec, h_target: float) -> ProblemSpec:
-    """Same problem, different spatial resolution."""
-    return replace(spec, h_target=h_target)
 
 
 class DriftSeries:

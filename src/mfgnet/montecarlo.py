@@ -121,8 +121,9 @@ def _bridge_hits(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     near = np.flatnonzero(x > _BRIDGE_EXP_FLOOR)
     hits = near[u.take(near) < np.exp(x.take(near))]
     if not u.all():
-        zero = np.flatnonzero(u == 0.0)
-        hits = np.union1d(hits, zero[np.exp(x[zero]) > 0.0])
+        # a zero draw above the floor is in near already
+        zero = np.flatnonzero((u == 0.0) & ~(x > _BRIDGE_EXP_FLOOR))
+        hits = np.sort(np.concatenate((hits, zero[np.exp(x[zero]) > 0.0])))
     return hits
 
 
@@ -149,9 +150,9 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     arrival = np.full(len(edges), np.nan)
 
     exit_edge = topology.exit_edge
-    exit_from_tail = exit_edge.tail == topology.exit_vertex
-    on_exit = (edges == exit_edge.id) & (
-        (ys <= 0.0) if exit_from_tail else (ys >= exit_edge.length))
+    exit_length = float(topology.lengths[exit_edge])
+    exit_from_tail = topology.tails[exit_edge] == topology.exit_vertex
+    on_exit = (edges == exit_edge) & ((ys <= 0.0) if exit_from_tail else (ys >= exit_length))
     arrival[on_exit] = 0.0
 
     drift = config.drift
@@ -175,10 +176,10 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
         t = step * config.dt
         # the agents on the exit edge and the bridge exponent's factor from
         # before the step; the distance after the step is the other
-        before = np.flatnonzero(e == exit_edge.id)
+        before = np.flatnonzero(e == exit_edge)
         x = y.take(before)
         if not exit_from_tail:
-            np.subtract(exit_edge.length, x, out=x)
+            np.subtract(exit_length, x, out=x)
         x *= bridge_scale
         if drift is not None:
             velocity = drift.eval(drift.level_at(t), y, *consts)
@@ -198,14 +199,14 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
                 c[routed] = fresh
         if len(routed) or len(absorbed):
             e[absorbed] = -1  # on no edge, so out of the bridge test
-            stayed = e.take(before) == exit_edge.id
+            stayed = e.take(before) == exit_edge
             before, x = before[stayed], x[stayed]
         # Brownian-bridge test: a path that stayed on the exit edge may have
         # touched the exit between the endpoints of the step
         if len(before):
             d_after = y.take(before)
             if not exit_from_tail:
-                np.subtract(exit_edge.length, d_after, out=d_after)
+                np.subtract(exit_length, d_after, out=d_after)
             x *= d_after
             hits = before.take(_bridge_hits(x, rng.random(len(before))))
             absorbed = np.concatenate((absorbed, hits))
@@ -227,7 +228,10 @@ def read_levels(config: SimConfig, dt: float, last_level: int) -> np.ndarray:
     with time step ``dt`` and levels 0 to ``last_level``: its ``level_at(t)``
     at every step time t = k * config.dt, by the loop's arithmetic."""
     t = np.arange(math.ceil(config.t_max / config.dt)) * config.dt
-    return np.unique(np.minimum((t / dt).astype(int), last_level))
+    levels = np.minimum((t / dt).astype(int), last_level)
+    # nondecreasing, so each level first appears where it differs from the
+    # one before (np.unique would import numpy.ma on its first call)
+    return levels[np.diff(levels, prepend=-1) != 0]
 
 
 def dkw_epsilon(n: int, alpha: float = 0.05) -> float:

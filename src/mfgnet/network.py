@@ -5,9 +5,9 @@ direction (tail -> head) induces the signed incidence used by the vertex
 conditions. The exit vertex is the single absorbing boundary vertex; every
 other vertex is treated as a transition vertex (a degree-1 non-exit vertex
 is the degenerate, reflecting case of the same vertex condition).
-``NetworkTopology``'s arrays (``tails``, ``heads``, ``lengths``, and the
-incidence table ``incident_edges`` cut at ``incident_starts``) are how
-every other module reads the graph.
+A ``NetworkTopology`` is its read-only arrays (``positions``, ``tails``,
+``heads``, ``lengths``, and the incidence table ``incident_edges`` cut at
+``incident_starts``); every other module reads the graph from them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Vertex",
-    "Edge",
     "NetworkTopology",
     "build_network",
     "incidence_sign",
@@ -36,101 +34,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A network node. The position is ambient (2D) and only used to
-    evaluate ambient density functions and to label output; the PDE itself
-    sees arc lengths only."""
-
-    id: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Edge:
-    """An arc from ``tail`` to ``head`` with positive length.
-
-    The arc-length coordinate runs 0 at the tail to ``length`` at the head.
-    """
-
-    id: int
-    tail: int
-    head: int
-    length: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
-    """Validated graph with precomputed incidence tables: edge j's fields
-    at index j of ``tails``, ``heads`` and ``lengths``, and the edges
-    incident to vertex v, in id order, as
+    """Validated graph as read-only arrays: vertex v's ambient (2D)
+    coordinates at ``positions[v]``, edge j's tail, head and length at index
+    j of ``tails``, ``heads`` and ``lengths``, and the edges incident to
+    vertex v, in id order, as
     ``incident_edges[incident_starts[v]:incident_starts[v + 1]]``.
 
-    Immutable after construction (the arrays are read-only); safe to share
-    between threads.
+    Positions are only used to evaluate ambient density functions and to
+    label output; the PDE itself sees arc lengths only. An edge's arc-length
+    coordinate runs from 0 at its tail to its length at its head.
+
+    Immutable after construction; safe to share between threads. Two
+    topologies are equal only when they are the same object.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
     exit_vertex: int
-    tails: np.ndarray = field(repr=False, compare=False)
-    heads: np.ndarray = field(repr=False, compare=False)
-    lengths: np.ndarray = field(repr=False, compare=False)
-    incident_edges: np.ndarray = field(repr=False, compare=False)
-    incident_starts: np.ndarray = field(repr=False, compare=False)
+    positions: np.ndarray = field(repr=False)
+    tails: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    incident_edges: np.ndarray = field(repr=False)
+    incident_starts: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.positions)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.lengths)
 
     @property
-    def exit_edge(self) -> Edge:
-        """The unique edge incident to the exit vertex."""
-        return self.edges[self.incident_edges[self.incident_starts[self.exit_vertex]]]
+    def exit_edge(self) -> int:
+        """The id of the unique edge incident to the exit vertex."""
+        return int(self.incident_edges[self.incident_starts[self.exit_vertex]])
 
     def degree(self, vertex_id: int) -> int:
         return int(self.incident_starts[vertex_id + 1] - self.incident_starts[vertex_id])
-
-    def positions(self) -> np.ndarray:
-        """Vertex coordinates as an (n_vertices, 2) array."""
-        return np.array([v.position for v in self.vertices], dtype=float)
-
-    def total_length(self) -> float:
-        return float(sum(e.length for e in self.edges))
 
 
 def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
     """Validate and freeze a topology.
 
-    ``vertices`` is a sequence of Vertex (or (id, position) pairs) with dense
-    ids 0..n-1; ``edges`` a sequence of Edge (or (id, tail, head, length)
-    tuples, length optional when vertex positions determine it).
+    ``vertices`` is a sequence of (id, position) pairs with dense ids
+    0..n-1; ``edges`` a sequence of (id, tail, head, length) tuples, the
+    length optional (or None) when vertex positions determine it.
 
     Raises DanglingEdgeEndpoint, SelfLoop, NonfiniteChord (vertices too far
     apart for floats), NonpositiveLength, ExitNotDegreeOne or
     DisconnectedGraph when the inputs do not describe a legal network.
     """
-    verts = [v if isinstance(v, Vertex) else Vertex(int(v[0]), (float(v[1][0]), float(v[1][1])))
-             for v in vertices]
+    verts = sorted(((int(v[0]), (float(v[1][0]), float(v[1][1]))) for v in vertices),
+                   key=lambda v: v[0])
     if not verts or not edges:
         raise DanglingEdgeEndpoint("a network needs at least one vertex and one edge")
-    verts.sort(key=lambda v: v.id)
-    ids = [v.id for v in verts]
+    ids = [i for i, _ in verts]
     if ids != list(range(len(verts))):
         raise DanglingEdgeEndpoint(f"vertex ids must be dense 0..{len(verts) - 1}, got {ids}")
+    points = [p for _, p in verts]
 
     valid = range(len(verts))
-    built: list[Edge] = []
+    built = []
     for e in edges:
-        if isinstance(e, Edge):
-            eid, tail, head, length = e.id, e.tail, e.head, e.length
-        else:
-            eid, tail, head = int(e[0]), int(e[1]), int(e[2])
-            length = float(e[3]) if len(e) > 3 and e[3] is not None else None
+        eid, tail, head = int(e[0]), int(e[1]), int(e[2])
+        length = float(e[3]) if len(e) > 3 and e[3] is not None else None
         if tail not in valid or head not in valid:
             raise DanglingEdgeEndpoint(f"edge {eid} references missing vertex {tail if tail not in valid else head}")
         if tail == head:
@@ -138,24 +107,22 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
         # in Python floats, so an overflow raises here and does not warn in
         # the grid's positions; a length taken from the chord squares it, and
         # halves are summed so that two finite ones cannot overflow
-        (ax, ay), (bx, by) = verts[tail].position, verts[head].position
-        dx, dy = float(bx) - float(ax), float(by) - float(ay)
+        (ax, ay), (bx, by) = points[tail], points[head]
+        dx, dy = bx - ax, by - ay
         if not math.isfinite(dx * dx + dy * dy if length is None else 0.5 * dx + 0.5 * dy):
             raise NonfiniteChord(f"edge {eid}: vertices {tail} and {head} are too far apart for floats")
         if length is None:
             length = float(np.linalg.norm([dx, dy]))
         if not length > 0.0:
             raise NonpositiveLength(f"edge {eid} has length {length}")
-        built.append(Edge(eid, tail, head, float(length)))
-    built.sort(key=lambda e: e.id)
-    eids = [e.id for e in built]
+        built.append((eid, tail, head, length))
+    built.sort(key=lambda e: e[0])
+    eids = [e[0] for e in built]
     if eids != list(range(len(built))):
         raise DanglingEdgeEndpoint(f"edge ids must be dense 0..{len(built) - 1}, got {eids}")
 
     nv = len(verts)
-    tails = np.array([e.tail for e in built])
-    heads = np.array([e.head for e in built])
-    lengths = np.array([e.length for e in built])
+    _, tails, heads, lengths = (np.array(column) for column in zip(*built))
     # each edge is listed at its tail, then at its head: by vertex, in id order
     owner = np.column_stack([tails, heads]).ravel()
     order = np.argsort(owner, kind="stable")
@@ -185,12 +152,12 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
         missing = [v for v in range(nv) if not seen[v]]
         raise DisconnectedGraph(f"vertices {missing} are not reachable from the exit")
 
-    for a in (tails, heads, lengths, incident_edges, incident_starts):
+    positions = np.array(points, dtype=float)
+    for a in (positions, tails, heads, lengths, incident_edges, incident_starts):
         a.flags.writeable = False
     return NetworkTopology(
-        vertices=tuple(verts), edges=tuple(built), exit_vertex=int(exit_vertex),
-        tails=tails, heads=heads, lengths=lengths, incident_edges=incident_edges,
-        incident_starts=incident_starts)
+        exit_vertex=int(exit_vertex), positions=positions, tails=tails, heads=heads,
+        lengths=lengths, incident_edges=incident_edges, incident_starts=incident_starts)
 
 
 def incidence_sign(topology: NetworkTopology, vertex_id: int, edge_id: int) -> int:
@@ -204,6 +171,6 @@ def classify_vertices(topology: NetworkTopology) -> tuple[set[int], set[int]]:
     Boundary vertices are exactly the degree-1 ones; the exit vertex is
     always among them.
     """
-    boundary = {v.id for v in topology.vertices if topology.degree(v.id) == 1}
-    transition = {v.id for v in topology.vertices} - boundary
+    boundary = {v for v in range(topology.n_vertices) if topology.degree(v) == 1}
+    transition = set(range(topology.n_vertices)) - boundary
     return boundary, transition

@@ -1,5 +1,5 @@
-import json
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -62,8 +62,18 @@ def random_tree_network(rng: np.random.Generator, n_extra_edges: int = 0):
     return mn.build_network(vertices, edges, exit_id)
 
 
-def assert_json_equal(a, b):
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+class EdgeRow(NamedTuple):
+    id: int
+    tail: int
+    head: int
+    length: float
+
+
+def edge_rows(topo) -> list[EdgeRow]:
+    """The topology's edges in id order, read from ``tails``, ``heads`` and
+    ``lengths``: the edge list the tests' reference loops walk."""
+    return [EdgeRow(j, *row) for j, row in enumerate(
+        zip(topo.tails.tolist(), topo.heads.tolist(), topo.lengths.tolist()))]
 
 
 def every_level(time_grid) -> range:

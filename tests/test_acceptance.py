@@ -10,13 +10,14 @@ import json
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mfgnet as mn
 from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi
-from mfgnet.mfg import cost, fixed_point, refine_spec
+from mfgnet.mfg import cost, fixed_point
 
 from conftest import bundled_text, every_level, level_states, random_tree_network
 
@@ -39,7 +40,7 @@ def example1_ladder(example1_config):
     with wall-clock time per solve."""
     results, timings = {}, {}
     for h in H_LADDER:
-        spec = refine_spec(example1_config.spec, h)
+        spec = replace(example1_config.spec, h_target=h)
         t0 = time.time()
         results[h] = fixed_point(spec)
         timings[h] = time.time() - t0
@@ -99,8 +100,7 @@ def test_criterion_2_vertex_solve_exactness():
                 topo = mn.build_network(vertices, edges, 0)
             else:
                 topo = random_tree_network(rng, int(rng.integers(0, 4)))
-            g = mn.build_grid(topo, float(rng.uniform(0.02, 0.3)) * min(
-                e.length for e in topo.edges))
+            g = mn.build_grid(topo, float(rng.uniform(0.02, 0.3)) * topo.lengths.min())
             f = mn.GridField(g, rng.uniform(-10, 10, g.n_flat))
             op = StepOperator(g, (topo.exit_vertex,), 0.25 * g.min_h**2)
             op.balance_vertices(f.data, op.scratch()[2])
@@ -117,7 +117,7 @@ def test_criterion_3_min_principle_and_positivity():
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             topo = random_tree_network(rng, int(rng.integers(0, 3)))
-            h = float(rng.uniform(0.1, 0.2)) * min(e.length for e in topo.edges)
+            h = float(rng.uniform(0.1, 0.2)) * topo.lengths.min()
             g = mn.build_grid(topo, h)
             t_max = float(rng.uniform(0.5, 1.2))
             tg = mn.build_time_grid(t_max, g.min_h, 0.25)

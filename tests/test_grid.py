@@ -9,7 +9,7 @@ from mfgnet.heat import StepOperator
 from mfgnet.mfg import _derivative_plan
 from mfgnet.montecarlo import sample_initial_positions
 
-from conftest import random_tree_network
+from conftest import edge_rows, random_tree_network
 
 
 def line(length):
@@ -177,17 +177,17 @@ class TestTabulatedDensity:
 
 def _loop_edge_nodes(grid):
     nodes = []
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         sl = grid.islice(e.id)
         nodes.extend([e.tail, *range(sl.start, sl.stop), e.head])
     return np.array(nodes)
 
 
 def _loop_positions(grid):
-    pos = grid.topology.positions()
+    pos = grid.topology.positions
     coords = np.empty((grid.n_flat, 2))
     coords[: grid.n_vertices] = pos
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         a, b = pos[e.tail], pos[e.head]
         frac = np.arange(1, grid.n_cells[e.id])[:, None] / grid.n_cells[e.id]
         coords[grid.islice(e.id)] = a + frac * (b - a)
@@ -196,7 +196,7 @@ def _loop_positions(grid):
 
 def _loop_quad_weights(grid):
     w = np.zeros(grid.n_flat)
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         w[e.tail] += grid.h[e.id]
         w[grid.islice(e.id)] = grid.h[e.id]
     return w
@@ -204,15 +204,15 @@ def _loop_quad_weights(grid):
 
 def _loop_incident(topo):
     """Per vertex, the ids of its edges in id order."""
-    incident = [[] for _ in topo.vertices]
-    for e in topo.edges:
+    incident = [[] for _ in range(topo.n_vertices)]
+    for e in edge_rows(topo):
         incident[e.tail].append(e.id)
         incident[e.head].append(e.id)
     return incident
 
 
 def _loop_adjacent(grid, edge_id, vertex_id):
-    e = grid.topology.edges[edge_id]
+    e = edge_rows(grid.topology)[edge_id]
     sl = grid.islice(edge_id)
     return sl.start if vertex_id == e.tail else sl.stop - 1
 
@@ -220,12 +220,12 @@ def _loop_adjacent(grid, edge_id, vertex_id):
 def _loop_step_plan(grid, pinned, dt):
     nv, topo = grid.n_vertices, grid.topology
     first, last, inv_h2 = [], [], np.empty(grid.n_flat - nv)
-    for e in topo.edges:
+    for e in edge_rows(topo):
         sl = grid.islice(e.id)
         first.append(sl.start - nv)
         last.append(sl.stop - 1 - nv)
         inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
-    free = [v.id for v in topo.vertices if v.id not in set(pinned)]
+    free = [v for v in range(topo.n_vertices) if v not in set(pinned)]
     incident = _loop_incident(topo)
     adj, w, starts, total = [], [], [], []
     for vid in free:
@@ -237,8 +237,8 @@ def _loop_step_plan(grid, pinned, dt):
     total = np.array(total)
     return {
         "edge_first": np.array(first), "edge_last": np.array(last),
-        "edge_tails": np.array([e.tail for e in topo.edges]),
-        "edge_heads": np.array([e.head for e in topo.edges]),
+        "edge_tails": np.array([e.tail for e in edge_rows(topo)]),
+        "edge_heads": np.array([e.head for e in edge_rows(topo)]),
         "inv_h2": inv_h2, "lam": dt * inv_h2, "free_vertices": np.array(free, dtype=int),
         "adj_nodes": np.array(adj, dtype=int), "adj_weights": np.array(w),
         "seg_starts": np.array(starts, dtype=int), "total_weight": total,
@@ -248,7 +248,7 @@ def _loop_step_plan(grid, pinned, dt):
 
 def _loop_derivative_plan(grid):
     left, right, inv_den = [], [], []
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         sl = grid.islice(e.id)
         ns = [e.tail, *range(sl.start, sl.stop), e.head]
         h = grid.h[e.id]
@@ -259,9 +259,9 @@ def _loop_derivative_plan(grid):
 
 
 def _loop_field_rows(grid):
-    pos = grid.topology.positions()
+    pos = grid.topology.positions
     rows = []
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         a, b = pos[e.tail], pos[e.head]
         n = grid.n_cells[e.id]
         coords = a + (np.arange(n + 1) / n)[:, None] * (b - a)
@@ -271,7 +271,7 @@ def _loop_field_rows(grid):
 
 def _loop_sample_initial_positions(grid, m0, n, rng):
     weights, cell_edge, cell_k = [], [], []
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         sl = grid.islice(e.id)
         vals = np.concatenate(([m0.data[e.tail]], m0.data[sl]))
         weights.append(vals * grid.h[e.id])
@@ -286,7 +286,7 @@ def _loop_sample_initial_positions(grid, m0, n, rng):
 
 def _loop_tabulated(density, grid):
     out, vertex_hits = np.zeros(grid.n_flat), np.zeros(grid.n_vertices)
-    for e in grid.topology.edges:
+    for e in edge_rows(grid.topology):
         if e.id in density.tables:
             xs, vs = density.tables[e.id]
             nodes = np.arange(grid.n_cells[e.id] + 1) * grid.h[e.id]
@@ -327,14 +327,11 @@ class TestLayoutAgainstLoops:
     def test_every_plan_matches_its_loop(self, three_star):
         max_degree = 0
         for topo, h in _layout_cases(three_star):
-            edges = topo.edges
-            assert topo.tails.tolist() == [e.tail for e in edges]
-            assert topo.heads.tolist() == [e.head for e in edges]
-            assert topo.lengths.tolist() == [e.length for e in edges]
+            edges = edge_rows(topo)
             incident = _loop_incident(topo)
             assert topo.incident_edges.tolist() == [j for js in incident for j in js]
             assert np.diff(topo.incident_starts).tolist() == [len(js) for js in incident]
-            assert [topo.degree(v.id) for v in topo.vertices] == [len(js) for js in incident]
+            assert [topo.degree(v) for v in range(topo.n_vertices)] == [len(js) for js in incident]
             max_degree = max(max_degree, *map(len, incident))
 
             grid = mn.build_grid(topo, h)
@@ -342,7 +339,7 @@ class TestLayoutAgainstLoops:
             _assert_same(grid.positions, _loop_positions(grid))
             _assert_same(grid.quad_weights, _loop_quad_weights(grid))
             assert grid.exit_adjacent_index == _loop_adjacent(
-                grid, topo.exit_edge.id, topo.exit_vertex)
+                grid, topo.exit_edge, topo.exit_vertex)
 
             rng = np.random.default_rng(len(edges))
             extra = tuple(int(v) for v in rng.permutation(topo.n_vertices)[:2]

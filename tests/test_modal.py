@@ -49,7 +49,7 @@ def _random_tree(seed):
     return mn.ProblemSpec(
         topology=topo, cost=costs, theta=float(rng.uniform(0.1, 0.6)),
         m0=lambda p: np.exp(-((p - center) ** 2).sum(axis=1)) * (1 + p[:, 0] ** 2),
-        h_target=0.15 * min(e.length for e in topo.edges))
+        h_target=0.15 * topo.lengths.min())
 
 
 INSTANCES = {

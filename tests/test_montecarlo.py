@@ -19,7 +19,7 @@ from mfgnet.montecarlo import (
     simulate_agents,
 )
 
-from conftest import every_level
+from conftest import edge_rows, every_level
 
 
 def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
@@ -229,7 +229,7 @@ def _reference_simulate_agents(topology, config, start_edges, start_ys):
     ys = np.asarray(start_ys, dtype=float).copy()
     arrival = np.full(len(edges), np.nan)
 
-    exit_edge = topology.exit_edge
+    exit_edge = edge_rows(topology)[topology.exit_edge]
     on_exit = (edges == exit_edge.id) & (
         (ys <= 0.0) if exit_edge.tail == topology.exit_vertex else (ys >= exit_edge.length))
     arrival[on_exit] = 0.0
@@ -325,7 +325,7 @@ class TestAgainstReferenceLoop:
         n = 1000
         rng = np.random.default_rng(12)
         edges = rng.integers(0, topo.n_edges, n)
-        ys = rng.random(n) * np.array([e.length for e in topo.edges])[edges]
+        ys = rng.random(n) * topo.lengths[edges]
         drift = _smooth_drift(topo, 0.1, 21, 0.25)
         for dt, d in ((2e-3, drift), (5e-3, drift), (5e-3, None)):
             cfg = SimConfig(n_agents=n, dt=dt, t_max=5.0, seed=13, drift=d)

@@ -15,14 +15,58 @@ from mfgnet.errors import (
     SelfLoop,
 )
 
-from conftest import random_tree_network
+from conftest import edge_rows, random_tree_network
 
 
 def test_smallest_legal_network(single_edge):
     assert single_edge.incident_edges.tolist() == [0, 0]
     assert single_edge.incident_starts.tolist() == [0, 1, 2]
-    assert single_edge.exit_edge.id == 0
-    assert single_edge.total_length() == 1.0
+    assert single_edge.exit_edge == 0
+    assert single_edge.lengths.tolist() == [1.0]
+
+
+def test_arrays_follow_the_ids_not_the_input_order():
+    """Shuffled inputs give the same arrays: edge j's fields at index j,
+    vertex v's position at row v, incidences by vertex in edge-id order."""
+    vertices = [(0, (1.0, 0.0)), (1, (0.0, 0.0)), (2, (-0.5, 0.9)), (3, (0.0, -2.0))]
+    edges = [(0, 1, 0, 1.0), (1, 1, 2, 1.5), (2, 3, 1)]  # edge 2's length is its chord
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        topo = mn.build_network([vertices[i] for i in rng.permutation(4)],
+                                [edges[j] for j in rng.permutation(3)], 3)
+        assert topo.positions.tolist() == [[1.0, 0.0], [0.0, 0.0], [-0.5, 0.9], [0.0, -2.0]]
+        assert topo.tails.tolist() == [1, 1, 3]
+        assert topo.heads.tolist() == [0, 2, 1]
+        assert topo.lengths.tolist() == [1.0, 1.5, 2.0]
+        assert topo.incident_edges.tolist() == [0, 0, 1, 2, 1, 2]
+        assert topo.incident_starts.tolist() == [0, 1, 4, 5, 6]
+        assert topo.exit_edge == 2
+    names = ("positions", "tails", "heads", "lengths", "incident_edges", "incident_starts")
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        topo = random_tree_network(rng, int(rng.integers(0, 6)))
+        vertices = list(enumerate(map(tuple, topo.positions.tolist())))
+        edges = edge_rows(topo)
+        again = mn.build_network([vertices[i] for i in rng.permutation(len(vertices))],
+                                 [edges[j] for j in rng.permutation(len(edges))],
+                                 topo.exit_vertex)
+        for name in names:
+            a, b = getattr(again, name), getattr(topo, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_arrays_are_read_only(three_star):
+    for name in ("positions", "tails", "heads", "lengths", "incident_edges",
+                 "incident_starts"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(three_star, name)[0] = 0
+    assert three_star.positions.shape == (4, 2)
+
+
+def test_networks_equal_only_themselves(single_edge):
+    longer = mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 0, 1, 2.0)], 0)
+    assert single_edge == single_edge
+    assert longer != single_edge
 
 
 def test_example1_topology_valid(example1_config):
@@ -79,7 +123,7 @@ def test_disconnected_rejected():
 
 def test_length_defaults_to_euclidean():
     topo = mn.build_network([(0, (0, 0)), (1, (3, 4))], [(0, 0, 1, None)], 0)
-    assert topo.edges[0].length == pytest.approx(5.0)
+    assert topo.lengths[0] == pytest.approx(5.0)
 
 
 def test_incidence_signs(single_edge):
@@ -127,9 +171,9 @@ def test_incidence_matrix_properties(seed, extra):
     assert (np.abs(signs).sum(axis=0) == 2).all()
     # degrees match nonzero counts, exit has degree 1
     degrees = np.abs(signs).sum(axis=1)
-    assert all(degrees[v.id] == topo.degree(v.id) for v in topo.vertices)
+    assert all(degrees[v] == topo.degree(v) for v in range(n_v))
     assert degrees[topo.exit_vertex] == 1
     # classification partitions the vertex set
     boundary, transition = mn.classify_vertices(topo)
-    assert boundary | transition == {v.id for v in topo.vertices}
+    assert boundary | transition == set(range(n_v))
     assert boundary & transition == set()
