@@ -11,7 +11,7 @@ simulator provides an independent cross-check.
 """
 
 from .errors import MFGNetError
-from .network import build_network, classify_vertices, incidence_sign
+from .network import build_network
 from .grid import (
     GridField,
     SpatialGrid,
@@ -24,7 +24,7 @@ from .grid import (
     sample_density,
     sample_function,
 )
-from .heat import StepOperator, solve_backward_phi, solve_forward_psi, step
+from .heat import StepOperator, solve_backward_phi, solve_forward_psi
 from .mfg import (
     CostSpec,
     DiscreteProblem,
@@ -42,10 +42,10 @@ from .cli import parse_config, run
 
 __all__ = [
     "MFGNetError",
-    "build_network", "classify_vertices", "incidence_sign",
+    "build_network",
     "GridField", "SpatialGrid", "TabulatedDensity", "TimeGrid", "build_grid",
     "build_time_grid", "integrate", "normalize_mass", "sample_density", "sample_function",
-    "StepOperator", "solve_backward_phi", "solve_forward_psi", "step",
+    "StepOperator", "solve_backward_phi", "solve_forward_psi",
     "CostSpec", "DiscreteProblem", "ProblemSpec", "cumulative_flow", "density_drift",
     "discretize", "fixed_point", "psi_map", "quorum_time", "recover_um",
     "SimConfig", "estimate_arrival_cdf", "simulate_agents",

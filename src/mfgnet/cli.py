@@ -474,8 +474,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     drift = density_drift(grid, map_phi(result.map, problem, levels), tg.dt, levels)
     if not quiet:
         print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}", flush=True)
-    mc = estimate_arrival_cdf(spec.topology, replace(sim, drift=drift), grid, problem.m0,
-                              tg.times)
+    mc = estimate_arrival_cdf(replace(sim, drift=drift), problem.m0, tg.times)
 
     f_pde = result.map.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))

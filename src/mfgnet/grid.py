@@ -1,14 +1,14 @@
 """Discretization of the network and quadrature over it.
 
 Node layout: one shared value per vertex plus per-edge interior nodes.
-A field is stored as a single flat vector ``[vertex values | interior
-values]`` with the interior of edge j occupying a contiguous segment; the
-tail/head slots of an edge are *views* onto the vertex entries, so the
-continuity conditions across vertices are structural rather than stored
+A field (``GridField``) is its grid and one flat vector ``[vertex values |
+interior values]``, with the interior of edge j occupying a contiguous
+segment. An edge's tail and head slots hold the flat indices of its
+vertices, so continuity across a vertex is structural rather than stored
 twice. Every module reads an edge's nodes from ``SpatialGrid.edge_nodes``
-(the flat index of each, tail to head, cut at ``edge_starts``) and the graph
-from the ``NetworkTopology`` arrays. This module formats no text: the CLI
-writes fields as CSV.
+(the flat index of each, tail to head, cut at ``edge_starts``), the graph
+from the ``NetworkTopology`` arrays, and a field's grid from the field.
+This module formats no text: the CLI writes fields as CSV.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ class SpatialGrid:
         nv = topology.n_vertices
         self.n_vertices = nv
         counts = self.n_cells - 1  # interior nodes per edge
-        self.interior_offsets = nv + np.concatenate([[0], np.cumsum(counts)])
-        self.n_flat = int(self.interior_offsets[-1])
+        self.n_flat = nv + int(counts.sum())
 
         # every earlier edge has two vertex slots in the layout that the
         # interior numbering skips, so slot s of edge j is node s + nv - 1 - 2j
@@ -76,11 +75,12 @@ class SpatialGrid:
         self.edge_nodes[self.edge_starts[:-1]] = topology.tails
         self.edge_nodes[self.edge_starts[1:] - 1] = topology.heads
 
-        # node coordinates (vertex slots first, then interiors edge by edge)
+        # node coordinates: the vertices', then interior node i's, on its edge
+        # j at the layout's slot i - nv + 1 + 2j
         self.positions = np.empty((self.n_flat, 2))
         self.positions[:nv] = topology.positions
         edge = np.repeat(np.arange(topology.n_edges), counts)
-        k = np.arange(nv, self.n_flat) - self.interior_offsets[edge] + 1
+        k = np.arange(1, self.n_flat - nv + 1) + 2 * edge - self.edge_starts[edge]
         self.positions[nv:] = self.edge_points(edge, k)
 
         # left-endpoint rectangle weights: each of the cells k=0..n_cells-1
@@ -88,10 +88,6 @@ class SpatialGrid:
         self.quad_weights = np.empty(self.n_flat)
         self.quad_weights[:nv] = np.bincount(topology.tails, weights=self.h, minlength=nv)
         self.quad_weights[nv:] = np.repeat(self.h, counts)
-
-    def islice(self, edge_id: int) -> slice:
-        """Flat slice holding the interior nodes of one edge."""
-        return slice(self.interior_offsets[edge_id], self.interior_offsets[edge_id + 1])
 
     def edge_points(self, edge_ids: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Ambient coordinates of node ``k`` of each edge in ``edge_ids``, on
@@ -116,9 +112,6 @@ class SpatialGrid:
     def min_h(self) -> float:
         return float(self.h.min())
 
-    def zeros(self) -> "GridField":
-        return GridField(self, np.zeros(self.n_flat))
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -141,36 +134,17 @@ class TimeGrid:
         return min(max(int(round(t / self.dt)), 0), self.n_steps)
 
 
+@dataclass(eq=False)
 class GridField:
-    """One scalar per grid node at a single time level.
+    """One scalar per grid node at a single time level: the grid and its
+    flat ``data`` vector, described in the module docstring."""
 
-    ``data`` is the flat vector described in the module docstring. Value
-    semantics: copy before handing to code that mutates.
-    """
+    grid: SpatialGrid
+    data: np.ndarray
 
-    __slots__ = ("grid", "data", "time_label")
-
-    def __init__(self, grid: SpatialGrid, data: np.ndarray, time_label: float | None = None):
-        if data.shape != (grid.n_flat,):
-            raise ValueError(f"expected {grid.n_flat} values, got {data.shape}")
-        self.grid = grid
-        self.data = data
-        self.time_label = time_label
-
-    @property
-    def vertex_values(self) -> np.ndarray:
-        return self.data[: self.grid.n_vertices]
-
-    def interior(self, edge_id: int) -> np.ndarray:
-        return self.data[self.grid.islice(edge_id)]
-
-    def edge_values(self, edge_id: int) -> np.ndarray:
-        """All node values along one edge, tail to head (length n_cells+1)."""
-        starts = self.grid.edge_starts
-        return self.data[self.grid.edge_nodes[starts[edge_id]: starts[edge_id + 1]]]
-
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.data.copy(), self.time_label)
+    def __post_init__(self):
+        if self.data.shape != (self.grid.n_flat,):
+            raise ValueError(f"expected {self.grid.n_flat} values, got {self.data.shape}")
 
 
 def build_grid(topology: NetworkTopology, h_target: float) -> SpatialGrid:
@@ -264,16 +238,16 @@ def sample_density(grid: SpatialGrid, density) -> GridField:
     return fld
 
 
-def integrate(grid: SpatialGrid, field: GridField) -> float:
-    """Left-endpoint rectangle rule over the whole network.
+def integrate(field: GridField) -> float:
+    """Left-endpoint rectangle rule over the field's network.
 
     Each edge sums h_j * value over nodes k = 0..n_cells-1, so a vertex
     value is counted once per incident edge whose tail it is.
     """
-    return float(grid.quad_weights @ field.data)
+    return float(field.grid.quad_weights @ field.data)
 
 
-def normalize_mass(grid: SpatialGrid, g: GridField) -> GridField:
+def normalize_mass(g: GridField) -> GridField:
     """Rescale a nonnegative field to unit mass and clear its exit value.
 
     The model requires zero initial density at the exit; a nonzero sampled
@@ -282,14 +256,14 @@ def normalize_mass(grid: SpatialGrid, g: GridField) -> GridField:
     """
     if g.data.min() < 0:
         raise ValueError(f"density must be nonnegative, min value {g.data.min()}")
-    total = integrate(grid, g)
+    total = integrate(g)
     if total <= 0:
         raise ZeroMass("density integrates to zero")
     out = g.data / total
-    exit_id = grid.topology.exit_vertex
+    exit_id = g.grid.topology.exit_vertex
     if abs(out[exit_id]) > 1e-8:
         warnings.warn(
             f"initial density is {out[exit_id]:.3g} at the exit vertex; "
             "projecting to zero", stacklevel=2)
     out[exit_id] = 0.0
-    return GridField(grid, out)
+    return GridField(g.grid, out)

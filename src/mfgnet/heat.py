@@ -7,9 +7,9 @@ solution of the discrete flux-balance condition once continuity across the
 vertex is imposed. The exit vertex is pinned in both sweeps; any other
 vertex can be pinned explicitly (handy for analytic regression tests), and
 a degree-1 unpinned vertex degenerates to a reflecting end. ``StepOperator``
-is that step for one grid, pinned set and time step; its index plan is
-read, by array arithmetic, from the grid's ``edge_nodes`` layout and the
-topology's ``tails``, ``heads`` and incidence arrays.
+is that step, on flat arrays, for one grid, pinned set and time step; its
+index plan is read, by array arithmetic, from the grid's ``edge_nodes``
+layout alone and the topology's ``tails``, ``heads`` and incidence arrays.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
@@ -33,7 +33,6 @@ from .grid import GridField, SpatialGrid, TimeGrid
 
 __all__ = [
     "StepOperator",
-    "step",
     "solve_backward_phi",
     "solve_forward_psi",
     "psi_initial",
@@ -63,7 +62,7 @@ class StepOperator:
     a fixed time step, as a precomputed flat index plan.
 
     This is the only implementation of the step and of the vertex solve:
-    the sweeps, the single ``step`` and ``ModalStep`` all apply it.
+    the sweeps, ``ModalStep`` and ``lanczos.LanczosStep`` all apply it.
     """
 
     def __init__(self, grid: SpatialGrid, pinned: tuple[int, ...], dt: float):
@@ -75,10 +74,10 @@ class StepOperator:
         nv = grid.n_vertices
         n_int = grid.n_flat - nv
         topo = grid.topology
-        # interior index of each edge's first and last node, and the vertex
-        # beyond it; inside an edge the neighbours are the adjacent slots
-        self.edge_first = grid.interior_offsets[:-1] - nv
-        self.edge_last = grid.interior_offsets[1:] - 1 - nv
+        # interior index of each edge's nodes k = 1 and k = n_cells - 1, and the
+        # vertex beyond each; inside an edge the neighbours are the adjacent slots
+        self.edge_first = grid.edge_nodes[grid.edge_starts[:-1] + 1] - nv
+        self.edge_last = grid.edge_nodes[grid.edge_starts[1:] - 2] - nv
         self.edge_tails, self.edge_heads = topo.tails, topo.heads
         # float_power calls libm's pow, as a scalar h ** 2 does; h * h and
         # the array h ** 2 differ from it in the last bit on some edges
@@ -185,28 +184,10 @@ class StepOperator:
         return K, out[nv:].copy()
 
 
-def step(fld: GridField, dt: float, dirichlet: dict[int, float] | None = None) -> GridField:
-    """Advance ``fld`` by one level. ``dirichlet`` maps pinned vertex ids to
-    the values imposed at the new level; the default pins the exit at zero
-    (the absorbing condition of the density sweep), and ``{}`` gives a fully
-    reflecting step. The backward sweep takes the same step with the time
-    index reversed, its exit datum being the value at the earlier level.
-    """
-    grid = fld.grid
-    if dirichlet is None:
-        dirichlet = {grid.topology.exit_vertex: 0.0}
-    op = StepOperator(grid, tuple(dirichlet), dt)
-    out = np.empty(grid.n_flat)
-    op.step(fld.data, np.array(list(dirichlet.values()), dtype=float), out, op.scratch())
-    return GridField(grid, out)
-
-
 @dataclass
 class HeatSweep:
     """Outcome of a full sweep over all time levels."""
 
-    grid: SpatialGrid
-    time_grid: TimeGrid
     initial: GridField                 # level 0
     terminal: GridField                # level n_steps
     exit_adjacent: np.ndarray          # value next to the exit, per level
@@ -238,7 +219,7 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
     def record(level: int, state: np.ndarray) -> None:
         exit_adjacent[level] = state[adj_idx]
         if level in wanted:
-            snapshots[level] = GridField(grid, state.copy(), level * time_grid.dt)
+            snapshots[level] = GridField(grid, state.copy())
 
     record(n_steps if backward else 0, cur)
     for level in range(n_steps - 1, -1, -1) if backward else range(1, n_steps + 1):
@@ -246,11 +227,9 @@ def _run_sweep(grid: SpatialGrid, time_grid: TimeGrid, init: np.ndarray,
         cur, nxt = nxt, cur
         record(level, cur)
 
-    initial = GridField(grid, (cur if backward else init).copy(), 0.0)
-    terminal = GridField(grid, (init if backward else cur).copy(), time_grid.t_max)
-    return HeatSweep(grid=grid, time_grid=time_grid, initial=initial, terminal=terminal,
-                     exit_adjacent=exit_adjacent, exit_values=exit_series,
-                     snapshots=snapshots)
+    return HeatSweep(initial=GridField(grid, (cur if backward else init).copy()),
+                     terminal=GridField(grid, (init if backward else cur).copy()),
+                     exit_adjacent=exit_adjacent, exit_values=exit_series, snapshots=snapshots)
 
 
 def solve_backward_phi(grid: SpatialGrid, time_grid: TimeGrid, c_T,

@@ -40,6 +40,9 @@ KRYLOV_REACH_SHARE = 0.125
 # bases serve them while m L <= KRYLOV_FIELD_RATIO n_steps, up to L = 41
 # there.
 KRYLOV_FIELD_RATIO = 3.4
+# A beta_j at or below this is rounding, as |K|_H <= 1 on H-normalized vectors: the Krylov
+# space is invariant (on a star of 9 interior nodes 4e-16 at j = 5; street lattice >= 0.089).
+_INVARIANT_BETA = 64 * np.finfo(float).eps
 
 
 def krylov_reach_pays(n_reach: int, n_flat: int) -> bool:
@@ -58,7 +61,8 @@ class _LanczosBasis:
     K^k x ~ |x|_H W T^k e_1. Whatever the loss of orthogonality in W, that
     relation alone bounds the error for every k <= n_steps by
     |x|_H beta_m sum_(j<n_steps) |e_m^T T^j e_1|, since |K|_H <= 1 under the
-    CFL bound; m grows until the bound is below KRYLOV_TOL.
+    CFL bound; m grows until the bound is below KRYLOV_TOL, or until the
+    recurrence ends at a beta_m that is rounding, whose bound must be too.
 
     Powers of T are applied as in ModalStep, with k = a*B + j and
     B about sqrt(n_steps) / 2: a (B, m) table of T^j e_1 and the band of T^B
@@ -88,10 +92,7 @@ class _LanczosBasis:
                 recorded.append(w[nodes])
             if m < target:
                 continue
-            self._tables(m)
-            bound = self.beta[m - 1] * float(np.abs(self.series(np.eye(1, m, m - 1)[0])).sum())
-            if not math.isfinite(bound):
-                raise NumericalFailure(f"Lanczos error bound is {bound} at m = {m}")
+            bound = self._bound(m)
             if bound <= KRYLOV_TOL:
                 break
             # the bound falls ever faster, so extrapolating its last rate
@@ -102,13 +103,22 @@ class _LanczosBasis:
                 grow = math.ceil(math.log(bound / KRYLOV_TOL) / rate)
             last = (m, bound)
             target = m + min(max(grow, 8), m)
-        else:  # beta hit 0: the Krylov space is invariant and T exact
-            self._tables(len(self.alpha))
+        else:  # beta reached rounding, and the bound is about that beta
+            if self._bound(len(self.alpha)) > KRYLOV_TOL:
+                raise NumericalFailure(f"invariant Lanczos basis misses its bound at m = {self.m}")
         self.on_nodes = None if nodes is None else np.array(recorded[: self.m])
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         nv = self.op.grid.n_vertices
         return float(np.dot(a[nv:] * self.h, b[nv:]))
+
+    def _bound(self, m: int) -> float:
+        """The error bound of the first m vectors, with T_m's tables made."""
+        self._tables(m)
+        bound = self.beta[m - 1] * float(np.abs(self.series(np.eye(1, m, m - 1)[0])).sum())
+        if not math.isfinite(bound):
+            raise NumericalFailure(f"Lanczos error bound is {bound} at m = {m}")
+        return bound
 
     def _tables(self, m: int) -> None:
         """T_m's table of T^j e_1 (j < B) and the band of T^B, with
@@ -212,7 +222,7 @@ class _LanczosBasis:
             op.balance_vertices(nxt, scratch[2])
             if j == len(self.beta):
                 self.beta.append(math.sqrt(self._dot(nxt, nxt)))
-            if self.beta[j] == 0.0:
+            if self.beta[j] <= _INVARIANT_BETA:
                 return
             nxt /= self.beta[j]
             prev, cur, nxt = cur, nxt, prev

@@ -147,7 +147,7 @@ def discretize(spec: ProblemSpec) -> DiscreteProblem:
             "float range once shifted; lower the cost slopes or t_max")
     grid = build_grid(spec.topology, spec.h_target)
     time_grid = build_time_grid(spec.cost.t_max, grid.min_h, spec.cfl_factor)
-    m0 = normalize_mass(grid, sample_density(grid, spec.m0))
+    m0 = normalize_mass(sample_density(grid, spec.m0))
     return DiscreteProblem(spec=spec, grid=grid, time_grid=time_grid, m0=m0)
 
 
@@ -240,8 +240,7 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem,
     """phi and psi of the map ``res`` at each of ``levels``, keyed by level
     in increasing order: ``map_phi`` and ``map_psi`` as GridFields."""
     levels = sorted(set(levels))
-    grid, dt = problem.grid, problem.time_grid.dt
-    return tuple({n: GridField(grid, row, n * dt) for n, row in zip(levels, rows)}
+    return tuple({n: GridField(problem.grid, row) for n, row in zip(levels, rows)}
                  for rows in (map_phi(res, problem, levels), map_psi(res, problem, levels)))
 
 
@@ -299,15 +298,15 @@ def recover_um(phi: GridField, psi: GridField) -> tuple[GridField, GridField]:
     density m = phi * psi, nodewise."""
     if float(phi.data.min()) <= 0.0:
         raise NonpositivePhi(f"cannot take log of min value {phi.data.min()}")
-    u = GridField(phi.grid, np.log(phi.data), phi.time_label)
-    m = GridField(phi.grid, phi.data * psi.data, phi.time_label)
+    u = GridField(phi.grid, np.log(phi.data))
+    m = GridField(phi.grid, phi.data * psi.data)
     return u, m
 
 
-def residual_mass_error(m_final: GridField, theta: float, grid: SpatialGrid) -> float:
+def residual_mass_error(m_final: GridField, theta: float) -> float:
     """|1 - theta - remaining mass|: how far the exited fraction is from the
     quorum fraction at the equilibrium time."""
-    return abs(1.0 - theta - integrate(grid, m_final))
+    return abs(1.0 - theta - integrate(m_final))
 
 
 @dataclass
@@ -390,7 +389,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
         fields["u"][n], fields["m"][n] = recover_um(phi[n], psi[n])
         fields["u"][n].data += res.cost_shift  # phi is exp(-C) times the value potential
 
-    e_h = residual_mass_error(fields["m"][level], spec.theta, problem.grid)
+    e_h = residual_mass_error(fields["m"][level], spec.theta)
     if not (np.isfinite(e_h) and np.isfinite(res.f_series).all()):
         raise NumericalFailure("non-finite values in the converged solution")
 
@@ -425,10 +424,6 @@ class DriftSeries:
         if row < 0:
             raise KeyError(f"the drift series holds no row for time {t}")
         return row
-
-    def edge_nodes(self, level: int, edge_id: int) -> np.ndarray:
-        starts = self.grid.edge_starts
-        return self.values[level, starts[edge_id]: starts[edge_id + 1]]
 
     def edge_constants(self, edge_ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent step, last cell index and first node offset of each

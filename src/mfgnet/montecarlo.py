@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StepTooLarge, ZeroMass
-from .grid import GridField, SpatialGrid
+from .grid import GridField
 from .network import NetworkTopology
 
 __all__ = [
@@ -252,39 +252,46 @@ class ArrivalCdf:
     arrival_times: np.ndarray
 
 
-def sample_initial_positions(grid: SpatialGrid, m0: GridField, n: int,
+def sample_initial_positions(m0: GridField, n: int,
                              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (edge, arclength) starts from a density by inverting the
-    left-endpoint rectangle quadrature: pick a cell with probability
-    proportional to value * h, then place uniformly inside the cell."""
-    # cell c, on edge j, starts at layout slot c + j
-    cell_edge = np.repeat(np.arange(grid.topology.n_edges), grid.n_cells)
-    w = m0.data[grid.edge_nodes[np.arange(len(cell_edge)) + cell_edge]] * grid.h[cell_edge]
-    if w.min() < 0:
+    """Draw (edge, arclength) starts from the piecewise-linear interpolant
+    of a density along each edge of its grid: pick a cell with probability
+    proportional to its trapezoid mass h (a + b) / 2, a and b its end
+    values, then place the agent at the fraction s of the cell where the
+    cell's linear density has mass u of its own: a s + (b - a) s^2 / 2 =
+    u (a + b) / 2, for a uniform draw u."""
+    grid = m0.grid
+    if m0.data.min() < 0:
         raise ZeroMass("density must be nonnegative")
+    # cell c, on edge j, runs from layout slot c + j to the next
+    cell_edge = np.repeat(np.arange(grid.topology.n_edges), grid.n_cells)
+    slot = np.arange(len(cell_edge)) + cell_edge
+    a, b = m0.data[grid.edge_nodes[slot]], m0.data[grid.edge_nodes[slot + 1]]
+    w = (a + b) * grid.h[cell_edge]  # twice the trapezoid mass; the factor cancels
     total = w.sum()
     if total <= 0:
         raise ZeroMass("density integrates to zero")
     cum = np.cumsum(w) / total
-    cell = np.searchsorted(cum, rng.random(n), side="right")
-    cell = np.minimum(cell, len(w) - 1)
+    cell = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(w) - 1)
+    a, b, u = a[cell], b[cell], rng.random(n)
+    # the quadratic's root in the form without cancellation; its denominator
+    # is 0 only where a = 0 and u = 0 or b = 0, and there s is 0
+    den = a + np.sqrt((1.0 - u) * a * a + u * b * b)
+    s = np.divide(u * (a + b), den, out=np.zeros(n), where=den > 0.0)
     edges = cell_edge[cell]
-    ks = cell + edges - grid.edge_starts[edges]
-    ys = (ks + rng.random(n)) * grid.h[edges]
-    return edges, ys
+    return edges, (cell + edges - grid.edge_starts[edges] + s) * grid.h[edges]
 
 
-def estimate_arrival_cdf(topology: NetworkTopology, config: SimConfig,
-                         grid: SpatialGrid, m0: GridField,
+def estimate_arrival_cdf(config: SimConfig, m0: GridField,
                          eval_times: np.ndarray) -> ArrivalCdf:
-    """Simulate a population drawn from m0 and return the fraction arrived
-    by each evaluation time, with a 95% band."""
+    """Simulate a population drawn from m0 on its grid's network and return
+    the fraction arrived by each evaluation time, with a 95% band."""
     rng = np.random.default_rng(config.seed)
-    edges, ys = sample_initial_positions(grid, m0, config.n_agents, rng)
+    edges, ys = sample_initial_positions(m0, config.n_agents, rng)
     # hand the generator's current state to the dynamics by reseeding a
     # child stream, so sampling and stepping stay decoupled but reproducible
     child_seed = int(rng.integers(0, 2**63 - 1))
-    arrivals = simulate_agents(topology, replace(config, seed=child_seed), edges, ys)
+    arrivals = simulate_agents(m0.grid.topology, replace(config, seed=child_seed), edges, ys)
 
     finite = np.sort(arrivals[~np.isnan(arrivals)])
     fraction = np.searchsorted(finite, eval_times, side="right") / config.n_agents

@@ -1,13 +1,14 @@
 """Immutable metric-graph model: vertices joined by parametrized arcs.
 
 Each edge is identified with the interval [0, length]; the parametrization
-direction (tail -> head) induces the signed incidence used by the vertex
+direction (tail -> head) gives the orientation used by the vertex
 conditions. The exit vertex is the single absorbing boundary vertex; every
 other vertex is treated as a transition vertex (a degree-1 non-exit vertex
 is the degenerate, reflecting case of the same vertex condition).
 A ``NetworkTopology`` is its read-only arrays (``positions``, ``tails``,
 ``heads``, ``lengths``, and the incidence table ``incident_edges`` cut at
-``incident_starts``); every other module reads the graph from them.
+``incident_starts``, so the degrees are ``np.diff(incident_starts)``);
+every other module reads the graph from them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .errors import (
 __all__ = [
     "NetworkTopology",
     "build_network",
-    "incidence_sign",
-    "classify_vertices",
 ]
 
 
@@ -70,9 +69,6 @@ class NetworkTopology:
     def exit_edge(self) -> int:
         """The id of the unique edge incident to the exit vertex."""
         return int(self.incident_edges[self.incident_starts[self.exit_vertex]])
-
-    def degree(self, vertex_id: int) -> int:
-        return int(self.incident_starts[vertex_id + 1] - self.incident_starts[vertex_id])
 
 
 def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
@@ -158,19 +154,3 @@ def build_network(vertices, edges, exit_vertex: int) -> NetworkTopology:
     return NetworkTopology(
         exit_vertex=int(exit_vertex), positions=positions, tails=tails, heads=heads,
         lengths=lengths, incident_edges=incident_edges, incident_starts=incident_starts)
-
-
-def incidence_sign(topology: NetworkTopology, vertex_id: int, edge_id: int) -> int:
-    """+1 if the edge starts at the vertex, -1 if it ends there, 0 otherwise."""
-    return int(topology.tails[edge_id] == vertex_id) - int(topology.heads[edge_id] == vertex_id)
-
-
-def classify_vertices(topology: NetworkTopology) -> tuple[set[int], set[int]]:
-    """Split vertex ids into (boundary, transition) sets by degree.
-
-    Boundary vertices are exactly the degree-1 ones; the exit vertex is
-    always among them.
-    """
-    boundary = {v for v in range(topology.n_vertices) if topology.degree(v) == 1}
-    transition = set(range(topology.n_vertices)) - boundary
-    return boundary, transition

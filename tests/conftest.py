@@ -76,6 +76,12 @@ def edge_rows(topo) -> list[EdgeRow]:
         zip(topo.tails.tolist(), topo.heads.tolist(), topo.lengths.tolist()))]
 
 
+def edge_slots(grid, edge_id: int) -> np.ndarray:
+    """The flat indices of one edge's nodes k = 0..n_cells, tail to head,
+    from the grid's ``edge_nodes``; ``[1:-1]`` are its interior nodes."""
+    return grid.edge_nodes[grid.edge_starts[edge_id]: grid.edge_starts[edge_id + 1]]
+
+
 def every_level(time_grid) -> range:
     """Every level of a time grid, as snapshot levels."""
     return range(time_grid.n_steps + 1)

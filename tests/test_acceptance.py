@@ -135,7 +135,7 @@ def test_criterion_3_min_principle_and_positivity():
             with warnings.catch_warnings():
                 # random bumps are nonzero at the exit; projecting is intended
                 warnings.simplefilter("ignore", UserWarning)
-                m0 = mn.normalize_mass(g, g_raw)
+                m0 = mn.normalize_mass(g_raw)
             phi = solve_backward_phi(g, tg, c_T, snapshot_levels=every_level(tg))
             psi = solve_forward_psi(g, tg, m0, phi.initial, snapshot_levels=every_level(tg))
             assert level_states(phi).min() >= 1.0 - 1e-12
@@ -190,6 +190,15 @@ def test_criterion_7_oracle_agreement(desk_oracle):
         assert summary["oracle"]["sup_distance"] <= 0.02
         assert (out / "comparison.csv").exists()
         assert elapsed < 60.0
+
+
+def test_oracle_within_two_bands(desk_oracle):
+    """Starts drawn from m0's piecewise-linear interpolant put desk's
+    particle arrival flow within twice the 95% band half-width of the
+    computed one."""
+    _, summary, _, _ = desk_oracle
+    oracle = summary["oracle"]
+    assert oracle["sup_distance"] <= 2 * oracle["dkw_epsilon"]
 
 
 def test_criterion_8_identities(example1_ladder):

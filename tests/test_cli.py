@@ -20,7 +20,7 @@ from mfgnet.cli import (
 )
 from mfgnet.errors import ParseError, ValidationError
 
-from conftest import bundled_text, edge_rows
+from conftest import bundled_text, edge_rows, edge_slots
 
 
 DESK_FAST = {
@@ -231,17 +231,20 @@ def _small_desk(out_dir, mode):
 
 @pytest.fixture(scope="module")
 def small_desk_oracle(tmp_path_factory):
-    """The downsized desk in oracle mode, with the recover_um calls counted."""
+    """The downsized desk in oracle mode, with the levels of its fields and
+    its recover_um calls counted."""
     import mfgnet.mfg
 
     out = tmp_path_factory.mktemp("small_desk_oracle")
-    calls = []
-    recover_um = mfgnet.mfg.recover_um
+    levels, formed = [], []
+    map_fields, recover_um = mfgnet.mfg.map_fields, mfgnet.mfg.recover_um
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mfgnet.mfg, "map_fields", lambda res, problem, asked: levels.extend(
+            sorted(set(asked))) or map_fields(res, problem, asked))
         mp.setattr(mfgnet.mfg, "recover_um",
-                   lambda phi, psi: calls.append(phi.time_label) or recover_um(phi, psi))
+                   lambda phi, psi: formed.append(phi) or recover_um(phi, psi))
         assert run(_small_desk(out, "oracle"), quiet=True) == 0
-    return out, calls
+    return out, (levels, len(formed))
 
 
 class TestOracleFields:
@@ -255,9 +258,10 @@ class TestOracleFields:
     def test_um_only_at_start_and_equilibrium(self, small_desk_oracle):
         """The oracle reads phi alone: psi, u and m are formed at level 0 and
         the equilibrium level only."""
-        oracle, calls = small_desk_oracle
+        oracle, (levels, formed) = small_desk_oracle
         summary = json.loads((oracle / "summary.json").read_text())
-        assert sorted(calls) == [0.0, summary["equilibrium_level"] * summary["dt"]]
+        assert levels == [0, summary["equilibrium_level"]]
+        assert formed == 2
 
 
 class TestWriteCsv:
@@ -298,7 +302,7 @@ class TestWriteCsv:
 
 def test_field_csv_rows_match_edge_values(tmp_path, three_star):
     """Every byte of a field file equals a row-by-row loop over the edges
-    and their ``edge_values``, whether the value column comes in runs or
+    and the values along each, whether the value column comes in runs or
     not, on a grid of more than two blocks of rows."""
     grid = mn.build_grid(three_star, 1.0 / _CSV_BLOCK_ROWS)
     assert sum(grid.n_cells + 1) > 2 * _CSV_BLOCK_ROWS
@@ -322,7 +326,7 @@ def test_field_csv_rows_match_edge_values(tmp_path, three_star):
         for e in edge_rows(three_star):
             (ax, ay), (bx, by) = pos[e.tail].tolist(), pos[e.head].tolist()
             n = int(grid.n_cells[e.id])
-            for k, v in enumerate(field.edge_values(e.id).tolist()):
+            for k, v in enumerate(data[edge_slots(grid, e.id)].tolist()):
                 x, y = ax + k / n * (bx - ax), ay + k / n * (by - ay)
                 expected.append(f"{e.id},{k},{x!r},{y!r},{v!r}")
         assert (tmp_path / "field.csv").read_text() == "\n".join(expected) + "\n"

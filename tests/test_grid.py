@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mfgnet.heat import StepOperator
 from mfgnet.mfg import _derivative_plan
 from mfgnet.montecarlo import sample_initial_positions
 
-from conftest import edge_rows, random_tree_network
+from conftest import edge_rows, edge_slots, random_tree_network
 
 
 def line(length):
@@ -45,7 +47,7 @@ class TestBuildGrid:
     def test_node_positions_follow_the_chord(self):
         topo = mn.build_network([(0, (0, 0)), (1, (2, 0))], [(0, 0, 1, 2.0)], 0)
         g = mn.build_grid(topo, 0.5)
-        np.testing.assert_allclose(g.positions[g.islice(0)][:, 0], [0.5, 1.0, 1.5])
+        np.testing.assert_allclose(g.positions[edge_slots(g, 0)[1:-1]][:, 0], [0.5, 1.0, 1.5])
 
 
 class TestTimeGrid:
@@ -93,21 +95,20 @@ class TestSamplingAndQuadrature:
     def test_integrate_constant_is_total_length(self, three_star):
         g = mn.build_grid(three_star, 0.25)
         f = mn.sample_function(g, lambda p: np.full(len(p), 2.5))
-        assert mn.integrate(g, f) == pytest.approx(2.5 * 3.0)
+        assert mn.integrate(f) == pytest.approx(2.5 * 3.0)
 
     def test_integrate_single_edge_unit(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         f = mn.sample_function(g, lambda p: np.ones(len(p)))
-        assert mn.integrate(g, f) == pytest.approx(1.0)
+        assert mn.integrate(f) == pytest.approx(1.0)
 
     def test_edge_values_respects_shared_vertices(self, three_star):
         g = mn.build_grid(three_star, 0.5)
-        f = g.zeros()
-        f.vertex_values[1] = 7.0
+        data = np.zeros(g.n_flat)
+        data[1] = 7.0
         for j in (0, 1, 2):
-            vals = f.edge_values(j)
             # center (vertex 1) is the tail of every edge in this fixture
-            assert vals[0] == 7.0
+            assert data[edge_slots(g, j)][0] == 7.0
 
 
 class TestNormalizeMass:
@@ -115,7 +116,7 @@ class TestNormalizeMass:
         g = mn.build_grid(single_edge, 0.1)
         raw = mn.sample_function(g, lambda p: np.full(len(p), 2.0))
         with pytest.warns(UserWarning):
-            m0 = mn.normalize_mass(g, raw)
+            m0 = mn.normalize_mass(raw)
         inner = np.delete(m0.data, single_edge.exit_vertex)
         np.testing.assert_allclose(inner, 1.0)
         assert m0.data[single_edge.exit_vertex] == 0.0
@@ -123,35 +124,35 @@ class TestNormalizeMass:
     def test_zero_mass_rejected(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         with pytest.raises(ZeroMass):
-            mn.normalize_mass(g, g.zeros())
+            mn.normalize_mass(mn.GridField(g, np.zeros(g.n_flat)))
 
     def test_negative_density_rejected(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         raw = mn.sample_function(g, lambda p: p[:, 0] - 0.5)
         with pytest.raises(ValueError):
-            mn.normalize_mass(g, raw)
+            mn.normalize_mass(raw)
 
     def test_reintegrates_to_one(self, example1_config):
         topo = example1_config.spec.topology
         g = mn.build_grid(topo, 0.05)
         raw = mn.sample_function(g, lambda p: np.linalg.norm(p, axis=1))
-        m0 = mn.normalize_mass(g, raw)
+        m0 = mn.normalize_mass(raw)
         # the exit sits at the origin, so zeroing it costs no mass
-        assert mn.integrate(g, m0) == pytest.approx(1.0, abs=1e-12)
+        assert mn.integrate(m0) == pytest.approx(1.0, abs=1e-12)
 
     def test_warns_when_exit_density_projected(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         raw = mn.sample_function(g, lambda p: np.full(len(p), 2.0))
         with pytest.warns(UserWarning, match="exit vertex"):
-            mn.normalize_mass(g, raw)
+            mn.normalize_mass(raw)
 
     def test_projection_perturbs_mass_by_cell_weight(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         raw = mn.sample_function(g, lambda p: np.full(len(p), 1.0))
         with pytest.warns(UserWarning):
-            m0 = mn.normalize_mass(g, raw)
+            m0 = mn.normalize_mass(raw)
         # exit tail slot carried h * normalized value
-        assert mn.integrate(g, m0) == pytest.approx(1.0 - 0.1, abs=1e-12)
+        assert mn.integrate(m0) == pytest.approx(1.0 - 0.1, abs=1e-12)
 
 
 class TestTabulatedDensity:
@@ -159,7 +160,7 @@ class TestTabulatedDensity:
         g = mn.build_grid(single_edge, 0.25)
         d = TabulatedDensity({0: (np.array([0.0, 1.0]), np.array([0.0, 4.0]))})
         f = mn.sample_density(g, d)
-        np.testing.assert_allclose(f.interior(0), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(f.data[edge_slots(g, 0)[1:-1]], [1.0, 2.0, 3.0])
         assert f.data[0] == 0.0
         assert f.data[1] == 4.0
 
@@ -167,18 +168,24 @@ class TestTabulatedDensity:
         g = mn.build_grid(three_star, 0.5)
         d = TabulatedDensity({1: (np.array([0.0, 1.0]), np.array([2.0, 2.0]))})
         f = mn.sample_density(g, d)
-        assert (f.interior(0) == 0).all()
-        assert (f.interior(1) == 2.0).all()
+        assert (f.data[edge_slots(g, 0)[1:-1]] == 0).all()
+        assert (f.data[edge_slots(g, 1)[1:-1]] == 2.0).all()
 
 
 
 # The index plans as they were first written, one Python loop per edge or
 # per vertex; the array-built plans must equal them bit for bit.
 
+def _loop_interior(grid, edge_id):
+    """Flat slice of one edge's interior nodes: after the vertices, edge by edge."""
+    start = grid.n_vertices + sum(int(c) - 1 for c in grid.n_cells[:edge_id])
+    return slice(start, start + int(grid.n_cells[edge_id]) - 1)
+
+
 def _loop_edge_nodes(grid):
     nodes = []
     for e in edge_rows(grid.topology):
-        sl = grid.islice(e.id)
+        sl = _loop_interior(grid, e.id)
         nodes.extend([e.tail, *range(sl.start, sl.stop), e.head])
     return np.array(nodes)
 
@@ -190,7 +197,7 @@ def _loop_positions(grid):
     for e in edge_rows(grid.topology):
         a, b = pos[e.tail], pos[e.head]
         frac = np.arange(1, grid.n_cells[e.id])[:, None] / grid.n_cells[e.id]
-        coords[grid.islice(e.id)] = a + frac * (b - a)
+        coords[_loop_interior(grid, e.id)] = a + frac * (b - a)
     return coords
 
 
@@ -198,7 +205,7 @@ def _loop_quad_weights(grid):
     w = np.zeros(grid.n_flat)
     for e in edge_rows(grid.topology):
         w[e.tail] += grid.h[e.id]
-        w[grid.islice(e.id)] = grid.h[e.id]
+        w[_loop_interior(grid, e.id)] = grid.h[e.id]
     return w
 
 
@@ -213,7 +220,7 @@ def _loop_incident(topo):
 
 def _loop_adjacent(grid, edge_id, vertex_id):
     e = edge_rows(grid.topology)[edge_id]
-    sl = grid.islice(edge_id)
+    sl = _loop_interior(grid, edge_id)
     return sl.start if vertex_id == e.tail else sl.stop - 1
 
 
@@ -221,7 +228,7 @@ def _loop_step_plan(grid, pinned, dt):
     nv, topo = grid.n_vertices, grid.topology
     first, last, inv_h2 = [], [], np.empty(grid.n_flat - nv)
     for e in edge_rows(topo):
-        sl = grid.islice(e.id)
+        sl = _loop_interior(grid, e.id)
         first.append(sl.start - nv)
         last.append(sl.stop - 1 - nv)
         inv_h2[sl.start - nv: sl.stop - nv] = 1.0 / grid.h[e.id] ** 2
@@ -249,7 +256,7 @@ def _loop_step_plan(grid, pinned, dt):
 def _loop_derivative_plan(grid):
     left, right, inv_den = [], [], []
     for e in edge_rows(grid.topology):
-        sl = grid.islice(e.id)
+        sl = _loop_interior(grid, e.id)
         ns = [e.tail, *range(sl.start, sl.stop), e.head]
         h = grid.h[e.id]
         left.extend([ns[0], *ns[:-2], ns[-2]])
@@ -270,18 +277,25 @@ def _loop_field_rows(grid):
 
 
 def _loop_sample_initial_positions(grid, m0, n, rng):
-    weights, cell_edge, cell_k = [], [], []
+    weights, ends, cell_edge, cell_k = [], [], [], []
     for e in edge_rows(grid.topology):
-        sl = grid.islice(e.id)
-        vals = np.concatenate(([m0.data[e.tail]], m0.data[sl]))
-        weights.append(vals * grid.h[e.id])
-        cell_edge.append(np.full(len(vals), e.id))
-        cell_k.append(np.arange(len(vals)))
+        sl = _loop_interior(grid, e.id)
+        vals = np.concatenate(([m0.data[e.tail]], m0.data[sl], [m0.data[e.head]]))
+        weights.append((vals[:-1] + vals[1:]) * grid.h[e.id])
+        ends.extend(zip(vals[:-1].tolist(), vals[1:].tolist()))
+        cell_edge.append(np.full(len(vals) - 1, e.id))
+        cell_k.append(np.arange(len(vals) - 1))
     w = np.concatenate(weights)
     cum = np.cumsum(w) / w.sum()
     cell = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(w) - 1)
+    s = []
+    for c, u in zip(cell.tolist(), rng.random(n).tolist()):
+        # a s + (b - a) s^2 / 2 = u (a + b) / 2, solved for s in [0, 1]
+        a, b = ends[c]
+        den = math.sqrt((1.0 - u) * a * a + u * b * b) + a
+        s.append(u * (a + b) / den if den > 0.0 else 0.0)
     edges = np.concatenate(cell_edge)[cell]
-    return edges, (np.concatenate(cell_k)[cell] + rng.random(n)) * grid.h[edges]
+    return edges, (np.concatenate(cell_k)[cell] + np.array(s)) * grid.h[edges]
 
 
 def _loop_tabulated(density, grid):
@@ -291,7 +305,7 @@ def _loop_tabulated(density, grid):
             xs, vs = density.tables[e.id]
             nodes = np.arange(grid.n_cells[e.id] + 1) * grid.h[e.id]
             vals = np.interp(nodes, xs, vs, left=vs[0], right=vs[-1])
-            out[grid.islice(e.id)] = vals[1:-1]
+            out[_loop_interior(grid, e.id)] = vals[1:-1]
             vertex_hits[e.tail] = max(vertex_hits[e.tail], vals[0])
             vertex_hits[e.head] = max(vertex_hits[e.head], vals[-1])
     out[: grid.n_vertices] = vertex_hits
@@ -331,7 +345,6 @@ class TestLayoutAgainstLoops:
             incident = _loop_incident(topo)
             assert topo.incident_edges.tolist() == [j for js in incident for j in js]
             assert np.diff(topo.incident_starts).tolist() == [len(js) for js in incident]
-            assert [topo.degree(v) for v in range(topo.n_vertices)] == [len(js) for js in incident]
             max_degree = max(max_degree, *map(len, incident))
 
             grid = mn.build_grid(topo, h)
@@ -357,7 +370,7 @@ class TestLayoutAgainstLoops:
             assert "\n".join(text).split("\n") == _loop_field_rows(grid)
 
             m0 = mn.GridField(grid, rng.random(grid.n_flat))
-            got = sample_initial_positions(grid, m0, 500, np.random.default_rng(1))
+            got = sample_initial_positions(m0, 500, np.random.default_rng(1))
             want = _loop_sample_initial_positions(grid, m0, 500, np.random.default_rng(1))
             for a, b in zip(got, want):
                 _assert_same(a, b)

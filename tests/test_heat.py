@@ -5,9 +5,9 @@ import pytest
 
 import mfgnet as mn
 from mfgnet.errors import CflViolation, NonpositivePhi
-from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi, step
+from mfgnet.heat import StepOperator, solve_backward_phi, solve_forward_psi
 
-from conftest import every_level, level_states, random_tree_network
+from conftest import edge_slots, every_level, level_states, random_tree_network
 
 
 def star(step_lengths):
@@ -19,6 +19,20 @@ def star(step_lengths):
         vertices.append((i, (np.cos(i), np.sin(i))))
         edges.append((i - 1, 1, i, l))
     return mn.build_network(vertices, edges, 0)
+
+
+def step(fld, dt, pins):
+    """One StepOperator step of a field with ``pins`` (vertex: value) imposed."""
+    grid = fld.grid
+    op = StepOperator(grid, tuple(pins), dt)
+    out = np.empty(grid.n_flat)
+    op.step(fld.data, np.array(list(pins.values()), dtype=float), out, op.scratch())
+    return mn.GridField(grid, out)
+
+
+def first_interior(grid, edge_id):
+    """Flat index of node k = 1 of an edge."""
+    return grid.edge_nodes[grid.edge_starts[edge_id] + 1]
 
 
 def balance(f, pinned):
@@ -33,9 +47,9 @@ class TestVertexSolve:
     def test_equal_steps_average(self):
         topo = star([0.2, 0.2, 0.2])
         g = mn.SpatialGrid(topo, np.array([2, 2, 2]))  # h = 0.1 everywhere
-        f = g.zeros()
+        f = mn.GridField(g, np.zeros(g.n_flat))
         for j, v in enumerate((1.0, 2.0, 3.0)):
-            f.interior(j)[0] = v
+            f.data[first_interior(g, j)] = v
         balance(f, (0, 2, 3))
         # sum over edges of (adjacent - center)/h = 0  =>  center = mean
         assert f.data[1] == pytest.approx(2.0)
@@ -43,17 +57,17 @@ class TestVertexSolve:
     def test_unequal_steps_weighted_average(self):
         topo = star([0.2, 0.4])
         g = mn.SpatialGrid(topo, np.array([2, 2]))  # h = 0.1 and 0.2
-        f = g.zeros()
-        f.interior(0)[0] = 1.0
-        f.interior(1)[0] = 2.0
+        f = mn.GridField(g, np.zeros(g.n_flat))
+        f.data[first_interior(g, 0)] = 1.0
+        f.data[first_interior(g, 1)] = 2.0
         balance(f, (0, 2))
         # (1/0.1 + 2/0.2) / (1/0.1 + 1/0.2) = 20/15
         assert f.data[1] == pytest.approx(4.0 / 3.0)
 
     def test_degree_one_reflects(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
-        f = g.zeros()
-        f.interior(0)[-1] = 7.0
+        f = mn.GridField(g, np.zeros(g.n_flat))
+        f.data[edge_slots(g, 0)[-2]] = 7.0
         balance(f, (0,))
         assert f.data[1] == 7.0
 
@@ -106,35 +120,29 @@ class TestSingleStep:
     def test_forward_stencil_arithmetic(self, single_edge):
         # one interior node, neighbors pinned at 0, lambda = 1/4
         g = mn.build_grid(single_edge, 0.5)
-        f = g.zeros()
-        f.interior(0)[0] = 1.0
-        out = step(f, dt=0.25 * 0.5**2, dirichlet={0: 0.0, 1: 0.0})
-        assert out.interior(0)[0] == pytest.approx(0.5)
+        f = mn.GridField(g, np.zeros(g.n_flat))
+        f.data[2] = 1.0
+        out = step(f, 0.25 * 0.5**2, {0: 0.0, 1: 0.0})
+        assert out.data[2] == pytest.approx(0.5)
 
     def test_backward_stencil_arithmetic(self, single_edge):
         g = mn.build_grid(single_edge, 0.5)
-        f = g.zeros()
+        f = mn.GridField(g, np.zeros(g.n_flat))
         f.data[0] = 2.0
         f.data[1] = 2.0
-        out = step(f, dt=0.25 * 0.5**2, dirichlet={0: 2.0, 1: 2.0})
-        assert out.interior(0)[0] == pytest.approx(1.0)
+        out = step(f, 0.25 * 0.5**2, {0: 2.0, 1: 2.0})
+        assert out.data[2] == pytest.approx(1.0)
 
     def test_constants_are_steady_under_pure_flux_balance(self, three_star):
         g = mn.build_grid(three_star, 0.25)
         f = mn.GridField(g, np.full(g.n_flat, 3.7))
-        out = step(f, dt=0.25 * g.min_h**2, dirichlet={})
+        out = step(f, 0.25 * g.min_h**2, {})
         np.testing.assert_allclose(out.data, 3.7, rtol=1e-15)
 
     def test_cfl_violation_raises(self, single_edge):
         g = mn.build_grid(single_edge, 0.1)
         with pytest.raises(CflViolation):
-            step(g.zeros(), dt=0.6 * g.min_h**2)
-
-    def test_default_pins_exit_to_zero(self, single_edge):
-        g = mn.build_grid(single_edge, 0.25)
-        f = mn.GridField(g, np.ones(g.n_flat))
-        out = step(f, dt=0.1 * g.min_h**2)
-        assert out.data[0] == 0.0
+            StepOperator(g, (single_edge.exit_vertex,), 0.6 * g.min_h**2)
 
 
 class TestAnalyticDecay:
@@ -172,7 +180,7 @@ class TestAnalyticDecay:
         x = g.positions[:, 0]
         f = mn.GridField(g, np.sin(np.pi * x))
         for _ in range(tg.n_steps):
-            f = step(f, tg.dt, dirichlet={0: 0.0, 1: 0.0})
+            f = step(f, tg.dt, {0: 0.0, 1: 0.0})
         sweep = solve_forward_psi(
             g, tg, mn.GridField(g, np.sin(np.pi * x)),
             mn.GridField(g, np.ones(g.n_flat)), extra_dirichlet=[(1, 0.0)])
@@ -214,7 +222,8 @@ class TestForwardSweep:
         g = mn.build_grid(three_star, 0.2)
         tg = mn.build_time_grid(0.5, g.min_h, 0.25)
         phi0 = mn.GridField(g, np.ones(g.n_flat))
-        sweep = solve_forward_psi(g, tg, g.zeros(), phi0, snapshot_levels=every_level(tg))
+        sweep = solve_forward_psi(g, tg, mn.GridField(g, np.zeros(g.n_flat)), phi0,
+                                  snapshot_levels=every_level(tg))
         assert level_states(sweep).min() == 0.0
         np.testing.assert_array_equal(sweep.terminal.data, 0.0)
 
@@ -233,7 +242,7 @@ class TestForwardSweep:
         bad = mn.GridField(g, np.ones(g.n_flat))
         bad.data[3] = 0.0
         with pytest.raises(NonpositivePhi):
-            solve_forward_psi(g, tg, g.zeros(), bad)
+            solve_forward_psi(g, tg, mn.GridField(g, np.zeros(g.n_flat)), bad)
 
     def test_exit_adjacent_trace_recorded(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
@@ -255,17 +264,17 @@ class TestConservation:
         dt = 0.25 * g.min_h**2
         f = mn.sample_function(
             g, lambda p: np.exp(-8 * ((p[:, 0] + 0.2) ** 2 + p[:, 1] ** 2)))
-        start = mn.integrate(g, f)
+        start = mn.integrate(f)
 
         def interior_mass(fld):
-            return sum(g.h[j] * fld.interior(j).sum() for j in range(3))
+            return sum(g.h[j] * fld.data[edge_slots(g, j)[1:-1]].sum() for j in range(3))
 
-        f = step(f, dt, dirichlet={})
+        f = step(f, dt, {})
         ref = interior_mass(f)
         worst_total = 0.0
         for _ in range(400):
-            f = step(f, dt, dirichlet={})
-            worst_total = max(worst_total, abs(mn.integrate(g, f) - start))
+            f = step(f, dt, {})
+            worst_total = max(worst_total, abs(mn.integrate(f) - start))
         assert interior_mass(f) == pytest.approx(ref, abs=1e-12)
         # vertex slots carry weight O(h), so the total drifts by O(h)
         assert worst_total <= 2.0 * g.min_h * start

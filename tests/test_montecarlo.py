@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from mfgnet.montecarlo import (
     simulate_agents,
 )
 
-from conftest import edge_rows, every_level
+from conftest import edge_rows, edge_slots, every_level
 
 
 def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
@@ -126,7 +127,7 @@ class TestDensityDriftConsistency:
         sups = []
         for drift in (good, bad):
             cfg = SimConfig(n_agents=30_000, dt=5e-4, t_max=4.0, seed=5, drift=drift)
-            mc = estimate_arrival_cdf(single_edge, cfg, prob.grid, prob.m0, tg.times)
+            mc = estimate_arrival_cdf(cfg, prob.m0, tg.times)
             sups.append(float(np.abs(mc.fraction - res.f_series).max()))
         assert sups[0] <= 0.02
         assert sups[1] > 3 * sups[0]
@@ -136,7 +137,7 @@ class TestEstimateCdf:
     def grid_and_m0(self, topo, h=0.05, center=0.5):
         g = mn.build_grid(topo, h)
         hat = lambda p: np.maximum(1 - np.abs(p[:, 0] - center) / 0.3, 0.0)
-        return g, mn.normalize_mass(g, mn.sample_function(g, hat))
+        return g, mn.normalize_mass(mn.sample_function(g, hat))
 
     def test_all_agents_at_exit_arrive_at_once(self, single_edge):
         n = 500
@@ -148,12 +149,12 @@ class TestEstimateCdf:
         g = mn.build_grid(single_edge, 0.05)
         cfg = SimConfig(n_agents=10, dt=1e-3, t_max=1.0, seed=5)
         with pytest.raises(ZeroMass):
-            estimate_arrival_cdf(single_edge, cfg, g, g.zeros(), np.zeros(3))
+            estimate_arrival_cdf(cfg, mn.GridField(g, np.zeros(g.n_flat)), np.zeros(3))
 
     def test_cdf_shape(self, single_edge):
         g, m0 = self.grid_and_m0(single_edge)
         cfg = SimConfig(n_agents=4000, dt=1e-3, t_max=3.0, seed=7)
-        out = estimate_arrival_cdf(single_edge, cfg, g, m0, np.linspace(0, 3, 61))
+        out = estimate_arrival_cdf(cfg, m0, np.linspace(0, 3, 61))
         assert (np.diff(out.fraction) >= 0).all()
         assert out.fraction[-1] <= 1.0
         assert (out.band_lo <= out.fraction).all()
@@ -163,28 +164,62 @@ class TestEstimateCdf:
     def test_sampler_respects_density(self, single_edge):
         g, m0 = self.grid_and_m0(single_edge, h=0.02)
         rng = np.random.default_rng(0)
-        edges, ys = sample_initial_positions(g, m0, 50_000, rng)
+        edges, ys = sample_initial_positions(m0, 50_000, rng)
         assert (edges == 0).all()
-        # exact mean of the sampling scheme: cell weight = left value * h,
-        # position uniform inside the cell
-        left = m0.edge_values(0)[:-1]
-        centers = (np.arange(g.n_cells[0]) + 0.5) * g.h[0]
-        expected = (left * centers).sum() / left.sum()
-        assert ys.mean() == pytest.approx(expected, abs=0.005)
-        assert ys.min() >= 0.1
-        assert ys.max() <= 0.9 + g.h[0]
+        # the piecewise-linear interpolant of m0: on the cell [x, x + h] with
+        # end values a and b, mass h (a + b) / 2 and first moment
+        # h x (a + b) / 2 + h^2 (a / 6 + b / 3)
+        h, x = g.h[0], np.arange(g.n_cells[0]) * g.h[0]
+        values = m0.data[edge_slots(g, 0)]
+        a, b = values[:-1], values[1:]
+        mass = h * (a + b) / 2
+        expected = (mass * x + h * h * (a / 6 + b / 3)).sum() / mass.sum()
+        assert ys.mean() == pytest.approx(expected, abs=0.002)
+        # the fraction below each node against the interpolant's CDF
+        cdf = np.cumsum(mass) / mass.sum()
+        below = np.searchsorted(np.sort(ys), x + h, side="right") / len(ys)
+        assert np.abs(below - cdf).max() <= dkw_epsilon(len(ys))
+        assert ys.min() >= 0.2 - h
+        assert ys.max() <= 0.8 + h
+
+    def test_sampler_zero_draws_and_zero_ends(self, single_edge):
+        """Draws of 0, and cells with an end value of 0, place each agent in
+        its cell by the inverse of the cell's linear density, with no
+        division by zero and no warning."""
+        g = mn.build_grid(single_edge, 0.25)
+        # node values 0, 1, 0, 2, 0 from the exit: every cell has a zero end
+        m0 = mn.GridField(g, np.zeros(g.n_flat))
+        m0.data[edge_slots(g, 0)] = [0.0, 1.0, 0.0, 2.0, 0.0]
+
+        class Draws:
+            def __init__(self, *rows):
+                self.rows = list(rows)
+
+            def random(self, n):
+                return np.array(self.rows.pop(0))
+
+        # cumulative cell masses 1/6, 2/6, 4/6, 1: one draw in each cell, and
+        # in each the fraction u of its mass
+        cells = [0.0, 0.2, 0.5, 0.9, 0.0, 0.5, 0.9]
+        within = [0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.75]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges, ys = sample_initial_positions(m0, len(cells), Draws(cells, within))
+        assert (edges == 0).all()
+        # u = 0 starts the cell; a = 0 gives s = sqrt(u); b = 0 gives
+        # s = u / (1 + sqrt(1 - u))
+        np.testing.assert_allclose(ys, [0.0, 0.25, 0.5, 0.75, 0.125, 0.625, 0.875],
+                                   rtol=0, atol=1e-15)
 
     def test_convergence_in_agent_count(self, single_edge):
         g, m0 = self.grid_and_m0(single_edge)
         times = np.linspace(0.05, 3.0, 40)
         ref = estimate_arrival_cdf(
-            single_edge, SimConfig(n_agents=64_000, dt=2e-3, t_max=3.0, seed=100),
-            g, m0, times).fraction
+            SimConfig(n_agents=64_000, dt=2e-3, t_max=3.0, seed=100), m0, times).fraction
         dists = []
         for n in (4000, 8000, 16000):
             frac = estimate_arrival_cdf(
-                single_edge, SimConfig(n_agents=n, dt=2e-3, t_max=3.0, seed=200 + n),
-                g, m0, times).fraction
+                SimConfig(n_agents=n, dt=2e-3, t_max=3.0, seed=200 + n), m0, times).fraction
             dists.append(np.abs(frac - ref).max())
         assert dists[2] < dists[0]
         assert dists[1] < 1.2 * dists[0]

@@ -73,7 +73,7 @@ def test_example1_topology_valid(example1_config):
     topo = example1_config.spec.topology
     assert topo.n_vertices == 4
     assert topo.n_edges == 4
-    assert topo.degree(topo.exit_vertex) == 1
+    assert np.diff(topo.incident_starts)[topo.exit_vertex] == 1
 
 
 def test_self_loop_rejected():
@@ -127,31 +127,33 @@ def test_length_defaults_to_euclidean():
 
 
 def test_incidence_signs(single_edge):
-    assert mn.incidence_sign(single_edge, 0, 0) == 1   # parametrization starts here
-    assert mn.incidence_sign(single_edge, 1, 0) == -1  # and ends here
+    # the parametrization starts at the tail and ends at the head
+    assert (single_edge.tails[0], single_edge.heads[0]) == (0, 1)
     topo = mn.build_network(
         [(0, (0, 0)), (1, (1, 0)), (2, (2, 0))],
         [(0, 0, 1, 1.0), (1, 1, 2, 1.0)], 0)
-    assert mn.incidence_sign(topo, 0, 1) == 0
+    assert 0 not in (topo.tails[1], topo.heads[1])
+    assert _vertex_edges(topo, 1) == [0, 1]
+
+
+def _vertex_edges(topo, v):
+    return topo.incident_edges[topo.incident_starts[v]: topo.incident_starts[v + 1]].tolist()
 
 
 def test_classify_single_edge(single_edge):
-    boundary, transition = mn.classify_vertices(single_edge)
-    assert boundary == {0, 1}
-    assert transition == set()
+    # boundary vertices are the degree-1 ones; here there is no transition vertex
+    assert np.diff(single_edge.incident_starts).tolist() == [1, 1]
 
 
 def test_classify_three_star(three_star):
-    boundary, transition = mn.classify_vertices(three_star)
-    assert transition == {1}
-    assert boundary == {0, 2, 3}
+    assert np.diff(three_star.incident_starts).tolist() == [1, 3, 1, 1]
 
 
 def test_classify_example2_partition(example2_config):
     topo = example2_config.spec.topology
-    boundary, transition = mn.classify_vertices(topo)
-    assert len(boundary) + len(transition) == 17
-    assert topo.exit_vertex in boundary
+    degree = np.diff(topo.incident_starts)
+    assert len(degree) == 17 and degree.sum() == 2 * topo.n_edges
+    assert degree[topo.exit_vertex] == 1
 
 
 def test_example2_size(example2_config):
@@ -164,16 +166,17 @@ def test_example2_size(example2_config):
 def test_incidence_matrix_properties(seed, extra):
     topo = random_tree_network(np.random.default_rng(seed), extra)
     n_v, n_e = topo.n_vertices, topo.n_edges
-    signs = np.array([[mn.incidence_sign(topo, i, j) for j in range(n_e)]
-                      for i in range(n_v)])
+    # the signed incidence matrix from the CSR table: +1 where an edge
+    # starts at the vertex, -1 where it ends there
+    signs = np.zeros((n_v, n_e), dtype=int)
+    for v in range(n_v):
+        for j in _vertex_edges(topo, v):
+            signs[v, j] = 1 if topo.tails[j] == v else -1
+            assert v in (topo.tails[j], topo.heads[j])
     # every edge contributes exactly one +1 and one -1
     assert (signs.sum(axis=0) == 0).all()
     assert (np.abs(signs).sum(axis=0) == 2).all()
     # degrees match nonzero counts, exit has degree 1
     degrees = np.abs(signs).sum(axis=1)
-    assert all(degrees[v] == topo.degree(v) for v in range(n_v))
+    np.testing.assert_array_equal(degrees, np.diff(topo.incident_starts))
     assert degrees[topo.exit_vertex] == 1
-    # classification partitions the vertex set
-    boundary, transition = mn.classify_vertices(topo)
-    assert boundary | transition == set(range(n_v))
-    assert boundary & transition == set()
