@@ -454,7 +454,9 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # phi at each level the particles read (one per particle step, or every level
     # when the steps are finer), the drift and its temporaries, the step times,
     # and 22 floats per agent (under tracemalloc, desk's run peaked 157 to 174
-    # bytes higher per agent between 1e5 and 8e5 agents)
+    # bytes higher per agent between 1e5 and 8e5 agents); the particle blocks
+    # split those floats between the caller and its forked workers, and the
+    # guard counts their total
     # t_max / dt_mc may be inf; a count past MEMORY_LIMIT fails the guard unrounded
     steps = sim.t_max / sim.dt
     n_mc = math.ceil(steps) if steps < MEMORY_LIMIT else steps

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
+import mfgnet.montecarlo as mc
 from mfgnet.errors import StepTooLarge, ZeroMass
 from mfgnet.mfg import density_drift
 from mfgnet.montecarlo import (
@@ -48,6 +50,13 @@ class TestSingleAgent:
         for bad in (-0.5, np.nan):
             with pytest.raises(ValueError, match="nonnegative"):
                 simulate_agents(single_edge, cfg, np.zeros(2, dtype=int), np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("dt, t_max", [
+        (math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf), (math.inf, 1.0),
+    ], ids=["dt_nan", "t_max_nan", "t_max_inf", "dt_inf"])
+    def test_nonfinite_step_or_horizon_rejected(self, dt, t_max):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimConfig(n_agents=1, dt=dt, t_max=t_max)
 
     def test_deterministic_replay(self, three_star):
         cfg = SimConfig(n_agents=500, dt=1e-3, t_max=2.0, seed=42)
@@ -223,6 +232,81 @@ class TestEstimateCdf:
             dists.append(np.abs(frac - ref).max())
         assert dists[2] < dists[0]
         assert dists[1] < 1.2 * dists[0]
+
+
+class TestBlocks:
+    """estimate_arrival_cdf simulates its population in blocks of
+    _BLOCK_AGENTS agents, the later ones on forked workers; here blocks of
+    500 agents keep the runs small."""
+
+    SIM = dict(dt=2e-3, t_max=1.0, seed=31)
+
+    @pytest.fixture
+    def m0(self, single_edge, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_AGENTS", 500)
+        g = mn.build_grid(single_edge, 0.05)
+        return mn.normalize_mass(mn.sample_function(g, lambda p: p[:, 0]))
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def starts_and_child_seed(cfg, m0):
+        rng = np.random.default_rng(cfg.seed)
+        edges, ys = sample_initial_positions(m0, cfg.n_agents, rng)
+        return edges, ys, int(rng.integers(0, 2**63 - 1))
+
+    @pytest.mark.parametrize("n", [1, 500])
+    def test_one_block_steps_on_the_sampler_seed(self, m0, monkeypatch, n):
+        self.cpus(monkeypatch, 2)
+        cfg = SimConfig(n_agents=n, **self.SIM)
+        edges, ys, child = self.starts_and_child_seed(cfg, m0)
+        expected = simulate_agents(m0.grid.topology, replace(cfg, seed=child), edges, ys)
+        got = estimate_arrival_cdf(cfg, m0, np.zeros(1)).arrival_times
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_forked_blocks_match_blocks_in_the_caller(self, m0, monkeypatch, n_cpus):
+        cfg = SimConfig(n_agents=1700, **self.SIM)  # blocks 0:425:850:1275:1700
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        self.cpus(monkeypatch, n_cpus)
+        forked = estimate_arrival_cdf(cfg, m0, np.zeros(1)).arrival_times
+        assert len(forks) == n_cpus - 1
+        self.cpus(monkeypatch, 1)
+        in_caller = estimate_arrival_cdf(cfg, m0, np.zeros(1)).arrival_times
+        assert len(forks) == n_cpus - 1
+        assert forked.tobytes() == in_caller.tobytes()
+        assert np.isfinite(forked).mean() > 0.5
+        # block 0 steps on the sampler's seed, block b >= 1 on the first
+        # 63 bits of the state of the b-th child of its SeedSequence
+        edges, ys, child = self.starts_and_child_seed(cfg, m0)
+        spawned = np.random.SeedSequence(child).spawn(3)
+        seeds = [child] + [int(s.generate_state(2, np.uint64)[0] >> np.uint64(1))
+                           for s in spawned]
+        for b, seed in enumerate(seeds):
+            part = slice(425 * b, 425 * (b + 1))
+            block = simulate_agents(m0.grid.topology, replace(cfg, seed=seed),
+                                    edges[part], ys[part])
+            assert forked[part].tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_in_a_block_reaches_the_caller_and_no_worker_is_left(
+            self, m0, monkeypatch, where):
+        caller, simulate = os.getpid(), mc.simulate_agents
+
+        def failing(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise StepTooLarge(f"raised in the {where}")
+            return simulate(*args)
+
+        monkeypatch.setattr(mc, "simulate_agents", failing)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(StepTooLarge, match=f"in the {where}"):
+            estimate_arrival_cdf(SimConfig(n_agents=1000, **self.SIM), m0, np.zeros(1))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _reference_drift_eval(drift, edge_ids, ys, level):
