@@ -309,18 +309,6 @@ def _block_seeds(seed: int, n_blocks: int) -> list[int]:
                      for child in spawned]
 
 
-def _pickled_error(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a RuntimeError naming it when it does not
-    survive the round trip (an exception whose constructor takes other
-    arguments than its ``args``)."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
 def _fork_worker(topology: NetworkTopology, blocks: list) -> tuple[int, object]:
     """Fork a process that simulates ``blocks`` one after another and writes
     to a pipe a 0 byte and their arrivals, concatenated, or a 1 byte and its
@@ -339,8 +327,8 @@ def _fork_worker(topology: NetworkTopology, blocks: list) -> tuple[int, object]:
             try:
                 tag, body = b"\0", np.concatenate(
                     [simulate_agents(topology, *block) for block in blocks])
-            except BaseException as exc:
-                tag, body = b"\1", _pickled_error(exc)
+            except BaseException as exc:  # interrupts too: the caller raises it
+                tag, body = b"\1", pickle.dumps(exc)
             with open(write_end, "wb") as pipe:
                 pipe.write(tag)
                 pipe.write(body)
@@ -403,7 +391,8 @@ def _simulate_blocks(topology: NetworkTopology, config: SimConfig,
                                         f"(wait status {status})")
             arrivals[p::n_procs] = np.split(np.frombuffer(body), np.cumsum(sizes)[:-1])
     finally:
-        _stop(workers)
+        if workers:
+            _stop(workers)
     return np.concatenate(arrivals)
 
 

@@ -280,7 +280,7 @@ class TestBlocks:
         assert forked.tobytes() == in_caller.tobytes()
         assert np.isfinite(forked).mean() > 0.5
         # block 0 steps on the sampler's seed, block b >= 1 on the first
-        # 63 bits of the state of the b-th child of its SeedSequence
+        # state word of the b-th child of its SeedSequence, shifted to 63 bits
         edges, ys, child = self.starts_and_child_seed(cfg, m0)
         spawned = np.random.SeedSequence(child).spawn(3)
         seeds = [child] + [int(s.generate_state(2, np.uint64)[0] >> np.uint64(1))
