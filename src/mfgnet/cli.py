@@ -7,10 +7,17 @@ problem parameters, the numeric parameters and run settings. Three modes:
 particle simulator; ``refine-study`` repeats the solve over a ladder of
 spatial steps and tabulates the diagnostics.
 
-Every CSV goes through one writer, ``_write_csv``: each value is its repr,
-a block of _CSV_BLOCK_ROWS rows at a time. A field CSV is such a table
-whose leading columns (edge, node, coordinates) come from the grid's
-``_field_layout``, formatted once per run.
+Every CSV goes through one writer, ``_write_tables``: each value is its
+repr, a block of _CSV_BLOCK_ROWS rows at a time. A field CSV is such a
+table whose leading columns (edge, node, coordinates) come from the grid's
+``_field_layout``, formatted once per run. The rows of one output batch are
+cut into contiguous shares, one per usable CPU, the later ones formatted in
+forked workers; a row's text depends only on its values, so the files are
+the same bytes on any number of CPUs.
+
+A run removes from its output directory the files it owns by name but did
+not write: ``error.json`` after a success, ``summary.json`` after a
+failure, and snapshots of levels it did not write.
 
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
@@ -22,6 +29,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import shutil
 import sys
 from dataclasses import dataclass, replace
@@ -56,13 +64,23 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 DEFAULT_H_LADDER = (0.1, 0.05, 0.025, 0.0125)
 MODES = ("solve", "oracle", "refine-study")
-# rows per block of _write_csv: at 1024, example1's solve peaked about 0.5 MB
+# rows per block of _write_tables: at 1024, example1's solve peaked about 0.5 MB
 # higher, holding a block's rows as strings, at about the same speed. Against
 # 512, lattice_solve's medians were 37.39 against 37.51 MB peak_rss_mb (lower
 # in 5 of 5 interleaved perfbench pairs) and 0.60 against 0.57 s wall_s
 # (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
 # fit in one block either way.
 _CSV_BLOCK_ROWS = 256
+# blocks of a table gathered at a time: a whole field of the street lattice
+# at a time raised its peak RSS
+_GATHER_BLOCKS = 8
+# The fewest values _write_tables gives a share of its own. A value takes
+# about 0.65 us to format; a forked worker about 4 ms to fork, reap and
+# append (2.6 ms with nothing to do; 2-CPU Xeon VM). At 20 000 a share's
+# work is three times that, and example1's series (32 290 values: 21 ms in
+# one process, 25 ms in two when the second CPU was busy) stays in the
+# caller.
+_SHARE_VALUES = 20_000
 
 
 @dataclass(frozen=True)
@@ -330,28 +348,154 @@ def _text_blocks(column: np.ndarray):
 
 
 def _line_blocks(lines):
-    """The lines after the header of an open CSV file, without their
-    newlines, as lists of _CSV_BLOCK_ROWS lines."""
-    next(lines)
-    while block := [line[:-1] for line in itertools.islice(lines, _CSV_BLOCK_ROWS)]:
-        yield block
+    """A ``lead`` of ``_Table``: the lines after the header of the CSV file
+    open as ``lines``, without their final newline, read again from its path
+    for each piece, so that no share holds the whole file."""
+    path = lines.name
+
+    def lead(first: int):
+        with open(path) as fh:
+            for _ in itertools.islice(fh, 1 + first * _CSV_BLOCK_ROWS):
+                pass
+            while block := "".join(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+                yield block[:-1]
+    return lead
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One CSV file: ``header``, then one row per index of the equal-length
+    ``columns`` (ints or floats), or per entry of ``order``, the index of
+    each row's values in the columns. ``lead(i)``, one string of lines per
+    block of _CSV_BLOCK_ROWS rows from block i on, begins each row with its
+    line, so values already formatted there are not formatted again."""
+
+    path: Path
+    header: str
+    columns: tuple
+    order: np.ndarray | None = None
+    lead: object = None
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.columns[0] if self.order is None else self.order)
+
+    def write_rows(self, fh, a: int, b: int) -> None:
+        """Rows a to b, a on a block boundary, to the open text file ``fh``,
+        each value its repr, by ``_text_blocks``, gathered _GATHER_BLOCKS
+        blocks at a time."""
+        lead = None if self.lead is None else self.lead(a // _CSV_BLOCK_ROWS)
+        for start in range(a, b, _GATHER_BLOCKS * _CSV_BLOCK_ROWS):
+            end = min(start + _GATHER_BLOCKS * _CSV_BLOCK_ROWS, b)
+            rows = slice(start, end) if self.order is None else self.order[start:end]
+            blocks = [_text_blocks(np.asarray(c)[rows]) for c in self.columns]
+            if lead is not None:
+                blocks.insert(0, (text.split("\n") for text in
+                                  itertools.islice(lead, -((start - end) // _CSV_BLOCK_ROWS))))
+            for cells in zip(*blocks):
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of ``tables``, in file order, cut on _CSV_BLOCK_ROWS
+    boundaries into at most ``n_shares`` contiguous shares of about equal
+    value count: each share as its pieces (table index, first row, end
+    row), at most one per table."""
+    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
+    starts = np.cumsum(sizes) - sizes
+    # share s begins at the block that holds its first value
+    cuts = [(0, 0)]
+    for s in range(1, n_shares):
+        value = s * int(sizes.sum()) // n_shares
+        t = int(np.searchsorted(starts, value, side="right")) - 1
+        row = (value - int(starts[t])) // len(tables[t].columns)
+        cuts.append((t, row - row % _CSV_BLOCK_ROWS))
+    cuts.append((len(tables), 0))
+    shares = []
+    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
+        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
+                  for t in range(t0, min(t1 + 1, len(tables)))]
+        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
+            shares.append(pieces)
+    return shares
+
+
+def _spill(tables: list[_Table], pieces, spill) -> np.ndarray:
+    """Write ``pieces`` of ``tables`` one after another to the open file
+    ``spill``, and return the byte length of each."""
+    ends = []
+    with open(spill.fileno(), "w", closefd=False) as fh:
+        for t, a, b in pieces:
+            tables[t].write_rows(fh, a, b)
+            fh.flush()
+            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
+    return np.diff(ends, prepend=0)
+
+
+def _append(path: Path, src: int, offset: int, length: int) -> None:
+    """Copy ``length`` bytes of the open file ``src``, from ``offset`` on,
+    to the end of the file at ``path``: by ``os.sendfile`` on Linux, which
+    holds no byte in this process, else 64 KiB at a time."""
+    dst = os.open(path, os.O_WRONLY)  # sendfile refuses O_APPEND
+    try:
+        os.lseek(dst, 0, os.SEEK_END)
+        end = offset + length
+        while offset < end:
+            if sys.platform == "linux":
+                offset += os.sendfile(dst, src, offset, end - offset)
+            else:
+                offset += os.write(dst, os.pread(src, min(end - offset, 1 << 16), offset))
+    finally:
+        os.close(dst)
+
+
+def _write_tables(tables: list[_Table]) -> None:
+    """Write ``tables``, their rows cut by ``_shares`` into one share per
+    usable CPU, each of at least _SHARE_VALUES values. The caller writes
+    the headers and the first share into the files; each later share is
+    formatted by a worker of ``workers.run_forked`` into an unlinked
+    temporary file, whose pieces the caller then appends in order."""
+    values = sum(table.n_rows * len(table.columns) for table in tables)
+    n_shares = 1
+    if values >= 2 * _SHARE_VALUES:  # a batch that may fork: only it loads the helper
+        from .workers import run_forked, spare_cpus
+
+        n_shares = min(1 + spare_cpus(), values // _SHARE_VALUES)
+    shares = _shares(tables, n_shares)
+    own = {t: (a, b) for t, a, b in shares[0]} if shares else {}
+
+    def write_own() -> None:
+        for t, table in enumerate(tables):
+            with open(table.path, "w") as fh:
+                fh.write(table.header + "\n")
+                if t in own:
+                    table.write_rows(fh, *own[t])
+
+    if len(shares) <= 1:
+        write_own()
+        return
+    import tempfile  # only where the writer forks
+
+    spills = []
+    try:
+        for _ in shares[1:]:
+            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
+        _, bodies = run_forked(write_own, [partial(_spill, tables, pieces, spill)
+                                           for pieces, spill in zip(shares[1:], spills)])
+        for pieces, spill, body in zip(shares[1:], spills, bodies):
+            offset = 0
+            for (t, _, _), length in zip(pieces, np.frombuffer(body, dtype=int).tolist()):
+                _append(tables[t].path, spill.fileno(), offset, length)
+                offset += length
+    finally:
+        for spill in spills:
+            spill.close()
 
 
 def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
-    """One row per index of the equal-length ``columns`` (ints or floats),
-    each value written as its repr, by ``_text_blocks``.
-
-    ``lead``, an iterable of lists of _CSV_BLOCK_ROWS strings, one per row,
-    begins each row with that text, so values already formatted there are
-    not formatted again.
-    """
-    blocks = [_text_blocks(np.asarray(c)) for c in columns]
-    if lead is not None:
-        blocks.insert(0, lead)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for cells in zip(*blocks):
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    """One ``_Table`` of the equal-length ``columns``, with ``lead`` as
+    there, written by ``_write_tables``."""
+    _write_tables([_Table(path, header, columns, lead=lead)])
 
 
 def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
@@ -373,12 +517,17 @@ def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
     return grid.edge_nodes, text
 
 
+def _field_table(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> _Table:
+    """The ``_Table`` of a field's CSV in the rows of ``layout``."""
+    order, text = layout
+    return _Table(path, "edge_id,k,x_coord_1,x_coord_2,value", (field.data,), order,
+                  lambda first: itertools.islice(text, first, None))
+
+
 def field_to_csv(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> None:
     """Write a field as rows (edge_id, k, x_coord_1, x_coord_2, value) in the
     rows of ``layout``, its grid's ``_field_layout``."""
-    order, text = layout
-    _write_csv(path, "edge_id,k,x_coord_1,x_coord_2,value", field.data[order],
-               lead=(block.split("\n") for block in text))
+    _write_tables([_field_table(field, path, layout)])
 
 
 def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
@@ -401,31 +550,35 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
     result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress)
 
-    _write_csv(out / "f_series.csv", "t,F", result.times, result.map.f_series)
-    _write_csv(out / "iterates.csv", "iteration,T",
-               range(len(result.iterates) + 1), [result.t_init, *result.iterates])
     lvl = result.equilibrium_level
     layout = _field_layout(problem.grid)
-    written: dict[tuple[str, int], Path] = {}
-
-    def write(name: str, n: int, path: Path) -> None:
-        """The field ``name`` at level ``n``, formatted once: a second path
-        gets a copy of the first file."""
-        if (name, n) in written:
-            shutil.copyfile(written[name, n], path)
-        else:
-            field_to_csv(result.fields[name][n], path, layout)
-            written[name, n] = path
-
-    write("m", 0, out / "m0.csv")
-    write("m", lvl, out / "m_final.csv")
-    write("u", lvl, out / "u_final.csv")
+    tables = [_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
+              _Table(out / "iterates.csv", "iteration,T",
+                     (range(len(result.iterates) + 1), [result.t_init, *result.iterates]))]
+    named = [("m", 0, out / "m0.csv"), ("m", lvl, out / "m_final.csv"),
+             ("u", lvl, out / "u_final.csv")]
+    snapdir = out / "snapshots"
     if snapshot_levels:
-        snapdir = out / "snapshots"
         snapdir.mkdir(exist_ok=True)
         for n in sorted(snapshot_levels):
-            write("m", n, snapdir / f"m_{n:08d}.csv")
-            write("u", n, snapdir / f"u_{n:08d}.csv")
+            named += [("m", n, snapdir / f"m_{n:08d}.csv"), ("u", n, snapdir / f"u_{n:08d}.csv")]
+    if snapdir.is_dir():  # drop the snapshots of other levels, from an earlier run
+        written = {path for _, _, path in named}
+        for path in (*snapdir.glob("m_*.csv"), *snapdir.glob("u_*.csv")):
+            if path not in written:
+                path.unlink()
+    # each field is formatted once: a second name gets a copy of the first file
+    first: dict[tuple[str, int], Path] = {}
+    for name, n, path in named:
+        if (name, n) not in first:
+            first[name, n] = path
+            tables.append(_field_table(result.fields[name][n], path, layout))
+    # the files hold u and m alone: phi and psi go before their rows are formatted
+    del result.fields["phi"], result.fields["psi"]
+    _write_tables(tables)
+    for name, n, path in named:
+        if first[name, n] != path:
+            shutil.copyfile(first[name, n], path)
 
     summary = {
         "converged": result.converged,
@@ -482,8 +635,9 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     # t and f_pde are f_series.csv's rows, text and all
     with open(out / "f_series.csv") as series:
-        _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-                   mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(series))
+        lead = _line_blocks(series)
+    _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
+               mc.fraction, mc.band_lo, mc.band_hi, lead=lead)
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,
@@ -543,12 +697,14 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         payload = _report(err)
         try:
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
+            (out / "summary.json").unlink(missing_ok=True)  # an earlier run's
         except OSError:
             pass
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
         return 2  # the config, a step too coarse or a particle step too large
     _write_summary(config, out, summary)
+    (out / "error.json").unlink(missing_ok=True)  # an earlier run's
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)
     return 0 if summary["converged"] else 4

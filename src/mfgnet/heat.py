@@ -145,16 +145,6 @@ class StepOperator:
             # a fancy index on the first axis keeps the one-state step fast
             out.T[self.free_vertices] = sums.T
 
-    def kirchhoff_residual(self, data: np.ndarray) -> np.ndarray:
-        """Per free vertex, the sum of one-sided outgoing difference
-        quotients; zero where the vertex value solves the flux balance."""
-        if not len(self.free_vertices):
-            return np.zeros(0)
-        counts = np.diff(self.seg_starts, append=len(self.adj_nodes))
-        centre = np.repeat(data[self.free_vertices], counts)
-        diffs = (data[self.adj_nodes] - centre) * self.adj_weights
-        return np.add.reduceat(diffs, self.seg_starts)
-
     def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.empty(self.n_interior), np.empty(self.n_interior),
                 np.empty(len(self.adj_nodes)))

@@ -32,14 +32,20 @@ __all__ = ["LanczosStep", "krylov_reach_pays"]
 # while they stay within an eighth of the m x n_flat basis the path never
 # holds.
 KRYLOV_REACH_SHARE = 0.125
-# phi or psi at L levels after level 0 replays a basis of m vectors about L
-# times, where a sweep takes n_steps steps whatever L. On the 24 x 24 street
-# lattice (m = 371, n_steps = 4 481; same VM, best of 2) phi and psi took
-# 0.18, 0.52 and 1.00 s from the bases at L = 8, 40 and 80, against 0.45,
-# 0.50 and 0.54 s for a sweep pair: they cross between L = 40 and 45. The
-# bases serve them while m L <= KRYLOV_FIELD_RATIO n_steps, up to L = 41
-# there.
+# phi or psi at L levels after level 0 adds L products per block to a
+# basis replay, where a sweep takes n_steps steps whatever L. On the 24 x 24
+# street lattice (m = 371, n_steps = 4 481; same VM, best of 2) phi and psi
+# took 0.16, 0.23 and 0.39 s from the bases at L = 8, 40 and 80, against
+# 0.40 s for a sweep pair: they cross near L = 85 (between 40 and 45 with
+# one axpy per vector and level). The bases serve them while
+# m L <= KRYLOV_FIELD_RATIO n_steps, up to L = 41 there: the ratio is kept,
+# so no run's choice, nor the bits of its fields, changes.
 KRYLOV_FIELD_RATIO = 3.4
+# Basis vectors per block: each field row, and a map's phi0, adds one
+# (k,) @ (k, n) product per block. One (L x 4) @ (4 x n) product for the L
+# rows would make a row's bits depend on the other levels asked; blocks of
+# 16 raised the street lattice's peak RSS by 1.2 MB.
+_BLOCK = 4
 # A beta_j at or below this is rounding, as |K|_H <= 1 on H-normalized vectors: the Krylov
 # space is invariant (on a star of 9 interior nodes 4e-16 at j = 5; street lattice >= 0.089).
 _INVARIANT_BETA = 64 * np.finfo(float).eps
@@ -64,17 +70,24 @@ class _LanczosBasis:
     CFL bound; m grows until the bound is below KRYLOV_TOL, or until the
     recurrence ends at a beta_m that is rounding, whose bound must be too.
 
+    The bound is first checked at m = 16, then at sizes extrapolated from
+    its last rate of fall, at most doubling m. A basis expected to need
+    about ``near`` vectors is first checked 8 short of that, then 8 vectors
+    on until its rate is known. Each check costs about as much as 20
+    recurrence steps on the street lattice.
+
     Powers of T are applied as in ModalStep, with k = a*B + j and
     B about sqrt(n_steps) / 2: a (B, m) table of T^j e_1 and the band of T^B
     (bandwidth B), applied once per chunk. Nothing is m x m: a dense eigh of
     T at m = 370 raised the street lattice's peak RSS by 6 MB. Only alpha
     and beta are kept: ``combine`` and ``LanczosStep``'s reads replay the
-    recurrence, so no m x n_flat basis is held either. The build keeps W on
-    the flat indices ``nodes`` only, when given, as the (m, len(nodes))
-    ``on_nodes``.
+    recurrence into blocks of _BLOCK vectors, so no m x n_flat basis is held
+    either. The build keeps W on the flat indices ``nodes`` only, when
+    given, as the (m, len(nodes)) ``on_nodes``.
     """
 
-    def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int, nodes=None):
+    def __init__(self, op: StepOperator, start: np.ndarray, n_steps: int, nodes=None,
+                 near: int | None = None):
         self.op, self.n_steps, self.start = op, n_steps, start
         self.h = 1.0 / np.sqrt(op.inv_h2)
         self.norm = math.sqrt(self._dot(start, start))
@@ -85,11 +98,11 @@ class _LanczosBasis:
         self.alpha: list[float] = []
         self.beta: list[float] = []
         recorded = []
-        target, last = 16, None
-        for w in self._recurrence():
+        target, last = (16, None) if near is None else (max(16, near - 8), None)
+        for rows in self._recurrence():
             m = len(self.alpha)
             if nodes is not None:
-                recorded.append(w[nodes])
+                recorded.append(rows[-1, nodes])
             if m < target:
                 continue
             bound = self._bound(m)
@@ -97,7 +110,7 @@ class _LanczosBasis:
                 break
             # the bound falls ever faster, so extrapolating its last rate
             # overshoots the m it needs by a little
-            grow = m
+            grow = m if near is None else 8
             if last is not None and bound < last[1]:
                 rate = math.log(last[1] / bound) / (m - last[0])
                 grow = math.ceil(math.log(bound / KRYLOV_TOL) / rate)
@@ -177,12 +190,13 @@ class _LanczosBasis:
         """Coefficients c with W c ~ sum_k series[k] K^k x, for
         len(series) <= n_steps: sum over chunks a of T^(a*B) z_a, with
         z_a = sum_j series[a*B + j] T^j e_1, by Horner's rule over a."""
-        by_level = np.zeros(self.chunks * self.rows)
+        chunks = max(1, -(-len(series) // self.rows))  # those the series reaches
+        by_level = np.zeros(chunks * self.rows)
         by_level[: len(series)] = series
-        z = by_level.reshape(self.chunks, self.rows) @ self.offsets
+        z = by_level.reshape(chunks, self.rows) @ self.offsets
         apply = self._band_step()
         acc = z[-1]
-        for a in range(self.chunks - 2, -1, -1):
+        for a in range(chunks - 2, -1, -1):
             acc = z[a] + apply(acc)
         return self.norm * acc
 
@@ -200,17 +214,21 @@ class _LanczosBasis:
         return self.norm * out
 
     def _recurrence(self):
-        """w_0, w_1, ...: flat, flux-balanced, H-normalized. alpha and beta
-        are extended past the stored ones; replays repeat the same
-        arithmetic, so they give the same vectors to the last bit."""
+        """For each j = 0, 1, ...: w_(j - j mod _BLOCK) to w_j, the vectors
+        of j's block so far, as the first rows of one buffer that the next
+        vector reuses. The w_j are flat, flux-balanced and H-normalized.
+        alpha and beta are extended past the stored ones; replays repeat the
+        same arithmetic, so they give the same vectors to the last bit."""
         op = self.op
         scratch = op.scratch()
-        # every buffer holds 0 at the exit, and combinations keep it there
-        prev = np.zeros(op.grid.n_flat)
-        cur = self.start / self.norm
-        nxt = np.zeros_like(cur)
+        # every row holds 0 at the exit, and combinations keep it there;
+        # w_j is row j mod _BLOCK, and w_(j+1) overwrites w_(j+1-_BLOCK)
+        ring = np.zeros((_BLOCK, op.grid.n_flat))
+        ring[0] = self.start / self.norm
         for j in itertools.count():
-            yield cur
+            i = j % _BLOCK
+            prev, cur, nxt = ring[i - 1], ring[i], ring[(i + 1) % _BLOCK]
+            yield ring[: i + 1]
             op.interior_step(cur, nxt, scratch)
             if j == len(self.alpha):
                 self.alpha.append(self._dot(cur, nxt))
@@ -225,14 +243,29 @@ class _LanczosBasis:
             if self.beta[j] <= _INVARIANT_BETA:
                 return
             nxt /= self.beta[j]
-            prev, cur, nxt = cur, nxt, prev
 
-    def combine(self, coefs: np.ndarray) -> np.ndarray:
-        """W @ coefs for an (m, L) coefficient array: L flat states."""
-        out = np.zeros((coefs.shape[1], self.op.grid.n_flat))
-        for j, w in enumerate(itertools.islice(self._recurrence(), self.m)):
-            for row, c in zip(out, coefs[j]):
-                row += c * w
+    def blocks(self):
+        """(j, rows) for j = 0, _BLOCK, ... < m: the basis vectors w_j to
+        w_(j+k-1), k = _BLOCK but in the last block, replayed, as the rows
+        of ``_recurrence``'s buffer."""
+        vectors = self._recurrence()
+        for j in range(0, self.m, _BLOCK):
+            for rows in itertools.islice(vectors, min(_BLOCK, self.m - j)):
+                pass
+            yield j, rows
+
+    def combine(self, coefs: np.ndarray, visit=None) -> np.ndarray:
+        """W @ coefs for an (m, L) coefficient array: L flat states, each
+        the sum over the blocks of its own product with the block.
+        ``visit(j, rows)``, when given, also sees each block."""
+        by_row = np.ascontiguousarray(coefs.T)
+        out = np.zeros((len(by_row), self.op.grid.n_flat))
+        product = np.empty(self.op.grid.n_flat)
+        for j, rows in self.blocks():
+            for row, c in zip(out, by_row[:, j: j + len(rows)]):
+                row += np.matmul(c, rows, out=product)
+            if visit is not None:
+                visit(j, rows)
         return out
 
 
@@ -263,8 +296,11 @@ class LanczosStep(Evaluator):
     replays the basis for them, with the same arithmetic. For
     ``mfg.map_phi``, ``phi_levels`` evaluates phi at chosen levels from the
     same basis; for ``mfg.map_psi``, ``psi_levels`` evaluates psi from a
-    basis started at u^1. Past ``KRYLOV_FIELD_RATIO``'s level count both
-    sweep instead, with ``heat._run_sweep`` and this problem's operator.
+    basis started at u^1, whose bound is first checked near the maps' m.
+    Reads and fields alike take the basis in blocks of _BLOCK vectors, one
+    product per block and output row. Past ``KRYLOV_FIELD_RATIO``'s level
+    count both fields sweep instead, with ``heat._run_sweep`` and this
+    problem's operator.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
@@ -280,12 +316,21 @@ class LanczosStep(Evaluator):
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
 
-    def _on_reach(self):
-        """The basis vectors on S, w_j[S] for j < m: kept by the build, or
-        replayed."""
-        if self.pins.on_nodes is not None:
-            return self.pins.on_nodes
-        return (w[self.reach] for w in itertools.islice(self.pins._recurrence(), self.pins.m))
+    def _on_reach(self, blocks=None):
+        """The maps' basis on S in blocks, as ``_LanczosBasis.blocks``:
+        slices of the rows kept by the build, or else gathered from
+        ``blocks`` of whole vectors, called for only then. Either way each
+        block is C-ordered, as a product's rounding depends on the layout."""
+        kept = self.pins.on_nodes
+        if kept is not None:
+            return ((j, kept[j: j + _BLOCK]) for j in range(0, self.pins.m, _BLOCK))
+        return ((j, rows.take(self.reach, axis=1)) for j, rows in blocks())
+
+    @staticmethod
+    def _add_block(on_reach: np.ndarray, coefs: np.ndarray, j: int, rows: np.ndarray) -> None:
+        """One block's term of phi0 on S: the one arithmetic of a map and of
+        ``phi_levels``' level 0 there."""
+        on_reach += coefs[j: j + len(rows)] @ rows
 
     def _sweeps(self, n_levels: int) -> bool:
         """Whether fields at ``n_levels`` levels after level 0 are swept:
@@ -303,26 +348,43 @@ class LanczosStep(Evaluator):
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row, as
-        ``ModalStep.phi_levels``."""
+        ``ModalStep.phi_levels``. Level 0 on S is formed as a map forms it,
+        so a map's psi0 is m0 over this level 0 to the last bit: a product
+        of a block with W's rows on S need not match the same entries of its
+        product with the whole rows."""
         if self._sweeps(np.count_nonzero(levels)):
             return self._swept(np.full(self.grid.n_flat, exit_series[-1]), exit_series,
                                levels, backward=True)
+        levels = list(levels)
         excess = exit_series[1:] - exit_series[-1]
-        coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1)
-        rows = self.pins.combine(coefs * self.b_adj)
+        coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1) * self.b_adj
+        on_reach, visit = None, None
+        if 0 in levels:
+            level0 = np.ascontiguousarray(coefs[:, levels.index(0)])
+            on_reach = np.zeros(len(self.reach))
+            if self.pins.on_nodes is None:  # gathered from the replay below
+                def visit(j, rows):
+                    self._add_block(on_reach, level0, j, rows.take(self.reach, axis=1))
+            else:
+                for j, rows in self._on_reach():
+                    self._add_block(on_reach, level0, j, rows)
+        rows = self.pins.combine(coefs, visit)
         rows += exit_series[-1]
+        if on_reach is not None:
+            on_reach += exit_series[-1]
+            rows[levels.index(0), self.reach] = on_reach
         rows[:, self.operator.pinned[0]] = exit_series[levels]
         return rows
 
     def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """As ``ModalStep.map``, reading the basis on S alone: phi0 on S with
-        the arithmetic of ``phi_levels`` to the last bit, 1 off S, where
-        m0 / phi0 is m0 itself: 0 (of m0's sign)."""
+        """As ``ModalStep.map``, reading the basis on S alone: phi0 on S as
+        ``phi_levels``' level 0 there, 1 off S, where m0 / phi0 is m0
+        itself: 0 (of m0's sign)."""
         reach, nv = self.reach, self.grid.n_vertices
         coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
         on_reach = np.zeros(len(reach))
-        for c, w in zip(coefs, self._on_reach()):  # in combine's order
-            on_reach += c * w
+        for j, rows in self._on_reach(self.pins.blocks):
+            self._add_block(on_reach, coefs, j, rows)
         on_reach += exit_series[-1]
         phi0 = np.ones(self.grid.n_flat)
         phi0[reach] = on_reach
@@ -332,7 +394,8 @@ class LanczosStep(Evaluator):
         k = np.searchsorted(reach, nv)
         inner = reach[k:]
         weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
-        products = np.array([np.dot(w[k:], weighted) for w in self._on_reach()])
+        products = np.concatenate([rows[:, k:] @ weighted
+                                   for _, rows in self._on_reach(self.pins.blocks)])
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.grid.exit_adjacent_index]
         # |e_adj|_H = sqrt(h_adj)
@@ -344,5 +407,7 @@ class LanczosStep(Evaluator):
         flat state per row, as ``ModalStep.psi_levels``."""
         if self._sweeps(len(levels)):
             return self._swept(psi0, np.zeros(self.n_steps + 1), levels, backward=False)
-        density = _LanczosBasis(self.operator, self._level_one(psi0), self.n_steps)
+        # the density's basis needs about as many vectors as the maps'
+        density = _LanczosBasis(self.operator, self._level_one(psi0), self.n_steps,
+                                near=self.pins.m)
         return density.combine(density.powers([n - 1 for n in levels]))

@@ -228,6 +228,8 @@ def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     the map's psi0, which is level 0."""
     levels = np.asarray(levels, dtype=int)
     later = levels > 0
+    if len(levels) and later.all():
+        return _evaluator(problem).psi_levels(res.psi0, levels.tolist())
     out = np.empty((len(levels), problem.grid.n_flat))
     out[~later] = res.psi0
     if later.any():
@@ -238,10 +240,15 @@ def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
 def map_fields(res: PsiMapResult, problem: DiscreteProblem,
                levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
     """phi and psi of the map ``res`` at each of ``levels``, keyed by level
-    in increasing order: ``map_phi`` and ``map_psi`` as GridFields."""
+    in increasing order: ``map_phi`` and ``map_psi`` as GridFields. psi's
+    level 0 is the map's own psi0 array, not a copy stacked with the later
+    levels: on the street lattice that copy set a run's peak RSS."""
     levels = sorted(set(levels))
+    later = [n for n in levels if n > 0]
+    phi = map_phi(res, problem, levels)
+    psi = [res.psi0] * (len(levels) - len(later)) + list(map_psi(res, problem, later))
     return tuple({n: GridField(problem.grid, row) for n, row in zip(levels, rows)}
-                 for rows in (map_phi(res, problem, levels), map_psi(res, problem, levels)))
+                 for rows in (phi, psi))
 
 
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:

@@ -12,9 +12,10 @@ lockstep on one seeded generator, so a call replays bit for bit.
 ``estimate_arrival_cdf`` cuts its population into blocks of at most
 _BLOCK_AGENTS agents, each simulated on its own seed: the first block on
 the seed the sampler hands on, the later ones on seeds spawned from it.
-The blocks after the first run in forked workers when the process may use
-more than one CPU, and one after another in the caller otherwise; the
-arrivals depend only on the seed and the population size either way.
+The blocks after the first run on workers forked by
+``workers.run_forked``, which cli's CSV writer shares, when the process
+may use more than one CPU, and one after another in the caller otherwise;
+the arrivals depend only on the seed and the population size either way.
 
 A step that starts and ends on the exit edge may still have crossed the
 exit in between; ignoring that biases arrivals late by O(sqrt(dt)). Those
@@ -25,9 +26,8 @@ exp(-2*d0*d1 / (sigma^2 dt)), which removes the leading-order bias.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -295,12 +295,6 @@ def sample_initial_positions(m0: GridField, n: int,
     return edges, (cell + edges - grid.edge_starts[edges] + s) * grid.h[edges]
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _block_seeds(seed: int, n_blocks: int) -> list[int]:
     """``seed`` for the first block; for each later block, 63 bits of the
     state of its own child of ``seed``'s SeedSequence."""
@@ -309,90 +303,37 @@ def _block_seeds(seed: int, n_blocks: int) -> list[int]:
                      for child in spawned]
 
 
-def _fork_worker(topology: NetworkTopology, blocks: list) -> tuple[int, object]:
-    """Fork a process that simulates ``blocks`` one after another and writes
-    to a pipe a 0 byte and their arrivals, concatenated, or a 1 byte and its
-    pickled exception. Returns the worker's pid and the pipe's read end."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                tag, body = b"\0", np.concatenate(
-                    [simulate_agents(topology, *block) for block in blocks])
-            except BaseException as exc:  # interrupts too: the caller raises it
-                tag, body = b"\1", pickle.dumps(exc)
-            with open(write_end, "wb") as pipe:
-                pipe.write(tag)
-                pipe.write(body)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-def _stop(workers: dict) -> None:
-    """Kill and reap the workers whose arrivals were not collected."""
-    import signal  # only after a failure; the program does not load it otherwise
-
-    for pid, pipe in workers.items():
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def _simulate_blocks(topology: NetworkTopology, config: SimConfig,
                      edges: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Arrival time per agent, from ``simulate_agents`` on each block of at
     most _BLOCK_AGENTS agents with the seeds of ``_block_seeds``.
 
     Block b runs in process b mod P, where process 0 is the caller and
-    processes 1 to P - 1 are forked workers, one per usable CPU beyond the
-    first and at most one per block after the first. Without ``os.fork``
-    or a second CPU every block runs in the caller. Every worker is reaped
-    before this returns or raises, and a worker's error is raised here.
-    Workers are forked rather than spawned: a forked worker reads the
-    network and its starts from memory it shares with the caller, where a
-    spawned pool re-imports the package and raised desk's peak RSS from
-    62.1 to 65.3 MB.
+    processes 1 to P - 1 are workers of ``workers.run_forked``, one per
+    spare CPU and at most one per block after the first. Without
+    ``os.fork`` or a second CPU every block runs in the caller.
     """
     n = len(edges)
     n_blocks = -(-n // _BLOCK_AGENTS)
     cuts = np.linspace(0, n, n_blocks + 1).astype(int)
     blocks = [(replace(config, n_agents=int(b - a), seed=seed), edges[a:b], ys[a:b])
               for seed, a, b in zip(_block_seeds(config.seed, n_blocks), cuts[:-1], cuts[1:])]
-    n_procs = 1 + (min(n_blocks - 1, _usable_cpus() - 1) if hasattr(os, "fork") else 0)
+    from .workers import run_forked, spare_cpus  # loaded by the oracle alone
+
+    n_procs = 1 + min(n_blocks - 1, spare_cpus())
+
+    def run(p: int) -> list[np.ndarray]:
+        return [simulate_agents(topology, *block) for block in blocks[p::n_procs]]
+
     arrivals = [None] * n_blocks
-    workers = {}  # pid: pipe, until the worker is reaped
-    try:
-        for p in range(1, n_procs):
-            pid, pipe = _fork_worker(topology, blocks[p::n_procs])
-            workers[pid] = pipe
-        for b in range(0, n_blocks, n_procs):
-            arrivals[b] = simulate_agents(topology, *blocks[b])
-        for p, pid in enumerate(list(workers), 1):
-            with workers[pid] as pipe:
-                tag, body = pipe.read(1), pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            if tag == b"\1":
-                raise pickle.loads(body)
-            sizes = [block[0].n_agents for block in blocks[p::n_procs]]
-            if tag != b"\0" or len(body) != 8 * sum(sizes):
-                raise ChildProcessError(f"particle worker {pid} sent no arrivals "
-                                        f"(wait status {status})")
-            arrivals[p::n_procs] = np.split(np.frombuffer(body), np.cumsum(sizes)[:-1])
-    finally:
-        if workers:
-            _stop(workers)
+    arrivals[::n_procs], bodies = run_forked(
+        partial(run, 0), [lambda p=p: np.concatenate(run(p)) for p in range(1, n_procs)])
+    for p, body in enumerate(bodies, 1):
+        sizes = [block[0].n_agents for block in blocks[p::n_procs]]
+        if len(body) != 8 * sum(sizes):
+            raise ChildProcessError(f"particle worker {p} sent {len(body)} bytes for "
+                                    f"{sum(sizes)} arrivals")
+        arrivals[p::n_procs] = np.split(np.frombuffer(body), np.cumsum(sizes)[:-1])
     return np.concatenate(arrivals)
 
 

@@ -92,6 +92,18 @@ def level_states(sweep) -> np.ndarray:
     return np.stack([sweep.snapshots[n].data for n in sorted(sweep.snapshots)])
 
 
+def kirchhoff_residual(op, data: np.ndarray) -> np.ndarray:
+    """Per free vertex of the StepOperator ``op``, the sum of one-sided
+    outgoing difference quotients of ``data``; zero where the vertex value
+    solves the flux balance."""
+    if not len(op.free_vertices):
+        return np.zeros(0)
+    counts = np.diff(op.seg_starts, append=len(op.adj_nodes))
+    centre = np.repeat(data[op.free_vertices], counts)
+    diffs = (data[op.adj_nodes] - centre) * op.adj_weights
+    return np.add.reduceat(diffs, op.seg_starts)
+
+
 class SweptEvaluator:
     """The three evaluations of ``mfg``'s evaluators, ``map``,
     ``phi_levels`` and ``psi_levels``, each one run of the public reference

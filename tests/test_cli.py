@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,126 @@ def test_field_csv_rows_match_edge_values(tmp_path, three_star):
                 x, y = ax + k / n * (bx - ax), ay + k / n * (by - ay)
                 expected.append(f"{e.id},{k},{x!r},{y!r},{v!r}")
         assert (tmp_path / "field.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def _street_lattice(tmp_path, side=4):
+    """A side x side street lattice of unit edges with a leaf of length 0.5
+    to the exit, at h 0.1 and 1 200 steps, with snapshots every 400: its
+    series has 1 201 rows, its field CSVs 270, more than one block each."""
+    vertices = [{"id": i * side + j, "position": [float(j), float(i)]}
+                for i in range(side) for j in range(side)]
+    vertices.append({"id": side * side, "position": [-0.5, 0.0]})
+    ends = [(i * side + j, i * side + j + 1) for i in range(side) for j in range(side - 1)]
+    ends += [(i * side + j, (i + 1) * side + j) for i in range(side - 1) for j in range(side)]
+    edges = [{"id": k, "tail": a, "head": b, "length": 1.0} for k, (a, b) in enumerate(ends)]
+    edges.append({"id": len(edges), "tail": side * side, "head": 0, "length": 0.5})
+    doc = json.loads(json.dumps(DESK_FAST))
+    doc["network"] = {"vertices": vertices, "edges": edges, "exit_vertex": side * side}
+    doc["problem"].update(t0=0.1, t_max=3.0, m0={"kind": "bumps", "centers": [[1.5, 1.5]],
+                                                 "radii": [1.2]})
+    doc["numerics"]["h_target"] = 0.1
+    doc["run"].update(out_dir=str(tmp_path / "out"), snapshots=400)
+    return parse_config(json.dumps(doc))
+
+
+class ShareFailure(Exception):
+    """Raised in one share of a CSV batch."""
+
+
+class TestWriterShares:
+    """``_write_tables`` cuts a batch's rows into one share per usable CPU,
+    formats the later shares in forked workers and appends them in order;
+    here the share size is patched small."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def test_artifacts_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
+        """Every file of a small Lanczos solve with snapshots is the same
+        bytes with the rows formatted on 1, 2 and 3 CPUs, with share
+        boundaries inside a file."""
+        from mfgnet import heat, lanczos
+
+        monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
+        monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        shares, forks, fork, cut = [], [], os.fork, cli._shares
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "_shares", lambda tables, n: shares.append(cut(tables, n))
+                            or shares[-1])
+        combined, combine = [], lanczos._LanczosBasis.combine
+        monkeypatch.setattr(lanczos._LanczosBasis, "combine",
+                            lambda *a: combined.append(1) or combine(*a))
+        written = []
+        for n_cpus in (1, 2, 3):
+            self.cpus(monkeypatch, n_cpus)
+            out = tmp_path / f"cpus{n_cpus}"
+            config = replace(_street_lattice(tmp_path), out_dir=str(out))
+            assert run(config, quiet=True) == 0
+            written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                            if p.is_file()})
+            assert len(shares[-1]) == n_cpus and len(forks) == n_cpus * (n_cpus - 1) // 2
+        # the series, the iterates, three fields and the summary, and m and u
+        # at levels 0, 400, 800 and 1 200, the fields from the Lanczos bases
+        assert len(written[0]) == 6 + 2 * 4 and combined
+        assert written[0] == written[1] == written[2]
+        # a share that begins inside a file, on a block boundary
+        assert any(pieces[0][1] > 0 for batch in shares for pieces in batch[1:])
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_in_a_share_reaches_the_caller(self, tmp_path, monkeypatch, where):
+        """A share's error is raised in the caller with its own type; no
+        worker and no temporary file is left."""
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        self.cpus(monkeypatch, 3)
+        caller, write_rows = os.getpid(), cli._Table.write_rows
+
+        def failing(table, fh, a, b):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ShareFailure(where)
+            write_rows(table, fh, a, b)
+
+        monkeypatch.setattr(cli._Table, "write_rows", failing)
+        tables = [cli._Table(tmp_path / f"{name}.csv", "x", (np.arange(1000.0),))
+                  for name in "ab"]
+        with pytest.raises(ShareFailure, match=where):
+            cli._write_tables(tables)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir(tmp_path)) <= {"a.csv", "b.csv"}
+
+
+class TestOutputDirectory:
+    """A run into a directory that an earlier run wrote removes the files it
+    owns by name and did not write, and touches nothing else."""
+
+    def test_runs_do_not_mix(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "snapshots").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        (out / "snapshots" / "notes.csv").write_text("kept")
+        failing = fast_config(tmp_path)
+        failing["numerics"]["h_target"] = 1.5  # coarser than the only edge
+
+        def snapshots():
+            return sorted(p.name for p in (out / "snapshots").glob("[mu]_*.csv"))
+
+        assert run(parse_config(json.dumps(failing)), quiet=True) == 2
+        assert (out / "error.json").exists()
+        for stride in (800, 1000):
+            assert run(parse_config(json.dumps(fast_config(tmp_path, snapshots=stride))),
+                       quiet=True) == 0
+            assert not (out / "error.json").exists()
+            n_steps = json.loads((out / "summary.json").read_text())["n_time_steps"]
+            assert snapshots() == sorted(f"{f}_{n:08d}.csv" for f in "mu"
+                                         for n in range(0, n_steps + 1, stride))
+        assert run(parse_config(json.dumps(fast_config(tmp_path))), quiet=True) == 0
+        assert snapshots() == []
+        assert run(parse_config(json.dumps(failing)), quiet=True) == 2
+        assert not (out / "summary.json").exists()
+        assert (out / "m_final.csv").exists()  # a failure removes only the summary
+        assert (out / "notes.txt").read_text() == (out / "snapshots" / "notes.csv").read_text()
 
 
 def test_non_convergence_exit_code(tmp_path):

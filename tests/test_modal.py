@@ -425,6 +425,38 @@ def test_lanczos_basis_stops_at_its_invariant_subspace():
         assert len(basis.alpha) == basis.m
 
 
+def test_lanczos_blocks_with_a_short_last_block(monkeypatch):
+    """Bases whose m is not a multiple of the block size end in a short
+    block; the maps and fields from them match the reference sweeps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
+    step = LanczosStep(problem.grid, problem.time_grid, problem.m0)
+    assert step.pins.m % lanczos._BLOCK != 0
+    _assert_lanczos_matches_sweeps(problem, monkeypatch)
+
+
+def test_density_basis_checks_its_bound_near_the_maps_size(monkeypatch):
+    """On a street lattice the density's basis first checks its bound 8
+    vectors short of the maps' basis size, and checks it at most twice
+    (six times when it started at 16 as the maps' basis does); it still
+    stops only at its bound, and psi matches the reference sweep."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(6, 0.05, 2.0))
+    _force_krylov(monkeypatch)
+    res = psi_map(1.0, problem)
+    step, n = problem.evaluator, problem.time_grid.n_steps
+    checks, bound = [], lanczos._LanczosBasis._bound
+    monkeypatch.setattr(lanczos._LanczosBasis, "_bound",
+                        lambda basis, m: checks.append((m, bound(basis, m))) or checks[-1][1])
+    psi = step.psi_levels(res.psi0, [1, n // 2, n])
+    assert checks[0][0] == step.pins.m - 8 and len(checks) <= 2
+    assert [b <= heat.KRYLOV_TOL for _, b in checks] == [False] * (len(checks) - 1) + [True]
+    reference = _reference(problem, res.exit_series, [1, n // 2, n])["psi_levels"]
+    assert _rel(psi, reference) <= 1e-9
+
+
 def _assert_lanczos_matches_sweeps(problem, monkeypatch):
     grid, tg, costs = problem.grid, problem.time_grid, problem.spec.cost
     levels = list(range(1, tg.n_steps + 1))
