@@ -8,16 +8,12 @@ particle simulator; ``refine-study`` repeats the solve over a ladder of
 spatial steps and tabulates the diagnostics.
 
 Every CSV goes through one writer, ``_write_tables``: each value is its
-repr, a block of _CSV_BLOCK_ROWS rows at a time. A field CSV is such a
-table whose leading columns (edge, node, coordinates) come from the grid's
-``_field_layout``, formatted once per run. The rows of one output batch are
-cut into contiguous shares, one per usable CPU, the later ones formatted in
-forked workers; a row's text depends only on its values, so the files are
-the same bytes on any number of CPUs.
-
-A run removes from its output directory the files it owns by name but did
-not write: ``error.json`` after a success, ``summary.json`` after a
-failure, and snapshots of levels it did not write.
+repr, a block of _CSV_BLOCK_ROWS rows at a time, and the rows of a batch
+are cut into one share per usable CPU, the later shares formatted by forked
+workers. A field CSV's leading columns come from the grid's
+``_field_layout``, formatted once per run. A run removes the files it owns
+by name but did not write: ``error.json`` after a success, ``summary.json``
+after a failure, and snapshots of other levels.
 
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
@@ -29,7 +25,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import shutil
 import sys
 from dataclasses import dataclass, replace
@@ -71,17 +66,10 @@ MODES = ("solve", "oracle", "refine-study")
 # (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
 # fit in one block either way.
 _CSV_BLOCK_ROWS = 256
-# blocks of a table gathered at a time: a whole field of the street lattice
-# at a time raised its peak RSS
-_GATHER_BLOCKS = 8
-# The fewest values _write_tables gives a share of its own. A value takes
-# about 0.65 us to format; a forked worker about 4 ms to fork, reap and
-# append (2.6 ms with nothing to do; 2-CPU Xeon VM). At 20 000 a share's
-# work is three times that, and example1's series (32 290 values: 21 ms in
-# one process, 25 ms in two when the second CPU was busy) stays in the
-# caller.
+# The fewest values _write_tables gives a share: a value takes about 0.65 us
+# to format, a forked worker about 4 ms to fork, reap and append (2-CPU Xeon
+# VM), and example1's series (32 290 values) stays in the caller.
 _SHARE_VALUES = 20_000
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -348,9 +336,8 @@ def _text_blocks(column: np.ndarray):
 
 
 def _line_blocks(lines):
-    """A ``lead`` of ``_Table``: the lines after the header of the CSV file
-    open as ``lines``, without their final newline, read again from its path
-    for each piece, so that no share holds the whole file."""
+    """A ``lead``: the lines after the header of the CSV file open as
+    ``lines``, without their newline, read again from its path per piece."""
     path = lines.name
 
     def lead(first: int):
@@ -366,9 +353,9 @@ def _line_blocks(lines):
 class _Table:
     """One CSV file: ``header``, then one row per index of the equal-length
     ``columns`` (ints or floats), or per entry of ``order``, the index of
-    each row's values in the columns. ``lead(i)``, one string of lines per
-    block of _CSV_BLOCK_ROWS rows from block i on, begins each row with its
-    line, so values already formatted there are not formatted again."""
+    each row's values in them. ``lead(i)`` gives, from block i on, one
+    string of lines per block that begin the rows, so values already
+    formatted there are not formatted again."""
 
     path: Path
     header: str
@@ -381,30 +368,23 @@ class _Table:
         return len(self.columns[0] if self.order is None else self.order)
 
     def write_rows(self, fh, a: int, b: int) -> None:
-        """Rows a to b, a on a block boundary, to the open text file ``fh``,
-        each value its repr, by ``_text_blocks``, gathered _GATHER_BLOCKS
-        blocks at a time."""
-        lead = None if self.lead is None else self.lead(a // _CSV_BLOCK_ROWS)
-        for start in range(a, b, _GATHER_BLOCKS * _CSV_BLOCK_ROWS):
-            end = min(start + _GATHER_BLOCKS * _CSV_BLOCK_ROWS, b)
-            rows = slice(start, end) if self.order is None else self.order[start:end]
-            blocks = [_text_blocks(np.asarray(c)[rows]) for c in self.columns]
-            if lead is not None:
-                blocks.insert(0, (text.split("\n") for text in
-                                  itertools.islice(lead, -((start - end) // _CSV_BLOCK_ROWS))))
-            for cells in zip(*blocks):
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        """Rows a to b, a on a block boundary, to the text file ``fh``, each
+        value its repr, by ``_text_blocks``, gathered for these rows only."""
+        rows = slice(a, b) if self.order is None else self.order[a:b]
+        blocks = [_text_blocks(np.asarray(c)[rows]) for c in self.columns]
+        if self.lead is not None:
+            blocks.insert(0, (text.split("\n") for text in self.lead(a // _CSV_BLOCK_ROWS)))
+        for cells in zip(*blocks):
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, int]]]:
-    """The rows of ``tables``, in file order, cut on _CSV_BLOCK_ROWS
-    boundaries into at most ``n_shares`` contiguous shares of about equal
-    value count: each share as its pieces (table index, first row, end
-    row), at most one per table."""
+    """The rows of ``tables``, in file order, cut on block boundaries into
+    at most ``n_shares`` contiguous shares of about equal value count, each
+    as its pieces (table index, first row, end row)."""
     sizes = np.array([table.n_rows * len(table.columns) for table in tables])
     starts = np.cumsum(sizes) - sizes
-    # share s begins at the block that holds its first value
-    cuts = [(0, 0)]
+    cuts = [(0, 0)]  # share s begins at the block of its first value
     for s in range(1, n_shares):
         value = s * int(sizes.sum()) // n_shares
         t = int(np.searchsorted(starts, value, side="right")) - 1
@@ -420,47 +400,16 @@ def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, in
     return shares
 
 
-def _spill(tables: list[_Table], pieces, spill) -> np.ndarray:
-    """Write ``pieces`` of ``tables`` one after another to the open file
-    ``spill``, and return the byte length of each."""
-    ends = []
-    with open(spill.fileno(), "w", closefd=False) as fh:
-        for t, a, b in pieces:
-            tables[t].write_rows(fh, a, b)
-            fh.flush()
-            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
-    return np.diff(ends, prepend=0)
-
-
-def _append(path: Path, src: int, offset: int, length: int) -> None:
-    """Copy ``length`` bytes of the open file ``src``, from ``offset`` on,
-    to the end of the file at ``path``: by ``os.sendfile`` on Linux, which
-    holds no byte in this process, else 64 KiB at a time."""
-    dst = os.open(path, os.O_WRONLY)  # sendfile refuses O_APPEND
-    try:
-        os.lseek(dst, 0, os.SEEK_END)
-        end = offset + length
-        while offset < end:
-            if sys.platform == "linux":
-                offset += os.sendfile(dst, src, offset, end - offset)
-            else:
-                offset += os.write(dst, os.pread(src, min(end - offset, 1 << 16), offset))
-    finally:
-        os.close(dst)
-
-
 def _write_tables(tables: list[_Table]) -> None:
     """Write ``tables``, their rows cut by ``_shares`` into one share per
-    usable CPU, each of at least _SHARE_VALUES values. The caller writes
-    the headers and the first share into the files; each later share is
-    formatted by a worker of ``workers.run_forked`` into an unlinked
-    temporary file, whose pieces the caller then appends in order."""
+    usable CPU of at least _SHARE_VALUES values: the caller writes the
+    headers and the first share, and ``workers.append_forked`` the rest."""
     values = sum(table.n_rows * len(table.columns) for table in tables)
     n_shares = 1
-    if values >= 2 * _SHARE_VALUES:  # a batch that may fork: only it loads the helper
-        from .workers import run_forked, spare_cpus
+    if values >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
+        from . import workers
 
-        n_shares = min(1 + spare_cpus(), values // _SHARE_VALUES)
+        n_shares = min(1 + workers.spare_cpus(), values // _SHARE_VALUES)
     shares = _shares(tables, n_shares)
     own = {t: (a, b) for t, a, b in shares[0]} if shares else {}
 
@@ -472,29 +421,15 @@ def _write_tables(tables: list[_Table]) -> None:
                     table.write_rows(fh, *own[t])
 
     if len(shares) <= 1:
-        write_own()
-        return
-    import tempfile  # only where the writer forks
-
-    spills = []
-    try:
-        for _ in shares[1:]:
-            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
-        _, bodies = run_forked(write_own, [partial(_spill, tables, pieces, spill)
-                                           for pieces, spill in zip(shares[1:], spills)])
-        for pieces, spill, body in zip(shares[1:], spills, bodies):
-            offset = 0
-            for (t, _, _), length in zip(pieces, np.frombuffer(body, dtype=int).tolist()):
-                _append(tables[t].path, spill.fileno(), offset, length)
-                offset += length
-    finally:
-        for spill in spills:
-            spill.close()
+        return write_own()
+    workers.append_forked(write_own, [[(partial(tables[t].write_rows, a=a, b=b), tables[t].path)
+                                       for t, a, b in pieces] for pieces in shares[1:]],
+                          tables[0].path.parent)
 
 
 def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
-    """One ``_Table`` of the equal-length ``columns``, with ``lead`` as
-    there, written by ``_write_tables``."""
+    """One ``_Table`` of the equal-length ``columns``, written by
+    ``_write_tables``."""
     _write_tables([_Table(path, header, columns, lead=lead)])
 
 

@@ -1,6 +1,7 @@
 """Work shared between the caller and forked worker processes: the particle
 blocks of ``montecarlo`` and the CSV shares of ``cli``, which import this
-module only where they may fork.
+module only where they may fork. ``append_forked`` has workers write text
+into unlinked temporary files that the caller appends to their files.
 
 A worker writes to a pipe a 0 byte and the bytes its task returned, or a
 1 byte and its pickled exception, and leaves by ``os._exit``. The caller
@@ -16,8 +17,11 @@ re-imports the package and raised desk's peak RSS in oracle mode from
 from __future__ import annotations
 
 import os
+import sys
+from array import array
+from functools import partial
 
-__all__ = ["spare_cpus", "run_forked"]
+__all__ = ["spare_cpus", "run_forked", "append_forked"]
 
 
 def spare_cpus() -> int:
@@ -100,3 +104,56 @@ def run_forked(local, tasks) -> tuple[object, list[bytes]]:
         if workers:
             _stop(workers)
     return result, bodies
+
+
+def _spill(task, spill) -> array:
+    """Run each ``write`` of ``task`` into the open file ``spill``; the byte
+    length of what each wrote."""
+    ends = array("q")
+    with open(spill.fileno(), "w", closefd=False) as fh:
+        for write, _ in task:
+            write(fh)
+            fh.flush()
+            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
+    return array("q", [b - a for a, b in zip([0, *ends], ends)])
+
+
+def _append(path, src: int, offset: int, length: int) -> None:
+    """Copy ``length`` bytes of the open file ``src``, from ``offset`` on,
+    to the end of the file at ``path``: by ``os.sendfile`` on Linux, which
+    holds no byte in this process, else 64 KiB at a time."""
+    dst = os.open(path, os.O_WRONLY)  # sendfile refuses O_APPEND
+    try:
+        os.lseek(dst, 0, os.SEEK_END)
+        end = offset + length
+        while offset < end:
+            if sys.platform == "linux":
+                offset += os.sendfile(dst, src, offset, end - offset)
+            else:
+                offset += os.write(dst, os.pread(src, min(end - offset, 1 << 16), offset))
+    finally:
+        os.close(dst)
+
+
+def append_forked(local, tasks, directory) -> None:
+    """Run ``local()`` in the caller and each of ``tasks`` in a forked
+    worker: a task is a list of (write, path) pairs, and its worker runs
+    each ``write(fh)`` into one unlinked temporary file in ``directory``.
+    Then the caller appends what each write wrote to the end of its path,
+    task by task and pair by pair."""
+    import tempfile
+
+    spills = []
+    try:
+        for _ in tasks:
+            spills.append(tempfile.TemporaryFile(dir=directory))
+        _, bodies = run_forked(local, [partial(_spill, task, spill)
+                                       for task, spill in zip(tasks, spills)])
+        for task, spill, body in zip(tasks, spills, bodies):
+            offset = 0
+            for (_, path), length in zip(task, array("q", body)):
+                _append(path, spill.fileno(), offset, length)
+                offset += length
+    finally:
+        for spill in spills:
+            spill.close()
