@@ -66,10 +66,14 @@ MODES = ("solve", "oracle", "refine-study")
 # (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
 # fit in one block either way.
 _CSV_BLOCK_ROWS = 256
-# The fewest values _write_tables gives a share: a value takes about 0.65 us
-# to format, a forked worker about 4 ms to fork, reap and append (2-CPU Xeon
-# VM), and example1's series (32 290 values) stays in the caller.
+# The fewest values _write_tables gives a share. A two-column table written
+# as one share and as two on 2 CPUs (21 alternated runs each, 2-CPU Xeon VM)
+# took 20.5 and 26.8 ms at 20 000 values, 44.3 and 44.7 ms at 40 000, and
+# 99.8 and 56.8 ms at 80 000: two shares pay from about 2 x 20 000 values on.
+# example1's batch (32 691 values, 32 290 of them its series) stays in the
+# caller.
 _SHARE_VALUES = 20_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -570,9 +574,8 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     # t and f_pde are f_series.csv's rows, text and all
     with open(out / "f_series.csv") as series:
-        lead = _line_blocks(series)
-    _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-               mc.fraction, mc.band_lo, mc.band_hi, lead=lead)
+        _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
+                   mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(series))
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,

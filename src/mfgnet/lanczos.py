@@ -34,12 +34,13 @@ __all__ = ["LanczosStep", "krylov_reach_pays"]
 KRYLOV_REACH_SHARE = 0.125
 # phi or psi at L levels after level 0 adds L products per block to a
 # basis replay, where a sweep takes n_steps steps whatever L. On the 24 x 24
-# street lattice (m = 371, n_steps = 4 481; same VM, best of 2) phi and psi
-# took 0.16, 0.23 and 0.39 s from the bases at L = 8, 40 and 80, against
-# 0.40 s for a sweep pair: they cross near L = 85 (between 40 and 45 with
-# one axpy per vector and level). The bases serve them while
+# street lattice (m = 371, n_steps = 4 481; 2-CPU Xeon VM, 1 BLAS thread,
+# best of 2) phi and psi took 0.17, 0.33 and 0.49 s from the bases at
+# L = 8, 40 and 80, against 0.48 to 0.58 s for a sweep pair: they cross
+# near L = 80. With one axpy per vector and level they took 0.28, 0.60 and
+# 1.04 s and crossed near L = 40. The bases serve them while
 # m L <= KRYLOV_FIELD_RATIO n_steps, up to L = 41 there: the ratio is kept,
-# so no run's choice, nor the bits of its fields, changes.
+# so no run's choice between bases and sweeps changes.
 KRYLOV_FIELD_RATIO = 3.4
 # Basis vectors per block: each field row, and a map's phi0, adds one
 # (k,) @ (k, n) product per block. One (L x 4) @ (4 x n) product for the L
@@ -316,15 +317,15 @@ class LanczosStep(Evaluator):
         # a pinned value p adds lambda * p next to the exit, and nowhere else
         self.b_adj = op.lam[adj - grid.n_vertices]
 
-    def _on_reach(self, blocks=None):
+    def _on_reach(self):
         """The maps' basis on S in blocks, as ``_LanczosBasis.blocks``:
-        slices of the rows kept by the build, or else gathered from
-        ``blocks`` of whole vectors, called for only then. Either way each
-        block is C-ordered, as a product's rounding depends on the layout."""
+        slices of the rows kept by the build, or else gathered from a
+        replay. Either way each block is C-ordered, as a product's rounding
+        depends on the layout."""
         kept = self.pins.on_nodes
         if kept is not None:
             return ((j, kept[j: j + _BLOCK]) for j in range(0, self.pins.m, _BLOCK))
-        return ((j, rows.take(self.reach, axis=1)) for j, rows in blocks())
+        return ((j, rows.take(self.reach, axis=1)) for j, rows in self.pins.blocks())
 
     @staticmethod
     def _add_block(on_reach: np.ndarray, coefs: np.ndarray, j: int, rows: np.ndarray) -> None:
@@ -383,7 +384,7 @@ class LanczosStep(Evaluator):
         reach, nv = self.reach, self.grid.n_vertices
         coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
         on_reach = np.zeros(len(reach))
-        for j, rows in self._on_reach(self.pins.blocks):
+        for j, rows in self._on_reach():
             self._add_block(on_reach, coefs, j, rows)
         on_reach += exit_series[-1]
         phi0 = np.ones(self.grid.n_flat)
@@ -395,7 +396,7 @@ class LanczosStep(Evaluator):
         inner = reach[k:]
         weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
         products = np.concatenate([rows[:, k:] @ weighted
-                                   for _, rows in self._on_reach(self.pins.blocks)])
+                                   for _, rows in self._on_reach()])
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.grid.exit_adjacent_index]
         # |e_adj|_H = sqrt(h_adj)
