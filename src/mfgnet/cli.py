@@ -382,53 +382,21 @@ class _Table:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, int]]]:
-    """The rows of ``tables``, in file order, cut on block boundaries into
-    at most ``n_shares`` contiguous shares of about equal value count, each
-    as its pieces (table index, first row, end row)."""
-    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
-    starts = np.cumsum(sizes) - sizes
-    cuts = [(0, 0)]  # share s begins at the block of its first value
-    for s in range(1, n_shares):
-        value = s * int(sizes.sum()) // n_shares
-        t = int(np.searchsorted(starts, value, side="right")) - 1
-        row = (value - int(starts[t])) // len(tables[t].columns)
-        cuts.append((t, row - row % _CSV_BLOCK_ROWS))
-    cuts.append((len(tables), 0))
-    shares = []
-    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
-        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
-                  for t in range(t0, min(t1 + 1, len(tables)))]
-        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
-            shares.append(pieces)
-    return shares
-
-
 def _write_tables(tables: list[_Table]) -> None:
-    """Write ``tables``, their rows cut by ``_shares`` into one share per
-    usable CPU of at least _SHARE_VALUES values: the caller writes the
-    headers and the first share, and ``workers.append_forked`` the rest."""
+    """Write ``tables``: in one share per usable CPU, each of at least
+    _SHARE_VALUES values, by ``workers.write_shares``, or else all in the
+    caller."""
     values = sum(table.n_rows * len(table.columns) for table in tables)
-    n_shares = 1
     if values >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
         from . import workers
 
         n_shares = min(1 + workers.spare_cpus(), values // _SHARE_VALUES)
-    shares = _shares(tables, n_shares)
-    own = {t: (a, b) for t, a, b in shares[0]} if shares else {}
-
-    def write_own() -> None:
-        for t, table in enumerate(tables):
-            with open(table.path, "w") as fh:
-                fh.write(table.header + "\n")
-                if t in own:
-                    table.write_rows(fh, *own[t])
-
-    if len(shares) <= 1:
-        return write_own()
-    workers.append_forked(write_own, [[(partial(tables[t].write_rows, a=a, b=b), tables[t].path)
-                                       for t, a, b in pieces] for pieces in shares[1:]],
-                          tables[0].path.parent)
+        if n_shares > 1:
+            return workers.write_shares(tables, n_shares, _CSV_BLOCK_ROWS)
+    for table in tables:
+        with open(table.path, "w") as fh:
+            fh.write(table.header + "\n")
+            table.write_rows(fh, 0, table.n_rows)
 
 
 def _write_csv(path: Path, header: str, *columns, lead=None) -> None:

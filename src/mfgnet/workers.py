@@ -1,7 +1,7 @@
 """Work shared between the caller and forked worker processes: the particle
 blocks of ``montecarlo`` and the CSV shares of ``cli``, which import this
-module only where they may fork. ``append_forked`` has workers write text
-into unlinked temporary files that the caller appends to their files.
+module only where they may fork. ``write_shares`` has workers write CSV
+rows into unlinked temporary files that the caller appends to their files.
 
 A worker writes to a pipe a 0 byte and the bytes its task returned, or a
 1 byte and its pickled exception, and leaves by ``os._exit``. The caller
@@ -21,7 +21,9 @@ import sys
 from array import array
 from functools import partial
 
-__all__ = ["spare_cpus", "run_forked", "append_forked"]
+import numpy as np
+
+__all__ = ["spare_cpus", "run_forked", "write_shares"]
 
 
 def spare_cpus() -> int:
@@ -106,13 +108,35 @@ def run_forked(local, tasks) -> tuple[object, list[bytes]]:
     return result, bodies
 
 
-def _spill(task, spill) -> array:
-    """Run each ``write`` of ``task`` into the open file ``spill``; the byte
-    length of what each wrote."""
+def _shares(tables, n_shares: int, block: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of ``tables``, in file order, cut on boundaries of ``block``
+    rows into at most ``n_shares`` contiguous shares of about equal value
+    count, each as its pieces (table index, first row, end row)."""
+    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
+    starts = np.cumsum(sizes) - sizes
+    cuts = [(0, 0)]  # share s begins at the block of its first value
+    for s in range(1, n_shares):
+        value = s * int(sizes.sum()) // n_shares
+        t = int(np.searchsorted(starts, value, side="right")) - 1
+        row = (value - int(starts[t])) // len(tables[t].columns)
+        cuts.append((t, row - row % block))
+    cuts.append((len(tables), 0))
+    shares = []
+    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
+        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
+                  for t in range(t0, min(t1 + 1, len(tables)))]
+        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
+            shares.append(pieces)
+    return shares
+
+
+def _spill(tables, pieces, spill) -> array:
+    """Write each piece's rows into the open file ``spill``; the byte length
+    of each piece."""
     ends = array("q")
     with open(spill.fileno(), "w", closefd=False) as fh:
-        for write, _ in task:
-            write(fh)
+        for t, a, b in pieces:
+            tables[t].write_rows(fh, a, b)
             fh.flush()
             ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
     return array("q", [b - a for a, b in zip([0, *ends], ends)])
@@ -135,24 +159,35 @@ def _append(path, src: int, offset: int, length: int) -> None:
         os.close(dst)
 
 
-def append_forked(local, tasks, directory) -> None:
-    """Run ``local()`` in the caller and each of ``tasks`` in a forked
-    worker: a task is a list of (write, path) pairs, and its worker runs
-    each ``write(fh)`` into one unlinked temporary file in ``directory``.
-    Then the caller appends what each write wrote to the end of its path,
-    task by task and pair by pair."""
+def write_shares(tables, n_shares: int, block: int) -> None:
+    """Write the CSV ``tables`` (``cli._Table``: ``path``, ``header``,
+    ``columns``, ``n_rows`` and ``write_rows(fh, a, b)``), their rows cut by
+    ``_shares`` into ``n_shares`` shares. The caller writes every header and
+    the first share straight into the files; a forked worker writes each
+    other share into one unlinked temporary file, whose pieces the caller
+    then appends to their files in order."""
     import tempfile
+
+    shares = _shares(tables, n_shares, block)
+    own = {t: (a, b) for t, a, b in shares[0]}
+
+    def write_own() -> None:
+        for t, table in enumerate(tables):
+            with open(table.path, "w") as fh:
+                fh.write(table.header + "\n")
+                if t in own:
+                    table.write_rows(fh, *own[t])
 
     spills = []
     try:
-        for _ in tasks:
-            spills.append(tempfile.TemporaryFile(dir=directory))
-        _, bodies = run_forked(local, [partial(_spill, task, spill)
-                                       for task, spill in zip(tasks, spills)])
-        for task, spill, body in zip(tasks, spills, bodies):
+        for _ in shares[1:]:
+            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
+        _, bodies = run_forked(write_own, [partial(_spill, tables, pieces, spill)
+                                           for pieces, spill in zip(shares[1:], spills)])
+        for pieces, spill, body in zip(shares[1:], spills, bodies):
             offset = 0
-            for (_, path), length in zip(task, array("q", body)):
-                _append(path, spill.fileno(), offset, length)
+            for (t, _, _), length in zip(pieces, array("q", body)):
+                _append(tables[t].path, spill.fileno(), offset, length)
                 offset += length
     finally:
         for spill in spills:

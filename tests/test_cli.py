@@ -370,14 +370,14 @@ class TestWriterShares:
         """Every file of a small Lanczos solve with snapshots is the same
         bytes with the rows formatted on 1, 2 and 3 CPUs, with share
         boundaries inside a file."""
-        from mfgnet import heat, lanczos
+        from mfgnet import heat, lanczos, workers
 
         monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
         monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
         monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
-        shares, forks, fork, cut = [], [], os.fork, cli._shares
+        shares, forks, fork, cut = [], [], os.fork, workers._shares
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(cli, "_shares", lambda tables, n: shares.append(cut(tables, n))
+        monkeypatch.setattr(workers, "_shares", lambda *args: shares.append(cut(*args))
                             or shares[-1])
         combined, combine = [], lanczos._LanczosBasis.combine
         monkeypatch.setattr(lanczos._LanczosBasis, "combine",
@@ -390,7 +390,8 @@ class TestWriterShares:
             assert run(config, quiet=True) == 0
             written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                             if p.is_file()})
-            assert len(shares[-1]) == n_cpus and len(forks) == n_cpus * (n_cpus - 1) // 2
+            assert len(forks) == n_cpus * (n_cpus - 1) // 2
+            assert n_cpus == 1 or len(shares[-1]) == n_cpus
         # the series, the iterates, three fields and the summary, and m and u
         # at levels 0, 400, 800 and 1 200, the fields from the Lanczos bases
         assert len(written[0]) == 6 + 2 * 4 and combined
