@@ -391,12 +391,14 @@ class LanczosStep(Evaluator):
         phi0[reach] = on_reach
         psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
 
-        # W^T H u^1 over S's interior nodes; S's vertices come first
+        # W^T H u^1 over S's interior nodes; S's vertices come first. One dot
+        # per vector: a block's product rounds differently and moved F in
+        # its last bits on the street lattice
         k = np.searchsorted(reach, nv)
         inner = reach[k:]
         weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
-        products = np.concatenate([rows[:, k:] @ weighted
-                                   for _, rows in self._on_reach()])
+        products = np.array([np.dot(w[k:], weighted)
+                             for _, rows in self._on_reach() for w in rows])
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.grid.exit_adjacent_index]
         # |e_adj|_H = sqrt(h_adj)
