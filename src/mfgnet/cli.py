@@ -25,6 +25,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import shutil
 import sys
 from dataclasses import dataclass, replace
@@ -340,10 +341,9 @@ def _text_blocks(column: np.ndarray):
         yield np.array(text, dtype=object)[run - run[0]].tolist()
 
 
-def _line_blocks(lines):
-    """A ``lead``: the lines after the header of the CSV file open as
-    ``lines``, without their newline, read again from its path per piece."""
-    path = lines.name
+def _line_blocks(path: Path):
+    """A ``lead``: the lines after the header of the CSV file at ``path``,
+    without their newline, read again from the file per piece."""
 
     def lead(first: int):
         with open(path) as fh:
@@ -383,21 +383,92 @@ class _Table(NamedTuple):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of ``tables``, in file order, cut on block boundaries into
+    at most ``n_shares`` contiguous shares of about equal value count, each
+    as its pieces (table index, first row, end row)."""
+    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
+    starts = np.cumsum(sizes) - sizes
+    cuts = [(0, 0)]  # share s begins at the block of its first value
+    for s in range(1, n_shares):
+        value = s * int(sizes.sum()) // n_shares
+        t = int(np.searchsorted(starts, value, side="right")) - 1
+        row = (value - int(starts[t])) // len(tables[t].columns)
+        cuts.append((t, row - row % _CSV_BLOCK_ROWS))
+    cuts.append((len(tables), 0))
+    shares = []
+    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
+        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
+                  for t in range(t0, min(t1 + 1, len(tables)))]
+        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
+            shares.append(pieces)
+    return shares
+
+
+def _write_share(tables: list[_Table], pieces) -> None:
+    """Write every header of ``tables`` and the rows of ``pieces``, the
+    first share, straight into the files."""
+    own = {t: (a, b) for t, a, b in pieces}
+    for t, table in enumerate(tables):
+        with open(table.path, "w") as fh:
+            fh.write(table.header + "\n")
+            if t in own:
+                table.write_rows(fh, *own[t])
+
+
+def _spill(tables: list[_Table], pieces, spill) -> np.ndarray:
+    """Write each piece's rows into the open file ``spill``; the byte length
+    of each piece."""
+    ends = []
+    with open(spill.fileno(), "w", closefd=False) as fh:
+        for t, a, b in pieces:
+            tables[t].write_rows(fh, a, b)
+            fh.flush()
+            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
+    return np.diff(ends, prepend=0)
+
+
+def _append(path: Path, spill, length: int) -> None:
+    """Copy the next ``length`` bytes of the open file ``spill`` to the end
+    of the file at ``path``, 64 KiB at a time."""
+    with open(path, "ab") as fh:
+        while chunk := spill.read(min(length, 1 << 16)):
+            fh.write(chunk)
+            length -= len(chunk)
+
+
 def _write_tables(tables: list[_Table]) -> None:
-    """Write ``tables``: in one share per usable CPU, each of at least
-    _SHARE_VALUES values, by ``workers.write_shares``, or else all in the
-    caller."""
+    """Write ``tables``, their rows cut by ``_shares`` into one share per
+    usable CPU, each of at least _SHARE_VALUES values. The caller writes
+    every header and the first share straight into the files; a worker
+    forked by ``workers.run_forked`` writes each other share into one
+    unlinked temporary file, whose pieces the caller then appends to their
+    files in order."""
     values = sum(table.n_rows * len(table.columns) for table in tables)
+    n_shares = 1
     if values >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
         from . import workers
 
         n_shares = min(1 + workers.spare_cpus(), values // _SHARE_VALUES)
-        if n_shares > 1:
-            return workers.write_shares(tables, n_shares, _CSV_BLOCK_ROWS)
-    for table in tables:
-        with open(table.path, "w") as fh:
-            fh.write(table.header + "\n")
-            table.write_rows(fh, 0, table.n_rows)
+    shares = _shares(tables, n_shares) or [[]]
+    if len(shares) == 1:
+        return _write_share(tables, shares[0])
+    import tempfile
+
+    spills = []
+    try:
+        for _ in shares[1:]:
+            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
+        _, bodies = workers.run_forked(partial(_write_share, tables, shares[0]),
+                                       [partial(_spill, tables, pieces, spill)
+                                        for pieces, spill in zip(shares[1:], spills)])
+        for pieces, spill, body in zip(shares[1:], spills, bodies):
+            spill.seek(0)
+            for (t, _, _), length in zip(pieces, np.frombuffer(body, np.int64).tolist()):
+                _append(tables[t].path, spill, length)
+    finally:
+        for spill in spills:
+            spill.close()
 
 
 def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
@@ -542,9 +613,8 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     f_pde = result.map.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     # t and f_pde are f_series.csv's rows, text and all
-    with open(out / "f_series.csv") as series:
-        _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-                   mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(series))
+    _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
+               mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(out / "f_series.csv"))
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,

@@ -1,7 +1,6 @@
 """Work shared between the caller and forked worker processes: the particle
 blocks of ``montecarlo`` and the CSV shares of ``cli``, which import this
-module only where they may fork. ``write_shares`` has workers write CSV
-rows into unlinked temporary files that the caller appends to their files.
+module only where they may fork.
 
 A worker writes to a pipe a 0 byte and the bytes its task returned, or a
 1 byte and its pickled exception, and leaves by ``os._exit``. The caller
@@ -17,13 +16,8 @@ re-imports the package and raised desk's peak RSS in oracle mode from
 from __future__ import annotations
 
 import os
-import sys
-from array import array
-from functools import partial
 
-import numpy as np
-
-__all__ = ["spare_cpus", "run_forked", "write_shares"]
+__all__ = ["spare_cpus", "run_forked"]
 
 
 def spare_cpus() -> int:
@@ -107,88 +101,3 @@ def run_forked(local, tasks) -> tuple[object, list[bytes]]:
             _stop(workers)
     return result, bodies
 
-
-def _shares(tables, n_shares: int, block: int) -> list[list[tuple[int, int, int]]]:
-    """The rows of ``tables``, in file order, cut on boundaries of ``block``
-    rows into at most ``n_shares`` contiguous shares of about equal value
-    count, each as its pieces (table index, first row, end row)."""
-    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
-    starts = np.cumsum(sizes) - sizes
-    cuts = [(0, 0)]  # share s begins at the block of its first value
-    for s in range(1, n_shares):
-        value = s * int(sizes.sum()) // n_shares
-        t = int(np.searchsorted(starts, value, side="right")) - 1
-        row = (value - int(starts[t])) // len(tables[t].columns)
-        cuts.append((t, row - row % block))
-    cuts.append((len(tables), 0))
-    shares = []
-    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
-        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
-                  for t in range(t0, min(t1 + 1, len(tables)))]
-        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
-            shares.append(pieces)
-    return shares
-
-
-def _spill(tables, pieces, spill) -> array:
-    """Write each piece's rows into the open file ``spill``; the byte length
-    of each piece."""
-    ends = array("q")
-    with open(spill.fileno(), "w", closefd=False) as fh:
-        for t, a, b in pieces:
-            tables[t].write_rows(fh, a, b)
-            fh.flush()
-            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
-    return array("q", [b - a for a, b in zip([0, *ends], ends)])
-
-
-def _append(path, src: int, offset: int, length: int) -> None:
-    """Copy ``length`` bytes of the open file ``src``, from ``offset`` on,
-    to the end of the file at ``path``: by ``os.sendfile`` on Linux, which
-    holds no byte in this process, else 64 KiB at a time."""
-    dst = os.open(path, os.O_WRONLY)  # sendfile refuses O_APPEND
-    try:
-        os.lseek(dst, 0, os.SEEK_END)
-        end = offset + length
-        while offset < end:
-            if sys.platform == "linux":
-                offset += os.sendfile(dst, src, offset, end - offset)
-            else:
-                offset += os.write(dst, os.pread(src, min(end - offset, 1 << 16), offset))
-    finally:
-        os.close(dst)
-
-
-def write_shares(tables, n_shares: int, block: int) -> None:
-    """Write the CSV ``tables`` (``cli._Table``: ``path``, ``header``,
-    ``columns``, ``n_rows`` and ``write_rows(fh, a, b)``), their rows cut by
-    ``_shares`` into ``n_shares`` shares. The caller writes every header and
-    the first share straight into the files; a forked worker writes each
-    other share into one unlinked temporary file, whose pieces the caller
-    then appends to their files in order."""
-    import tempfile
-
-    shares = _shares(tables, n_shares, block)
-    own = {t: (a, b) for t, a, b in shares[0]}
-
-    def write_own() -> None:
-        for t, table in enumerate(tables):
-            with open(table.path, "w") as fh:
-                fh.write(table.header + "\n")
-                if t in own:
-                    table.write_rows(fh, *own[t])
-
-    spills = []
-    try:
-        for _ in shares[1:]:
-            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
-        _, bodies = run_forked(write_own, [partial(_spill, tables, pieces, spill)
-                                           for pieces, spill in zip(shares[1:], spills)])
-        for pieces, spill, body in zip(shares[1:], spills, bodies):
-            offset = 0
-            for (t, _, _), length in zip(pieces, array("q", body)):
-                _append(tables[t].path, spill.fileno(), offset, length)
-                offset += length
-    finally:
-        for spill in spills:
-            spill.close()

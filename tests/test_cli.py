@@ -294,9 +294,8 @@ class TestWriteCsv:
     def test_lead_file_begins_the_rows(self, tmp_path):
         columns = self.columns()
         _write_csv(tmp_path / "lead.csv", "a,b", *columns[:2])
-        with open(tmp_path / "lead.csv") as lead:
-            _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:],
-                       lead=cli._line_blocks(lead))
+        _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:],
+                   lead=cli._line_blocks(tmp_path / "lead.csv"))
         _write_csv(tmp_path / "whole.csv", "a,b,c,d,e", *columns)
         assert (tmp_path / "joined.csv").read_text() == (tmp_path / "whole.csv").read_text()
 
@@ -370,14 +369,14 @@ class TestWriterShares:
         """Every file of a small Lanczos solve with snapshots is the same
         bytes with the rows formatted on 1, 2 and 3 CPUs, with share
         boundaries inside a file."""
-        from mfgnet import heat, lanczos, workers
+        from mfgnet import heat, lanczos
 
         monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
         monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
         monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
-        shares, forks, fork, cut = [], [], os.fork, workers._shares
+        shares, forks, fork, cut = [], [], os.fork, cli._shares
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(workers, "_shares", lambda *args: shares.append(cut(*args))
+        monkeypatch.setattr(cli, "_shares", lambda *args: shares.append(cut(*args))
                             or shares[-1])
         combined, combine = [], lanczos._LanczosBasis.combine
         monkeypatch.setattr(lanczos._LanczosBasis, "combine",
