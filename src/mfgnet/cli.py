@@ -8,10 +8,10 @@ particle simulator; ``refine-study`` repeats the solve over a ladder of
 spatial steps and tabulates the diagnostics.
 
 Every CSV goes through one writer, ``_write_tables``: each value is its
-repr, a block of _CSV_BLOCK_ROWS rows at a time, and the rows of a batch
-are cut into one share per usable CPU, the later shares formatted by forked
-workers. A field CSV's leading columns come from the grid's
-``_field_layout``, formatted once per run. A run removes the files it owns
+repr, a block of _CSV_BLOCK_ROWS rows at a time, and the files of a batch
+are cut into one group per usable CPU, each file written whole by one
+process, the later groups by forked workers. A field CSV's leading columns
+come from the grid's ``_field_layout``, formatted once per run. A run removes the files it owns
 by name but did not write: ``error.json`` after a success, ``summary.json``
 after a failure, and snapshots of other levels.
 
@@ -25,7 +25,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import shutil
 import sys
 from dataclasses import dataclass, replace
@@ -68,10 +67,11 @@ MODES = ("solve", "oracle", "refine-study")
 # (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
 # fit in one block either way.
 _CSV_BLOCK_ROWS = 256
-# The fewest values _write_tables gives a share. A two-column table written
-# as one share and as two on 2 CPUs (21 alternated runs each, 2-CPU Xeon VM)
-# took 20.5 and 26.8 ms at 20 000 values, 44.3 and 44.7 ms at 40 000, and
-# 99.8 and 56.8 ms at 80 000: two shares pay from about 2 x 20 000 values on.
+# The fewest values of a group of files that _write_tables forks a worker
+# for. A two-column table's rows written by one process and split between
+# two on 2 CPUs (21 alternated runs each, 2-CPU Xeon VM) took 20.5 and
+# 26.8 ms at 20 000 values, 44.3 and 44.7 ms at 40 000, and 99.8 and 56.8 ms
+# at 80 000: a second process pays from about 2 x 20 000 values on.
 # example1's batch (32 691 values, 32 290 of them its series) stays in the
 # caller.
 _SHARE_VALUES = 20_000
@@ -343,24 +343,21 @@ def _text_blocks(column: np.ndarray):
 
 def _line_blocks(path: Path):
     """A ``lead``: the lines after the header of the CSV file at ``path``,
-    without their newline, read again from the file per piece."""
-
-    def lead(first: int):
-        with open(path) as fh:
-            for _ in itertools.islice(fh, 1 + first * _CSV_BLOCK_ROWS):
-                pass
-            while block := "".join(itertools.islice(fh, _CSV_BLOCK_ROWS)):
-                yield block[:-1]
-    return lead
+    without their newline, one string per block, read when the rows are
+    written."""
+    with open(path) as fh:
+        next(fh)
+        while block := "".join(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            yield block[:-1]
 
 
 class _Table(NamedTuple):
     """One CSV file: ``header``, then one row per index of the equal-length
     ``columns`` (ints or floats), or per entry of ``order``, the index of
-    each row's values in them. ``lead(i)`` gives, from block i on, one
-    string of lines per block that begin the rows, so values already
-    formatted there are not formatted again. A NamedTuple rather than a
-    dataclass, whose creation took about 1 ms of every run's import."""
+    each row's values in them. ``lead`` gives one string of lines per block
+    that begin the rows, so values already formatted there are not
+    formatted again. A NamedTuple rather than a dataclass, whose creation
+    took about 1 ms of every run's import."""
 
     path: Path
     header: str
@@ -369,106 +366,53 @@ class _Table(NamedTuple):
     lead: object = None
 
     @property
-    def n_rows(self) -> int:
-        return len(self.columns[0] if self.order is None else self.order)
+    def n_values(self) -> int:
+        return len(self.columns[0] if self.order is None else self.order) * len(self.columns)
 
-    def write_rows(self, fh, a: int, b: int) -> None:
-        """Rows a to b, a on a block boundary, to the text file ``fh``, each
-        value its repr, by ``_text_blocks``, gathered for these rows only."""
-        rows = slice(a, b) if self.order is None else self.order[a:b]
+    def write(self) -> None:
+        """The file, each value its repr, by ``_text_blocks``."""
+        rows = slice(None) if self.order is None else self.order
         blocks = [_text_blocks(np.asarray(c)[rows]) for c in self.columns]
         if self.lead is not None:
-            blocks.insert(0, (text.split("\n") for text in self.lead(a // _CSV_BLOCK_ROWS)))
-        for cells in zip(*blocks):
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            blocks.insert(0, (text.split("\n") for text in self.lead))
+        with open(self.path, "w") as fh:
+            fh.write(self.header + "\n")
+            for cells in zip(*blocks):
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _shares(tables: list[_Table], n_shares: int) -> list[list[tuple[int, int, int]]]:
-    """The rows of ``tables``, in file order, cut on block boundaries into
-    at most ``n_shares`` contiguous shares of about equal value count, each
-    as its pieces (table index, first row, end row)."""
-    sizes = np.array([table.n_rows * len(table.columns) for table in tables])
-    starts = np.cumsum(sizes) - sizes
-    cuts = [(0, 0)]  # share s begins at the block of its first value
-    for s in range(1, n_shares):
-        value = s * int(sizes.sum()) // n_shares
-        t = int(np.searchsorted(starts, value, side="right")) - 1
-        row = (value - int(starts[t])) // len(tables[t].columns)
-        cuts.append((t, row - row % _CSV_BLOCK_ROWS))
-    cuts.append((len(tables), 0))
-    shares = []
-    for (t0, a0), (t1, b1) in zip(cuts[:-1], cuts[1:]):
-        pieces = [(t, a0 if t == t0 else 0, b1 if t == t1 else tables[t].n_rows)
-                  for t in range(t0, min(t1 + 1, len(tables)))]
-        if pieces := [(t, a, b) for t, a, b in pieces if b > a]:
-            shares.append(pieces)
-    return shares
-
-
-def _write_share(tables: list[_Table], pieces) -> None:
-    """Write every header of ``tables`` and the rows of ``pieces``, the
-    first share, straight into the files."""
-    own = {t: (a, b) for t, a, b in pieces}
-    for t, table in enumerate(tables):
-        with open(table.path, "w") as fh:
-            fh.write(table.header + "\n")
-            if t in own:
-                table.write_rows(fh, *own[t])
-
-
-def _spill(tables: list[_Table], pieces, spill) -> np.ndarray:
-    """Write each piece's rows into the open file ``spill``; the byte length
-    of each piece."""
-    ends = []
-    with open(spill.fileno(), "w", closefd=False) as fh:
-        for t, a, b in pieces:
-            tables[t].write_rows(fh, a, b)
-            fh.flush()
-            ends.append(os.lseek(spill.fileno(), 0, os.SEEK_CUR))
-    return np.diff(ends, prepend=0)
-
-
-def _append(path: Path, spill, length: int) -> None:
-    """Copy the next ``length`` bytes of the open file ``spill`` to the end
-    of the file at ``path``, 64 KiB at a time."""
-    with open(path, "ab") as fh:
-        while chunk := spill.read(min(length, 1 << 16)):
-            fh.write(chunk)
-            length -= len(chunk)
+def _write_group(tables: list[_Table]) -> bytes:
+    """Write each of ``tables``; no bytes for ``workers.run_forked``."""
+    for table in tables:
+        table.write()
+    return b""
 
 
 def _write_tables(tables: list[_Table]) -> None:
-    """Write ``tables``, their rows cut by ``_shares`` into one share per
-    usable CPU, each of at least _SHARE_VALUES values. The caller writes
-    every header and the first share straight into the files; a worker
-    forked by ``workers.run_forked`` writes each other share into one
-    unlinked temporary file, whose pieces the caller then appends to their
-    files in order."""
-    values = sum(table.n_rows * len(table.columns) for table in tables)
-    n_shares = 1
-    if values >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
+    """Write ``tables``, cut in file order into one group of whole files per
+    usable CPU, of about equal value counts. Each group of at least
+    _SHARE_VALUES values but the first is written by a worker forked by
+    ``workers.run_forked``; the caller writes the first and the smaller
+    groups, so a batch with one large file forks nothing."""
+    sizes = [table.n_values for table in tables]
+    n_groups = 1
+    if sum(sizes) >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
         from . import workers
 
-        n_shares = min(1 + workers.spare_cpus(), values // _SHARE_VALUES)
-    shares = _shares(tables, n_shares) or [[]]
-    if len(shares) == 1:
-        return _write_share(tables, shares[0])
-    import tempfile
-
-    spills = []
-    try:
-        for _ in shares[1:]:
-            spills.append(tempfile.TemporaryFile(dir=tables[0].path.parent))
-        _, bodies = workers.run_forked(partial(_write_share, tables, shares[0]),
-                                       [partial(_spill, tables, pieces, spill)
-                                        for pieces, spill in zip(shares[1:], spills)])
-        for pieces, spill, body in zip(shares[1:], spills, bodies):
-            spill.seek(0)
-            for (t, _, _), length in zip(pieces, np.frombuffer(body, np.int64).tolist()):
-                _append(tables[t].path, spill, length)
-    finally:
-        for spill in spills:
-            spill.close()
+        n_groups = min(1 + workers.spare_cpus(), sum(sizes) // _SHARE_VALUES)
+    # group g ends at the table boundary nearest to g / n_groups of the values
+    ends = np.cumsum([0, *sizes])
+    cuts = [0, *(int(np.abs(ends - g * ends[-1] / n_groups).argmin())
+                 for g in range(1, n_groups)), len(tables)]
+    large, small = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        (large if ends[b] - ends[a] >= _SHARE_VALUES else small).append(tables[a:b])
+    local = [table for group in large[:1] + small for table in group]
+    if len(large) > 1:
+        workers.run_forked(partial(_write_group, local),
+                           [partial(_write_group, group) for group in large[1:]])
+    else:
+        _write_group(local)
 
 
 def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
@@ -499,14 +443,7 @@ def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
 def _field_table(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> _Table:
     """The ``_Table`` of a field's CSV in the rows of ``layout``."""
     order, text = layout
-    return _Table(path, "edge_id,k,x_coord_1,x_coord_2,value", (field.data,), order,
-                  lambda first: itertools.islice(text, first, None))
-
-
-def field_to_csv(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> None:
-    """Write a field as rows (edge_id, k, x_coord_1, x_coord_2, value) in the
-    rows of ``layout``, its grid's ``_field_layout``."""
-    _write_tables([_field_table(field, path, layout)])
+    return _Table(path, "edge_id,k,x_coord_1,x_coord_2,value", (field.data,), order, text)
 
 
 def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:

@@ -1,6 +1,7 @@
 """Work shared between the caller and forked worker processes: the particle
-blocks of ``montecarlo`` and the CSV shares of ``cli``, which import this
-module only where they may fork.
+blocks of ``montecarlo`` and the groups of CSV files of ``cli``, which
+import this module only where they may fork. A CSV worker writes its files
+itself and returns no bytes.
 
 A worker writes to a pipe a 0 byte and the bytes its task returned, or a
 1 byte and its pickled exception, and leaves by ``os._exit``. The caller

@@ -321,7 +321,7 @@ def test_field_csv_rows_match_edge_values(tmp_path, three_star):
         column = data[layout[0]]
         assert (_run_starts(column.view("u8")) is not None) == runs
         field = mn.GridField(grid, data)
-        cli.field_to_csv(field, tmp_path / "field.csv", layout)
+        cli._write_tables([cli._field_table(field, tmp_path / "field.csv", layout)])
         expected = ["edge_id,k,x_coord_1,x_coord_2,value"]
         for e in edge_rows(three_star):
             (ax, ay), (bx, by) = pos[e.tail].tolist(), pos[e.head].tolist()
@@ -357,27 +357,39 @@ class ShareFailure(Exception):
 
 
 class TestWriterShares:
-    """``_write_tables`` cuts a batch's rows into one share per usable CPU,
-    formats the later shares in forked workers and appends them in order;
-    here the share size is patched small."""
+    """``_write_tables`` cuts a batch's files into one share per usable CPU,
+    a group of whole files, and forks a worker for each share after the
+    first of at least _SHARE_VALUES values; here that size is patched
+    small."""
 
     @staticmethod
     def cpus(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
     def test_artifacts_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
         """Every file of a small Lanczos solve with snapshots is the same
-        bytes with the rows formatted on 1, 2 and 3 CPUs, with share
-        boundaries inside a file."""
-        from mfgnet import heat, lanczos
+        bytes with its files written by 1, 2 and 3 processes, each file by
+        one of them, and the shares' value counts differ by less than a
+        file's."""
+        from mfgnet import heat, lanczos, workers
 
         monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
         monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
         monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
-        shares, forks, fork, cut = [], [], os.fork, cli._shares
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(cli, "_shares", lambda *args: shares.append(cut(*args))
-                            or shares[-1])
+        forks = self.count_forks(monkeypatch)
+        shares, run_forked = [], workers.run_forked
+
+        def recorded(local, tasks):
+            shares.append([job.args[0] for job in (local, *tasks)])
+            return run_forked(local, tasks)
+
+        monkeypatch.setattr(workers, "run_forked", recorded)
         combined, combine = [], lanczos._LanczosBasis.combine
         monkeypatch.setattr(lanczos._LanczosBasis, "combine",
                             lambda *a: combined.append(1) or combine(*a))
@@ -390,32 +402,53 @@ class TestWriterShares:
             written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                             if p.is_file()})
             assert len(forks) == n_cpus * (n_cpus - 1) // 2
-            assert n_cpus == 1 or len(shares[-1]) == n_cpus
+            assert len(shares) == (n_cpus > 1) + (n_cpus > 2)
+            if n_cpus > 1:
+                tables = [table for share in shares[-1] for table in share]
+                assert len({table.path for table in tables}) == len(tables)
+                values = [sum(table.n_values for table in share) for share in shares[-1]]
+                assert max(values) - min(values) < max(table.n_values for table in tables)
         # the series, the iterates, three fields and the summary, and m and u
         # at levels 0, 400, 800 and 1 200, the fields from the Lanczos bases
         assert len(written[0]) == 6 + 2 * 4 and combined
         assert written[0] == written[1] == written[2]
-        # a share that begins inside a file, on a block boundary
-        assert any(pieces[0][1] > 0 for batch in shares for pieces in batch[1:])
+
+    @pytest.mark.parametrize("large", [0, 2])
+    def test_one_large_file_forks_nothing(self, tmp_path, monkeypatch, large):
+        """A batch of one large file and small ones, as desk's series and
+        fields, is written by the caller alone, wherever the large file
+        stands."""
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        self.cpus(monkeypatch, 3)
+        forks = self.count_forks(monkeypatch)
+        columns = [(np.arange(40.0),), (np.arange(40.0),)]
+        columns.insert(large, (np.arange(2000.0), np.arange(2000)))
+        tables = [cli._Table(tmp_path / f"{i}.csv", "x", c) for i, c in enumerate(columns)]
+        cli._write_tables(tables)
+        assert not forks
+        assert (tmp_path / f"{large}.csv").read_text() == "x\n" + "".join(
+            f"{float(i)!r},{i}\n" for i in range(2000))
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_error_in_a_share_reaches_the_caller(self, tmp_path, monkeypatch, where):
         """A share's error is raised in the caller with its own type; no
-        worker and no temporary file is left."""
+        worker is left, and the directory holds only the batch's files."""
         monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
         self.cpus(monkeypatch, 3)
-        caller, write_rows = os.getpid(), cli._Table.write_rows
+        forks = self.count_forks(monkeypatch)
+        caller, write = os.getpid(), cli._Table.write
 
-        def failing(table, fh, a, b):
+        def failing(table):
             if (os.getpid() == caller) == (where == "caller"):
                 raise ShareFailure(where)
-            write_rows(table, fh, a, b)
+            write(table)
 
-        monkeypatch.setattr(cli._Table, "write_rows", failing)
+        monkeypatch.setattr(cli._Table, "write", failing)
         tables = [cli._Table(tmp_path / f"{name}.csv", "x", (np.arange(1000.0),))
                   for name in "ab"]
         with pytest.raises(ShareFailure, match=where):
             cli._write_tables(tables)
+        assert forks
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert set(os.listdir(tmp_path)) <= {"a.csv", "b.csv"}
