@@ -238,13 +238,20 @@ def sample_density(grid: SpatialGrid, density) -> GridField:
     return fld
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of ``a * b`` over two vectors, by einsum rather than a BLAS
+    dot: OpenBLAS splits a dot of more than 10 000 terms across its threads,
+    and each thread count rounds the sum its own way."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def integrate(field: GridField) -> float:
     """Left-endpoint rectangle rule over the field's network.
 
     Each edge sums h_j * value over nodes k = 0..n_cells-1, so a vertex
     value is counted once per incident edge whose tail it is.
     """
-    return float(field.grid.quad_weights @ field.data)
+    return dot(field.grid.quad_weights, field.data)
 
 
 def normalize_mass(g: GridField) -> GridField:

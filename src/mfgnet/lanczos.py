@@ -17,7 +17,7 @@ import numpy as np
 
 from . import heat
 from .errors import NumericalFailure
-from .grid import GridField, SpatialGrid, TimeGrid
+from .grid import GridField, SpatialGrid, TimeGrid, dot
 from .heat import KRYLOV_TOL, Evaluator, StepOperator, psi_initial
 
 __all__ = ["LanczosStep", "krylov_reach_pays"]
@@ -124,7 +124,7 @@ class _LanczosBasis:
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         nv = self.op.grid.n_vertices
-        return float(np.dot(a[nv:] * self.h, b[nv:]))
+        return dot(a[nv:] * self.h, b[nv:])
 
     def _bound(self, m: int) -> float:
         """The error bound of the first m vectors, with T_m's tables made."""
@@ -397,7 +397,7 @@ class LanczosStep(Evaluator):
         k = np.searchsorted(reach, nv)
         inner = reach[k:]
         weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
-        products = np.array([np.dot(w[k:], weighted)
+        products = np.array([dot(w[k:], weighted)
                              for _, rows in self._on_reach() for w in rows])
         trace = np.empty(self.n_steps + 1)
         trace[0] = psi0[self.grid.exit_adjacent_index]
