@@ -11,9 +11,10 @@ Every CSV goes through one writer, ``_write_tables``: each value is its
 repr, a block of _CSV_BLOCK_ROWS rows at a time, and the files of a batch
 are cut into one group per usable CPU, each file written whole by one
 process, the later groups by forked workers. A field CSV's leading columns
-come from the grid's ``_field_layout``, formatted once per run. A run removes the files it owns
-by name but did not write: ``error.json`` after a success, ``summary.json``
-after a failure, and snapshots of other levels.
+come from the grid's ``_field_layout``, formatted once per run. A run
+removes the files it owns by name but did not write: ``error.json`` after
+a success, ``summary.json`` after a failure, and snapshots of other
+levels.
 
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
