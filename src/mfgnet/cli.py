@@ -416,12 +416,6 @@ def _write_tables(tables: list[_Table]) -> None:
         _write_group(local)
 
 
-def _write_csv(path: Path, header: str, *columns, lead=None) -> None:
-    """One ``_Table`` of the equal-length ``columns``, written by
-    ``_write_tables``."""
-    _write_tables([_Table(path, header, columns, lead=lead)])
-
-
 def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
     """The rows of a field CSV, in the grid's ``edge_nodes`` layout (edge by
     edge from tail to head, k running 0..n_cells, vertex slots included):
@@ -551,8 +545,9 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     f_pde = result.map.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))
     # t and f_pde are f_series.csv's rows, text and all
-    _write_csv(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
-               mc.fraction, mc.band_lo, mc.band_hi, lead=_line_blocks(out / "f_series.csv"))
+    _write_tables([_Table(out / "comparison.csv", "t,f_pde,f_mc,band_lo,band_hi",
+                          (mc.fraction, mc.band_lo, mc.band_hi),
+                          lead=_line_blocks(out / "f_series.csv"))])
     summary["oracle"] = {
         "agents": config.agents,
         "dt_mc": dt_mc,
@@ -576,9 +571,9 @@ def _refine_artifacts(config: RunConfig, out: Path, quiet: bool):
         rows.append({"h": h, "residual_mass_error": res.residual_mass,
                      "t_star": res.t_star, "iterations": res.iterations,
                      "converged": res.converged})
-    _write_csv(out / "refine_study.csv", "h,E_h,T,iterations",
-               *([r[key] for r in rows]
-                 for key in ("h", "residual_mass_error", "t_star", "iterations")))
+    _write_tables([_Table(out / "refine_study.csv", "h,E_h,T,iterations",
+                          tuple([r[key] for r in rows] for key in
+                                ("h", "residual_mass_error", "t_star", "iterations")))])
     return {"converged": all_converged, "refine_study": rows}
 
 

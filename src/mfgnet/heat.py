@@ -13,12 +13,13 @@ layout alone and the topology's ``tails``, ``heads`` and incidence arrays.
 
 ``ModalStep`` evaluates many steps at once from the eigenbasis of the same
 step (exit pinned, every other vertex free): what a candidate map needs
-(psi at level 0 and psi's exit trace), or both sweeps at chosen levels.
+(phi at level 0 and psi's exit trace), or both sweeps at chosen levels.
 ``lanczos.LanczosStep`` does the same from Lanczos bases on grids too large
 for the eigenbasis (``modal_pays``). Each is built for one problem (its
-grids and its crowd m0), and ``mfg`` calls only the three methods they
-share: ``map``, ``phi_levels`` and ``psi_levels``. The public sweeps stay
-the reference.
+grids and its crowd m0). Their base ``Evaluator`` writes the candidate map
+once, from each one's ``phi0`` and ``exit_trace``; ``mfg`` calls only
+``map``, ``phi_levels`` and ``psi_levels``. The public sweeps stay the
+reference.
 """
 
 from __future__ import annotations
@@ -259,13 +260,24 @@ class Evaluator:
     """The evaluations of the two sweeps that ``mfg`` makes for one problem:
     its grids and its normalized crowd ``m0``, with one exit-pinned
     StepOperator. ``ModalStep`` and ``lanczos.LanczosStep`` each provide
-    ``map`` (phi's exit series to psi0 = m0 / phi0 and psi next to the exit
-    on every level), ``phi_levels`` and ``psi_levels``."""
+    the two halves of ``map``, ``phi0`` (phi at level 0 from its exit
+    series, wherever m0 / phi0 needs it) and ``exit_trace`` (the forward
+    sweep next to the exit on levels 1 to N, from its level 1), and the
+    fields ``phi_levels`` and ``psi_levels``."""
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
         self.grid, self.time_grid, self.m0 = grid, time_grid, m0
         self.n_steps = time_grid.n_steps
         self.operator = StepOperator(grid, (grid.topology.exit_vertex,), time_grid.dt)
+
+    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi0 = m0 / phi0 and psi next to the exit on every level, for
+        phi's exit series ``exit_series``."""
+        psi0 = psi_initial(self.m0, GridField(self.grid, self.phi0(exit_series)))
+        trace = np.empty(self.n_steps + 1)
+        trace[0] = psi0[self.grid.exit_adjacent_index]
+        trace[1:] = self.exit_trace(self._level_one(psi0))
+        return psi0, trace
 
     def _level_one(self, psi0: np.ndarray) -> np.ndarray:
         """The forward sweep's level 1 from psi0, whose vertices need not be
@@ -326,27 +338,21 @@ class ModalStep(Evaluator):
         self.offset_powers = _powers(self.evals, np.arange(rows)[:, None])
         self.chunk_powers = _powers(self.evals, rows * np.arange(self.chunks)[:, None])
 
-    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi0 = m0 / phi0 and psi next to the exit on every level, for
-        phi's exit series ``exit_series``."""
-        phi0 = self.phi_levels(exit_series, [0])[0]
-        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
-        return psi0, self._trace(psi0)
+    def phi0(self, exit_series: np.ndarray) -> np.ndarray:
+        """phi at level 0, as ``phi_levels`` gives it."""
+        return self.phi_levels(exit_series, [0])[0]
 
-    def _level_one_modal(self, psi0: np.ndarray) -> np.ndarray:
-        """Modal coordinates Q^T D u^1 of the forward sweep's level 1."""
-        return self.basis.T @ (self.d * self._level_one(psi0)[self.grid.n_vertices:])
+    def _modal(self, state: np.ndarray) -> np.ndarray:
+        """Modal coordinates Q^T D u of a flat state's interior u."""
+        return self.basis.T @ (self.d * state[self.grid.n_vertices:])
 
-    def _trace(self, psi0: np.ndarray) -> np.ndarray:
-        """Value next to the exit on every level of the forward sweep from
-        psi0 with the exit held at zero: trace[n] = e_adj^T K^(n-1) u^1."""
-        weights = self.adj_row * self._level_one_modal(psi0)
-        trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[self.grid.exit_adjacent_index]
+    def exit_trace(self, u1: np.ndarray) -> np.ndarray:
+        """Value next to the exit on levels 1 to N of the forward sweep with
+        the exit held at zero, from its level 1 ``u1``: e_adj^T K^(n-1) u^1."""
+        weights = self.adj_row * self._modal(u1)
         # by_level[a, j] = sum_k lambda_k^(a*B + j) * weights_k
         by_level = (self.chunk_powers * weights) @ self.offset_powers.T
-        trace[1:] = by_level.ravel()[: self.n_steps]
-        return trace
+        return by_level.ravel()[: self.n_steps]
 
     def _states(self, coef: np.ndarray, exit_values) -> np.ndarray:
         """Flat, flux-balanced states D^-1 Q c, one per row of modal
@@ -419,5 +425,5 @@ class ModalStep(Evaluator):
         m = np.asarray(levels) - 1
         rows = self.offset_powers.shape[0]
         coef = self.chunk_powers[m // rows] * self.offset_powers[m % rows]
-        coef *= self._level_one_modal(psi0)
+        coef *= self._modal(self._level_one(psi0))
         return self._states(coef, 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 from . import heat
 from .errors import NumericalFailure
 from .grid import GridField, SpatialGrid, TimeGrid, dot
-from .heat import KRYLOV_TOL, Evaluator, StepOperator, psi_initial
+from .heat import KRYLOV_TOL, Evaluator, StepOperator
 
 __all__ = ["LanczosStep", "krylov_reach_pays"]
 
@@ -255,18 +255,15 @@ class _LanczosBasis:
                 pass
             yield j, rows
 
-    def combine(self, coefs: np.ndarray, visit=None) -> np.ndarray:
+    def combine(self, coefs: np.ndarray) -> np.ndarray:
         """W @ coefs for an (m, L) coefficient array: L flat states, each
-        the sum over the blocks of its own product with the block.
-        ``visit(j, rows)``, when given, also sees each block."""
+        the sum over the blocks of its own product with the block."""
         by_row = np.ascontiguousarray(coefs.T)
         out = np.zeros((len(by_row), self.op.grid.n_flat))
         product = np.empty(self.op.grid.n_flat)
         for j, rows in self.blocks():
             for row, c in zip(out, by_row[:, j: j + len(rows)]):
                 row += np.matmul(c, rows, out=product)
-            if visit is not None:
-                visit(j, rows)
         return out
 
 
@@ -292,16 +289,16 @@ class LanczosStep(Evaluator):
 
     A map reads phi0 only where the crowd m0 is nonzero, and u^1 only on the
     nodes that one step from there reaches: S. So it reads the basis on S
-    alone, twice: phi0 on S is W_S c, and <w_j, u^1>_H sums over S. Where
-    ``krylov_reach_pays``, the build keeps the rows W_S; else each read
-    replays the basis for them, with the same arithmetic. For
-    ``mfg.map_phi``, ``phi_levels`` evaluates phi at chosen levels from the
-    same basis; for ``mfg.map_psi``, ``psi_levels`` evaluates psi from a
-    basis started at u^1, whose bound is first checked near the maps' m.
-    Reads and fields alike take the basis in blocks of _BLOCK vectors, one
-    product per block and output row. Past ``KRYLOV_FIELD_RATIO``'s level
-    count both fields sweep instead, with ``heat._run_sweep`` and this
-    problem's operator.
+    alone, twice: ``phi0`` on S is W_S c, and ``exit_trace`` sums
+    <w_j, u^1>_H over S. Where ``krylov_reach_pays``, the build keeps the
+    rows W_S; else each read replays the basis for them, with the same
+    arithmetic. ``phi_levels`` evaluates phi at chosen levels from the same
+    basis, level 0 on S as ``phi0`` reads it; ``psi_levels`` evaluates psi
+    from a basis started at u^1, whose bound is first checked near the
+    maps' m. Reads and fields alike take the basis in blocks of _BLOCK
+    vectors, one product per block and output row. Past
+    ``KRYLOV_FIELD_RATIO``'s level count both fields sweep instead, with
+    ``heat._run_sweep`` and this problem's operator.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
@@ -327,11 +324,18 @@ class LanczosStep(Evaluator):
             return ((j, kept[j: j + _BLOCK]) for j in range(0, self.pins.m, _BLOCK))
         return ((j, rows.take(self.reach, axis=1)) for j, rows in self.pins.blocks())
 
-    @staticmethod
-    def _add_block(on_reach: np.ndarray, coefs: np.ndarray, j: int, rows: np.ndarray) -> None:
-        """One block's term of phi0 on S: the one arithmetic of a map and of
-        ``phi_levels``' level 0 there."""
-        on_reach += coefs[j: j + len(rows)] @ rows
+    def _phi0_on_reach(self, exit_series: np.ndarray) -> np.ndarray:
+        """phi at level 0 on S, one product per block of the basis on S: the
+        one read of it, for ``phi0`` and ``phi_levels``' level 0 alike, so a
+        map's psi0 is m0 over that level 0 to the last bit. A product of a
+        block with W's rows on S need not match the same entries of its
+        product with the whole rows."""
+        coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
+        on_reach = np.zeros(len(self.reach))
+        for j, rows in self._on_reach():
+            on_reach += coefs[j: j + len(rows)] @ rows
+        on_reach += exit_series[-1]
+        return on_reach
 
     def _sweeps(self, n_levels: int) -> bool:
         """Whether fields at ``n_levels`` levels after level 0 are swept:
@@ -349,61 +353,40 @@ class LanczosStep(Evaluator):
 
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """phi at each of ``levels``, one flat state per row, as
-        ``ModalStep.phi_levels``. Level 0 on S is formed as a map forms it,
-        so a map's psi0 is m0 over this level 0 to the last bit: a product
-        of a block with W's rows on S need not match the same entries of its
-        product with the whole rows."""
+        ``ModalStep.phi_levels``, level 0 on S as ``phi0`` has it."""
         if self._sweeps(np.count_nonzero(levels)):
             return self._swept(np.full(self.grid.n_flat, exit_series[-1]), exit_series,
                                levels, backward=True)
         levels = list(levels)
         excess = exit_series[1:] - exit_series[-1]
         coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1) * self.b_adj
-        on_reach, visit = None, None
-        if 0 in levels:
-            level0 = np.ascontiguousarray(coefs[:, levels.index(0)])
-            on_reach = np.zeros(len(self.reach))
-            if self.pins.on_nodes is None:  # gathered from the replay below
-                def visit(j, rows):
-                    self._add_block(on_reach, level0, j, rows.take(self.reach, axis=1))
-            else:
-                for j, rows in self._on_reach():
-                    self._add_block(on_reach, level0, j, rows)
-        rows = self.pins.combine(coefs, visit)
+        rows = self.pins.combine(coefs)
         rows += exit_series[-1]
-        if on_reach is not None:
-            on_reach += exit_series[-1]
-            rows[levels.index(0), self.reach] = on_reach
+        if 0 in levels:
+            rows[levels.index(0), self.reach] = self._phi0_on_reach(exit_series)
         rows[:, self.operator.pinned[0]] = exit_series[levels]
         return rows
 
-    def map(self, exit_series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """As ``ModalStep.map``, reading the basis on S alone: phi0 on S as
-        ``phi_levels``' level 0 there, 1 off S, where m0 / phi0 is m0
-        itself: 0 (of m0's sign)."""
-        reach, nv = self.reach, self.grid.n_vertices
-        coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
-        on_reach = np.zeros(len(reach))
-        for j, rows in self._on_reach():
-            self._add_block(on_reach, coefs, j, rows)
-        on_reach += exit_series[-1]
+    def phi0(self, exit_series: np.ndarray) -> np.ndarray:
+        """phi at level 0 on S, and 1 off S, where m0 / phi0 is m0 itself:
+        0 (of m0's sign)."""
         phi0 = np.ones(self.grid.n_flat)
-        phi0[reach] = on_reach
-        psi0 = psi_initial(self.m0, GridField(self.grid, phi0))
+        phi0[self.reach] = self._phi0_on_reach(exit_series)
+        return phi0
 
-        # W^T H u^1 over S's interior nodes; S's vertices come first. One dot
-        # per vector: a block's product rounds differently and moved F in
-        # its last bits on the street lattice
+    def exit_trace(self, u1: np.ndarray) -> np.ndarray:
+        """As ``ModalStep.exit_trace``, from W^T H u^1 over S's interior
+        nodes (u^1 is 0 off S; S's vertices come first). One dot per
+        vector: a block's product rounds differently and moved F in its last
+        bits on the street lattice."""
+        reach, nv = self.reach, self.grid.n_vertices
         k = np.searchsorted(reach, nv)
         inner = reach[k:]
-        weighted = self.pins.h[inner - nv] * self._level_one(psi0)[inner]
+        weighted = self.pins.h[inner - nv] * u1[inner]
         products = np.array([dot(w[k:], weighted)
                              for _, rows in self._on_reach() for w in rows])
-        trace = np.empty(self.n_steps + 1)
-        trace[0] = psi0[self.grid.exit_adjacent_index]
         # |e_adj|_H = sqrt(h_adj)
-        trace[1:] = self.pins.series(products) / self.pins.norm
-        return psi0, trace
+        return self.pins.series(products) / self.pins.norm
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

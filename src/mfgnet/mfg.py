@@ -46,7 +46,6 @@ __all__ = [
     "PsiMapResult",
     "map_fields",
     "map_phi",
-    "map_psi",
     "fixed_point",
     "recover_um",
     "residual_mass_error",
@@ -181,7 +180,7 @@ class PsiMapResult:
     """One evaluation of the candidate-time map, with what fixes its fields
     at every level: phi's exit series exp(c_T(t_n) - C), which fixes phi
     alone, psi at level 0 (a flat state), and psi next to the exit on every
-    level. ``map_phi`` and ``map_psi`` evaluate the fields.
+    level. ``map_phi`` and ``map_fields`` evaluate the fields.
 
     C (``cost_shift``, from ``_cost_shift``) keeps the exponentials inside
     the float range: phi is exp(-C) times the value potential and psi exp(C)
@@ -223,30 +222,19 @@ def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     return _evaluator(problem).phi_levels(res.exit_series, levels.tolist())
 
 
-def map_psi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
-    """psi of the map ``res`` at ``levels``, as ``map_phi``, forward from
-    the map's psi0, which is level 0."""
-    levels = np.asarray(levels, dtype=int)
-    later = levels > 0
-    if len(levels) and later.all():
-        return _evaluator(problem).psi_levels(res.psi0, levels.tolist())
-    out = np.empty((len(levels), problem.grid.n_flat))
-    out[~later] = res.psi0
-    if later.any():
-        out[later] = _evaluator(problem).psi_levels(res.psi0, levels[later].tolist())
-    return out
-
-
 def map_fields(res: PsiMapResult, problem: DiscreteProblem,
                levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
     """phi and psi of the map ``res`` at each of ``levels``, keyed by level
-    in increasing order: ``map_phi`` and ``map_psi`` as GridFields. psi's
-    level 0 is the map's own psi0 array, not a copy stacked with the later
-    levels: on the street lattice that copy set a run's peak RSS."""
+    in increasing order, as GridFields: ``map_phi``, and psi forward from
+    the map's psi0. psi's level 0 is the map's own psi0 array, not a copy
+    stacked with the later levels: on the street lattice that copy set a
+    run's peak RSS."""
     levels = sorted(set(levels))
     later = [n for n in levels if n > 0]
     phi = map_phi(res, problem, levels)
-    psi = [res.psi0] * (len(levels) - len(later)) + list(map_psi(res, problem, later))
+    psi = [res.psi0] * (len(levels) - len(later))
+    if later:
+        psi += list(_evaluator(problem).psi_levels(res.psi0, later))
     return tuple({n: GridField(problem.grid, row) for n, row in zip(levels, rows)}
                  for rows in (phi, psi))
 
@@ -276,8 +264,8 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
 
     The problem's ``_evaluator`` evaluates only what a map needs: psi at
     level 0 = m0 / phi0 (on a LanczosStep, phi0 only where m0 is nonzero)
-    and psi's exit trace. ``map_phi`` and ``map_psi`` evaluate the result's
-    fields.
+    and psi's exit trace. ``map_phi`` and ``map_fields`` evaluate the
+    result's fields.
     """
     spec = problem.spec
     if not spec.cost.t0 <= t_candidate <= spec.cost.t_max:
@@ -351,7 +339,7 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     midpoint, or the last iterate after ``max_iters``) is mapped once more.
     ``fields`` holds phi, psi, u and m from one ``map_fields`` at level 0,
     the equilibrium level and ``snapshot_levels``; ``map_phi`` and
-    ``map_psi`` evaluate the map at other levels.
+    ``map_fields`` evaluate the map at other levels.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec

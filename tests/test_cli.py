@@ -13,8 +13,9 @@ import mfgnet as mn
 from mfgnet import cli
 from mfgnet.cli import (
     _CSV_BLOCK_ROWS,
+    _Table,
     _run_starts,
-    _write_csv,
+    _write_tables,
     main,
     parse_config,
     run,
@@ -286,17 +287,17 @@ class TestWriteCsv:
 
     def test_rows_are_the_reprs(self, tmp_path):
         columns = self.columns()
-        _write_csv(tmp_path / "a.csv", "a,b,c,d,e", *columns)
+        _write_tables([_Table(tmp_path / "a.csv", "a,b,c,d,e", columns)])
         rows = zip(*(c.tolist() for c in columns))
         expected = ["a,b,c,d,e", *(",".join(map(repr, row)) for row in rows)]
         assert (tmp_path / "a.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_lead_file_begins_the_rows(self, tmp_path):
         columns = self.columns()
-        _write_csv(tmp_path / "lead.csv", "a,b", *columns[:2])
-        _write_csv(tmp_path / "joined.csv", "a,b,c,d,e", *columns[2:],
-                   lead=cli._line_blocks(tmp_path / "lead.csv"))
-        _write_csv(tmp_path / "whole.csv", "a,b,c,d,e", *columns)
+        _write_tables([_Table(tmp_path / "lead.csv", "a,b", columns[:2])])
+        _write_tables([_Table(tmp_path / "joined.csv", "a,b,c,d,e", columns[2:],
+                              lead=cli._line_blocks(tmp_path / "lead.csv"))])
+        _write_tables([_Table(tmp_path / "whole.csv", "a,b,c,d,e", columns)])
         assert (tmp_path / "joined.csv").read_text() == (tmp_path / "whole.csv").read_text()
 
 

@@ -350,10 +350,13 @@ def _evaluations(step, exit_series, psi0, levels):
 
 
 def test_evaluators_share_one_interface(monkeypatch):
-    """ModalStep and LanczosStep, built directly on one problem, agree with
-    the reference sweeps on all three evaluations. Past its level rule a
-    LanczosStep's fields are those sweeps' to the last bit, with rows in the
-    order of the levels asked for."""
+    """ModalStep and LanczosStep, built directly on one problem, share the
+    base's one candidate map and agree with the reference sweeps on all
+    three evaluations and on the map's two halves: phi0 (on a LanczosStep
+    only on the nodes S that a map reads) and the exit trace from level 1.
+    Past its level rule a LanczosStep's fields are those sweeps' to the last
+    bit, with rows in the order of the levels asked for."""
+    assert ModalStep.map is LanczosStep.map is heat.Evaluator.map
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(KRYLOV_INSTANCES["lattice4_chords"]())
@@ -362,12 +365,17 @@ def test_evaluators_share_one_interface(monkeypatch):
     exit_series = np.exp(mfg.cost(tg.times, 0.5 * (costs.t0 + costs.t_max), costs))
     reference = _reference(problem, exit_series, levels)
     psi0 = reference["map psi0"]
+    phi0, level_one = reference["phi_levels"][0], reference["psi_levels"][0]
 
     lanczos_step = LanczosStep(grid, tg, problem.m0)
     assert not lanczos_step._sweeps(len(levels))
     for step in (ModalStep(grid, tg, problem.m0), lanczos_step):
-        for name, value in _evaluations(step, exit_series, psi0, levels).items():
-            assert _rel(value, reference[name]) <= 1e-9, (type(step).__name__, name)
+        name = type(step).__name__
+        for field, value in _evaluations(step, exit_series, psi0, levels).items():
+            assert _rel(value, reference[field]) <= 1e-9, (name, field)
+        read = lanczos_step.reach if step is lanczos_step else slice(None)
+        assert _rel(step.phi0(exit_series)[read], phi0[read]) <= 1e-9, name
+        assert _rel(step.exit_trace(level_one), reference["map trace"][1:]) <= 1e-9, name
 
     monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", 0.0)
     assert lanczos_step._sweeps(1)
