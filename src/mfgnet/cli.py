@@ -9,12 +9,16 @@ spatial steps and tabulates the diagnostics.
 
 Every CSV goes through one writer, ``_write_tables``: each value is its
 repr, a block of _CSV_BLOCK_ROWS rows at a time, and the files of a batch
-are cut into one group per usable CPU, each file written whole by one
-process, the later groups by forked workers. A field CSV's leading columns
+are cut into one group per usable CPU of about equal formatting work, each
+file written whole by one process, the later groups by forked workers. A
+solve writes its series and u files as one batch once it has formed u
+(``fixed_point``'s ``on_value``), in the caller alone where a forked worker
+meanwhile evaluates psi's fields, and its m files as a second batch once
+the solve returns. A field CSV's leading columns
 come from the grid's ``_field_layout``, formatted once per run. A run
 removes the files it owns by name but did not write: ``error.json`` after
 a success, ``summary.json`` after a failure, and snapshots of other
-levels.
+levels; a run that fails after writing its u files leaves them.
 
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
@@ -68,13 +72,12 @@ MODES = ("solve", "oracle", "refine-study")
 # (within the runs' spread; 2-CPU Xeon VM, 1 BLAS thread). example1's fields
 # fit in one block either way.
 _CSV_BLOCK_ROWS = 256
-# The fewest values of a group of files that _write_tables forks a worker
-# for. A two-column table's rows written by one process and split between
-# two on 2 CPUs (21 alternated runs each, 2-CPU Xeon VM) took 20.5 and
-# 26.8 ms at 20 000 values, 44.3 and 44.7 ms at 40 000, and 99.8 and 56.8 ms
-# at 80 000: a second process pays from about 2 x 20 000 values on.
-# example1's batch (32 691 values, 32 290 of them its series) stays in the
-# caller.
+# The fewest values (reprs formed, _Table.work) of a group of files that
+# _write_tables forks a worker for. A two-column table's rows written by one
+# process and split between two on 2 CPUs (21 alternated runs each, 2-CPU
+# Xeon VM) took 20.5 and 26.8 ms at 20 000 values, 44.3 and 44.7 ms at
+# 40 000, and 99.8 and 56.8 ms at 80 000: a second process pays from about
+# 2 x 20 000 values on.
 _SHARE_VALUES = 20_000
 
 
@@ -366,14 +369,24 @@ class _Table(NamedTuple):
     order: np.ndarray | None = None
     lead: object = None
 
+    def _values(self):
+        """Each column's values in the file's row order."""
+        rows = slice(None) if self.order is None else self.order
+        return (np.asarray(c)[rows] for c in self.columns)
+
     @property
-    def n_values(self) -> int:
-        return len(self.columns[0] if self.order is None else self.order) * len(self.columns)
+    def work(self) -> int:
+        """The reprs ``write`` forms, as ``_text_blocks`` forms them: one per
+        run of a column that comes in runs, else one per value."""
+        total = 0
+        for column in self._values():
+            starts = _run_starts(np.ascontiguousarray(column).view(f"u{column.itemsize}"))
+            total += len(column) if starts is None else len(starts)
+        return total
 
     def write(self) -> None:
         """The file, each value its repr, by ``_text_blocks``."""
-        rows = slice(None) if self.order is None else self.order
-        blocks = [_text_blocks(np.asarray(c)[rows]) for c in self.columns]
+        blocks = [_text_blocks(column) for column in self._values()]
         if self.lead is not None:
             blocks.insert(0, (text.split("\n") for text in self.lead))
         with open(self.path, "w") as fh:
@@ -391,11 +404,12 @@ def _write_group(tables: list[_Table]) -> bytes:
 
 def _write_tables(tables: list[_Table]) -> None:
     """Write ``tables``, cut in file order into one group of whole files per
-    usable CPU, of about equal value counts. Each group of at least
-    _SHARE_VALUES values but the first is written by a worker forked by
+    usable CPU, of about equal ``work``: a column that comes in runs, such
+    as the zeros of m0, costs one repr per run. Each group of at least
+    _SHARE_VALUES reprs but the first is written by a worker forked by
     ``workers.run_forked``; the caller writes the first and the smaller
     groups, so a batch with one large file forks nothing."""
-    sizes = [table.n_values for table in tables]
+    sizes = [table.work for table in tables]
     n_groups = 1
     if sum(sizes) >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
         from . import workers
@@ -421,17 +435,25 @@ def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
     edge from tail to head, k running 0..n_cells, vertex slots included):
     the flat index of each row's value, and the rows' "edge_id,k,x_coord_1,
     x_coord_2" text, one string of newline-separated rows per block of
-    _CSV_BLOCK_ROWS rows. Each block is built on its own and held as one
-    string: the whole layout at once, held as one string per row, raised
-    lattice_solve's peak RSS by 1.5 MB."""
+    _CSV_BLOCK_ROWS rows. Each distinct coordinate is formatted once, told
+    apart by bit pattern as in ``_text_blocks``, so -0.0 keeps its own repr:
+    the street lattice's 24 340 coordinates hold 927 values. They are found
+    by a dict: np.unique's sort raised example1's peak RSS by 0.25 MB. Each
+    block is joined on its own and held as one string: the whole layout at
+    once, held as one string per row, raised lattice_solve's peak RSS by
+    1.5 MB."""
     first = grid.edge_starts
+    reprs: dict[int, str] = {}  # bit pattern: repr
     text = []
     for start in range(0, first[-1], _CSV_BLOCK_ROWS):
         row = np.arange(start, min(start + _CSV_BLOCK_ROWS, first[-1]))
         e = np.searchsorted(first, row, side="right") - 1
         k = row - first[e]
-        text.append("\n".join(f"{i},{j},{x!r},{y!r}" for i, j, (x, y)
-                              in zip(e.tolist(), k.tolist(), grid.edge_points(e, k).tolist())))
+        points = grid.edge_points(e, k).ravel()
+        coords = [reprs[b] if b in reprs else reprs.setdefault(b, repr(x))
+                  for b, x in zip(points.view(np.uint64).tolist(), points.tolist())]
+        text.append("\n".join(f"{i},{j},{x},{y}" for i, j, x, y
+                              in zip(e.tolist(), k.tolist(), coords[::2], coords[1::2])))
     return grid.edge_nodes, text
 
 
@@ -451,45 +473,62 @@ def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
 
 
 def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem):
-    """Solve and write the artifacts."""
+    """Solve and write the artifacts: the series and the u files once the
+    solve has formed u (``fixed_point``'s ``on_value``), by the caller alone
+    where a forked worker meanwhile evaluates psi on the other CPU; the m
+    files once it returns. Each field is formatted once: a second name gets
+    a copy of the first file."""
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
         snapshot_levels = set(range(0, problem.time_grid.n_steps + 1, config.snapshots))
+    snapdir = out / "snapshots"
+    files: dict[tuple[str, int], list[Path]] = {}  # the first path is written, the others copied
+    layout = None
+
+    def tables(result, name: str) -> list[_Table]:
+        return [_field_table(result.fields[name][n], paths[0], layout)
+                for (field, n), paths in files.items() if field == name]
+
+    def copy(name: str) -> None:
+        for (field, _), paths in files.items():
+            for path in paths[1:] if field == name else ():
+                shutil.copyfile(paths[0], path)
+
+    def write_value(result, forked: bool) -> None:
+        nonlocal layout
+        lvl = result.equilibrium_level
+        named = [("m", 0, out / "m0.csv"), ("m", lvl, out / "m_final.csv"),
+                 ("u", lvl, out / "u_final.csv")]
+        if snapshot_levels:
+            snapdir.mkdir(exist_ok=True)
+            for n in sorted(snapshot_levels):
+                named += [("m", n, snapdir / f"m_{n:08d}.csv"),
+                          ("u", n, snapdir / f"u_{n:08d}.csv")]
+        if snapdir.is_dir():  # drop the snapshots of other levels, from an earlier run
+            written = {path for _, _, path in named}
+            for path in (*snapdir.glob("m_*.csv"), *snapdir.glob("u_*.csv")):
+                if path not in written:
+                    path.unlink()
+        for name, n, path in named:
+            files.setdefault((name, n), []).append(path)
+        layout = _field_layout(problem.grid)
+        series = [_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
+                  _Table(out / "iterates.csv", "iteration,T",
+                         (range(len(result.iterates) + 1), [result.t_init, *result.iterates]))]
+        # beside psi's worker, which holds the other CPU, the caller writes alone
+        (_write_group if forked else _write_tables)(series + tables(result, "u"))
+        copy("u")
+        result.fields["u"].clear()  # the files hold u: it goes before psi arrives
 
     progress = None if quiet else (
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
-    result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress)
-
-    lvl = result.equilibrium_level
-    layout = _field_layout(problem.grid)
-    tables = [_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
-              _Table(out / "iterates.csv", "iteration,T",
-                     (range(len(result.iterates) + 1), [result.t_init, *result.iterates]))]
-    named = [("m", 0, out / "m0.csv"), ("m", lvl, out / "m_final.csv"),
-             ("u", lvl, out / "u_final.csv")]
-    snapdir = out / "snapshots"
-    if snapshot_levels:
-        snapdir.mkdir(exist_ok=True)
-        for n in sorted(snapshot_levels):
-            named += [("m", n, snapdir / f"m_{n:08d}.csv"), ("u", n, snapdir / f"u_{n:08d}.csv")]
-    if snapdir.is_dir():  # drop the snapshots of other levels, from an earlier run
-        written = {path for _, _, path in named}
-        for path in (*snapdir.glob("m_*.csv"), *snapdir.glob("u_*.csv")):
-            if path not in written:
-                path.unlink()
-    # each field is formatted once: a second name gets a copy of the first file
-    first: dict[tuple[str, int], Path] = {}
-    for name, n, path in named:
-        if (name, n) not in first:
-            first[name, n] = path
-            tables.append(_field_table(result.fields[name][n], path, layout))
-    # the files hold u and m alone: phi and psi go before their rows are formatted
+    result = fixed_point(problem, snapshot_levels=snapshot_levels, progress=progress,
+                         on_value=write_value)
+    # the m files hold m alone: phi and psi go before their rows are formatted
     del result.fields["phi"], result.fields["psi"]
-    _write_tables(tables)
-    for name, n, path in named:
-        if first[name, n] != path:
-            shutil.copyfile(first[name, n], path)
+    _write_tables(tables(result, "m"))
+    copy("m")
 
     summary = {
         "converged": result.converged,
@@ -501,7 +540,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         "h_target": spec.h_target,
         "dt": result.time_grid.dt,
         "n_time_steps": result.time_grid.n_steps,
-        "equilibrium_level": lvl,
+        "equilibrium_level": result.equilibrium_level,
         "residual_mass_error": result.residual_mass,
         "notes": result.notes,
     }

@@ -324,13 +324,20 @@ class LanczosStep(Evaluator):
             return ((j, kept[j: j + _BLOCK]) for j in range(0, self.pins.m, _BLOCK))
         return ((j, rows.take(self.reach, axis=1)) for j, rows in self.pins.blocks())
 
-    def _phi0_on_reach(self, exit_series: np.ndarray) -> np.ndarray:
-        """phi at level 0 on S, one product per block of the basis on S: the
-        one read of it, for ``phi0`` and ``phi_levels``' level 0 alike, so a
-        map's psi0 is m0 over that level 0 to the last bit. A product of a
-        block with W's rows on S need not match the same entries of its
-        product with the whole rows."""
-        coefs = self.pins.power_sums(exit_series[1:] - exit_series[-1]) * self.b_adj
+    def _coefs(self, exit_series: np.ndarray, levels) -> np.ndarray:
+        """phi's coefficients at each of ``levels``, one column each: phi
+        there is W c plus the last exit value, off the pinned exit."""
+        excess = exit_series[1:] - exit_series[-1]
+        return np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1) * self.b_adj
+
+    def _phi0_on_reach(self, coefs: np.ndarray, exit_series: np.ndarray) -> np.ndarray:
+        """phi at level 0 on S from its ``_coefs`` column ``coefs``, one
+        product per block of the basis on S: the one read of it, for
+        ``phi0`` and ``phi_levels``' level 0 alike, so a map's psi0 is m0
+        over that level 0 to the last bit. A product of a block with W's
+        rows on S need not match the same entries of its product with the
+        whole rows."""
+        coefs = np.ascontiguousarray(coefs)  # a product's rounding depends on the layout
         on_reach = np.zeros(len(self.reach))
         for j, rows in self._on_reach():
             on_reach += coefs[j: j + len(rows)] @ rows
@@ -358,12 +365,12 @@ class LanczosStep(Evaluator):
             return self._swept(np.full(self.grid.n_flat, exit_series[-1]), exit_series,
                                levels, backward=True)
         levels = list(levels)
-        excess = exit_series[1:] - exit_series[-1]
-        coefs = np.stack([self.pins.power_sums(excess[n:]) for n in levels], axis=1) * self.b_adj
+        coefs = self._coefs(exit_series, levels)
         rows = self.pins.combine(coefs)
         rows += exit_series[-1]
         if 0 in levels:
-            rows[levels.index(0), self.reach] = self._phi0_on_reach(exit_series)
+            rows[levels.index(0), self.reach] = self._phi0_on_reach(
+                coefs[:, levels.index(0)], exit_series)
         rows[:, self.operator.pinned[0]] = exit_series[levels]
         return rows
 
@@ -371,7 +378,7 @@ class LanczosStep(Evaluator):
         """phi at level 0 on S, and 1 off S, where m0 / phi0 is m0 itself:
         0 (of m0's sign)."""
         phi0 = np.ones(self.grid.n_flat)
-        phi0[self.reach] = self._phi0_on_reach(exit_series)
+        phi0[self.reach] = self._phi0_on_reach(self._coefs(exit_series, [0])[:, 0], exit_series)
         return phi0
 
     def exit_trace(self, u1: np.ndarray) -> np.ndarray:

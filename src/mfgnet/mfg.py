@@ -9,13 +9,17 @@ and read off the first time F strictly exceeds the quorum fraction. The
 equilibrium is a fixed point of that map, iterated until two successive
 candidates agree to tolerance. Each problem evaluates its maps and fields
 with one evaluator, chosen from its grids: ``heat.ModalStep`` where
-``heat.modal_pays``, else ``lanczos.LanczosStep``.
+``heat.modal_pays``, else ``lanczos.LanczosStep``. On a LanczosStep with a
+spare CPU, the fields phase runs on two: a forked worker evaluates psi's
+fields, whose basis is their own, while the caller evaluates phi's, forms
+u and runs ``fixed_point``'s ``on_value``; m follows once psi arrives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -222,21 +226,53 @@ def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     return _evaluator(problem).phi_levels(res.exit_series, levels.tolist())
 
 
-def map_fields(res: PsiMapResult, problem: DiscreteProblem,
-               levels) -> tuple[dict[int, GridField], dict[int, GridField]]:
+def _forks_psi(step: Evaluator, later: list[int]) -> bool:
+    """Whether ``map_fields`` evaluates psi at the levels ``later`` in a
+    forked worker: on a LanczosStep, whose psi fields build a basis of their
+    own, when ``workers.spare_cpus`` finds a CPU for it."""
+    if not later or isinstance(step, ModalStep):
+        return False  # a modal run loads neither module
+    from . import workers
+    from .lanczos import LanczosStep
+
+    return isinstance(step, LanczosStep) and workers.spare_cpus() > 0
+
+
+def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
+               on_phi=None) -> tuple[dict[int, GridField], dict[int, GridField]]:
     """phi and psi of the map ``res`` at each of ``levels``, keyed by level
     in increasing order, as GridFields: ``map_phi``, and psi forward from
     the map's psi0. psi's level 0 is the map's own psi0 array, not a copy
     stacked with the later levels: on the street lattice that copy set a
-    run's peak RSS."""
-    levels = sorted(set(levels))
+    run's peak RSS.
+
+    ``on_phi(phi, forked)``, when given, runs on phi's fields before psi's
+    later levels are evaluated. Where ``_forks_psi``, a worker forked by
+    ``workers.run_forked`` evaluates them meanwhile, holding what the caller
+    would have (a ring of four basis vectors and the rows), and returns the
+    rows as bytes, read-only here; ``on_phi`` then runs beside it, with
+    ``forked`` true, and should fork nothing."""
+    grid, levels = problem.grid, sorted(set(levels))
     later = [n for n in levels if n > 0]
-    phi = map_phi(res, problem, levels)
-    psi = [res.psi0] * (len(levels) - len(later))
-    if later:
-        psi += list(_evaluator(problem).psi_levels(res.psi0, later))
-    return tuple({n: GridField(problem.grid, row) for n, row in zip(levels, rows)}
-                 for rows in (phi, psi))
+    step = _evaluator(problem)
+
+    def phi_fields(forked: bool):
+        phi = {n: GridField(grid, row) for n, row in zip(levels, map_phi(res, problem, levels))}
+        if on_phi is not None:
+            on_phi(phi, forked)
+        return phi
+
+    if _forks_psi(step, later):
+        from . import workers
+
+        phi, (body,) = workers.run_forked(
+            partial(phi_fields, True), [lambda: step.psi_levels(res.psi0, later).data])
+        rows = np.frombuffer(body).reshape(len(later), grid.n_flat)
+    else:
+        phi = phi_fields(False)
+        rows = step.psi_levels(res.psi0, later) if later else []
+    psi = [res.psi0] * (len(levels) - len(later)) + list(rows)
+    return phi, {n: GridField(grid, row) for n, row in zip(levels, psi)}
 
 
 def _clip_rounding(trace: np.ndarray, psi0: np.ndarray) -> None:
@@ -288,14 +324,17 @@ def psi_map(t_candidate: float, problem: DiscreteProblem) -> PsiMapResult:
                         cost_shift=shift, psi0=psi0, psi_exit_adjacent=trace)
 
 
+def _value(phi: GridField) -> GridField:
+    """The value function u = ln(phi), nodewise."""
+    if float(phi.data.min()) <= 0.0:
+        raise NonpositivePhi(f"cannot take log of min value {phi.data.min()}")
+    return GridField(phi.grid, np.log(phi.data))
+
+
 def recover_um(phi: GridField, psi: GridField) -> tuple[GridField, GridField]:
     """Map the heat pair back to the value function u = ln(phi) and the
     density m = phi * psi, nodewise."""
-    if float(phi.data.min()) <= 0.0:
-        raise NonpositivePhi(f"cannot take log of min value {phi.data.min()}")
-    u = GridField(phi.grid, np.log(phi.data))
-    m = GridField(phi.grid, phi.data * psi.data)
-    return u, m
+    return _value(phi), GridField(phi.grid, phi.data * psi.data)
 
 
 def residual_mass_error(m_final: GridField, theta: float) -> float:
@@ -328,7 +367,7 @@ class EquilibriumResult:
 
 
 def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
-                progress=None) -> EquilibriumResult:
+                progress=None, on_value=None) -> EquilibriumResult:
     """Iterate the candidate-time map from t_init until two successive
     values agree within ``spec.tol`` (or max_iters / a 2-cycle stops it).
 
@@ -340,6 +379,12 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     ``fields`` holds phi, psi, u and m from one ``map_fields`` at level 0,
     the equilibrium level and ``snapshot_levels``; ``map_phi`` and
     ``map_fields`` evaluate the map at other levels.
+
+    ``progress(k, t)`` runs after each iteration k, whose map gave t.
+    ``on_value(result, forked)`` runs once the result's fields hold phi and
+    u at every level, as ``map_fields``' ``on_phi``: before psi and m are
+    formed, and with ``forked`` true beside psi's worker, when it should
+    fork nothing. Until ``fixed_point`` returns, ``residual_mass`` is NaN.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -376,23 +421,31 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
 
     if res.t_input != capture_input:
         res = psi_map(capture_input, problem)
-    level = problem.time_grid.level_of(t_report)
-    phi, psi = map_fields(res, problem, {0, level} | set(snapshot_levels))
-
-    fields: dict[str, dict[int, GridField]] = {"phi": phi, "psi": psi, "u": {}, "m": {}}
-    for n in phi:
-        fields["u"][n], fields["m"][n] = recover_um(phi[n], psi[n])
-        fields["u"][n].data += res.cost_shift  # phi is exp(-C) times the value potential
-
-    e_h = residual_mass_error(fields["m"][level], spec.theta)
-    if not (np.isfinite(e_h) and np.isfinite(res.f_series).all()):
+    if not np.isfinite(res.f_series).all():
         raise NumericalFailure("non-finite values in the converged solution")
-
-    return EquilibriumResult(
+    level = problem.time_grid.level_of(t_report)
+    fields: dict[str, dict[int, GridField]] = {"phi": {}, "psi": {}, "u": {}, "m": {}}
+    result = EquilibriumResult(
         t_star=t_report, converged=converged, iterates=iterates, t_init=t_init, map=res,
-        times=problem.time_grid.times, equilibrium_level=level, residual_mass=e_h,
+        times=problem.time_grid.times, equilibrium_level=level, residual_mass=math.nan,
         fields=fields, grid=problem.grid, time_grid=problem.time_grid,
         cycle_detected=cycle, notes=notes)
+
+    def value(phi: dict[int, GridField], forked: bool) -> None:
+        fields["phi"] = phi
+        for n in phi:
+            fields["u"][n] = _value(phi[n])
+            fields["u"][n].data += res.cost_shift  # phi is exp(-C) times the value potential
+        if on_value is not None:
+            on_value(result, forked)
+
+    phi, fields["psi"] = map_fields(res, problem, {0, level} | set(snapshot_levels), value)
+    for n in phi:
+        fields["m"][n] = GridField(problem.grid, phi[n].data * fields["psi"][n].data)
+    result.residual_mass = residual_mass_error(fields["m"][level], spec.theta)
+    if not np.isfinite(result.residual_mass):
+        raise NumericalFailure("non-finite values in the converged solution")
+    return result
 
 
 class DriftSeries:

@@ -1,7 +1,9 @@
 """Work shared between the caller and forked worker processes: the particle
-blocks of ``montecarlo`` and the groups of CSV files of ``cli``, which
-import this module only where they may fork. A CSV worker writes its files
-itself and returns no bytes.
+blocks of ``montecarlo``, the groups of CSV files of ``cli`` and psi's
+fields on a Lanczos grid (``mfg.map_fields``), which import this module
+only where they may fork. A CSV worker writes its files itself and returns
+no bytes; a psi worker returns its rows' bytes, and the caller meanwhile
+evaluates phi's fields and writes the u files.
 
 A worker writes to a pipe a 0 byte and the bytes its task returned, or a
 1 byte and its pickled exception, and leaves by ``os._exit``. The caller
@@ -59,7 +61,9 @@ def _fork(task) -> tuple[int, object]:
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, open(read_end, "rb")
+    # unbuffered: a buffered reader's read(1) fills its buffer, and read()
+    # then joins that to the rest, a second copy of the body in the caller
+    return pid, open(read_end, "rb", buffering=0)
 
 
 def _stop(workers: dict) -> None:

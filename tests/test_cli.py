@@ -234,17 +234,16 @@ def _small_desk(out_dir, mode):
 @pytest.fixture(scope="module")
 def small_desk_oracle(tmp_path_factory):
     """The downsized desk in oracle mode, with the levels of its fields and
-    its recover_um calls counted."""
+    the value functions it forms counted."""
     import mfgnet.mfg
 
     out = tmp_path_factory.mktemp("small_desk_oracle")
     levels, formed = [], []
-    map_fields, recover_um = mfgnet.mfg.map_fields, mfgnet.mfg.recover_um
+    map_fields, value = mfgnet.mfg.map_fields, mfgnet.mfg._value
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mfgnet.mfg, "map_fields", lambda res, problem, asked: levels.extend(
-            sorted(set(asked))) or map_fields(res, problem, asked))
-        mp.setattr(mfgnet.mfg, "recover_um",
-                   lambda phi, psi: formed.append(phi) or recover_um(phi, psi))
+        mp.setattr(mfgnet.mfg, "map_fields", lambda res, problem, asked, *on_phi: levels.extend(
+            sorted(set(asked))) or map_fields(res, problem, asked, *on_phi))
+        mp.setattr(mfgnet.mfg, "_value", lambda phi: formed.append(phi) or value(phi))
         assert run(_small_desk(out, "oracle"), quiet=True) == 0
     return out, (levels, len(formed))
 
@@ -375,19 +374,24 @@ class TestWriterShares:
 
     def test_artifacts_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
         """Every file of a small Lanczos solve with snapshots is the same
-        bytes with its files written by 1, 2 and 3 processes, each file by
-        one of them, and the shares' value counts differ by less than a
-        file's."""
+        bytes on 1, 2 and 3 CPUs. With a spare CPU, one worker evaluates
+        psi's fields while the caller writes the series and the u files
+        alone; the m files are then cut into one group per CPU, each file
+        written by one process, and each group's work lies within one
+        file's of its share."""
         from mfgnet import heat, lanczos, workers
 
         monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
         monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
-        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 200)
         forks = self.count_forks(monkeypatch)
-        shares, run_forked = [], workers.run_forked
+        shares, fields, run_forked = [], [], workers.run_forked
 
         def recorded(local, tasks):
-            shares.append([job.args[0] for job in (local, *tasks)])
+            if local.func is cli._write_group:  # a batch of CSV files
+                shares.append([job.args[0] for job in (local, *tasks)])
+            else:
+                fields.append(len(tasks))
             return run_forked(local, tasks)
 
         monkeypatch.setattr(workers, "run_forked", recorded)
@@ -397,22 +401,71 @@ class TestWriterShares:
         written = []
         for n_cpus in (1, 2, 3):
             self.cpus(monkeypatch, n_cpus)
+            for record in (forks, shares, fields):
+                record.clear()
             out = tmp_path / f"cpus{n_cpus}"
             config = replace(_street_lattice(tmp_path), out_dir=str(out))
             assert run(config, quiet=True) == 0
             written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                             if p.is_file()})
-            assert len(forks) == n_cpus * (n_cpus - 1) // 2
-            assert len(shares) == (n_cpus > 1) + (n_cpus > 2)
+            assert len(forks) == (n_cpus > 1) + n_cpus - 1
+            assert fields == [1] * (n_cpus > 1) and len(shares) == (n_cpus > 1)
             if n_cpus > 1:
-                tables = [table for share in shares[-1] for table in share]
+                tables = [table for share in shares[0] for table in share]
                 assert len({table.path for table in tables}) == len(tables)
-                values = [sum(table.n_values for table in share) for share in shares[-1]]
-                assert max(values) - min(values) < max(table.n_values for table in tables)
+                assert {table.path.name[0] for table in tables} == {"m"}
+                work = [sum(table.work for table in share) for share in shares[0]]
+                assert len(work) == n_cpus
+                for w in work:
+                    assert abs(w - sum(work) / n_cpus) <= max(table.work for table in tables)
         # the series, the iterates, three fields and the summary, and m and u
         # at levels 0, 400, 800 and 1 200, the fields from the Lanczos bases
         assert len(written[0]) == 6 + 2 * 4 and combined
         assert written[0] == written[1] == written[2]
+
+    def test_groups_balance_formatting_work(self, tmp_path, monkeypatch):
+        """A column that comes in runs costs one repr per run, so a file of
+        zeros weighs next to nothing when a batch is cut: on 2 CPUs it goes
+        with one file of distinct values, and the other such file makes the
+        second group."""
+        from mfgnet import workers
+
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        self.cpus(monkeypatch, 2)
+        shares, run_forked = [], workers.run_forked
+        monkeypatch.setattr(workers, "run_forked", lambda local, tasks: shares.append(
+            [job.args[0] for job in (local, *tasks)]) or run_forked(local, tasks))
+        columns = [np.zeros(2000), np.arange(2000.0) / 7, np.arange(2000.0) / 3]
+        tables = [cli._Table(tmp_path / f"{i}.csv", "x", (c,)) for i, c in enumerate(columns)]
+        assert [table.work for table in tables] == [1, 2000, 2000]
+        cli._write_tables(tables)
+        assert len(shares) == 1
+        assert [[table.path.name for table in share] for share in shares[0]] == [
+            ["0.csv", "1.csv"], ["2.csv"]]
+        assert (tmp_path / "0.csv").read_text() == "x\n" + "0.0\n" * 2000
+
+    def test_failure_after_the_u_files_leaves_them(self, tmp_path, monkeypatch):
+        """A run whose psi worker fails exits 3 with error.json, after the
+        caller wrote the series and the u files: they stay, and no m file
+        is written."""
+        from mfgnet import heat, lanczos
+        from mfgnet.errors import NumericalFailure
+
+        monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
+        self.cpus(monkeypatch, 2)
+
+        def failing(self, psi0, levels):
+            raise NumericalFailure("psi failed")
+
+        monkeypatch.setattr(lanczos.LanczosStep, "psi_levels", failing)
+        config = _street_lattice(tmp_path)
+        assert run(config, quiet=True) == 3
+        out = Path(config.out_dir)
+        names = {p.name for p in out.rglob("*.*")}
+        assert {"f_series.csv", "iterates.csv", "u_final.csv", "error.json"} <= names
+        assert "summary.json" not in names and not any(name[0] == "m" for name in names)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("large", [0, 2])
     def test_one_large_file_forks_nothing(self, tmp_path, monkeypatch, large):

@@ -1,6 +1,7 @@
 """The modal and Lanczos evaluators against the time-stepping sweeps they
 replace."""
 
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mfgnet as mn
-from mfgnet import heat, lanczos, mfg
+from mfgnet import heat, lanczos, mfg, workers
 from mfgnet.errors import NumericalFailure
 from mfgnet.heat import (
     ModalStep,
@@ -89,6 +90,12 @@ def _force_krylov(mp, field_ratio=np.inf):
     at any level count unless ``field_ratio`` is given."""
     mp.setattr(heat, "MODAL_COST_RATIO", 0.0)
     mp.setattr(lanczos, "KRYLOV_FIELD_RATIO", field_ratio)
+
+
+def _in_caller(mp):
+    """Evaluate psi's fields in the caller: the caller's spies and
+    tracemalloc cannot see a forked worker."""
+    mp.setattr(workers, "spare_cpus", lambda: 0)
 
 
 def _rel(a, b):
@@ -624,6 +631,7 @@ def test_sweep_path_builds_one_operator(monkeypatch):
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(_lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]))
     _force_krylov(monkeypatch, field_ratio=0.0)
+    _in_caller(monkeypatch)
     swept = _record_sweeps(monkeypatch)
     built = []
     init = StepOperator.__init__
@@ -672,6 +680,7 @@ def test_krylov_capture_sweeps_many_levels(monkeypatch):
     assert not modal_pays(problem.grid, tg)
     many = set(range(0, tg.n_steps + 1, tg.n_steps // 40))
 
+    _in_caller(monkeypatch)
     swept = _record_sweeps(monkeypatch)
     few = fixed_point(problem)
     step = problem.evaluator
@@ -694,6 +703,7 @@ def test_krylov_holds_no_basis(monkeypatch):
         warnings.simplefilter("ignore", UserWarning)
         problem = discretize(_lattice(6, 0.05, 0.5))
     _force_krylov(monkeypatch)
+    _in_caller(monkeypatch)
     tracemalloc.start()
     try:
         for levels in ((), (), {0, 100, 400}):
@@ -704,6 +714,47 @@ def test_krylov_holds_no_basis(monkeypatch):
             assert peak < basis, (levels, peak, basis)
     finally:
         tracemalloc.stop()
+
+
+def test_error_in_psi_worker_reaches_the_caller(monkeypatch):
+    """With a spare CPU, a LanczosStep's psi fields are evaluated by a forked
+    worker while the caller forms phi and u and runs ``on_value``. An error
+    raised there reaches the caller with its own type, after ``on_value``
+    ran, and no worker is left."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        problem = discretize(_lattice(4, 0.1, 1.0, chords=[(0, 5), (6, 15)]))
+    _force_krylov(monkeypatch)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    caller = os.getpid()
+
+    def failing(self, psi0, levels):
+        raise NumericalFailure("in the caller" if os.getpid() == caller else "in the worker")
+
+    monkeypatch.setattr(LanczosStep, "psi_levels", failing)
+    values = []
+    with pytest.raises(NumericalFailure, match="in the worker"):
+        fixed_point(problem, snapshot_levels={5},
+                    on_value=lambda result, forked: values.append((result, forked)))
+    assert isinstance(problem.evaluator, LanczosStep)
+    [(result, forked)] = values
+    assert forked and result.fields["u"].keys() == {0, 5, result.equilibrium_level}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_modal_fields_fork_nothing(example1_config, monkeypatch):
+    """On example1, whose grids take the modal path, the field phase forks
+    no worker, however many CPUs are spare."""
+    problem = discretize(replace(example1_config.spec, h_target=0.05))
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 3)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = []
+    res = fixed_point(problem, snapshot_levels={100, 200},
+                      on_value=lambda result, beside: forked.append(beside))
+    assert isinstance(problem.evaluator, ModalStep) and forked == [False]
+    assert res.fields["psi"].keys() == {0, 100, 200, res.equilibrium_level} and not forks
 
 
 def test_negative_rounding_in_a_fast_trace():
