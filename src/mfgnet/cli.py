@@ -14,11 +14,13 @@ file written whole by one process, the later groups by forked workers. A
 solve writes its series and u files as one batch once it has formed u
 (``fixed_point``'s ``on_value``), in the caller alone where a forked worker
 meanwhile evaluates psi's fields, and its m files as a second batch once
-the solve returns. A field CSV's leading columns
-come from the grid's ``_field_layout``, formatted once per run. A run
-removes the files it owns by name but did not write: ``error.json`` after
-a success, ``summary.json`` after a failure, and snapshots of other
-levels; a run that fails after writing its u files leaves them.
+the solve returns; in oracle mode with a spare CPU, a forked worker writes
+both batches while the caller runs the particles. A field CSV's leading
+columns come from the grid's ``_field_layout``, formatted once per run. A
+run removes the files it owns by name but did not write: ``error.json``
+after a success, ``summary.json`` after a failure, and snapshots of other
+levels; a run that fails after writing its u files leaves them, and an
+oracle whose particles fail leaves the solve's files whole.
 
 Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
 large for the network), 3 numerical failure, 4 no convergence.
@@ -322,14 +324,16 @@ def _run_starts(keys: np.ndarray) -> np.ndarray | None:
 
 def _text_blocks(column: np.ndarray):
     """The repr of each value of ``column`` (ints or floats), one iterable
-    of strings per block of _CSV_BLOCK_ROWS rows; repr of a Python int or
-    float is its exact shortest form.
+    of strings per block of _CSV_BLOCK_ROWS rows, or one string where the
+    block lies in one run of equal values; repr of a Python int or float
+    is its exact shortest form.
 
     A column that comes in runs of equal values, such as the particles'
-    arrived fractions on a fine time grid, formats each run's value once
-    per block it meets. Values are told apart by bit pattern, so -0.0, 0.0
-    and NaN each keep their own repr. Other columns are formatted lazily,
-    row by row: holding a block's strings raised example1's peak RSS.
+    arrived fractions on a fine time grid, formats each run's value once,
+    and each block gathers its rows' strings by the run of each row. Values
+    are told apart by bit pattern, so -0.0, 0.0 and NaN each keep their own
+    repr. Other columns are formatted lazily, block by block: holding every
+    block's strings raised example1's peak RSS.
     """
     column = np.ascontiguousarray(column)
     starts = _run_starts(column.view(f"u{column.itemsize}"))
@@ -338,11 +342,33 @@ def _text_blocks(column: np.ndarray):
         for start in blocks:
             yield map(repr, column[start: start + _CSV_BLOCK_ROWS].tolist())
         return
+    text = np.array(list(map(repr, column[starts].tolist())), dtype=object)
+    run = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=len(column)))
     for start in blocks:
-        rows = np.arange(start, min(start + _CSV_BLOCK_ROWS, len(column)))
-        run = np.searchsorted(starts, rows, side="right") - 1
-        text = list(map(repr, column[starts[run[0]: run[-1] + 1]].tolist()))
-        yield np.array(text, dtype=object)[run - run[0]].tolist()
+        rows = run[start: start + _CSV_BLOCK_ROWS]
+        yield text[rows[0]] if rows[0] == rows[-1] else text[rows].tolist()
+
+
+def _block_text(n_rows: int, lead: str | None, cells: list) -> str:
+    """``n_rows`` rows, without the last newline: each line of ``lead``
+    (when given) and a comma, then the row's value in each of ``cells``,
+    comma-separated. A cell is an iterable of one string per row, or one
+    string for every row. Behind a lead, a block of such strings is one
+    str.replace; any other block is one join over a list that interleaves
+    the values with the lead's lines, each line's newline and comma formed
+    by one replace and one split per block."""
+    if lead is not None and all(isinstance(cell, str) for cell in cells):
+        suffix = "," + ",".join(cells)
+        return lead.replace("\n", suffix + "\n") + suffix
+    stride = 2 * len(cells)  # a row: its lead piece, then values and commas between them
+    parts = [None] * (stride * n_rows)
+    parts[::stride] = (["", *["\n"] * (n_rows - 1)] if lead is None
+                       else (lead.replace("\n", ",\0\n") + ",").split("\0"))
+    for j, cell in enumerate(cells):
+        parts[2 * j + 1::stride] = [cell] * n_rows if isinstance(cell, str) else cell
+        if j:
+            parts[2 * j::stride] = [","] * n_rows
+    return "".join(parts)
 
 
 def _line_blocks(path: Path):
@@ -385,14 +411,17 @@ class _Table(NamedTuple):
         return total
 
     def write(self) -> None:
-        """The file, each value its repr, by ``_text_blocks``."""
-        blocks = [_text_blocks(column) for column in self._values()]
-        if self.lead is not None:
-            blocks.insert(0, (text.split("\n") for text in self.lead))
+        """The file, each value its repr, by ``_text_blocks``, a block at a
+        time by ``_block_text``."""
+        columns = list(self._values())
+        n = len(columns[0])
+        leads = itertools.repeat(None) if self.lead is None else self.lead
         with open(self.path, "w") as fh:
             fh.write(self.header + "\n")
-            for cells in zip(*blocks):
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            for start, lead, *cells in zip(range(0, n, _CSV_BLOCK_ROWS), leads,
+                                           *map(_text_blocks, columns)):
+                fh.write(_block_text(min(_CSV_BLOCK_ROWS, n - start), lead, cells))
+                fh.write("\n")
 
 
 def _write_group(tables: list[_Table]) -> bytes:
@@ -472,12 +501,15 @@ def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem):
+def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem,
+                     pending: list | None = None):
     """Solve and write the artifacts: the series and the u files once the
     solve has formed u (``fixed_point``'s ``on_value``), by the caller alone
     where a forked worker meanwhile evaluates psi on the other CPU; the m
     files once it returns. Each field is formatted once: a second name gets
-    a copy of the first file."""
+    a copy of the first file. Where ``pending`` is a list, each of the two
+    batches is appended to it instead, as a function of ``forked`` that
+    writes it, for the oracle to write beside its particles."""
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
@@ -490,10 +522,18 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         return [_field_table(result.fields[name][n], paths[0], layout)
                 for (field, n), paths in files.items() if field == name]
 
-    def copy(name: str) -> None:
+    def write(batch: list[_Table], name: str, forked: bool) -> None:
+        # beside another process on the other CPU, the caller writes alone
+        (_write_group if forked else _write_tables)(batch)
         for (field, _), paths in files.items():
             for path in paths[1:] if field == name else ():
                 shutil.copyfile(paths[0], path)
+
+    def emit(batch: list[_Table], name: str, forked: bool = False) -> None:
+        if pending is None:
+            write(batch, name, forked)
+        else:
+            pending.append(partial(write, batch, name))
 
     def write_value(result, forked: bool) -> None:
         nonlocal layout
@@ -516,9 +556,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
         series = [_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
                   _Table(out / "iterates.csv", "iteration,T",
                          (range(len(result.iterates) + 1), [result.t_init, *result.iterates]))]
-        # beside psi's worker, which holds the other CPU, the caller writes alone
-        (_write_group if forked else _write_tables)(series + tables(result, "u"))
-        copy("u")
+        emit(series + tables(result, "u"), "u", forked)
         result.fields["u"].clear()  # the files hold u: it goes before psi arrives
 
     progress = None if quiet else (
@@ -527,8 +565,7 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
                          on_value=write_value)
     # the m files hold m alone: phi and psi go before their rows are formatted
     del result.fields["phi"], result.fields["psi"]
-    _write_tables(tables(result, "m"))
-    copy("m")
+    emit(tables(result, "m"), "m")
 
     summary = {
         "converged": result.converged,
@@ -548,6 +585,14 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
 
 
 def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
+    """The solve's artifacts, then the particles' comparison.csv. With a
+    spare CPU, a worker of ``workers.run_forked`` writes the solve's series,
+    u and m files while the caller evaluates the drift and runs the
+    particles; comparison.csv, which reads f_series.csv, follows once the
+    worker is reaped. On one CPU the files are written before the particles
+    run. Either way a failure of the particles leaves the solve's files."""
+    from . import workers  # the particle blocks load it too
+
     spec = config.spec
     problem = discretize(spec)
     grid, tg = problem.grid, problem.time_grid
@@ -557,9 +602,10 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # phi at each level the particles read (one per particle step, or every level
     # when the steps are finer), the drift and its temporaries, the step times,
     # and 22 floats per agent (under tracemalloc, desk's run peaked 157 to 174
-    # bytes higher per agent between 1e5 and 8e5 agents); the particle blocks
-    # split those floats between the caller and its forked workers, and the
-    # guard counts their total
+    # bytes higher per agent between 1e5 and 8e5 agents, and
+    # test_montecarlo.py::test_step_memory_per_agent holds a particle block
+    # under 20); the particle blocks split those floats between the caller
+    # and its forked workers, and the guard counts their total
     # t_max / dt_mc may be inf; a count past MEMORY_LIMIT fails the guard unrounded
     steps = sim.t_max / sim.dt
     n_mc = math.ceil(steps) if steps < MEMORY_LIMIT else steps
@@ -572,14 +618,43 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
             f"run.agents = {config.agents} agents; coarsen h, raise run.dt_mc, lower "
             "run.agents or use solve mode")
 
-    # the particles follow the drift of the map whose F is written to
-    # f_series.csv, with phi evaluated only at the levels they read
-    result, summary = _solve_artifacts(config, out, quiet, problem)
-    levels = read_levels(sim, tg.dt, tg.n_steps)
-    drift = density_drift(grid, map_phi(result.map, problem, levels), tg.dt, levels)
-    if not quiet:
-        print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}", flush=True)
-    mc = estimate_arrival_cdf(replace(sim, drift=drift), problem.m0, tg.times)
+    # with a spare CPU the batches wait for a writer; a failed solve writes
+    # those it formed, as one that writes them at once leaves them
+    pending = [] if workers.spare_cpus() > 0 else None
+    try:
+        result, summary = _solve_artifacts(config, out, quiet, problem, pending)
+    except MFGNetError:
+        for write in pending or ():
+            write(False)
+        raise
+
+    def write_pending() -> bytes:
+        for write in pending:
+            write(True)
+        return b""
+
+    def particles():
+        """The particles' arrival CDF, or the error that stopped them, raised
+        once the writer is reaped, so it finishes its files."""
+        # the writer holds its own copy of the fields; the particles follow
+        # the drift of the map whose F is written to f_series.csv, with phi
+        # evaluated only at the levels they read
+        result.fields.clear()
+        if pending:
+            pending.clear()
+        try:
+            levels = read_levels(sim, tg.dt, tg.n_steps)
+            drift = density_drift(grid, map_phi(result.map, problem, levels), tg.dt, levels)
+            if not quiet:
+                print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}",
+                      flush=True)
+            return estimate_arrival_cdf(replace(sim, drift=drift), problem.m0, tg.times)
+        except MFGNetError as err:
+            return err
+
+    mc = workers.run_forked(particles, [write_pending])[0] if pending else particles()
+    if isinstance(mc, MFGNetError):
+        raise mc
 
     f_pde = result.map.f_series
     sup_distance = float(np.max(np.abs(mc.fraction - f_pde)))

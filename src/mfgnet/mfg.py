@@ -250,8 +250,9 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
     later levels are evaluated. Where ``_forks_psi``, a worker forked by
     ``workers.run_forked`` evaluates them meanwhile, holding what the caller
     would have (a ring of four basis vectors and the rows), and returns the
-    rows as bytes, read-only here; ``on_phi`` then runs beside it, with
-    ``forked`` true, and should fork nothing."""
+    rows' bytes, read into one buffer and viewed here without a copy;
+    ``on_phi`` then runs beside it, with ``forked`` true, and should fork
+    nothing."""
     grid, levels = problem.grid, sorted(set(levels))
     later = [n for n in levels if n > 0]
     step = _evaluator(problem)
@@ -463,6 +464,8 @@ class DriftSeries:
         levels = np.arange(len(values)) if levels is None else np.asarray(levels)
         self.row_of = np.full(levels[-1] + 1, -1)
         self.row_of[levels] = np.arange(len(levels))
+        # per edge, as floats: its step, last cell index and first node offset
+        self.edge_table = np.array([grid.h, grid.n_cells - 1, grid.edge_starts[:-1]], dtype=float)
 
     def level_at(self, t: float) -> int:
         """The row of level int(t / dt), clamped to [0, last level]."""
@@ -473,20 +476,19 @@ class DriftSeries:
             raise KeyError(f"the drift series holds no row for time {t}")
         return row
 
-    def edge_constants(self, edge_ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-agent step, last cell index and first node offset of each
-        agent's edge, as ``eval`` takes them."""
-        return self.grid.h[edge_ids], self.grid.n_cells[edge_ids] - 1, self.grid.edge_starts[edge_ids]
-
     def eval(self, level: int, ys: np.ndarray, h: np.ndarray, last_cell: np.ndarray,
              offset: np.ndarray) -> np.ndarray:
         """Linear interpolation along each agent's edge at one time level;
-        ``ys`` are arclengths in [0, edge length], the other arrays come
-        from ``edge_constants``."""
+        ``ys`` are arclengths in [0, edge length], the other arrays are the
+        rows of ``edge_table`` at each agent's edge. The cell index stays a
+        float until it indexes the row, where it is whole: float operands
+        are cheaper than mixed ones, and the values are the same."""
         frac = ys / h
-        k = np.minimum(frac.astype(int), last_cell)
+        k = np.trunc(frac)
+        np.minimum(k, last_cell, out=k)
         frac -= k
         k += offset  # the node at the start of each agent's cell
+        k = k.astype(int)
         row = self.values[level]
         # (1 - frac) * left + frac * right, in place in the gathered arrays
         left, right = row.take(k), row[1:].take(k)

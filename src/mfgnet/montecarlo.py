@@ -12,10 +12,11 @@ lockstep on one seeded generator, so a call replays bit for bit.
 ``estimate_arrival_cdf`` cuts its population into blocks of at most
 _BLOCK_AGENTS agents, each simulated on its own seed: the first block on
 the seed the sampler hands on, the later ones on seeds spawned from it.
-The blocks after the first run on workers forked by
-``workers.run_forked``, which cli's CSV writer shares, when the process
-may use more than one CPU, and one after another in the caller otherwise;
-the arrivals depend only on the seed and the population size either way.
+When the process may use more than one CPU, the blocks are cut into runs
+of consecutive blocks, the first for the caller and each other for a
+worker forked by ``workers.run_forked``, which cli's CSV writer shares;
+otherwise they run one after another in the caller. The arrivals depend
+only on the seed and the population size either way.
 
 A step that starts and ends on the exit edge may still have crossed the
 exit in between; ignoring that biases arrivals late by O(sqrt(dt)). Those
@@ -92,32 +93,34 @@ def _route_batch(topology: NetworkTopology, vertices: np.ndarray, overshoot: np.
     return new_edges, new_ys
 
 
-def _resolve_crossings(topology, edges, ys, lengths, rng):
-    """Bounce agents through vertices until every coordinate is inside its
-    edge, updating ``edges``, ``ys`` and ``lengths`` in place.
+def _resolve_crossings(topology, moving, edges, ys, rng):
+    """Bounce the agents ``moving``, whose coordinates lie outside their
+    edges, through vertices until every coordinate is inside its edge,
+    updating ``edges`` and ``ys`` in place.
 
     Returns two index lists into the arrays: the agents absorbed at the
     exit, and the agents routed onto another edge (once per route, so an
     agent that was routed and then absorbed is in both). An absorbed
     agent's entries are left as they were when it reached the exit.
     """
-    absorbed, routed = [_NO_AGENTS], [_NO_AGENTS]
-    moving = np.flatnonzero((ys < 0.0) | (ys > lengths))
+    absorbed, routed = [], []
     for _ in range(_MAX_CROSSINGS_PER_STEP):
-        if len(moving) == 0:
-            return np.concatenate(absorbed), np.concatenate(routed)
         y, e = ys[moving], edges[moving]
         at_tail = y < 0.0
         verts = np.where(at_tail, topology.tails[e], topology.heads[e])
-        over = np.where(at_tail, -y, y - lengths[moving])
-        hit_exit = verts == topology.exit_vertex
-        absorbed.append(moving[hit_exit])
-        go = moving[~hit_exit]
-        new_e, new_y = _route_batch(topology, verts[~hit_exit], over[~hit_exit], rng)
-        edges[go], ys[go], lengths[go] = new_e, new_y, topology.lengths[new_e]
+        over = np.where(at_tail, -y, y - topology.lengths[e])
+        onward = verts != topology.exit_vertex
+        absorbed.append(moving[~onward])
+        go, over = moving[onward], over[onward]
+        new_e, new_y = _route_batch(topology, verts[onward], over, rng)
+        edges[go], ys[go] = new_e, new_y
         routed.append(go)
-        # only an agent routed in this round can still be outside its edge
-        moving = go[(new_y < 0.0) | (new_y > lengths[go])]
+        # an overshoot longer than its new edge carries the agent past it
+        moving = go[over > topology.lengths[new_e]]
+        if not len(moving):
+            if len(routed) == 1:  # one round, as in most steps
+                return absorbed[0], go
+            return np.concatenate(absorbed), np.concatenate(routed)
     raise StepTooLarge(f"an agent crossed vertices more than {_MAX_CROSSINGS_PER_STEP} "
                        "times in one step; the particle time step dt is far too large")
 
@@ -131,11 +134,11 @@ def _bridge_hits(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     when exp(x) > 0. Most agents on the exit edge are far enough from the
     exit to sit below the floor.
     """
-    near = np.flatnonzero(x > _BRIDGE_EXP_FLOOR)
+    near = (x > _BRIDGE_EXP_FLOOR).nonzero()[0]
     hits = near[u.take(near) < np.exp(x.take(near))]
     if not u.all():
         # a zero draw above the floor is in near already
-        zero = np.flatnonzero((u == 0.0) & ~(x > _BRIDGE_EXP_FLOOR))
+        zero = ((u == 0.0) & ~(x > _BRIDGE_EXP_FLOOR)).nonzero()[0]
         hits = np.sort(np.concatenate((hits, zero[np.exp(x[zero]) > 0.0])))
     return hits
 
@@ -149,9 +152,11 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
 
     The loop keeps columns of the agents still moving, in their original
     order, and draws only for them, so every draw lands on the same agent as
-    in a loop over the full population. Its bookkeeping runs on index
-    lists: the agents on the exit edge, those that crossed a vertex, and
-    those absorbed. An absorbed agent stays parked in the columns until
+    in a loop over the full population. A boolean column marks the agents
+    on the exit edge, and the bridge factor of a step is formed for every
+    agent, so the bridge test gathers its candidates once, after the step;
+    the router runs only in a step where some agent left its edge. An
+    absorbed agent stays parked in the columns, off the exit edge, until
     _PARKED_SHARE of them are parked; then one boolean mask compacts every
     column.
     """
@@ -168,35 +173,36 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     on_exit = (edges == exit_edge) & ((ys <= 0.0) if exit_from_tail else (ys >= exit_length))
     arrival[on_exit] = 0.0
 
-    drift = config.drift
-    noise_scale = SIGMA * math.sqrt(config.dt)
-    n_steps = math.ceil(config.t_max / config.dt)
-    bridge_scale = -2.0 / (SIGMA**2 * config.dt)
+    drift, dt = config.drift, config.dt
+    noise_scale = SIGMA * math.sqrt(dt)
+    n_steps = math.ceil(config.t_max / dt)
+    bridge_scale = -2.0 / (SIGMA**2 * dt)
 
+    # per edge: its length and the rows of the drift's edge_table
+    table = topology.lengths[None] if drift is None else np.vstack((topology.lengths,
+                                                                     drift.edge_table))
     # the agents still moving, in their original order so every draw lands
-    # on the same agent: index, edge, coordinate, edge length and the
-    # drift's per-edge constants, refreshed only when an agent changes edge.
-    # A parked agent is on no edge, at 0, with no drift and no noise.
-    idx = np.flatnonzero(~on_exit)
-    e, y = edges[idx], ys[idx]
-    columns = [idx, e, y, topology.lengths[e], *(() if drift is None else drift.edge_constants(e))]
+    # on the same agent: index, edge, coordinate, whether on the exit edge,
+    # and table's column of the edge, one column per row, refreshed only
+    # when an agent changes edge. A parked agent is off the exit edge, at 0,
+    # with no drift and no noise.
+    idx = (~on_exit).nonzero()[0]
+    e = edges[idx]
+    columns = [idx, e, ys[idx], e == exit_edge, *table.take(e, axis=1)]
+    del on_exit, e
     parked, live = _NO_AGENTS, None
     for step in range(n_steps):
-        idx, e, y, lengths, *consts = columns
+        idx, e, y, on, lengths, *consts = columns
         n = len(idx)
         if n == len(parked):
             break
-        t = step * config.dt
-        # the agents on the exit edge and the bridge exponent's factor from
-        # before the step; the distance after the step is the other
-        before = np.flatnonzero(e == exit_edge)
-        x = y.take(before)
-        if not exit_from_tail:
-            np.subtract(exit_length, x, out=x)
-        x *= bridge_scale
+        t = step * dt
+        # the bridge exponent's factor from before the step; the distance
+        # after the step is the other, and only the exit edge's agents use it
+        x = (y if exit_from_tail else exit_length - y) * bridge_scale
         if drift is not None:
             velocity = drift.eval(drift.level_at(t), y, *consts)
-            velocity *= config.dt
+            velocity *= dt
             velocity[parked] = 0.0
             y += velocity
             del velocity  # freed before the draws, where a large run peaks in memory
@@ -205,33 +211,43 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
         if len(parked):
             noise, draws = np.zeros(n), noise
             noise[live] = draws
+            del draws
         y += noise
-        absorbed, routed = _resolve_crossings(topology, e, y, lengths, rng)
-        if consts and len(routed):
-            for c, fresh in zip(consts, drift.edge_constants(e[routed])):
-                c[routed] = fresh
-        if len(routed) or len(absorbed):
-            e[absorbed] = -1  # on no edge, so out of the bridge test
-            stayed = e.take(before) == exit_edge
-            before, x = before[stayed], x[stayed]
+        del noise  # freed before the bridge and a compaction, which peak in memory
+        absorbed = _NO_AGENTS
+        moving = ((y < 0.0) | (y > lengths)).nonzero()[0]
+        if len(moving):
+            absorbed, routed = _resolve_crossings(topology, moving, e, y, rng)
+            fresh = e.take(routed)
+            for column, values in zip(columns[4:], table.take(fresh, axis=1)):
+                column[routed] = values
+            # the bridge's candidates start and end the step on the exit edge
+            back = fresh == exit_edge
+            on[routed] &= back
+            on[absorbed] = False
         # Brownian-bridge test: a path that stayed on the exit edge may have
         # touched the exit between the endpoints of the step
+        before = on.nonzero()[0]
         if len(before):
-            d_after = y.take(before)
-            if not exit_from_tail:
-                np.subtract(exit_length, d_after, out=d_after)
-            x *= d_after
-            hits = before.take(_bridge_hits(x, rng.random(len(before))))
+            x *= y if exit_from_tail else exit_length - y
+            hits = before.take(_bridge_hits(x.take(before), rng.random(len(before))))
             absorbed = np.concatenate((absorbed, hits))
+        del x, before
+        if len(moving):
+            on[routed] = back
         if len(absorbed):
-            arrival[idx.take(absorbed)] = min(t + config.dt, config.t_max)
-            e[absorbed], y[absorbed] = -1, 0.0
+            arrival[idx.take(absorbed)] = min(t + dt, config.t_max)
+            y[absorbed], on[absorbed] = 0.0, False
             parked = np.concatenate((parked, absorbed))
             if live is None:
                 live = np.ones(n, dtype=bool)
             live[absorbed] = False
             if len(parked) > _PARKED_SHARE * n:
-                columns = [col[live] for col in columns]
+                # one column at a time, each old column freed as its new one is made
+                del idx, e, y, on, lengths, consts
+                for i, column in enumerate(columns):
+                    columns[i] = column[live]
+                del column
                 parked, live = _NO_AGENTS, None
     return arrival
 
@@ -308,9 +324,10 @@ def _simulate_blocks(topology: NetworkTopology, config: SimConfig,
     """Arrival time per agent, from ``simulate_agents`` on each block of at
     most _BLOCK_AGENTS agents with the seeds of ``_block_seeds``.
 
-    Block b runs in process b mod P, where process 0 is the caller and
-    processes 1 to P - 1 are workers of ``workers.run_forked``, one per
-    spare CPU and at most one per block after the first. Without
+    The blocks are cut into P runs of consecutive blocks. Run 0 runs in the
+    caller and runs 1 to P - 1 in workers of ``workers.run_forked``, one per
+    spare CPU and at most one per block after the first, each of whose
+    arrivals is read straight into its slice of the result. Without
     ``os.fork`` or a second CPU every block runs in the caller.
     """
     n = len(edges)
@@ -321,20 +338,19 @@ def _simulate_blocks(topology: NetworkTopology, config: SimConfig,
     from .workers import run_forked, spare_cpus  # loaded by the oracle alone
 
     n_procs = 1 + min(n_blocks - 1, spare_cpus())
+    first = np.linspace(0, n_blocks, n_procs + 1).astype(int)  # each run's first block
+    arrival = np.empty(n)
 
-    def run(p: int) -> list[np.ndarray]:
-        return [simulate_agents(topology, *block) for block in blocks[p::n_procs]]
+    def run(p: int) -> np.ndarray:
+        return np.concatenate([simulate_agents(topology, *block)
+                               for block in blocks[first[p]:first[p + 1]]])
 
-    arrivals = [None] * n_blocks
-    arrivals[::n_procs], bodies = run_forked(
-        partial(run, 0), [lambda p=p: np.concatenate(run(p)) for p in range(1, n_procs)])
-    for p, body in enumerate(bodies, 1):
-        sizes = [block[0].n_agents for block in blocks[p::n_procs]]
-        if len(body) != 8 * sum(sizes):
-            raise ChildProcessError(f"particle worker {p} sent {len(body)} bytes for "
-                                    f"{sum(sizes)} arrivals")
-        arrivals[p::n_procs] = np.split(np.frombuffer(body), np.cumsum(sizes)[:-1])
-    return np.concatenate(arrivals)
+    def local() -> None:
+        arrival[:cuts[first[1]]] = run(0)
+
+    run_forked(local, [partial(run, p) for p in range(1, n_procs)],
+               out=[arrival[cuts[a]:cuts[b]] for a, b in zip(first[1:-1], first[2:])])
+    return arrival
 
 
 def estimate_arrival_cdf(config: SimConfig, m0: GridField,

@@ -1,19 +1,21 @@
 """Work shared between the caller and forked worker processes: the particle
-blocks of ``montecarlo``, the groups of CSV files of ``cli`` and psi's
-fields on a Lanczos grid (``mfg.map_fields``), which import this module
-only where they may fork. A CSV worker writes its files itself and returns
-no bytes; a psi worker returns its rows' bytes, and the caller meanwhile
-evaluates phi's fields and writes the u files.
+blocks of ``montecarlo``, the groups of CSV files of ``cli``, the oracle's
+series, u and m files (written beside its particles) and psi's fields on a
+Lanczos grid (``mfg.map_fields``), which import this module only where
+they may fork. A CSV worker writes its files itself and returns no bytes;
+a psi or particle worker returns its rows' bytes, and the caller meanwhile
+evaluates phi's fields and writes the u files, or simulates its own blocks.
 
-A worker writes to a pipe a 0 byte and the bytes its task returned, or a
-1 byte and its pickled exception, and leaves by ``os._exit``. The caller
-reads every pipe to its end, reaps every worker, and raises a worker's
-error with its own type; on any failure it kills (SIGKILL) and reaps the
-workers not yet collected. ``pickle`` and ``signal`` are imported only on
-those paths. Workers are forked rather than spawned: a forked worker reads
-its inputs from memory it shares with the caller, where a spawned pool
-re-imports the package and raised desk's peak RSS in oracle mode from
-62.1 to 65.3 MB.
+A worker writes to a pipe a 0 byte, the length of the bytes its task
+returned as 8 bytes and those bytes, or a 1 byte, a length and its pickled
+exception, and leaves by ``os._exit``. The caller reads each body into one
+buffer of that length, its own or a new bytearray, reaps every worker, and
+raises a worker's error with its own type; on any failure it kills
+(SIGKILL) and reaps the workers not yet collected. ``pickle`` and
+``signal`` are imported only on those paths. Workers are forked rather
+than spawned: a forked worker reads its inputs from memory it shares with
+the caller, where a spawned pool re-imports the package and raised desk's
+peak RSS in oracle mode from 62.1 to 65.3 MB.
 """
 
 from __future__ import annotations
@@ -55,15 +57,43 @@ def _fork(task) -> tuple[int, object]:
 
                 tag, body = b"\1", pickle.dumps(exc)
             with open(write_end, "wb") as pipe:
-                pipe.write(tag)
+                pipe.write(tag + memoryview(body).nbytes.to_bytes(8, "little"))
                 pipe.write(body)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    # unbuffered: a buffered reader's read(1) fills its buffer, and read()
-    # then joins that to the rest, a second copy of the body in the caller
+    # unbuffered, so readinto fills the caller's buffer straight from the pipe
     return pid, open(read_end, "rb", buffering=0)
+
+
+def _fill(pipe, buffer) -> bool:
+    """Read ``pipe`` into ``buffer`` until it is full; False if the pipe
+    ends first."""
+    view, got = memoryview(buffer).cast("B"), 0
+    while got < len(view):
+        n = pipe.readinto(view[got:])
+        if not n:
+            return False
+        got += n
+    return True
+
+
+def _receive(pipe, buffer) -> tuple[int, object]:
+    """A worker's tag and body: a result's body read into ``buffer`` when
+    one is given, else into a new bytearray; the body is None when the
+    pipe ends early."""
+    head = bytearray(9)
+    if not _fill(pipe, head):
+        return -1, None
+    size = int.from_bytes(head[1:], "little")
+    if head[0] == 0 and buffer is not None:
+        room = memoryview(buffer).nbytes
+        if room != size:
+            raise ChildProcessError(f"a worker sent {size} bytes for a buffer of {room}")
+    else:
+        buffer = bytearray(size)
+    return head[0], buffer if _fill(pipe, buffer) else None
 
 
 def _stop(workers: dict) -> None:
@@ -76,12 +106,14 @@ def _stop(workers: dict) -> None:
         os.waitpid(pid, 0)
 
 
-def run_forked(local, tasks) -> tuple[object, list[bytes]]:
+def run_forked(local, tasks, out=None) -> tuple[object, list]:
     """Run each of ``tasks``, functions of no argument that return a
     bytes-like object, in a forked worker of its own, and ``local()`` in the
     caller meanwhile. Returns what ``local`` returned and the bytes of each
-    task, in the order of ``tasks``. Every worker is reaped before this
-    returns or raises; a task's error is raised here with its own type."""
+    task, in the order of ``tasks``: each a bytearray, or, where ``out``
+    gives one writable buffer per task, that buffer, which the bytes must
+    fill exactly. Every worker is reaped before this returns or raises; a
+    task's error is raised here with its own type."""
     workers = {}  # pid: pipe, until the worker is reaped
     try:
         for task in tasks:
@@ -89,20 +121,19 @@ def run_forked(local, tasks) -> tuple[object, list[bytes]]:
             workers[pid] = pipe
         result = local()
         bodies = []
-        for pid in list(workers):
-            with workers[pid] as pipe:
-                tag, body = pipe.read(1), pipe.read()
+        for pid, buffer in zip(list(workers), out or [None] * len(workers)):
+            tag, body = _receive(workers[pid], buffer)
+            workers[pid].close()
             status = os.waitpid(pid, 0)[1]
             del workers[pid]
-            if tag == b"\1":
+            if tag == 1 and body is not None:
                 import pickle
 
                 raise pickle.loads(body)
-            if tag != b"\0":
+            if tag != 0 or body is None:
                 raise ChildProcessError(f"worker {pid} sent no result (wait status {status})")
             bodies.append(body)
     finally:
         if workers:
             _stop(workers)
     return result, bodies
-

@@ -299,6 +299,24 @@ class TestWriteCsv:
         _write_tables([_Table(tmp_path / "whole.csv", "a,b,c,d,e", columns)])
         assert (tmp_path / "joined.csv").read_text() == (tmp_path / "whole.csv").read_text()
 
+    @pytest.mark.parametrize("value, text", [(-0.0, "-0.0"), (np.nan, "nan")],
+                             ids=["minus_zero", "nan"])
+    def test_single_run_columns(self, tmp_path, value, text):
+        """A value column that is one run, behind a lead (one replace per
+        block) and beside another without one, over three blocks, writes
+        the rows formed by hand."""
+        n = 2 * _CSV_BLOCK_ROWS + 5
+        lead = [f"{i},{i % 7}" for i in range(n)]
+        (tmp_path / "lead.csv").write_text("i,j\n" + "\n".join(lead) + "\n")
+        column = np.full(n, value)
+        _write_tables([_Table(tmp_path / "a.csv", "i,j,v", (column,),
+                              lead=cli._line_blocks(tmp_path / "lead.csv")),
+                       _Table(tmp_path / "b.csv", "v,w", (column, np.arange(n)))])
+        expected = "i,j,v\n" + "".join(f"{row},{text}\n" for row in lead)
+        assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+        expected = "v,w\n" + "".join(f"{text},{i}\n" for i in range(n))
+        assert (tmp_path / "b.csv").read_bytes() == expected.encode()
+
 
 def test_field_csv_rows_match_edge_values(tmp_path, three_star):
     """Every byte of a field file equals a row-by-row loop over the edges
@@ -464,6 +482,44 @@ class TestWriterShares:
         names = {p.name for p in out.rglob("*.*")}
         assert {"f_series.csv", "iterates.csv", "u_final.csv", "error.json"} <= names
         assert "summary.json" not in names and not any(name[0] == "m" for name in names)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_oracle_failure_leaves_the_solve_files(self, tmp_path, monkeypatch, n_cpus):
+        """On one CPU the oracle writes its series, u and m files before the
+        particles run; with a spare CPU a forked worker writes them beside
+        the particles. A particle step too large for the network
+        (StepTooLarge, exit 2) fails long before that worker, slowed here,
+        is done; the worker is reaped, not killed. Either way the files are
+        whole beside error.json, byte-equal to a solve-mode run's, and no
+        child is left."""
+        import time
+
+        self.cpus(monkeypatch, n_cpus)
+        doc = fast_config(tmp_path, agents=50, dt_mc=1e6)
+        doc["network"] = {
+            "vertices": [{"id": i, "position": [float(i), 0.0]} for i in range(41)],
+            "edges": [{"id": i, "tail": i, "head": i + 1, "length": 1.0} for i in range(40)],
+            "exit_vertex": 0}
+        doc["problem"]["m0"] = {"kind": "hat", "center": [30.0, 0.0], "width": 5.0}
+        doc["numerics"]["h_target"] = 0.5
+        outputs = []
+        for mode in ("solve", "oracle"):
+            if mode == "oracle":
+                forks, write_group = self.count_forks(monkeypatch), cli._write_group
+                monkeypatch.setattr(cli, "_write_group", lambda tables: (
+                    time.sleep(0.5 * (n_cpus > 1)) or write_group(tables)))
+            doc["run"].update(mode=mode, out_dir=str(tmp_path / mode))
+            outputs.append(tmp_path / mode)
+            assert run(parse_config(json.dumps(doc)), quiet=True) == (0 if mode == "solve" else 2)
+        assert len(forks) == n_cpus - 1  # the writer; the particles' one block forks nothing
+        err = json.loads((outputs[1] / "error.json").read_text())["error"]
+        assert err["type"] == "StepTooLarge" and "dt" in err["message"]
+        for name in ("f_series.csv", "iterates.csv", "u_final.csv", "m_final.csv", "m0.csv"):
+            assert (outputs[1] / name).read_bytes() == (outputs[0] / name).read_bytes(), name
+        assert not (outputs[1] / "summary.json").exists()
+        assert not (outputs[1] / "comparison.csv").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

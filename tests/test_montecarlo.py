@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -405,6 +406,33 @@ def _head_exit_edge():
     return mn.build_network([(0, (0.0, 0.0)), (1, (1.0, 0.0))], [(0, 1, 0, 1.0)], 0)
 
 
+def _hat_start(topology, n):
+    """Starts drawn from desk's hat, centred on the unit edge with width 0.5."""
+    grid = mn.build_grid(topology, 0.05)
+    hat = lambda p: np.maximum(1 - np.abs(p[:, 0] - 0.5) / 0.5, 0.0)
+    m0 = mn.normalize_mass(mn.sample_function(grid, hat))
+    return sample_initial_positions(m0, n, np.random.default_rng(0))
+
+
+def test_step_memory_per_agent(single_edge):
+    """A desk-like block of 20 000 agents (one edge, a hat start, a density
+    drift, dt 1e-3, most agents arrived by the end) peaks under tracemalloc
+    at no more than 20 floats (160 bytes) per agent. The oracle's memory
+    guard, which counts 22 floats per agent, rests on this bound."""
+    n = 20_000
+    edges, ys = _hat_start(single_edge, n)
+    drift = _smooth_drift(single_edge, 0.05, 41, 0.05)
+    cfg = SimConfig(n_agents=n, dt=1e-3, t_max=1.0, seed=3, drift=drift)
+    tracemalloc.start()
+    try:
+        arr = simulate_agents(single_edge, cfg, edges, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(arr).mean() > 0.75
+    assert peak <= 160 * n, peak / n
+
+
 class TestAgainstReferenceLoop:
     """The compacted loop must reproduce the original loop bit for bit:
     same draws, same order, same arithmetic for every arrival."""
@@ -478,6 +506,21 @@ class TestAgainstReferenceLoop:
         assert 0 < np.isnan(arr).sum() < n
         assert np.nanmax(arr) <= 0.1
 
+    def test_oracle_regime_on_one_edge(self, single_edge, monkeypatch):
+        """The oracle's own regime, as on desk: one edge, a hat start, a
+        density drift, 20 000 agents and dt 1e-3, run until most arrive, so
+        steps absorb at the exit and by the bridge, park, reflect at the
+        leaf and compact."""
+        counts = _count_absorptions(monkeypatch)
+        n = 20_000
+        edges, ys = _hat_start(single_edge, n)
+        drift = _smooth_drift(single_edge, 0.05, 41, 0.05)
+        cfg = SimConfig(n_agents=n, dt=1e-3, t_max=1.0, seed=21, drift=drift)
+        arr = self.assert_same(single_edge, cfg, edges, ys)
+        assert np.isfinite(arr).mean() > 0.75  # far past mc._PARKED_SHARE of the agents
+        assert counts["bridge"] > 0 and counts["crossing"] > 0
+        assert counts["routed"] > 0  # every route on one edge reflects at the leaf
+
     def test_most_absorbed_through_the_bridge(self, single_edge, monkeypatch):
         """Every agent on the exit edge and a small step: the bridge test
         absorbs more agents than the exit crossings do."""
@@ -510,15 +553,16 @@ class TestAgainstReferenceLoop:
 
 def _count_absorptions(mp) -> dict:
     """Count the agents ``simulate_agents`` absorbs at a crossing and by the
-    bridge test."""
+    bridge test, and the routes it takes."""
     import mfgnet.montecarlo as mc
 
-    counts = {"crossing": 0, "bridge": 0}
+    counts = {"crossing": 0, "bridge": 0, "routed": 0}
     resolve, bridge = mc._resolve_crossings, mc._bridge_hits
 
     def counted_resolve(*args):
         absorbed, routed = resolve(*args)
         counts["crossing"] += len(absorbed)
+        counts["routed"] += len(routed)
         return absorbed, routed
 
     def counted_bridge(x, u):
@@ -539,9 +583,9 @@ def _count_returns(mp, exit_edge: int) -> list:
     count = [0]
     resolve = mc._resolve_crossings
 
-    def counted(tables, edges, ys, lengths, rng):
+    def counted(topology, moving, edges, ys, rng):
         before = edges.copy()
-        absorbed, routed = resolve(tables, edges, ys, lengths, rng)
+        absorbed, routed = resolve(topology, moving, edges, ys, rng)
         agents, routes = np.unique(routed, return_counts=True)
         back = (routes >= 2) & (before[agents] == exit_edge) & (edges[agents] == exit_edge)
         count[0] += len(np.setdiff1d(agents[back], absorbed))
