@@ -10,20 +10,21 @@ spatial steps and tabulates the diagnostics.
 Every CSV goes through one writer, ``_write_tables``: each value is its
 repr, a block of _CSV_BLOCK_ROWS rows at a time, and the files of a batch
 are cut into one group per usable CPU of about equal formatting work, each
-file written whole by one process, the later groups by forked workers. A
-solve writes its series and u files as one batch once it has formed u
-(``fixed_point``'s ``on_value``), in the caller alone where a forked worker
-meanwhile evaluates psi's fields, and its m files as a second batch once
-the solve returns; in oracle mode with a spare CPU, a forked worker writes
-both batches while the caller runs the particles. A field CSV's leading
+file written whole by one process, the later groups by forked workers; a
+forked worker writes its batches alone. A solve writes its series and u
+files as one batch once it has formed u (``fixed_point``'s ``on_value``),
+beside psi's worker where one is forked, and its m files as a second batch
+once the solve returns; in oracle mode with a spare CPU, a forked worker
+writes both batches while the caller runs the particles. A field CSV's leading
 columns come from the grid's ``_field_layout``, formatted once per run. A
 run removes the files it owns by name but did not write: ``error.json``
 after a success, ``summary.json`` after a failure, and snapshots of other
 levels; a run that fails after writing its u files leaves them, and an
 oracle whose particles fail leaves the solve's files whole.
 
-Exit codes: 0 ok, 2 invalid config (or a particle step ``run.dt_mc`` too
-large for the network), 3 numerical failure, 4 no convergence.
+Exit codes: 0 ok, 2 invalid config (or an output path that cannot be
+written, or a particle step ``run.dt_mc`` too large for the network), 3
+numerical failure, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -386,14 +387,16 @@ class _Table(NamedTuple):
     ``columns`` (ints or floats), or per entry of ``order``, the index of
     each row's values in them. ``lead`` gives one string of lines per block
     that begin the rows, so values already formatted there are not
-    formatted again. A NamedTuple rather than a dataclass, whose creation
-    took about 1 ms of every run's import."""
+    formatted again. ``copies`` get a copy of the file: a field written
+    under two names is formatted once. A NamedTuple rather than a
+    dataclass, whose creation took about 1 ms of every run's import."""
 
     path: Path
     header: str
     columns: tuple
     order: np.ndarray | None = None
     lead: object = None
+    copies: list | tuple = ()
 
     def _values(self):
         """Each column's values in the file's row order."""
@@ -412,7 +415,7 @@ class _Table(NamedTuple):
 
     def write(self) -> None:
         """The file, each value its repr, by ``_text_blocks``, a block at a
-        time by ``_block_text``."""
+        time by ``_block_text``, then its ``copies``."""
         columns = list(self._values())
         n = len(columns[0])
         leads = itertools.repeat(None) if self.lead is None else self.lead
@@ -422,6 +425,8 @@ class _Table(NamedTuple):
                                            *map(_text_blocks, columns)):
                 fh.write(_block_text(min(_CSV_BLOCK_ROWS, n - start), lead, cells))
                 fh.write("\n")
+        for path in self.copies:
+            shutil.copyfile(self.path, path)
 
 
 def _write_group(tables: list[_Table]) -> bytes:
@@ -437,7 +442,8 @@ def _write_tables(tables: list[_Table]) -> None:
     as the zeros of m0, costs one repr per run. Each group of at least
     _SHARE_VALUES reprs but the first is written by a worker forked by
     ``workers.run_forked``; the caller writes the first and the smaller
-    groups, so a batch with one large file forks nothing."""
+    groups, so a batch with one large file forks nothing, and so does a
+    forked worker, where ``workers.spare_cpus`` is 0."""
     sizes = [table.work for table in tables]
     n_groups = 1
     if sum(sizes) >= 2 * _SHARE_VALUES:  # only a batch that may fork loads the helper
@@ -486,10 +492,11 @@ def _field_layout(grid: SpatialGrid) -> tuple[np.ndarray, list[str]]:
     return grid.edge_nodes, text
 
 
-def _field_table(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]]) -> _Table:
+def _field_table(field: GridField, path: Path, layout: tuple[np.ndarray, list[str]],
+                 copies=()) -> _Table:
     """The ``_Table`` of a field's CSV in the rows of ``layout``."""
     order, text = layout
-    return _Table(path, "edge_id,k,x_coord_1,x_coord_2,value", (field.data,), order, text)
+    return _Table(path, "edge_id,k,x_coord_1,x_coord_2,value", (field.data,), order, text, copies)
 
 
 def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
@@ -503,39 +510,22 @@ def _write_summary(config: RunConfig, out: Path, summary: dict) -> None:
 
 def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: DiscreteProblem,
                      pending: list | None = None):
-    """Solve and write the artifacts: the series and the u files once the
-    solve has formed u (``fixed_point``'s ``on_value``), by the caller alone
-    where a forked worker meanwhile evaluates psi on the other CPU; the m
-    files once it returns. Each field is formatted once: a second name gets
-    a copy of the first file. Where ``pending`` is a list, each of the two
-    batches is appended to it instead, as a function of ``forked`` that
-    writes it, for the oracle to write beside its particles."""
+    """Solve and write the artifacts as two batches of ``_write_tables``:
+    the series and the u files once the solve has formed u (``fixed_point``'s
+    ``on_value``), beside psi's worker where one is forked, and the m files
+    once it returns. Where ``pending`` is a list, each batch is appended to
+    it instead, for the oracle to write beside its particles."""
     spec = config.spec
     snapshot_levels: set[int] = set()
     if config.snapshots > 0:
         snapshot_levels = set(range(0, problem.time_grid.n_steps + 1, config.snapshots))
     snapdir = out / "snapshots"
-    files: dict[tuple[str, int], list[Path]] = {}  # the first path is written, the others copied
+    # per field, the paths of each level: the first is written, the others copied
+    files: dict[str, dict[int, list[Path]]] = {"u": {}, "m": {}}
+    emit = _write_tables if pending is None else pending.append
     layout = None
 
-    def tables(result, name: str) -> list[_Table]:
-        return [_field_table(result.fields[name][n], paths[0], layout)
-                for (field, n), paths in files.items() if field == name]
-
-    def write(batch: list[_Table], name: str, forked: bool) -> None:
-        # beside another process on the other CPU, the caller writes alone
-        (_write_group if forked else _write_tables)(batch)
-        for (field, _), paths in files.items():
-            for path in paths[1:] if field == name else ():
-                shutil.copyfile(paths[0], path)
-
-    def emit(batch: list[_Table], name: str, forked: bool = False) -> None:
-        if pending is None:
-            write(batch, name, forked)
-        else:
-            pending.append(partial(write, batch, name))
-
-    def write_value(result, forked: bool) -> None:
+    def write_value(result) -> None:
         nonlocal layout
         lvl = result.equilibrium_level
         named = [("m", 0, out / "m0.csv"), ("m", lvl, out / "m_final.csv"),
@@ -551,13 +541,15 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
                 if path not in written:
                     path.unlink()
         for name, n, path in named:
-            files.setdefault((name, n), []).append(path)
+            files[name].setdefault(n, []).append(path)
         layout = _field_layout(problem.grid)
-        series = [_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
-                  _Table(out / "iterates.csv", "iteration,T",
-                         (range(len(result.iterates) + 1), [result.t_init, *result.iterates]))]
-        emit(series + tables(result, "u"), "u", forked)
-        result.fields["u"].clear()  # the files hold u: it goes before psi arrives
+        u = result.fields["u"]
+        emit([_Table(out / "f_series.csv", "t,F", (result.times, result.map.f_series)),
+              _Table(out / "iterates.csv", "iteration,T",
+                     (range(len(result.iterates) + 1), [result.t_init, *result.iterates])),
+              *(_field_table(u[n], paths[0], layout, paths[1:])
+                for n, paths in files["u"].items())])
+        u.clear()  # the files hold u: it goes before psi arrives
 
     progress = None if quiet else (
         lambda k, t: print(f"[mfgnet] iteration {k}: T = {t:.6g}", flush=True))
@@ -565,7 +557,8 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
                          on_value=write_value)
     # the m files hold m alone: phi and psi go before their rows are formatted
     del result.fields["phi"], result.fields["psi"]
-    emit(tables(result, "m"), "m")
+    m = result.fields["m"]
+    emit([_field_table(m[n], paths[0], layout, paths[1:]) for n, paths in files["m"].items()])
 
     summary = {
         "converged": result.converged,
@@ -601,11 +594,11 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
 
     # phi at each level the particles read (one per particle step, or every level
     # when the steps are finer), the drift and its temporaries, the step times,
-    # and 22 floats per agent (under tracemalloc, desk's run peaked 157 to 174
-    # bytes higher per agent between 1e5 and 8e5 agents, and
-    # test_montecarlo.py::test_step_memory_per_agent holds a particle block
-    # under 20); the particle blocks split those floats between the caller
-    # and its forked workers, and the guard counts their total
+    # and 22 floats per agent, split by the particle blocks between the caller
+    # and its forked workers: from 2e5 to 4e5 agents on 2 CPUs, desk's ru_maxrss
+    # rose by 72 bytes per agent in the caller and 72 in its particle worker,
+    # 18 floats in all, and test_montecarlo.py::test_step_memory_per_agent
+    # holds a particle block under 20
     # t_max / dt_mc may be inf; a count past MEMORY_LIMIT fails the guard unrounded
     steps = sim.t_max / sim.dt
     n_mc = math.ceil(steps) if steps < MEMORY_LIMIT else steps
@@ -621,17 +614,17 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # with a spare CPU the batches wait for a writer; a failed solve writes
     # those it formed, as one that writes them at once leaves them
     pending = [] if workers.spare_cpus() > 0 else None
+
+    def write_pending() -> bytes:
+        for batch in pending or ():
+            _write_tables(batch)
+        return b""
+
     try:
         result, summary = _solve_artifacts(config, out, quiet, problem, pending)
     except MFGNetError:
-        for write in pending or ():
-            write(False)
+        write_pending()
         raise
-
-    def write_pending() -> bytes:
-        for write in pending:
-            write(True)
-        return b""
 
     def particles():
         """The particles' arrival CDF, or the error that stopped them, raised
@@ -717,7 +710,12 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             summary = _refine_artifacts(config, out, quiet)
         else:
             raise ValidationError("run.mode", f"unknown mode {config.mode!r}")
-    except MFGNetError as err:
+        _write_summary(config, out, summary)
+    except (MFGNetError, OSError) as err:
+        if isinstance(err, OSError):
+            if err.filename is None:  # no path: a failed fork or pipe, not the artifacts
+                raise
+            err = ValidationError("run.out_dir", f"cannot write the artifacts: {err}")
         payload = _report(err)
         try:
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -726,8 +724,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             pass
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
-        return 2  # the config, a step too coarse or a particle step too large
-    _write_summary(config, out, summary)
+        return 2  # the config, an output path, a step too coarse or a particle step too large
     (out / "error.json").unlink(missing_ok=True)  # an earlier run's
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)

@@ -12,14 +12,14 @@ with one evaluator, chosen from its grids: ``heat.ModalStep`` where
 ``heat.modal_pays``, else ``lanczos.LanczosStep``. On a LanczosStep with a
 spare CPU, the fields phase runs on two: a forked worker evaluates psi's
 fields, whose basis is their own, while the caller evaluates phi's, forms
-u and runs ``fixed_point``'s ``on_value``; m follows once psi arrives.
+u and runs ``fixed_point``'s ``on_value``, which may fork workers of its
+own; m follows once psi arrives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -226,18 +226,6 @@ def map_phi(res: PsiMapResult, problem: DiscreteProblem, levels) -> np.ndarray:
     return _evaluator(problem).phi_levels(res.exit_series, levels.tolist())
 
 
-def _forks_psi(step: Evaluator, later: list[int]) -> bool:
-    """Whether ``map_fields`` evaluates psi at the levels ``later`` in a
-    forked worker: on a LanczosStep, whose psi fields build a basis of their
-    own, when ``workers.spare_cpus`` finds a CPU for it."""
-    if not later or isinstance(step, ModalStep):
-        return False  # a modal run loads neither module
-    from . import workers
-    from .lanczos import LanczosStep
-
-    return isinstance(step, LanczosStep) and workers.spare_cpus() > 0
-
-
 def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
                on_phi=None) -> tuple[dict[int, GridField], dict[int, GridField]]:
     """phi and psi of the map ``res`` at each of ``levels``, keyed by level
@@ -246,31 +234,34 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
     stacked with the later levels: on the street lattice that copy set a
     run's peak RSS.
 
-    ``on_phi(phi, forked)``, when given, runs on phi's fields before psi's
-    later levels are evaluated. Where ``_forks_psi``, a worker forked by
-    ``workers.run_forked`` evaluates them meanwhile, holding what the caller
-    would have (a ring of four basis vectors and the rows), and returns the
-    rows' bytes, read into one buffer and viewed here without a copy;
-    ``on_phi`` then runs beside it, with ``forked`` true, and should fork
-    nothing."""
+    ``on_phi(phi)``, when given, runs on phi's fields before psi's later
+    levels are evaluated. On a LanczosStep, whose psi fields build a basis
+    of their own, with a CPU that ``workers.spare_cpus`` finds, a worker
+    forked by ``workers.run_forked`` evaluates them meanwhile, holding what
+    the caller would have (a ring of four basis vectors and the rows), and
+    returns the rows' bytes, read into one buffer and viewed here without a
+    copy."""
     grid, levels = problem.grid, sorted(set(levels))
     later = [n for n in levels if n > 0]
     step = _evaluator(problem)
 
-    def phi_fields(forked: bool):
+    def phi_fields():
         phi = {n: GridField(grid, row) for n, row in zip(levels, map_phi(res, problem, levels))}
         if on_phi is not None:
-            on_phi(phi, forked)
+            on_phi(phi)
         return phi
 
-    if _forks_psi(step, later):
+    forks = bool(later) and not isinstance(step, ModalStep)
+    if forks:  # a modal run loads no workers module
         from . import workers
 
+        forks = workers.spare_cpus() > 0
+    if forks:
         phi, (body,) = workers.run_forked(
-            partial(phi_fields, True), [lambda: step.psi_levels(res.psi0, later).data])
+            phi_fields, [lambda: step.psi_levels(res.psi0, later).data])
         rows = np.frombuffer(body).reshape(len(later), grid.n_flat)
     else:
-        phi = phi_fields(False)
+        phi = phi_fields()
         rows = step.psi_levels(res.psi0, later) if later else []
     psi = [res.psi0] * (len(levels) - len(later)) + list(rows)
     return phi, {n: GridField(grid, row) for n, row in zip(levels, psi)}
@@ -382,10 +373,10 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     ``map_fields`` evaluate the map at other levels.
 
     ``progress(k, t)`` runs after each iteration k, whose map gave t.
-    ``on_value(result, forked)`` runs once the result's fields hold phi and
-    u at every level, as ``map_fields``' ``on_phi``: before psi and m are
-    formed, and with ``forked`` true beside psi's worker, when it should
-    fork nothing. Until ``fixed_point`` returns, ``residual_mass`` is NaN.
+    ``on_value(result)`` runs once the result's fields hold phi and u at
+    every level, as ``map_fields``' ``on_phi``: before psi and m are formed,
+    beside psi's worker where one is forked. Until ``fixed_point`` returns,
+    ``residual_mass`` is NaN.
     """
     problem = spec if isinstance(spec, DiscreteProblem) else discretize(spec)
     spec = problem.spec
@@ -432,13 +423,13 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
         fields=fields, grid=problem.grid, time_grid=problem.time_grid,
         cycle_detected=cycle, notes=notes)
 
-    def value(phi: dict[int, GridField], forked: bool) -> None:
+    def value(phi: dict[int, GridField]) -> None:
         fields["phi"] = phi
         for n in phi:
             fields["u"][n] = _value(phi[n])
             fields["u"][n].data += res.cost_shift  # phi is exp(-C) times the value potential
         if on_value is not None:
-            on_value(result, forked)
+            on_value(result)
 
     phi, fields["psi"] = map_fields(res, problem, {0, level} | set(snapshot_levels), value)
     for n in phi:

@@ -1,10 +1,12 @@
 """Work shared between the caller and forked worker processes: the particle
-blocks of ``montecarlo``, the groups of CSV files of ``cli``, the oracle's
-series, u and m files (written beside its particles) and psi's fields on a
-Lanczos grid (``mfg.map_fields``), which import this module only where
-they may fork. A CSV worker writes its files itself and returns no bytes;
+blocks of ``montecarlo``, the groups of CSV files of ``cli._write_tables``,
+the oracle's writer of the solve's batches (beside its particles) and psi's
+fields on a Lanczos grid (``mfg.map_fields``), which import this module only
+where they may fork. A CSV worker writes its files itself and returns no bytes;
 a psi or particle worker returns its rows' bytes, and the caller meanwhile
-evaluates phi's fields and writes the u files, or simulates its own blocks.
+evaluates phi's fields and writes the series and u files, or simulates its
+own blocks. A worker forks nothing, as ``spare_cpus`` is 0 there: every
+worker is the caller's own child, which it reaps or kills.
 
 A worker writes to a pipe a 0 byte, the length of the bytes its task
 returned as 8 bytes and those bytes, or a 1 byte, a length and its pickled
@@ -24,12 +26,14 @@ import os
 
 __all__ = ["spare_cpus", "run_forked"]
 
+_in_worker = False  # set by _fork in the worker only, which leaves by os._exit
+
 
 def spare_cpus() -> int:
     """The CPUs this process may use beyond its own, for forked workers: 0
-    without ``os.fork``. "May use" is ``os.sched_getaffinity`` where it
-    exists."""
-    if not hasattr(os, "fork"):
+    in a forked worker, which forks nothing, and without ``os.fork``. "May
+    use" is ``os.sched_getaffinity`` where it exists."""
+    if _in_worker or not hasattr(os, "fork"):
         return 0
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) - 1
@@ -39,6 +43,7 @@ def spare_cpus() -> int:
 def _fork(task) -> tuple[int, object]:
     """Fork a worker that runs ``task()`` and writes its outcome to a pipe.
     Returns the worker's pid and the pipe's read end."""
+    global _in_worker
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -47,6 +52,7 @@ def _fork(task) -> tuple[int, object]:
         os.close(write_end)
         raise
     if pid == 0:
+        _in_worker = True
         status = 1
         try:
             os.close(read_end)

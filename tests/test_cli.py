@@ -393,24 +393,31 @@ class TestWriterShares:
     def test_artifacts_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
         """Every file of a small Lanczos solve with snapshots is the same
         bytes on 1, 2 and 3 CPUs. With a spare CPU, one worker evaluates
-        psi's fields while the caller writes the series and the u files
-        alone; the m files are then cut into one group per CPU, each file
-        written by one process, and each group's work lies within one
-        file's of its share."""
+        psi's fields while the caller cuts the series and the u files into
+        groups, then the m files once psi arrives: one group per CPU at
+        most, each file written by one process, and each group's work lies
+        within one file's of its share. The u files are nearly uniform (128
+        reprs together, against the series' 2 402), so only a share of 50
+        values cuts the series and u batch."""
         from mfgnet import heat, lanczos, workers
 
         monkeypatch.setattr(heat, "MODAL_COST_RATIO", 0.0)
         monkeypatch.setattr(lanczos, "KRYLOV_FIELD_RATIO", np.inf)
-        monkeypatch.setattr(cli, "_SHARE_VALUES", 200)
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 50)
         forks = self.count_forks(monkeypatch)
         shares, fields, run_forked = [], [], workers.run_forked
+        beside = []  # the psi workers under way
 
         def recorded(local, tasks):
-            if local.func is cli._write_group:  # a batch of CSV files
-                shares.append([job.args[0] for job in (local, *tasks)])
-            else:
-                fields.append(len(tasks))
-            return run_forked(local, tasks)
+            if getattr(local, "func", None) is cli._write_group:  # a batch of CSV files
+                shares.append(([job.args[0] for job in (local, *tasks)], bool(beside)))
+                return run_forked(local, tasks)
+            fields.append(len(tasks))
+            beside.append(1)
+            try:
+                return run_forked(local, tasks)
+            finally:
+                beside.pop()
 
         monkeypatch.setattr(workers, "run_forked", recorded)
         combined, combine = [], lanczos._LanczosBasis.combine
@@ -426,16 +433,20 @@ class TestWriterShares:
             assert run(config, quiet=True) == 0
             written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                             if p.is_file()})
-            assert len(forks) == (n_cpus > 1) + n_cpus - 1
-            assert fields == [1] * (n_cpus > 1) and len(shares) == (n_cpus > 1)
-            if n_cpus > 1:
-                tables = [table for share in shares[0] for table in share]
+            assert fields == [1] * (n_cpus > 1)
+            assert len(forks) == (n_cpus > 1) + sum(len(groups) - 1 for groups, _ in shares)
+            # the series and u files beside psi's worker, then the m files
+            assert [by_psi for _, by_psi in shares] == [True, False] * (n_cpus > 1)
+            for (groups, _), names in zip(shares, ({"f", "i", "u"}, {"m"})):
+                tables = [table for group in groups for table in group]
                 assert len({table.path for table in tables}) == len(tables)
-                assert {table.path.name[0] for table in tables} == {"m"}
-                work = [sum(table.work for table in share) for share in shares[0]]
-                assert len(work) == n_cpus
+                assert {table.path.name[0] for table in tables} == names
+                work = [sum(table.work for table in group) for group in groups]
+                assert 1 < len(work) <= n_cpus
                 for w in work:
                     assert abs(w - sum(work) / n_cpus) <= max(table.work for table in tables)
+            if n_cpus > 1:
+                assert len(shares[1][0]) == n_cpus  # the m batch
         # the series, the iterates, three fields and the summary, and m and u
         # at levels 0, 400, 800 and 1 200, the fields from the Lanczos bases
         assert len(written[0]) == 6 + 2 * 4 and combined
@@ -538,6 +549,31 @@ class TestWriterShares:
         assert not forks
         assert (tmp_path / f"{large}.csv").read_text() == "x\n" + "".join(
             f"{float(i)!r},{i}\n" for i in range(2000))
+
+    def test_a_worker_writes_its_batch_alone(self, tmp_path, monkeypatch):
+        """A batch of two large files, which the caller cuts between two
+        processes on 3 CPUs, is written by a forked worker alone: there
+        ``workers.spare_cpus`` is 0, so the worker forks nothing."""
+        from mfgnet import workers
+
+        monkeypatch.setattr(cli, "_SHARE_VALUES", 500)
+        self.cpus(monkeypatch, 3)
+        forks = self.count_forks(monkeypatch)
+        tables = [cli._Table(tmp_path / f"{name}.csv", "x", (np.arange(1000.0),))
+                  for name in "ab"]
+
+        def in_worker():
+            forks.clear()  # the worker's copy
+            cli._write_tables(tables)
+            return bytes([len(forks)])
+
+        assert workers.run_forked(lambda: None, [in_worker])[1] == [b"\0"]
+        expected = "x\n" + "".join(f"{float(i)!r}\n" for i in range(1000))
+        for name in "ab":
+            assert (tmp_path / f"{name}.csv").read_text() == expected
+        forks.clear()
+        cli._write_tables(tables)
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_error_in_a_share_reaches_the_caller(self, tmp_path, monkeypatch, where):
@@ -659,6 +695,34 @@ class TestCliEntry:
         assert err["type"] == "ValidationError"
         assert err["field"] == "run.out_dir"
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+    @pytest.mark.parametrize("mode", ["solve", "oracle"])
+    @pytest.mark.parametrize("taken", ["snapshots", "f_series.csv"])
+    def test_artifact_path_not_writable(self, tmp_path, capfd, monkeypatch, mode, taken):
+        """An artifact path that cannot be written, a file where the
+        snapshots directory goes or a directory where a CSV goes, exits 2
+        naming run.out_dir, on stderr and in error.json, with no traceback
+        and no child left: on 2 CPUs the oracle's series come from its
+        forked writer."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
+        out.mkdir()
+        if taken == "snapshots":
+            (out / taken).write_text("")
+        else:
+            (out / taken).mkdir()
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fast_config(tmp_path, mode=mode, snapshots=1000)))
+        assert main(["--config", str(p), "--quiet"]) == 2
+        captured = capfd.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ValidationError" and err["field"] == "run.out_dir"
+        assert taken in err["message"]
+        assert json.loads((out / "error.json").read_text())["error"] == err
+        assert not (out / "summary.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_cost_beyond_floats_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
         """A cost whose range no float exponential spans exits 2 naming

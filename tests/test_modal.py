@@ -732,13 +732,15 @@ def test_error_in_psi_worker_reaches_the_caller(monkeypatch):
         raise NumericalFailure("in the caller" if os.getpid() == caller else "in the worker")
 
     monkeypatch.setattr(LanczosStep, "psi_levels", failing)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     values = []
     with pytest.raises(NumericalFailure, match="in the worker"):
         fixed_point(problem, snapshot_levels={5},
-                    on_value=lambda result, forked: values.append((result, forked)))
+                    on_value=lambda result: values.append((result, len(forks))))
     assert isinstance(problem.evaluator, LanczosStep)
-    [(result, forked)] = values
-    assert forked and result.fields["u"].keys() == {0, 5, result.equilibrium_level}
+    [(result, beside)] = values
+    assert beside == 1 and result.fields["u"].keys() == {0, 5, result.equilibrium_level}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -750,10 +752,10 @@ def test_modal_fields_fork_nothing(example1_config, monkeypatch):
     monkeypatch.setattr(workers, "spare_cpus", lambda: 3)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    forked = []
+    values = []
     res = fixed_point(problem, snapshot_levels={100, 200},
-                      on_value=lambda result, beside: forked.append(beside))
-    assert isinstance(problem.evaluator, ModalStep) and forked == [False]
+                      on_value=lambda result: values.append(len(forks)))
+    assert isinstance(problem.evaluator, ModalStep) and values == [0]
     assert res.fields["psi"].keys() == {0, 100, 200, res.equilibrium_level} and not forks
 
 

@@ -81,3 +81,13 @@ def test_error_in_a_worker_keeps_its_type():
     with pytest.raises(KeyError, match="in the worker"):
         workers.run_forked(lambda: None, [failing])
     assert_no_child_left()
+
+
+def test_a_worker_has_no_spare_cpus(monkeypatch):
+    """On 3 CPUs the caller has 2 spare and a forked worker none, so every
+    worker is the caller's own child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    spare, bodies = workers.run_forked(workers.spare_cpus,
+                                       [lambda: bytes([workers.spare_cpus()])])
+    assert spare == 2 and bodies == [b"\0"]
+    assert_no_child_left()
