@@ -35,6 +35,7 @@ import json
 import math
 import shutil
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -429,11 +430,10 @@ class _Table(NamedTuple):
             shutil.copyfile(self.path, path)
 
 
-def _write_group(tables: list[_Table]) -> bytes:
-    """Write each of ``tables``; no bytes for ``workers.run_forked``."""
+def _write_group(tables: list[_Table]) -> None:
+    """Write each of ``tables``."""
     for table in tables:
         table.write()
-    return b""
 
 
 def _write_tables(tables: list[_Table]) -> None:
@@ -615,10 +615,9 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     # those it formed, as one that writes them at once leaves them
     pending = [] if workers.spare_cpus() > 0 else None
 
-    def write_pending() -> bytes:
+    def write_pending() -> None:
         for batch in pending or ():
             _write_tables(batch)
-        return b""
 
     try:
         result, summary = _solve_artifacts(config, out, quiet, problem, pending)
@@ -645,7 +644,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
         except MFGNetError as err:
             return err
 
-    mc = workers.run_forked(particles, [write_pending])[0] if pending else particles()
+    mc = workers.run_forked(particles, [write_pending]) if pending else particles()
     if isinstance(mc, MFGNetError):
         raise mc
 
@@ -710,6 +709,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             summary = _refine_artifacts(config, out, quiet)
         else:
             raise ValidationError("run.mode", f"unknown mode {config.mode!r}")
+        (out / "error.json").unlink(missing_ok=True)  # an earlier run's
         _write_summary(config, out, summary)
     except (MFGNetError, OSError) as err:
         if isinstance(err, OSError):
@@ -717,15 +717,13 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                 raise
             err = ValidationError("run.out_dir", f"cannot write the artifacts: {err}")
         payload = _report(err)
-        try:
+        with suppress(OSError):  # error.json itself may be what cannot be written
             (out / "error.json").write_text(json.dumps(payload, indent=2) + "\n")
+        with suppress(OSError):
             (out / "summary.json").unlink(missing_ok=True)  # an earlier run's
-        except OSError:
-            pass
         if isinstance(err, (CflViolation, NonpositivePhi, ZeroMass, NumericalFailure)):
             return 3
         return 2  # the config, an output path, a step too coarse or a particle step too large
-    (out / "error.json").unlink(missing_ok=True)  # an earlier run's
     if not quiet:
         print(f"[mfgnet] wrote {out / 'summary.json'}", flush=True)
     return 0 if summary["converged"] else 4

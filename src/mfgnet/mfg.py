@@ -239,8 +239,8 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
     of their own, with a CPU that ``workers.spare_cpus`` finds, a worker
     forked by ``workers.run_forked`` evaluates them meanwhile, holding what
     the caller would have (a ring of four basis vectors and the rows), and
-    returns the rows' bytes, read into one buffer and viewed here without a
-    copy."""
+    writes the rows into a ``workers.shared`` array, whose rows are the
+    fields here without a copy."""
     grid, levels = problem.grid, sorted(set(levels))
     later = [n for n in levels if n > 0]
     step = _evaluator(problem)
@@ -257,9 +257,12 @@ def map_fields(res: PsiMapResult, problem: DiscreteProblem, levels,
 
         forks = workers.spare_cpus() > 0
     if forks:
-        phi, (body,) = workers.run_forked(
-            phi_fields, [lambda: step.psi_levels(res.psi0, later).data])
-        rows = np.frombuffer(body).reshape(len(later), grid.n_flat)
+        rows = workers.shared((len(later), grid.n_flat))
+
+        def psi_rows():
+            rows[:] = step.psi_levels(res.psi0, later)
+
+        phi = workers.run_forked(phi_fields, [psi_rows])
     else:
         phi = phi_fields()
         rows = step.psi_levels(res.psi0, later) if later else []

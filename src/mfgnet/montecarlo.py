@@ -15,8 +15,9 @@ the seed the sampler hands on, the later ones on seeds spawned from it.
 When the process may use more than one CPU, the blocks are cut into runs
 of consecutive blocks, the first for the caller and each other for a
 worker forked by ``workers.run_forked``, which cli's CSV writer shares;
-otherwise they run one after another in the caller. The arrivals depend
-only on the seed and the population size either way.
+otherwise they run one after another in the caller. Either way each block
+writes its arrivals into its slice of one ``workers.shared`` array, and
+they depend only on the seed and the population size.
 
 A step that starts and ends on the exit edge may still have crossed the
 exit in between; ignoring that biases arrivals late by O(sqrt(dt)). Those
@@ -326,30 +327,27 @@ def _simulate_blocks(topology: NetworkTopology, config: SimConfig,
 
     The blocks are cut into P runs of consecutive blocks. Run 0 runs in the
     caller and runs 1 to P - 1 in workers of ``workers.run_forked``, one per
-    spare CPU and at most one per block after the first, each of whose
-    arrivals is read straight into its slice of the result. Without
-    ``os.fork`` or a second CPU every block runs in the caller.
+    spare CPU and at most one per block after the first. Each run writes
+    each block's arrivals into its slice of the result, a ``workers.shared``
+    array. Without ``os.fork`` or a second CPU every block runs in the
+    caller.
     """
     n = len(edges)
     n_blocks = -(-n // _BLOCK_AGENTS)
     cuts = np.linspace(0, n, n_blocks + 1).astype(int)
     blocks = [(replace(config, n_agents=int(b - a), seed=seed), edges[a:b], ys[a:b])
               for seed, a, b in zip(_block_seeds(config.seed, n_blocks), cuts[:-1], cuts[1:])]
-    from .workers import run_forked, spare_cpus  # loaded by the oracle alone
+    from .workers import run_forked, shared, spare_cpus  # loaded by the oracle alone
 
     n_procs = 1 + min(n_blocks - 1, spare_cpus())
     first = np.linspace(0, n_blocks, n_procs + 1).astype(int)  # each run's first block
-    arrival = np.empty(n)
+    arrival = shared(n)
 
-    def run(p: int) -> np.ndarray:
-        return np.concatenate([simulate_agents(topology, *block)
-                               for block in blocks[first[p]:first[p + 1]]])
+    def run(p: int) -> None:
+        for b in range(first[p], first[p + 1]):
+            arrival[cuts[b]:cuts[b + 1]] = simulate_agents(topology, *blocks[b])
 
-    def local() -> None:
-        arrival[:cuts[first[1]]] = run(0)
-
-    run_forked(local, [partial(run, p) for p in range(1, n_procs)],
-               out=[arrival[cuts[a]:cuts[b]] for a, b in zip(first[1:-1], first[2:])])
+    run_forked(partial(run, 0), [partial(run, p) for p in range(1, n_procs)])
     return arrival
 
 

@@ -2,19 +2,22 @@
 blocks of ``montecarlo``, the groups of CSV files of ``cli._write_tables``,
 the oracle's writer of the solve's batches (beside its particles) and psi's
 fields on a Lanczos grid (``mfg.map_fields``), which import this module only
-where they may fork. A CSV worker writes its files itself and returns no bytes;
-a psi or particle worker returns its rows' bytes, and the caller meanwhile
-evaluates phi's fields and writes the series and u files, or simulates its
-own blocks. A worker forks nothing, as ``spare_cpus`` is 0 there: every
-worker is the caller's own child, which it reaps or kills.
+where they may fork. A task returns nothing: a CSV worker writes its files
+itself, and a psi or particle worker writes its rows into an array of
+``shared``, which the caller made before the fork and reads once the worker
+is reaped, while it evaluates phi's fields and writes the series and u
+files, or simulates its own blocks. A worker forks nothing, as
+``spare_cpus`` is 0 there: every worker is the caller's own child, which it
+reaps or kills.
 
-A worker writes to a pipe a 0 byte, the length of the bytes its task
-returned as 8 bytes and those bytes, or a 1 byte, a length and its pickled
-exception, and leaves by ``os._exit``. The caller reads each body into one
-buffer of that length, its own or a new bytearray, reaps every worker, and
-raises a worker's error with its own type; on any failure it kills
-(SIGKILL) and reaps the workers not yet collected. ``pickle`` and
-``signal`` are imported only on those paths. Workers are forked rather
+A worker writes to a pipe the pickled exception its task raised, if any,
+and leaves by ``os._exit``: with status 0 once its task returned or its
+error is written, else 1. The caller reads each pipe to its end and reaps
+its worker; it raises a worker's error with its own type, and a nonzero
+wait status (a worker killed, or one whose error could not be written) as
+ChildProcessError naming it. On any failure it kills (SIGKILL) and reaps
+the workers not yet collected. ``mmap`` is imported by ``shared`` alone,
+``pickle`` and ``signal`` only on those paths. Workers are forked rather
 than spawned: a forked worker reads its inputs from memory it shares with
 the caller, where a spawned pool re-imports the package and raised desk's
 peak RSS in oracle mode from 62.1 to 65.3 MB.
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["spare_cpus", "run_forked"]
+import numpy as np
+
+__all__ = ["spare_cpus", "shared", "run_forked"]
 
 _in_worker = False  # set by _fork in the worker only, which leaves by os._exit
 
@@ -40,9 +45,17 @@ def spare_cpus() -> int:
     return (os.cpu_count() or 1) - 1
 
 
+def shared(shape) -> np.ndarray:
+    """A float array of ``shape`` on an anonymous shared mapping, zeroed:
+    what a worker forked after it writes there, the caller reads."""
+    import mmap
+
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * int(np.prod(shape)), 1)))
+
+
 def _fork(task) -> tuple[int, object]:
-    """Fork a worker that runs ``task()`` and writes its outcome to a pipe.
-    Returns the worker's pid and the pipe's read end."""
+    """Fork a worker that runs ``task()`` and writes its error, if any, to a
+    pipe. Returns the worker's pid and the pipe's read end."""
     global _in_worker
     read_end, write_end = os.pipe()
     try:
@@ -56,50 +69,18 @@ def _fork(task) -> tuple[int, object]:
         status = 1
         try:
             os.close(read_end)
-            try:
-                tag, body = b"\0", task()
-            except BaseException as exc:  # interrupts too: the caller raises it
-                import pickle
-
-                tag, body = b"\1", pickle.dumps(exc)
             with open(write_end, "wb") as pipe:
-                pipe.write(tag + memoryview(body).nbytes.to_bytes(8, "little"))
-                pipe.write(body)
+                try:
+                    task()
+                except BaseException as exc:  # interrupts too: the caller raises it
+                    import pickle
+
+                    pipe.write(pickle.dumps(exc))
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    # unbuffered, so readinto fills the caller's buffer straight from the pipe
-    return pid, open(read_end, "rb", buffering=0)
-
-
-def _fill(pipe, buffer) -> bool:
-    """Read ``pipe`` into ``buffer`` until it is full; False if the pipe
-    ends first."""
-    view, got = memoryview(buffer).cast("B"), 0
-    while got < len(view):
-        n = pipe.readinto(view[got:])
-        if not n:
-            return False
-        got += n
-    return True
-
-
-def _receive(pipe, buffer) -> tuple[int, object]:
-    """A worker's tag and body: a result's body read into ``buffer`` when
-    one is given, else into a new bytearray; the body is None when the
-    pipe ends early."""
-    head = bytearray(9)
-    if not _fill(pipe, head):
-        return -1, None
-    size = int.from_bytes(head[1:], "little")
-    if head[0] == 0 and buffer is not None:
-        room = memoryview(buffer).nbytes
-        if room != size:
-            raise ChildProcessError(f"a worker sent {size} bytes for a buffer of {room}")
-    else:
-        buffer = bytearray(size)
-    return head[0], buffer if _fill(pipe, buffer) else None
+    return pid, open(read_end, "rb")
 
 
 def _stop(workers: dict) -> None:
@@ -112,34 +93,30 @@ def _stop(workers: dict) -> None:
         os.waitpid(pid, 0)
 
 
-def run_forked(local, tasks, out=None) -> tuple[object, list]:
-    """Run each of ``tasks``, functions of no argument that return a
-    bytes-like object, in a forked worker of its own, and ``local()`` in the
-    caller meanwhile. Returns what ``local`` returned and the bytes of each
-    task, in the order of ``tasks``: each a bytearray, or, where ``out``
-    gives one writable buffer per task, that buffer, which the bytes must
-    fill exactly. Every worker is reaped before this returns or raises; a
-    task's error is raised here with its own type."""
+def run_forked(local, tasks):
+    """Run each of ``tasks``, functions of no argument that return nothing
+    and write their results into ``shared`` arrays or files, in a forked
+    worker of its own, and ``local()`` in the caller meanwhile. Returns what
+    ``local`` returned. Every worker is reaped before this returns or
+    raises; a task's error is raised here with its own type."""
     workers = {}  # pid: pipe, until the worker is reaped
     try:
         for task in tasks:
             pid, pipe = _fork(task)
             workers[pid] = pipe
         result = local()
-        bodies = []
-        for pid, buffer in zip(list(workers), out or [None] * len(workers)):
-            tag, body = _receive(workers[pid], buffer)
-            workers[pid].close()
+        for pid in list(workers):
+            with workers[pid] as pipe:
+                error = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del workers[pid]
-            if tag == 1 and body is not None:
+            if status:
+                raise ChildProcessError(f"worker {pid} ended with wait status {status}")
+            if error:
                 import pickle
 
-                raise pickle.loads(body)
-            if tag != 0 or body is None:
-                raise ChildProcessError(f"worker {pid} sent no result (wait status {status})")
-            bodies.append(body)
+                raise pickle.loads(error)
     finally:
         if workers:
             _stop(workers)
-    return result, bodies
+    return result

@@ -562,12 +562,18 @@ class TestWriterShares:
         tables = [cli._Table(tmp_path / f"{name}.csv", "x", (np.arange(1000.0),))
                   for name in "ab"]
 
+        worker_forks = workers.shared(1)
+        worker_forks[0] = -1.0
+
         def in_worker():
             forks.clear()  # the worker's copy
             cli._write_tables(tables)
-            return bytes([len(forks)])
+            worker_forks[0] = len(forks)
 
-        assert workers.run_forked(lambda: None, [in_worker])[1] == [b"\0"]
+        workers.run_forked(lambda: None, [in_worker])
+        assert worker_forks[0] == 0.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         expected = "x\n" + "".join(f"{float(i)!r}\n" for i in range(1000))
         for name in "ab":
             assert (tmp_path / f"{name}.csv").read_text() == expected
@@ -697,13 +703,13 @@ class TestCliEntry:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
 
     @pytest.mark.parametrize("mode", ["solve", "oracle"])
-    @pytest.mark.parametrize("taken", ["snapshots", "f_series.csv"])
+    @pytest.mark.parametrize("taken", ["snapshots", "f_series.csv", "error.json"])
     def test_artifact_path_not_writable(self, tmp_path, capfd, monkeypatch, mode, taken):
         """An artifact path that cannot be written, a file where the
-        snapshots directory goes or a directory where a CSV goes, exits 2
-        naming run.out_dir, on stderr and in error.json, with no traceback
-        and no child left: on 2 CPUs the oracle's series come from its
-        forked writer."""
+        snapshots directory goes or a directory where a CSV or error.json
+        goes, exits 2 naming run.out_dir, on stderr and, but for error.json
+        itself, in error.json, with no traceback and no child left: on 2
+        CPUs the oracle's series come from its forked writer."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "out"
         out.mkdir()
@@ -719,7 +725,10 @@ class TestCliEntry:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "ValidationError" and err["field"] == "run.out_dir"
         assert taken in err["message"]
-        assert json.loads((out / "error.json").read_text())["error"] == err
+        if taken == "error.json":
+            assert (out / taken).is_dir()
+        else:
+            assert json.loads((out / "error.json").read_text())["error"] == err
         assert not (out / "summary.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
