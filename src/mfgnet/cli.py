@@ -57,12 +57,11 @@ from .mfg import (
     CostSpec,
     DiscreteProblem,
     ProblemSpec,
-    density_drift,
     discretize,
     fixed_point,
-    map_phi,
+    map_drift,
 )
-from .montecarlo import SimConfig, estimate_arrival_cdf, read_levels
+from .montecarlo import SimConfig, estimate_arrival_cdf
 from .network import build_network
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -580,10 +579,11 @@ def _solve_artifacts(config: RunConfig, out: Path, quiet: bool, problem: Discret
 def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     """The solve's artifacts, then the particles' comparison.csv. With a
     spare CPU, a worker of ``workers.run_forked`` writes the solve's series,
-    u and m files while the caller evaluates the drift and runs the
-    particles; comparison.csv, which reads f_series.csv, follows once the
-    worker is reaped. On one CPU the files are written before the particles
-    run. Either way a failure of the particles leaves the solve's files."""
+    u and m files while the caller runs the particles (``mfg.map_drift``:
+    on a ModalStep grid each particle block forms the drift as it reads
+    it); comparison.csv, which reads f_series.csv, follows once the worker
+    is reaped. On one CPU the files are written before the particles run.
+    Either way a failure of the particles leaves the solve's files."""
     from . import workers  # the particle blocks load it too
 
     spec = config.spec
@@ -592,13 +592,17 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
     dt_mc = config.dt_mc if config.dt_mc is not None else tg.dt / 10.0
     sim = SimConfig(n_agents=config.agents, dt=dt_mc, t_max=spec.cost.t_max, seed=config.seed)
 
-    # phi at each level the particles read (one per particle step, or every level
-    # when the steps are finer), the drift and its temporaries, the step times,
-    # and 22 floats per agent, split by the particle blocks between the caller
-    # and its forked workers: from 2e5 to 4e5 agents on 2 CPUs, desk's ru_maxrss
-    # rose by 72 bytes per agent in the caller and 72 in its particle worker,
-    # 18 floats in all, and test_montecarlo.py::test_step_memory_per_agent
-    # holds a particle block under 20
+    # An upper bound: phi, the drift and their temporaries at each level the
+    # particles read (one per particle step, or every level when the steps are
+    # finer), the step times, and 22 floats per agent. On a LanczosStep grid the
+    # caller holds every read level at once, as counted; on a ModalStep grid each
+    # process that steps a block holds a chunk of drift rows at a time
+    # (montecarlo._DRIFT_CHUNK_STEPS steps' worth), far less. The agents are
+    # split by the particle blocks between the caller and its forked workers:
+    # from 2e5 to 4e5 agents on 2 CPUs, desk's ru_maxrss rose by 72 bytes per
+    # agent in the caller and 72 in its particle worker, 18 floats in all, and
+    # test_montecarlo.py::test_step_memory_per_agent holds a particle block
+    # under 20
     # t_max / dt_mc may be inf; a count past MEMORY_LIMIT fails the guard unrounded
     steps = sim.t_max / sim.dt
     n_mc = math.ceil(steps) if steps < MEMORY_LIMIT else steps
@@ -635,8 +639,7 @@ def _oracle_artifacts(config: RunConfig, out: Path, quiet: bool):
         if pending:
             pending.clear()
         try:
-            levels = read_levels(sim, tg.dt, tg.n_steps)
-            drift = density_drift(grid, map_phi(result.map, problem, levels), tg.dt, levels)
+            drift = map_drift(result.map, problem, dt_mc, n_mc)
             if not quiet:
                 print(f"[mfgnet] simulating {config.agents} agents at dt = {dt_mc:.3g}",
                       flush=True)

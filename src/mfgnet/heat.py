@@ -317,7 +317,9 @@ class ModalStep(Evaluator):
     (C, n_int) table of lambda^(a*B): O(n_steps * n_int) per evaluation.
     ``phi_levels`` and ``psi_levels`` evaluate the sweeps at chosen levels
     from the same tables, at O(n_int^2) per level asked for, each level's
-    row to the same bits whatever other levels are asked with it.
+    row to the same bits whatever other levels are asked with it; a
+    ``phi_reader`` reads one exit series' phi in as many calls as its
+    caller likes, with the same bits.
     """
 
     def __init__(self, grid: SpatialGrid, time_grid: TimeGrid, m0: GridField):
@@ -369,55 +371,64 @@ class ModalStep(Evaluator):
     def phi_levels(self, exit_series: np.ndarray, levels) -> np.ndarray:
         """The backward sweep from the constant state exit_series[-1], with
         the exit pinned at exit_series[n] on level n, at each of ``levels``
-        (level 0 allowed), one flat state per row.
+        (level 0 allowed), one flat state per row: ``phi_reader``'s."""
+        return self.phi_reader(exit_series)(levels)
+
+    def phi_reader(self, exit_series: np.ndarray):
+        """``phi_levels`` of one exit series, as a function of the levels,
+        with the checkpoint sums formed once, however many calls read it.
 
         In modal coordinates c_n = Q^T D u^n the sweep is
         c_n = lambda^(N-n) c_N + b_modal * S_n, with g the exit series and
         S_n = sum_(j < N-n) lambda^j g_(n+1+j). At a checkpoint c, a multiple
         of B or N itself, S_c is one tail sum over the rows of the chunk
         products (g in chunks of B from level 1) @ (lambda^j table), formed
-        once per call. Every other level n steps down from the checkpoint c
-        above it: c_n = lambda^(c-n) c_c + b_modal * s_n, with
+        here. Every other level n steps down from the checkpoint c above it:
+        c_n = lambda^(c-n) c_c + b_modal * s_n, with
         s_n = sum_(j < c-n) lambda^j g_(n+1+j) = g_(n+1) + lambda * s_(n+1)
         from one scan down the offsets, over the blocks from the lowest asked
         to the highest at once. No step depends on which other levels are
-        asked, so no row's bits do.
+        asked, in this call or another, so no row's bits do.
         """
         n_steps, rows = self.n_steps, self.offset_powers.shape[0]
-        levels = np.asarray(levels, dtype=int)
         by_level = np.zeros(self.chunks * rows)  # by_level[a, j] = g_(a*B + j + 1)
         by_level[:n_steps] = exit_series[1:]
         by_level = by_level.reshape(self.chunks, rows)
         chunk_sums = by_level @ self.offset_powers
-        # the checkpoint at or above level n is min(a*B, N), with a its chunk
-        chunk_of = -(-levels // rows)
-        down = np.minimum(chunk_of * rows, n_steps) - levels
-        top = np.empty((self.chunks + 1, len(self.evals)))
-        for a in set(chunk_of.tolist()):
-            sums = (self.chunk_powers[: self.chunks - a] * chunk_sums[a:]).sum(axis=0)
-            top[a] = (_powers(self.evals, n_steps - min(a * rows, n_steps)) * self.ones_modal
-                      * exit_series[-1] + self.b_modal * sums)
 
-        coef = top[chunk_of]
-        at = np.flatnonzero(down)
-        if len(at):
-            offset = levels[at] % rows
-            at = at[np.argsort(-offset, kind="stable")]  # offsets from B - 1 down
-            # the blocks kB < n < (k + 1)B from the lowest asked to the highest
-            low = chunk_of[at].min() - 1
-            window = by_level[low: chunk_of[at].max()]
-            partial = np.zeros((len(window), len(self.evals)))
-            counts = np.bincount(offset, minlength=rows).tolist()
-            done = 0
-            for r in range(rows - 1, offset.min() - 1, -1):
-                partial *= self.evals
-                partial += window[:, r, None]
-                if counts[r]:
-                    now = at[done: done + counts[r]]
-                    done += counts[r]
-                    coef[now] = (self.offset_powers[down[now]] * coef[now]
-                                 + self.b_modal * partial[chunk_of[now] - 1 - low])
-        return self._states(coef, exit_series[levels])
+        def read(levels) -> np.ndarray:
+            levels = np.asarray(levels, dtype=int)
+            # the checkpoint at or above level n is min(a*B, N), with a its chunk
+            chunk_of = -(-levels // rows)
+            down = np.minimum(chunk_of * rows, n_steps) - levels
+            top = np.empty((self.chunks + 1, len(self.evals)))
+            for a in set(chunk_of.tolist()):
+                sums = (self.chunk_powers[: self.chunks - a] * chunk_sums[a:]).sum(axis=0)
+                top[a] = (_powers(self.evals, n_steps - min(a * rows, n_steps)) * self.ones_modal
+                          * exit_series[-1] + self.b_modal * sums)
+
+            coef = top[chunk_of]
+            at = np.flatnonzero(down)
+            if len(at):
+                offset = levels[at] % rows
+                at = at[np.argsort(-offset, kind="stable")]  # offsets from B - 1 down
+                # the blocks kB < n < (k + 1)B from the lowest asked to the highest
+                low = chunk_of[at].min() - 1
+                window = by_level[low: chunk_of[at].max()]
+                partial = np.zeros((len(window), len(self.evals)))
+                counts = np.bincount(offset, minlength=rows).tolist()
+                done = 0
+                for r in range(rows - 1, offset.min() - 1, -1):
+                    partial *= self.evals
+                    partial += window[:, r, None]
+                    if counts[r]:
+                        now = at[done: done + counts[r]]
+                        done += counts[r]
+                        coef[now] = (self.offset_powers[down[now]] * coef[now]
+                                     + self.b_modal * partial[chunk_of[now] - 1 - low])
+            return self._states(coef, exit_series[levels])
+
+        return read
 
     def psi_levels(self, psi0: np.ndarray, levels) -> np.ndarray:
         """The forward sweep from psi0 at each of ``levels`` (each >= 1), one

@@ -56,6 +56,9 @@ __all__ = [
     "drift_from_matrix",
     "density_drift",
     "DriftSeries",
+    "PhiDrift",
+    "map_drift",
+    "step_levels",
 ]
 
 # Bound on phi's exit series exp(c - C): it stays within exp(+-650), about
@@ -443,11 +446,21 @@ def fixed_point(spec: ProblemSpec | DiscreteProblem, snapshot_levels=(),
     return result
 
 
+def step_levels(steps: np.ndarray, dt_mc: float, dt: float, last_level: int) -> np.ndarray:
+    """The PDE level, on a time grid of step ``dt`` and levels 0 to
+    ``last_level``, that each particle step in ``steps`` (of time step
+    ``dt_mc``) reads: int(t / dt) at the step's time t = step * dt_mc,
+    clamped to the last level. Nondecreasing in the step."""
+    return np.minimum((steps * dt_mc / dt).astype(int), last_level)
+
+
 class DriftSeries:
     """Optimal drift -du/dx per edge node at chosen time levels: centered
     differences inside each edge, one-sided at its endpoints. Node values
     are direction-aware (per edge), unlike vertex-shared GridField storage.
     Row i holds PDE level ``levels[i]`` (increasing; by default level i).
+    A particle step reads the row of its ``step_levels`` level, which
+    ``step_rows`` gives for a run of steps.
     """
 
     def __init__(self, grid: SpatialGrid, values: np.ndarray, dt: float | None = None,
@@ -456,34 +469,39 @@ class DriftSeries:
         self.values = values  # (n_rows, len(grid.edge_nodes)), in that layout
         self.dt = dt
         levels = np.arange(len(values)) if levels is None else np.asarray(levels)
+        self.last_level = int(levels[-1])
         self.row_of = np.full(levels[-1] + 1, -1)
         self.row_of[levels] = np.arange(len(levels))
-        # per edge, as floats: its step, last cell index and first node offset
-        self.edge_table = np.array([grid.h, grid.n_cells - 1, grid.edge_starts[:-1]], dtype=float)
+        self.edge_table = _edge_table(grid)
 
-    def level_at(self, t: float) -> int:
-        """The row of level int(t / dt), clamped to [0, last level]."""
+    def step_rows(self, dt_mc: float, start: int, stop: int) -> np.ndarray:
+        """The row that each particle step start, ..., stop - 1 of time step
+        ``dt_mc`` reads, one per row."""
         if self.dt is None:
             raise ValueError("this drift series was built without a time step")
-        row = self.row_of[min(max(int(t / self.dt), 0), len(self.row_of) - 1)]
-        if row < 0:
-            raise KeyError(f"the drift series holds no row for time {t}")
-        return row
+        return self._rows(step_levels(np.arange(start, stop), dt_mc, self.dt, self.last_level))
 
-    def eval(self, level: int, ys: np.ndarray, h: np.ndarray, last_cell: np.ndarray,
+    def _rows(self, levels: np.ndarray) -> np.ndarray:
+        rows = self.row_of[levels]
+        if (rows < 0).any():
+            raise KeyError(f"the drift series holds no row for level {levels[rows < 0][0]}")
+        return self.values[rows]
+
+    @staticmethod
+    def eval(row: np.ndarray, ys: np.ndarray, h: np.ndarray, last_cell: np.ndarray,
              offset: np.ndarray) -> np.ndarray:
-        """Linear interpolation along each agent's edge at one time level;
-        ``ys`` are arclengths in [0, edge length], the other arrays are the
-        rows of ``edge_table`` at each agent's edge. The cell index stays a
-        float until it indexes the row, where it is whole: float operands
-        are cheaper than mixed ones, and the values are the same."""
+        """Linear interpolation of one of ``step_rows``' rows along each
+        agent's edge; ``ys`` are arclengths in [0, edge length], the other
+        arrays are the rows of ``edge_table`` at each agent's edge. The cell
+        index stays a float until it indexes the row, where it is whole:
+        float operands are cheaper than mixed ones, and the values are the
+        same."""
         frac = ys / h
         k = np.trunc(frac)
         np.minimum(k, last_cell, out=k)
         frac -= k
         k += offset  # the node at the start of each agent's cell
         k = k.astype(int)
-        row = self.values[level]
         # (1 - frac) * left + frac * right, in place in the gathered arrays
         left, right = row.take(k), row[1:].take(k)
         right *= frac
@@ -491,6 +509,47 @@ class DriftSeries:
         left *= frac
         left += right
         return left
+
+
+class PhiDrift(DriftSeries):
+    """The density drift of one phi history that holds no rows: each call
+    of ``step_rows`` forms the rows its steps read from ``phi_at(levels)``
+    (phi at increasing, distinct levels, one flat state per row), each row
+    as ``density_drift`` forms it from the history's row at that level."""
+
+    def __init__(self, grid: SpatialGrid, phi_at, dt: float, last_level: int):
+        self.grid, self.phi_at, self.dt, self.last_level = grid, phi_at, dt, last_level
+        self.edge_table = _edge_table(grid)
+
+    def _rows(self, levels: np.ndarray) -> np.ndarray:
+        new = np.diff(levels, prepend=-1) != 0  # levels are nondecreasing
+        values = density_drift(self.grid, self.phi_at(levels[new])).values
+        return values if new.all() else values[np.cumsum(new) - 1]
+
+
+def _edge_table(grid: SpatialGrid) -> np.ndarray:
+    """Per edge, as floats: its step, last cell index and first node offset."""
+    return np.array([grid.h, grid.n_cells - 1, grid.edge_starts[:-1]], dtype=float)
+
+
+def map_drift(res: PsiMapResult, problem: DiscreteProblem, dt_mc: float,
+              n_mc: int) -> DriftSeries:
+    """The density drift of the map ``res`` for particle steps 0 to
+    n_mc - 1 of time step ``dt_mc``. On a ModalStep it is a PhiDrift over
+    one ``phi_reader``, so each process that steps particles forms the
+    rows they read as they read them, and no level after a run's last step.
+    On a LanczosStep, whose ``phi_levels`` sweeps or replays a basis on
+    every call, phi is evaluated once, at every level those steps read."""
+    grid, time_grid = problem.grid, problem.time_grid
+    step = _evaluator(problem)
+    if isinstance(step, ModalStep):
+        return PhiDrift(grid, step.phi_reader(res.exit_series), time_grid.dt,
+                        time_grid.n_steps)
+    levels = step_levels(np.arange(n_mc), dt_mc, time_grid.dt, time_grid.n_steps)
+    # each level where it first appears (np.unique would import numpy.ma
+    # on its first call)
+    levels = levels[np.diff(levels, prepend=-1) != 0]
+    return density_drift(grid, map_phi(res, problem, levels), time_grid.dt, levels)
 
 
 def _derivative_plan(grid: SpatialGrid):

@@ -19,6 +19,11 @@ otherwise they run one after another in the caller. Either way each block
 writes its arrivals into its slice of one ``workers.shared`` array, and
 they depend only on the seed and the population size.
 
+A drift's rows are read _DRIFT_CHUNK_STEPS steps at a time, by the loop
+that takes the steps: a drift that forms its rows on demand (``mfg.PhiDrift``)
+forms each chunk's in the process that steps the block, and none after the
+block's last step.
+
 A step that starts and ends on the exit edge may still have crossed the
 exit in between; ignoring that biases arrivals late by O(sqrt(dt)). Those
 steps are absorbed with the Brownian-bridge crossing probability
@@ -41,7 +46,6 @@ __all__ = [
     "SimConfig",
     "ArrivalCdf",
     "simulate_agents",
-    "read_levels",
     "estimate_arrival_cdf",
     "dkw_epsilon",
 ]
@@ -59,6 +63,19 @@ _PARKED_SHARE = 1 / 16
 # draws, so their size is a constant, not a count of the machine's CPUs; a
 # population of at most this many is one block, stepped on the sampler's seed.
 _BLOCK_AGENTS = 50_000
+# Particle steps per read of the drift's rows. On desk's map (41 nodes per
+# row, B = 253), a PhiDrift read for 512 steps peaked at 0.85 MB under
+# tracemalloc, and the 9 reads of a block's first 4 608 steps took 31 ms,
+# against 11 ms for one read of them all; 256 steps took 40 ms (a read's
+# fixed cost is its scan over the B offsets) and 1 024 peaked at 1.7 MB.
+# Desk's peak RSS read the same at 256, 512 and 1 024 within 0.5 MB (one
+# BLAS thread, 2-CPU Xeon VM).
+_DRIFT_CHUNK_STEPS = 512
+# Agents the sampler places at a time, from its full-population draws. For
+# desk's 100 000 agents this peaked at 2.70 MB under tracemalloc and took
+# 5.9 ms, against 7.27 MB and 7.8 ms placed all at once; 1 024 took 7.2 ms
+# and 8 192 peaked at 2.99 MB (same machine).
+_SAMPLE_CHUNK = 4096
 
 
 SIGMA = math.sqrt(2.0)  # the noise of the PDE's unit diffusivity
@@ -159,7 +176,8 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     the router runs only in a step where some agent left its edge. An
     absorbed agent stays parked in the columns, off the exit edge, until
     _PARKED_SHARE of them are parked; then one boolean mask compacts every
-    column.
+    column. The drift's rows come from its ``step_rows``, _DRIFT_CHUNK_STEPS
+    steps at a time.
     """
     rng = np.random.default_rng(config.seed)
     edges = np.asarray(start_edges, dtype=int)
@@ -202,7 +220,11 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
         # after the step is the other, and only the exit edge's agents use it
         x = (y if exit_from_tail else exit_length - y) * bridge_scale
         if drift is not None:
-            velocity = drift.eval(drift.level_at(t), y, *consts)
+            within = step % _DRIFT_CHUNK_STEPS
+            if not within:
+                rows = None  # the last chunk's rows go before the next chunk's are formed
+                rows = drift.step_rows(dt, step, min(step + _DRIFT_CHUNK_STEPS, n_steps))
+            velocity = drift.eval(rows[within], y, *consts)
             velocity *= dt
             velocity[parked] = 0.0
             y += velocity
@@ -253,17 +275,6 @@ def simulate_agents(topology: NetworkTopology, config: SimConfig,
     return arrival
 
 
-def read_levels(config: SimConfig, dt: float, last_level: int) -> np.ndarray:
-    """The levels, increasing, at which ``simulate_agents`` reads a drift
-    with time step ``dt`` and levels 0 to ``last_level``: its ``level_at(t)``
-    at every step time t = k * config.dt, by the loop's arithmetic."""
-    t = np.arange(math.ceil(config.t_max / config.dt)) * config.dt
-    levels = np.minimum((t / dt).astype(int), last_level)
-    # nondecreasing, so each level first appears where it differs from the
-    # one before (np.unique would import numpy.ma on its first call)
-    return levels[np.diff(levels, prepend=-1) != 0]
-
-
 def dkw_epsilon(n: int, alpha: float = 0.05) -> float:
     """Half-width of the distribution-free confidence band for an empirical
     CDF from n samples at confidence 1 - alpha."""
@@ -289,7 +300,8 @@ def sample_initial_positions(m0: GridField, n: int,
     proportional to its trapezoid mass h (a + b) / 2, a and b its end
     values, then place the agent at the fraction s of the cell where the
     cell's linear density has mass u of its own: a s + (b - a) s^2 / 2 =
-    u (a + b) / 2, for a uniform draw u."""
+    u (a + b) / 2, for a uniform draw u. All n cell draws come first, then
+    all n draws u; the agents are placed _SAMPLE_CHUNK at a time."""
     grid = m0.grid
     if m0.data.min() < 0:
         raise ZeroMass("density must be nonnegative")
@@ -302,14 +314,21 @@ def sample_initial_positions(m0: GridField, n: int,
     if total <= 0:
         raise ZeroMass("density integrates to zero")
     cum = np.cumsum(w) / total
-    cell = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(w) - 1)
-    a, b, u = a[cell], b[cell], rng.random(n)
-    # the quadratic's root in the form without cancellation; its denominator
-    # is 0 only where a = 0 and u = 0 or b = 0, and there s is 0
-    den = a + np.sqrt((1.0 - u) * a * a + u * b * b)
-    s = np.divide(u * (a + b), den, out=np.zeros(n), where=den > 0.0)
-    edges = cell_edge[cell]
-    return edges, (cell + edges - grid.edge_starts[edges] + s) * grid.h[edges]
+    picks, fractions = rng.random(n), rng.random(n)
+    # each chunk's arclengths overwrite its picks once they are read
+    edges, ys = np.empty(n, dtype=int), picks
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        u = fractions[lo: lo + _SAMPLE_CHUNK]
+        cell = np.minimum(np.searchsorted(cum, picks[lo: lo + len(u)], side="right"),
+                          len(w) - 1)
+        ca, cb = a[cell], b[cell]
+        # the quadratic's root in the form without cancellation; its
+        # denominator is 0 only where a = 0 and u = 0 or b = 0, and there s is 0
+        den = ca + np.sqrt((1.0 - u) * ca * ca + u * cb * cb)
+        s = np.divide(u * (ca + cb), den, out=np.zeros(len(u)), where=den > 0.0)
+        e = edges[lo: lo + len(u)] = cell_edge[cell]
+        ys[lo: lo + len(u)] = (cell + e - grid.edge_starts[e] + s) * grid.h[e]
+    return edges, ys
 
 
 def _block_seeds(seed: int, n_blocks: int) -> list[int]:

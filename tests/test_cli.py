@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,6 +264,27 @@ class TestOracleFields:
         summary = json.loads((oracle / "summary.json").read_text())
         assert levels == [0, summary["equilibrium_level"]]
         assert formed == 2
+
+    def test_lanczos_oracle_evaluates_phi_at_every_read_level_in_one_call(
+            self, tmp_path, monkeypatch):
+        """On a LanczosStep grid (the downsized desk, with ``modal_pays``
+        patched to refuse its eigh) the particles' drift is held at every
+        level they read, from one ``phi_levels`` call after the fields'."""
+        import mfgnet.mfg
+        from mfgnet.lanczos import LanczosStep
+
+        calls, phi_levels = [], LanczosStep.phi_levels
+        monkeypatch.setattr(mfgnet.mfg, "modal_pays", lambda grid, time_grid: False)
+        monkeypatch.setattr(LanczosStep, "phi_levels", lambda step, exit_series, levels: (
+            calls.append(list(levels)) or phi_levels(step, exit_series, levels)))
+        config = _small_desk(tmp_path, "oracle")
+        assert run(config, quiet=True) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        dt, last = summary["dt"], summary["n_time_steps"]
+        t_max, dt_mc = config.spec.cost.t_max, config.dt_mc
+        read = sorted({min(int(k * dt_mc / dt), last) for k in range(math.ceil(t_max / dt_mc))})
+        assert calls == [[0, summary["equilibrium_level"]], read]
+        assert summary["oracle"]["sup_distance"] < 0.02
 
 
 class TestWriteCsv:

@@ -182,24 +182,42 @@ class TestDrift:
         # interior node at x=0.5 is slot k=5; derivative of x^2 there is 1
         assert nodes[5] == pytest.approx(-1.0)
 
+    @staticmethod
+    def row_at(d, t):
+        """The row a particle step at time t reads: step 1 of dt_mc = t."""
+        return d.step_rows(t, 1, 2)[0]
+
     def test_interpolation_between_nodes(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
         u = mn.sample_function(g, lambda p: p[:, 0])
-        d = drift_from_matrix(g, np.stack([u.data] * 4), dt=0.1)
-        vals = d.eval(0, np.array([0.1, 0.6]), *d.edge_table[:, [0, 0]])
+        d = drift_from_matrix(g, np.stack([k * u.data for k in (1, 2, 3, 4)]), dt=0.1)
+        vals = d.eval(d.values[0], np.array([0.1, 0.6]), *d.edge_table[:, [0, 0]])
         np.testing.assert_allclose(vals, -1.0)
-        assert d.level_at(0.25) == 2
-        assert d.level_at(9.9) == 3  # clamped to the last level
+        np.testing.assert_allclose(self.row_at(d, 0.25), -3.0)  # level 2
+        np.testing.assert_allclose(self.row_at(d, 9.9), -4.0)  # clamped to the last level
 
     def test_rows_at_chosen_levels(self, single_edge):
         g = mn.build_grid(single_edge, 0.25)
         u = mn.sample_function(g, lambda p: p[:, 0])
         d = drift_from_matrix(g, np.stack([u.data, 2 * u.data, 3 * u.data]), dt=0.1,
                               levels=[0, 4, 7])
-        assert [d.level_at(t) for t in (0.0, 0.45, 0.75, 9.9)] == [0, 1, 2, 2]
-        np.testing.assert_allclose(d.values[d.level_at(0.45)], -2.0)
+        rows = [self.row_at(d, t) for t in (0.0, 0.45, 0.75, 9.9)]
+        np.testing.assert_allclose(rows, np.repeat([-1.0, -2.0, -3.0, -3.0], len(rows[0]))
+                                   .reshape(4, -1))
         with pytest.raises(KeyError):
-            d.level_at(0.25)
+            self.row_at(d, 0.25)
+
+    def test_step_rows_one_per_step(self, single_edge):
+        """Each particle step reads level int(step * dt_mc / dt), clamped to
+        the last level, whether its row is asked alone or with others."""
+        g = mn.build_grid(single_edge, 0.25)
+        u = mn.sample_function(g, lambda p: p[:, 0])
+        d = drift_from_matrix(g, np.stack([k * u.data for k in range(1, 8)]), dt=0.1)
+        for dt_mc in (0.03, 0.1, 0.3):
+            rows = d.step_rows(dt_mc, 0, 40)
+            levels = [min(int(k * dt_mc / 0.1), 6) for k in range(40)]
+            np.testing.assert_array_equal(rows, d.values[levels])
+            np.testing.assert_array_equal(d.step_rows(dt_mc, 7, 19), rows[7:19])
 
 
 def desk_problem(h=0.05, theta=0.5):

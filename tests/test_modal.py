@@ -167,6 +167,24 @@ def test_phi_tail_sums_match_the_recursion(name, h):
         np.testing.assert_array_equal(row, step.phi_levels(res.exit_series, [level])[0])
 
 
+@pytest.mark.parametrize("name, h", [("example1.json", 0.05), ("desk.json", 0.05)])
+def test_phi_reader_chunks_match_one_call(name, h):
+    """One ``phi_reader`` asked for consecutive chunks of levels, as the
+    particles' drift asks it, gives phi_levels' rows of one call over all
+    of them, to the last bit, at every chunk length."""
+    problem = discretize(_bundled(name, h))
+    n = problem.time_grid.n_steps
+    res = psi_map(0.6 * problem.spec.cost.t_max, problem)
+    step = problem.evaluator
+    assert isinstance(step, ModalStep)
+    levels = np.arange(0, n + 1, 3)
+    whole = step.phi_levels(res.exit_series, levels)
+    read = step.phi_reader(res.exit_series)
+    for size, upto in ((1, 200), (97, len(levels)), (512, len(levels))):
+        parts = [read(levels[a: min(a + size, upto)]) for a in range(0, upto, size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole[:upto])
+
+
 @pytest.mark.parametrize("n_steps", [400, 401])
 def test_phi_recursion_reaches_level_0(n_steps):
     """phi at every third level down to level 0, against the backward sweep

@@ -9,8 +9,10 @@ import pytest
 
 import mfgnet as mn
 import mfgnet.montecarlo as mc
+from mfgnet import mfg
 from mfgnet.errors import StepTooLarge, ZeroMass
-from mfgnet.mfg import density_drift
+from mfgnet.heat import ModalStep
+from mfgnet.mfg import PhiDrift, density_drift
 from mfgnet.montecarlo import (
     SIGMA,
     SimConfig,
@@ -19,11 +21,11 @@ from mfgnet.montecarlo import (
     dkw_epsilon,
     estimate_arrival_cdf,
     sample_initial_positions,
-    read_levels,
     simulate_agents,
 )
 
 from conftest import edge_rows, edge_slots, every_level
+from test_mfg import desk_problem
 
 
 def absorbing_reflecting_cdf(times, start=0.5, n_terms=50):
@@ -310,12 +312,11 @@ class TestBlocks:
             os.waitpid(-1, os.WNOHANG)
 
 
-def _reference_drift_eval(drift, edge_ids, ys, level):
+def _reference_drift_eval(drift, edge_ids, ys, row):
     h = drift.grid.h[edge_ids]
     k = np.clip((ys / h).astype(int), 0, drift.grid.n_cells[edge_ids] - 1)
     frac = ys / h - k
     base = drift.grid.edge_starts[edge_ids] + k
-    row = drift.values[level]
     return (1.0 - frac) * row[base] + frac * row[base + 1]
 
 
@@ -343,7 +344,8 @@ def _reference_resolve_crossings(topology, edges, ys, rng):
 
 def _reference_simulate_agents(topology, config, start_edges, start_ys):
     """The particle loop as first written: every step gathers the active
-    agents from the full arrays and scatters them back."""
+    agents from the full arrays and scatters them back, and reads its own
+    drift row alone."""
     rng = np.random.default_rng(config.seed)
     edges = np.asarray(start_edges, dtype=int).copy()
     ys = np.asarray(start_ys, dtype=float).copy()
@@ -371,7 +373,8 @@ def _reference_simulate_agents(topology, config, start_edges, start_ys):
         d_before = np.where(on_exit_before,
                             y if exit_from_tail else exit_edge.length - y, np.inf)
         if drift is not None:
-            a = _reference_drift_eval(drift, e, y, drift.level_at(t))
+            row = drift.step_rows(config.dt, step, step + 1)[0]
+            a = _reference_drift_eval(drift, e, y, row)
             y = y + a * config.dt
         y = y + noise_scale * rng.standard_normal(len(active))
         absorbed = _reference_resolve_crossings(topology, e, y, rng)
@@ -431,6 +434,39 @@ def test_step_memory_per_agent(single_edge):
         tracemalloc.stop()
     assert np.isfinite(arr).mean() > 0.75
     assert peak <= 160 * n, peak / n
+
+
+def test_drift_memory_does_not_grow_with_the_read_levels(single_edge):
+    """A desk-like block of 20 000 agents (one edge, a hat start, the
+    density drift of a map on a ModalStep grid) at 10 000 particle steps of
+    one PDE level each, and at 1 000: tracemalloc's peak over forming the
+    drift and stepping the block grows by less than one chunk of drift rows.
+    A drift formed whole before the particles run, at every level they
+    read, peaks 13 MB higher at 10 000 levels than at 1 000."""
+    hat = lambda p: np.maximum(1 - np.abs(p[:, 0] - 0.5) / 0.5, 0.0)
+    spec = mn.ProblemSpec(topology=single_edge, cost=mfg.CostSpec(0.5, 10.0, 0.1, 0.0, 0.1),
+                          theta=0.5, m0=hat, h_target=0.025, t_init=10.0)
+    problem = mfg.discretize(spec)
+    res = mfg.psi_map(0.5, problem)
+    edges, ys = _hat_start(single_edge, 20_000)
+    peaks = []
+    tg = problem.time_grid
+    for dt_mc in (1e-3, 1e-2):
+        n_mc = math.ceil(spec.cost.t_max / dt_mc)
+        read = mfg.step_levels(np.arange(n_mc), dt_mc, tg.dt, tg.n_steps)
+        assert len(set(read.tolist())) == n_mc  # 10 000 and 1 000 read levels
+        tracemalloc.start()
+        try:
+            drift = mfg.map_drift(res, problem, dt_mc, n_mc)
+            cfg = SimConfig(n_agents=len(edges), dt=dt_mc, t_max=spec.cost.t_max, seed=3,
+                            drift=drift)
+            arr = simulate_agents(single_edge, cfg, edges, ys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(arr).all()
+    chunk = mc._DRIFT_CHUNK_STEPS * len(problem.grid.edge_nodes) * 8
+    assert peaks[0] - peaks[1] < chunk, (peaks, chunk)
 
 
 class TestAgainstReferenceLoop:
@@ -611,37 +647,85 @@ def test_crossing_limit_raises_typed_error():
         simulate_agents(topo, cfg, np.full(50, 30), np.full(50, 0.5))
 
 
-class TestReadLevels:
-    """The oracle evaluates phi only at ``read_levels``; the particles must
-    read no other level, and read the same rows as from the full history."""
+def _recorded_drift(grid, phi, dt):
+    """A PhiDrift over the phi history ``phi`` (one level per row), and the
+    list of the levels each of its evaluations asks for."""
+    asked = []
 
-    @pytest.mark.parametrize("dt_mc, dt, last_level", [
+    def phi_at(levels):
+        asked.append(levels.tolist())
+        return phi[levels]
+
+    return PhiDrift(grid, phi_at, dt, len(phi) - 1), asked
+
+
+def _read_levels(dt_mc, t_max, dt, last_level):
+    """The levels particle steps of dt_mc up to t_max read, by the loop's
+    arithmetic, written out one step at a time."""
+    return sorted({min(int(k * dt_mc / dt), last_level)
+                   for k in range(math.ceil(t_max / dt_mc))})
+
+
+class TestReadLevels:
+    """A PhiDrift evaluates phi a chunk of steps at a time: at exactly the
+    levels the particles read, none after the chunk of their last step, and
+    to the arrivals of the drift held at every level, bit for bit."""
+
+    RATIOS = pytest.mark.parametrize("dt_mc, dt, last_level", [
         (1e-3, 1.5625e-4, 12800),  # desk's ratio of time steps
         (3e-3, 0.01, 200),         # particle steps finer than levels
         (0.01, 0.01, 200),         # equal steps
         (7e-3, 0.01, 50),          # the drift ends before the horizon
     ])
-    def test_levels_simulate_agents_reads(self, dt_mc, dt, last_level):
+
+    @RATIOS
+    def test_levels_simulate_agents_reads(self, three_star, dt_mc, dt, last_level):
         # a long edge, so no agent is absorbed and every step is taken
         topo = mn.build_network([(0, (0.0, 0.0)), (1, (20.0, 0.0))], [(0, 0, 1, 20.0)], 0)
-        drift = _smooth_drift(topo, 0.5, last_level + 1, dt)
-        asked, level_at = set(), drift.level_at
-        drift.level_at = lambda t: asked.add(level_at(t)) or level_at(t)
+        drift, asked = _recorded_drift(*_smooth_phi(topo, 0.5, last_level + 1), dt)
         cfg = SimConfig(n_agents=5, dt=dt_mc, t_max=2.0, seed=2, drift=drift)
         arr = simulate_agents(topo, cfg, np.zeros(5, dtype=int), np.full(5, 19.0))
         assert np.isnan(arr).all()
-        np.testing.assert_array_equal(read_levels(cfg, dt, last_level), sorted(asked))
+        n_steps = math.ceil(cfg.t_max / dt_mc)
+        assert len(asked) == -(-n_steps // mc._DRIFT_CHUNK_STEPS)
+        for levels in asked:  # increasing and distinct within a chunk
+            assert (np.diff(levels) > 0).all()
+        # a level that two chunks' steps read is evaluated by both
+        assert sorted(set(sum(asked, []))) == _read_levels(dt_mc, cfg.t_max, dt, last_level)
 
-    def test_drift_at_read_levels_gives_the_same_arrivals(self, three_star):
-        dt, n_levels = 0.01, 201
-        grid, phi = _smooth_phi(three_star, 0.1, n_levels)
-        cfg = SimConfig(n_agents=3000, dt=3e-3, t_max=2.0, seed=4)
-        levels = read_levels(cfg, dt, n_levels - 1)
-        assert len(levels) < n_levels
-        ys = np.random.default_rng(6).random(cfg.n_agents)
-        edges = np.arange(cfg.n_agents) % 3
-        arrivals = [simulate_agents(three_star, replace(cfg, drift=drift), edges, ys)
-                    for drift in (density_drift(grid, phi, dt),
-                                  density_drift(grid, phi[levels], dt, levels))]
+        # where agents arrive, the arrivals of the drift held at every level
+        grid, phi = _smooth_phi(three_star, 0.1, last_level + 1)
+        ys = np.random.default_rng(6).random(2000)
+        edges = np.arange(2000) % 3
+        arrivals = [simulate_agents(three_star, replace(cfg, n_agents=2000, drift=d), edges, ys)
+                    for d in (_recorded_drift(grid, phi, dt)[0], density_drift(grid, phi, dt))]
         assert np.array_equal(*arrivals, equal_nan=True)
         assert np.isfinite(arrivals[0]).mean() > 0.2
+
+    def test_drift_at_read_levels_gives_the_same_arrivals(self):
+        """A desk-like map on a ModalStep grid, whose agents have all
+        arrived long before the horizon: the loop stops there, and
+        ``map_drift`` evaluates no level after that step's chunk. Its
+        arrivals are those of the drift held at every read level."""
+        problem = mfg.discretize(desk_problem(0.05))
+        tg, t_max = problem.time_grid, problem.spec.cost.t_max
+        res = mfg.psi_map(0.5 * t_max, problem)
+        cfg = SimConfig(n_agents=3000, dt=1e-3, t_max=t_max, seed=4)
+        n_mc = math.ceil(t_max / cfg.dt)
+        levels = _read_levels(cfg.dt, t_max, tg.dt, tg.n_steps)
+        held = density_drift(problem.grid, mfg.map_phi(res, problem, levels), tg.dt, levels)
+        on_demand = mfg.map_drift(res, problem, cfg.dt, n_mc)
+        assert isinstance(problem.evaluator, ModalStep) and isinstance(on_demand, PhiDrift)
+        asked, phi_at = [], on_demand.phi_at
+        on_demand.phi_at = lambda levels: asked.append(levels.tolist()) or phi_at(levels)
+        edges, ys = _hat_start(problem.spec.topology, cfg.n_agents)
+        arrivals = [simulate_agents(problem.spec.topology, replace(cfg, drift=drift), edges, ys)
+                    for drift in (held, on_demand)]
+        assert np.array_equal(*arrivals, equal_nan=True)
+        assert np.isfinite(arrivals[0]).all()
+        # the last step ends at the last arrival; its chunk is the last asked
+        last_step = round(arrivals[0].max() / cfg.dt) - 1
+        chunk_end = (last_step // mc._DRIFT_CHUNK_STEPS + 1) * mc._DRIFT_CHUNK_STEPS
+        assert chunk_end < n_mc
+        assert len(asked) == chunk_end // mc._DRIFT_CHUNK_STEPS
+        assert max(asked[-1]) == int((chunk_end - 1) * cfg.dt / tg.dt) < levels[-1]
